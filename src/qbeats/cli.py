@@ -17,26 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    load_config_file,
-    load_preset,
-)
-from .dynamics import TimeSeries, clip_probabilities, one_group_weights, time_grid
-from .hamiltonians import build_partitioned, build_reduced_one_group, distinct_spins
-from .noisemethods import (
-    echo_synthetic_encoded_values,
-    echo_synthetic_sector_values,
-    kraus_singlet_values,
-    per_gate_singlet_values,
-)
-from .pipeline import (
-    one_group_sector_trajectories,
-    two_group_pair_trace,
-)
+from .config import ConfigError, ExperimentConfig, load_config_file, load_preset
+from .dynamics import NumericalError
+from .pipeline import simulate
 from .postprocess import observed_intensity, observed_ratio
-from .spinalg import HalfInt
 from .validate import run_suite
 
 
@@ -80,119 +64,6 @@ def rms_against_reference(times: np.ndarray, values: np.ndarray,
     return float(np.sqrt(np.mean((values[mask] - interp) ** 2)))
 
 
-def _sector_label(key) -> str:
-    return f"I={key}" if key.is_integer else f"I={key.twice_value}/2"
-
-
-def simulate_trace(config: ExperimentConfig, regime: str, threads: int = 1,
-                   collect_sectors: bool = False) -> tuple[TimeSeries, dict]:
-    """Run the configured pipeline for one field regime.
-
-    Returns the main singlet trace, plus per-sector traces when
-    ``collect_sectors`` is set (the --sectors CSV columns).
-    """
-    spec = config.spin_spec(regime)
-    times = time_grid(*config.time_grid)
-    sectors: dict[str, np.ndarray] = {}
-
-    if len(config.groups) == 1:
-        n = config.groups[0].count
-        trajs = one_group_sector_trajectories(spec, times)
-        if config.initial_state != "mixed":
-            try:
-                tI, tm = (int(round(2 * float(x))) for x in config.initial_state.split(","))
-                I, m = HalfInt(tI), HalfInt(tm)
-            except ValueError:
-                raise ConfigError(
-                    f"initial_state {config.initial_state!r}: expected 'mixed' or 'I,m'"
-                ) from None
-            if config.noise_method == "echo-synthetic" and m != I:
-                raise ConfigError(
-                    "echo-synthetic supports the mixed state or |I, m=I> sectors")
-            from .dynamics import pair_trajectory_pure, sector_statevector
-            from .hamiltonians import one_group_reduced_index
-
-            H = build_reduced_one_group(spec)
-            psi = sector_statevector(one_group_reduced_index(n, I, m), H.dims[1])
-            traj = pair_trajectory_pure(H, psi, times)
-            vals = _apply_noise_one(
-                config, spec, traj, times,
-                I if config.noise_method == "echo-synthetic" else None)
-            return TimeSeries(times, clip_probabilities(vals, f"S_{regime}"),
-                              f"S_{regime}"), sectors
-
-        weights = one_group_weights(n, regime)
-        total = sum(weights.values())
-        if config.noise_method == "echo-synthetic":
-            # this method runs per sector by construction
-            per_sector = {
-                I: clip_probabilities(
-                    _apply_noise_one(config, spec, trajs[I].trajectory, times, I),
-                    _sector_label(I))
-                for I in distinct_spins(n)
-            }
-            vals = sum((w / total) * per_sector[HalfInt(abs(k.twice_value))]
-                       for k, w in weights.items())
-            if collect_sectors:
-                sectors = {_sector_label(I): v for I, v in per_sector.items()}
-        else:
-            avg = sum((w / total) * trajs[HalfInt(abs(k.twice_value))].trajectory
-                      for k, w in weights.items())
-            vals = _apply_noise_one(config, spec, avg, times, None)
-            if collect_sectors:
-                for I in distinct_spins(n):
-                    svals = _apply_noise_one(config, spec, trajs[I].trajectory, times, I)
-                    sectors[_sector_label(I)] = clip_probabilities(svals, _sector_label(I))
-        return TimeSeries(times, clip_probabilities(vals, f"S_{regime}"), f"S_{regime}"), sectors
-
-    # two-group system
-    if config.initial_state != "mixed":
-        raise ConfigError("two-group systems support only the mixed initial state")
-    if collect_sectors:
-        from qbeats.pipeline import two_group_sector_trace
-        from qbeats.hamiltonians import build_two_group_block
-        from qbeats.spinalg import spin_addition_counts
-
-        for I2 in sorted(spin_addition_counts(config.groups[1].count), reverse=True):
-            sector = build_two_group_block(I2, spec)
-            tr = two_group_sector_trace(sector, times)
-            # padded-register run convention: frozen padding slots count as 1
-            vals = tr.singlet().values + sector.pad_register / sector.register_size
-            sectors[f"I2={I2}"] = clip_probabilities(vals, f"I2={I2}")
-    trace = two_group_pair_trace(spec, times, threads=threads)
-    if config.noise_method == "none":
-        out = trace.singlet(f"S_{regime}")
-    elif config.noise_method == "kraus":
-        out = trace.relaxed(spec.T1, spec.T2).singlet(f"S_{regime}")
-    elif config.noise_method == "per-gate":
-        vals = per_gate_singlet_values(trace.trajectory, times, spec.T1, spec.T2)
-        out = TimeSeries(times, clip_probabilities(vals, f"S_{regime}"), f"S_{regime}")
-    else:  # echo-synthetic: singlet trace encoded in an Rz rotation
-        coherent = trace.singlet("S_coherent")
-        vals = echo_synthetic_encoded_values(coherent, spec.T1, spec.T2, config.hardware)
-        out = TimeSeries(times, clip_probabilities(vals, f"S_{regime}"), f"S_{regime}")
-    return out, sectors
-
-
-def _apply_noise_one(config: ExperimentConfig, spec, traj, times, sector_I):
-    """Noise dispatch for one-group trajectories (averaged or per sector)."""
-    method = config.noise_method
-    if method == "none":
-        from .dynamics import SINGLET
-
-        return np.real(np.einsum("a,tab,b->t", SINGLET.conj(), traj, SINGLET))
-    if method == "kraus":
-        return kraus_singlet_values(traj, times, spec.T1, spec.T2)
-    if method == "per-gate":
-        return per_gate_singlet_values(traj, times, spec.T1, spec.T2)
-    if method == "echo-synthetic":
-        if sector_I is None:
-            raise ConfigError("echo-synthetic runs per sector; use sector trajectories")
-        H = build_partitioned(sector_I, spec)
-        return echo_synthetic_sector_values(H, times, spec.T1, spec.T2, config.hardware)
-    raise ConfigError(f"unknown noise method {method!r}")
-
-
 def _load(args) -> ExperimentConfig:
     if args.config:
         return load_config_file(args.config)
@@ -202,12 +73,9 @@ def _load(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load(args)
     regime = args.field or config.field_regime
-    trace, sectors = simulate_trace(config, regime, threads=args.threads,
-                                    collect_sectors=args.sectors)
-    columns = {"time_ns": trace.times, "singlet_probability": trace.values}
-    if args.sectors:
-        for label, vals in sectors.items():
-            columns[label] = vals
+    result = simulate(config, regime, threads=args.threads, sectors=args.sectors)
+    trace = result.trace
+    columns = {"time_ns": trace.times, "singlet_probability": trace.values, **result.sectors}
     meta = {
         "command": "simulate",
         "name": config.name,
@@ -230,8 +98,8 @@ def cmd_trmfe(args) -> int:
     config = _load(args)
     if config.postprocess is None:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
-    s_high, _ = simulate_trace(config, "high", threads=args.threads)
-    s_zero, _ = simulate_trace(config, "zero", threads=args.threads)
+    s_high = simulate(config, "high", threads=args.threads).trace
+    s_zero = simulate(config, "zero", threads=args.threads).trace
     ratio = observed_ratio(s_high, s_zero, config.postprocess)
     i_b = observed_intensity(s_high, config.postprocess)
     i_0 = observed_intensity(s_zero, config.postprocess)
@@ -322,6 +190,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .hamiltonians import NuclearGroup, SpinSystemSpec
+from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
 from .postprocess import FluorescenceParams
+from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
@@ -71,6 +72,12 @@ class ExperimentConfig:
             T2=T2,
         )
 
+    def initial_sector(self) -> tuple[HalfInt, HalfInt] | None:
+        """(I, m) of a pure one-group initial state; None for the mixed state."""
+        if self.initial_state == "mixed":
+            return None
+        return _parse_sector(self.initial_state)
+
     def canonical(self) -> dict:
         return {
             "name": self.name,
@@ -111,6 +118,31 @@ def _float(raw, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
 
 
+def _finite(raw, where: str) -> float:
+    value = _float(raw, where)
+    _require(math.isfinite(value), where, f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_sector(text: str) -> tuple[HalfInt, HalfInt]:
+    I, m = (HalfInt.from_float(float(x)) for x in text.split(","))
+    return I, m
+
+
+def _check_initial_state(initial: str, groups, noise: str, where: str) -> None:
+    """'mixed', or a valid |I, m> of a one-group system (m = I for echo-synthetic)."""
+    if initial == "mixed":
+        return
+    _require(len(groups) == 1, where, "two-group systems support only the mixed state")
+    try:
+        I, m = _parse_sector(initial)
+        one_group_reduced_index(groups[0].count, I, m)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: expected 'mixed' or a valid 'I,m' ({exc})") from None
+    _require(noise != "echo-synthetic" or m == I, where,
+             "echo-synthetic supports the mixed state or |I, m=I> sectors")
+
+
 def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
     _require(isinstance(raw, list) and 1 <= len(raw) <= 2, where,
              "expected a list of one or two nuclear groups")
@@ -119,14 +151,16 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
         spot = f"{where}[{i}]"
         _require(isinstance(g, dict), spot, "expected a mapping")
         count = g.get("count")
-        _require(isinstance(count, int) and count >= 0, spot, "count must be an integer >= 0")
+        _require(isinstance(count, int) and count >= 1, spot, "count must be an integer >= 1")
         if "hfc_mT" in g:
-            hfc = _float(g["hfc_mT"], spot + ".hfc_mT")
+            hfc = _finite(g["hfc_mT"], spot + ".hfc_mT")
         elif "hfc_G" in g:
-            hfc = _float(g["hfc_G"], spot + ".hfc_G") * 0.1
+            hfc = _finite(g["hfc_G"], spot + ".hfc_G") * 0.1
         else:
             raise ConfigError(f"{spot}: missing hfc_mT (or hfc_G)")
         out.append(NuclearGroup(count, hfc))
+    _require(len(out) == 1 or out[0].count == 2, f"{where}[0].count",
+             "the small group of a two-group system must contain exactly 2 nuclei")
     return tuple(out)
 
 
@@ -140,9 +174,9 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     _require(isinstance(system, dict), f"{name}.system", "missing system mapping")
 
     groups = _parse_groups(system.get("groups"), f"{name}.system.groups")
-    g1 = _float(system.get("g1", 2.0028), f"{name}.system.g1")
-    g2 = _float(system.get("g2", 2.0028), f"{name}.system.g2")
-    field_B = _float(system.get("field_B", 0.0), f"{name}.system.field_B")
+    g1 = _finite(system.get("g1", 2.0028), f"{name}.system.g1")
+    g2 = _finite(system.get("g2", 2.0028), f"{name}.system.g2")
+    field_B = _finite(system.get("field_B", 0.0), f"{name}.system.field_B")
 
     relax_raw = system.get("relaxation", {})
     _require(isinstance(relax_raw, dict), f"{name}.system.relaxation", "expected a mapping")
@@ -162,13 +196,14 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     _require(noise in NOISE_METHODS, f"{name}.noise_method",
              f"must be one of {NOISE_METHODS}")
     initial = str(data.get("initial_state", "mixed"))
+    _check_initial_state(initial, groups, noise, f"{name}.initial_state")
 
     grid_raw = data.get("time_grid", {})
     _require(isinstance(grid_raw, dict), f"{name}.time_grid", "expected a mapping")
     grid = (
-        _float(grid_raw.get("start", 0.0), f"{name}.time_grid.start"),
-        _float(grid_raw.get("end", 100.0), f"{name}.time_grid.end"),
-        _float(grid_raw.get("step", 0.1), f"{name}.time_grid.step"),
+        _finite(grid_raw.get("start", 0.0), f"{name}.time_grid.start"),
+        _finite(grid_raw.get("end", 100.0), f"{name}.time_grid.end"),
+        _finite(grid_raw.get("step", 0.1), f"{name}.time_grid.step"),
     )
     _require(grid[2] > 0, f"{name}.time_grid.step", "step must be positive")
     _require(grid[1] >= grid[0], f"{name}.time_grid.end", "end must be >= start")

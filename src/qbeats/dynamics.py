@@ -6,8 +6,8 @@ electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
 For long time grids nothing materializes rho(t): either the statevector is
-propagated with one matrix product over the whole grid (pure states), or the
-eigenbasis phase-reassembly kernel evaluates the required traces directly.
+propagated with one matrix product over the whole grid (pure states), or an
+eigenbasis phase sum evaluates the required traces directly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import BlockHamiltonian
-from .kernels import phase_sum
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 log = logging.getLogger(__name__)
@@ -88,12 +87,18 @@ def time_grid(t_start: float = 0.0, t_end: float = 100.0, step: float = 0.1) -> 
     return t_start + step * np.arange(n + 1)
 
 
+class NumericalError(ValueError):
+    """A computed probability trace is non-finite or out of range."""
+
+
 def clip_probabilities(values: np.ndarray, label: str = "") -> np.ndarray:
     """Clamp tiny negative roundoff to 0; larger violations are errors."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"probability trace {label!r} has non-finite values")
     lo = values.min() if len(values) else 0.0
     hi = values.max() if len(values) else 0.0
     if lo < -PROBABILITY_EPS or hi > 1 + PROBABILITY_EPS:
-        raise ValueError(f"probability trace {label!r} out of range: [{lo}, {hi}]")
+        raise NumericalError(f"probability trace {label!r} out of range: [{lo}, {hi}]")
     if lo < 0 or hi > 1:
         if lo < -1e-12 or hi > 1 + 1e-12:
             log.warning("clipping probability roundoff in %r (min %.3e, max 1+%.3e)",
@@ -201,6 +206,11 @@ def singlet_probability(rho: DensityMatrix,
     return float(val.real)
 
 
+def singlet_values(traj: np.ndarray) -> np.ndarray:
+    """Singlet probability <S|rho(t)|S> of each 4x4 pair state of a trajectory."""
+    return np.real(np.einsum("a,tab,b->t", SINGLET.conj(), traj, SINGLET))
+
+
 def pair_probabilities(rho4: np.ndarray) -> np.ndarray:
     """Bell-basis outcome probabilities (S, T0, T+, T-) of a 4x4 pair state."""
     return np.real(np.einsum("ia,...ab,ib->...i", BELL_BASIS.conj(), rho4, BELL_BASIS))
@@ -218,11 +228,23 @@ def pair_trajectory_pure(H: BlockHamiltonian, psi0: np.ndarray,
     return np.einsum("art,brt->tab", blocks, blocks.conj())
 
 
+def _phase_sum(M: np.ndarray, w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """f(t) = sum_jk M_jk exp(-i(w_j - w_k) t) for every t, via BLAS.
+
+    With u_j(t) = exp(-i w_j t) the sum is u(t)^T M conj(u(t)); evaluating
+    W = M conj(U) for the full time grid turns the dim^2 x T loop into one
+    zgemm.  Memory per call: 2 * dim * T complex temporaries.
+    """
+    U = np.exp(-1j * np.outer(w, times))
+    W = M @ np.conj(U)
+    return np.einsum("jt,jt->t", U, W)
+
+
 def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
                             times: np.ndarray) -> np.ndarray:
     """Reduced electron-pair trajectory of a density-matrix evolution.
 
-    Sixteen eigenbasis phase sums; runs on the numba kernel when enabled.
+    Sixteen eigenbasis phase sums, one per pair-matrix element.
     """
     w, v = H.eig()
     R = v.conj().T @ rho0 @ v
@@ -234,7 +256,7 @@ def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
             vb = v[idx[b], :]
             # Q = V^dag (|b><a| x 1) V = vb^dag va; G_ab(t) = sum R*Q^T phases
             Q = vb.conj().T @ va
-            g = phase_sum(R * Q.T, w, times)
+            g = _phase_sum(R * Q.T, w, times)
             out[:, a, b] = g
             if b != a:
                 out[:, b, a] = g.conj()

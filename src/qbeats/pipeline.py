@@ -6,6 +6,9 @@ field weights over I, high field weights over |m|).  Two-group systems run
 one mixed-register evolution per I2 sector; sector results are combined at
 the electron-pair-trajectory level, which keeps the classical reassembly
 exact also in the presence of relaxation.
+
+``simulate`` is the one entry point from a resolved configuration to S(t):
+it picks the state preparation and owns the noise-method dispatch.
 """
 
 from __future__ import annotations
@@ -15,22 +18,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .dynamics import (
-    SINGLET,
     TimeSeries,
     clip_probabilities,
     one_group_weights,
     pair_trajectory_pure,
     sector_statevector,
+    singlet_values,
+    time_grid,
 )
 from .hamiltonians import (
     BlockHamiltonian,
     SpinSystemSpec,
     TwoGroupSector,
+    build_partitioned,
     build_reduced_one_group,
     build_two_group_block,
     distinct_spins,
     one_group_reduced_index,
+)
+from .noisemethods import (
+    echo_synthetic_encoded_values,
+    echo_synthetic_sector_values,
+    per_gate_singlet_values,
 )
 from .relaxation import relax_pair_trajectory, relaxed_singlet_values
 from .spinalg import HalfInt, spin_addition_counts
@@ -45,7 +56,7 @@ class PairTrace:
     meta: dict
 
     def singlet(self, label: str = "") -> TimeSeries:
-        vals = np.real(np.einsum("a,tab,b->t", SINGLET.conj(), self.trajectory, SINGLET))
+        vals = singlet_values(self.trajectory)
         return TimeSeries(self.times, clip_probabilities(vals, label), label, dict(self.meta))
 
     def relaxed(self, T1: float, T2: float, sites: str = "both") -> "PairTrace":
@@ -56,39 +67,52 @@ class PairTrace:
         return PairTrace(self.times, relaxed, meta)
 
 
-def one_group_sector_trajectories(spec: SpinSystemSpec, times: np.ndarray,
-                                  H: BlockHamiltonian | None = None) -> dict[HalfInt, PairTrace]:
-    """Pair trajectories of |I, m=I> x |S> for every distinct I (reduced basis)."""
-    n = spec.groups[0].count
+@dataclass
+class SimulationResult:
+    """Main S(t) trace plus per-sector columns (empty unless requested)."""
+
+    trace: TimeSeries
+    sectors: dict[str, np.ndarray]
+
+
+def one_group_state_trace(spec: SpinSystemSpec, I: HalfInt, m: HalfInt, times: np.ndarray,
+                          H: BlockHamiltonian | None = None) -> PairTrace:
+    """Pair trajectory of |I, m> x |S> in the reduced one-group basis."""
     H = H or build_reduced_one_group(spec)
-    nuc_dim = H.dims[1]
-    out = {}
-    for I in distinct_spins(n):
-        psi = sector_statevector(one_group_reduced_index(n, I, I), nuc_dim)
-        traj = pair_trajectory_pure(H, psi, times)
-        out[I] = PairTrace(times, traj, {"I": I, "m": I})
-    return out
+    psi = sector_statevector(one_group_reduced_index(spec.groups[0].count, I, m), H.dims[1])
+    return PairTrace(times, pair_trajectory_pure(H, psi, times), {"I": I, "m": m})
 
 
-def one_group_average_trace(spec: SpinSystemSpec, field_regime: str,
-                            times: np.ndarray, apply_noise: bool = True) -> TimeSeries:
-    """Count-weighted mixed-state S(t) for a one-group system.
+def one_group_sector_trajectories(spec: SpinSystemSpec,
+                                  times: np.ndarray) -> dict[HalfInt, PairTrace]:
+    """Pair trajectories of |I, m=I> x |S> for every distinct I (reduced basis)."""
+    H = build_reduced_one_group(spec)
+    return {I: one_group_state_trace(spec, I, I, times, H)
+            for I in distinct_spins(spec.groups[0].count)}
 
-    The |I, m=I> representatives stand in for their degeneracy class (I at
-    zero field, |m| at high field); relaxation, when enabled and finite, is
-    applied to the averaged pair trajectory at each measurement time.
+
+def _class_average(n: int, field_regime: str, per_sector: dict):
+    """Count-weighted average of per-|I, m=I> values over the mixed nuclear state.
+
+    Each representative stands in for its degeneracy class: total spin I at
+    zero field, |m| at high field.
     """
-    n = spec.groups[0].count
-    trajs = one_group_sector_trajectories(spec, times)
     weights = one_group_weights(n, field_regime)
     total = sum(weights.values())
-    avg = np.zeros_like(next(iter(trajs.values())).trajectory)
-    for key, w in weights.items():
-        avg = avg + (w / total) * trajs[HalfInt(abs(key.twice_value))].trajectory
-    trace = PairTrace(times, avg, {"system": "one_group", "field_regime": field_regime})
-    if apply_noise:
-        trace = trace.relaxed(spec.T1, spec.T2)
-    return trace.singlet(f"S_{field_regime}")
+    return sum((w / total) * per_sector[abs(k)] for k, w in weights.items())
+
+
+def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str, times: np.ndarray,
+                         sector_traces: dict[HalfInt, PairTrace] | None = None) -> PairTrace:
+    """Mixed-state pair trajectory of a one-group system.
+
+    ``sector_traces``, when given, are ``one_group_sector_trajectories`` of
+    the same spec and grid.
+    """
+    trajs = sector_traces or one_group_sector_trajectories(spec, times)
+    avg = _class_average(spec.groups[0].count, field_regime,
+                         {I: tr.trajectory for I, tr in trajs.items()})
+    return PairTrace(times, avg, {"system": "one_group", "field_regime": field_regime})
 
 
 def two_group_sector_trace(sector: TwoGroupSector, times: np.ndarray) -> PairTrace:
@@ -107,36 +131,106 @@ def two_group_sector_trace(sector: TwoGroupSector, times: np.ndarray) -> PairTra
     return PairTrace(times, acc / reg, {"I2": sector.I2})
 
 
-def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray,
-                         threads: int = 1) -> PairTrace:
-    """Fully mixed nuclear-state pair trajectory via I2 sector decomposition."""
+def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray, threads: int = 1,
+                         sectors: bool = False) -> PairTrace:
+    """Fully mixed nuclear-state pair trajectory via I2 sector decomposition.
+
+    With ``sectors``, ``meta["sectors"]`` maps each I2 (descending) to the
+    coherent singlet trace of its padded-register run, in which the frozen
+    padding slots count as 1.
+    """
     n1, n2 = spec.groups[0].count, spec.groups[1].count
     counts2 = spin_addition_counts(n2)
     total = 2 ** (n1 + n2)
-    sectors = sorted(counts2, reverse=True)
 
     def sector_contribution(I2):
         sector = build_two_group_block(I2, spec)
         tr = two_group_sector_trace(sector, times)
-        return (counts2[I2] * sector.register_size / total) * tr.trajectory
+        padded = None
+        if sectors:
+            padded = tr.singlet().values + sector.pad_register / sector.register_size
+        return (counts2[I2] * sector.register_size / total) * tr.trajectory, padded
 
+    I2s = sorted(counts2, reverse=True)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sector_contribution, sectors))
+            parts = list(pool.map(sector_contribution, I2s))
     else:
-        parts = [sector_contribution(I2) for I2 in sectors]
-    return PairTrace(times, sum(parts), {"system": "two_group"})
+        parts = [sector_contribution(I2) for I2 in I2s]
+    meta = {"system": "two_group"}
+    if sectors:
+        meta["sectors"] = {I2: padded for I2, (_, padded) in zip(I2s, parts)}
+    return PairTrace(times, sum(part for part, _ in parts), meta)
 
 
-def two_group_mixed_trace(spec: SpinSystemSpec, times: np.ndarray,
-                          apply_noise: bool = True, threads: int = 1) -> TimeSeries:
-    """Fully mixed nuclear-state S(t) for a two-group system via I2 sectors."""
-    trace = two_group_pair_trace(spec, times, threads)
-    if apply_noise:
-        trace = trace.relaxed(spec.T1, spec.T2)
-    return trace.singlet("S_two_group")
+def _sector_label(I: HalfInt) -> str:
+    return f"I={I}" if I.is_integer else f"I={I.twice_value}/2"
+
+
+def _noisy_singlet(method: str, trace: PairTrace, spec: SpinSystemSpec) -> np.ndarray:
+    """S(t) of a pair trajectory under 'none', 'kraus' or 'per-gate' noise."""
+    if method == "none":
+        return singlet_values(trace.trajectory)
+    if method == "kraus":
+        return singlet_values(trace.relaxed(spec.T1, spec.T2).trajectory)
+    return per_gate_singlet_values(trace.trajectory, trace.times, spec.T1, spec.T2)
+
+
+def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
+             sectors: bool = False) -> SimulationResult:
+    """S(t) of a validated configuration in one field regime ('zero' or 'high').
+
+    ``none``, ``kraus`` and ``per-gate`` act on the system's pair trajectory.
+    ``echo-synthetic`` runs per |I, m=I> sector on the partitioned 3-qubit
+    Hamiltonian (one group), or on the coherent S(t) encoded in an Rz
+    rotation (two groups).  With ``sectors`` the result also carries one
+    column per sector: the noisy |I, m=I> traces of a mixed one-group run,
+    or the coherent padded-register trace of each I2 sector of a two-group
+    run.  ``threads`` parallelizes the two-group sectors.
+    """
+    spec = config.spin_spec(regime)
+    times = time_grid(*config.time_grid)
+    method = config.noise_method
+    columns: dict[str, np.ndarray] = {}
+
+    if len(spec.groups) == 2:
+        trace = two_group_pair_trace(spec, times, threads, sectors)
+        if method == "echo-synthetic":
+            values = echo_synthetic_encoded_values(trace.singlet("S_coherent"), spec.T1,
+                                                   spec.T2, config.hardware)
+        else:
+            values = _noisy_singlet(method, trace, spec)
+        for I2, padded in trace.meta.get("sectors", {}).items():
+            columns[f"I2={I2}"] = clip_probabilities(padded, f"I2={I2}")
+    else:
+        n = spec.groups[0].count
+        pure = config.initial_sector()
+        if method == "echo-synthetic":
+            spins = [pure[0]] if pure else distinct_spins(n)
+            per_sector = {
+                I: clip_probabilities(
+                    echo_synthetic_sector_values(build_partitioned(I, spec), times, spec.T1,
+                                                 spec.T2, config.hardware),
+                    _sector_label(I))
+                for I in spins
+            }
+            values = per_sector[pure[0]] if pure else _class_average(n, regime, per_sector)
+            if sectors and not pure:
+                columns = {_sector_label(I): v for I, v in per_sector.items()}
+        elif pure:
+            values = _noisy_singlet(method, one_group_state_trace(spec, *pure, times), spec)
+        else:
+            trajs = one_group_sector_trajectories(spec, times)
+            values = _noisy_singlet(method, one_group_pair_trace(spec, regime, times, trajs), spec)
+            if sectors:
+                for I, tr in trajs.items():
+                    columns[_sector_label(I)] = clip_probabilities(
+                        _noisy_singlet(method, tr, spec), _sector_label(I))
+
+    label = f"S_{regime}"
+    return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)
 
 
 def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, SINGLET, TimeSeries, clip_probabilities, pair_probabilities
+from .dynamics import (
+    DensityMatrix,
+    TimeSeries,
+    clip_probabilities,
+    pair_probabilities,
+    singlet_values,
+)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -182,8 +188,7 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
 
 def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,
                            T1: float, T2: float, sites: str = "both") -> np.ndarray:
-    relaxed = relax_pair_trajectory(traj, times, T1, T2, sites)
-    return np.real(np.einsum("a,tab,b->t", SINGLET.conj(), relaxed, SINGLET))
+    return singlet_values(relax_pair_trajectory(traj, times, T1, T2, sites))
 
 
 def relaxed_singlet_trace(traj: np.ndarray, times: np.ndarray, T1: float, T2: float,
@@ -196,14 +201,3 @@ def relaxed_pair_probabilities(traj: np.ndarray, times: np.ndarray,
                                T1: float, T2: float, sites: str = "both") -> np.ndarray:
     """Bell-outcome probabilities (T, 4) after per-time relaxation."""
     return pair_probabilities(relax_pair_trajectory(traj, times, T1, T2, sites))
-
-
-def half_rate_equivalence_check(traj: np.ndarray, times: np.ndarray,
-                                T1: float, T2: float, tol: float = 1e-10) -> bool:
-    """Both electrons at (T1,T2) versus one electron at (T1/2, T2/2).
-
-    True iff the singlet traces agree pointwise within ``tol``.
-    """
-    both = relaxed_singlet_values(traj, times, T1, T2, sites="both")
-    single = relaxed_singlet_values(traj, times, T1 / 2, T2 / 2, sites="e1")
-    return bool(np.abs(both - single).max() <= tol)

@@ -36,7 +36,7 @@ from .hamiltonians import (
 from .kak import kak_decompose
 from .library import add_singlet_prep, echo_pulse_circuit
 from .noisecal import MeasurementStats, correct_stats, damp_stats
-from .pipeline import one_group_sector_trajectories
+from .pipeline import one_group_pair_trace
 from .relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
@@ -193,10 +193,7 @@ def suite_channel_circuit() -> list[CheckResult]:
 
     spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0, T1=9.0, T2=9.0)
     times = time_grid(0.0, 50.0, 1.0)
-    trajs = one_group_sector_trajectories(spec, times)
-    weights = dynamics.one_group_weights(8, "zero")
-    total = sum(weights.values())
-    avg = sum((w / total) * trajs[k].trajectory for k, w in weights.items())
+    avg = one_group_pair_trace(spec, "zero", times).trajectory
     kraus = kraus_singlet_values(avg, times, 9.0, 9.0)
     pergate = per_gate_singlet_values(avg, times, 9.0, 9.0)
     results.append(_check("per-gate noisy identity vs Kraus channel, mixed-state run",

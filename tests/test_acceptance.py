@@ -57,7 +57,7 @@ from qbeats.noisecal import MeasurementStats, correct_stats, damp_stats
 from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
 from qbeats.pipeline import (
     half_rate_equivalence_check,
-    one_group_average_trace,
+    one_group_pair_trace,
     one_group_sector_trajectories,
     two_group_pair_trace,
 )
@@ -185,7 +185,8 @@ def test_criterion_03_degeneracy_structure():
 def test_criterion_04_relaxation_asymptotes():
     spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0, T1=9.0, T2=9.0)
     t_end = 10 * max(spec.T1, spec.T2)
-    s = one_group_average_trace(spec, "zero", time_grid(0.0, t_end, 0.5))
+    s = one_group_pair_trace(spec, "zero", time_grid(0.0, t_end, 0.5))
+    s = s.relaxed(spec.T1, spec.T2).singlet()
     dev_oct = abs(s.values[-1] - 0.25)
 
     dmb_high = SpinSystemSpec(groups=(NuclearGroup(2, 0.65), NuclearGroup(12, 1.66)),
@@ -417,8 +418,8 @@ def test_criterion_10_postprocessing():
         grid = time_grid(0.0, 100.0, step)
         spec_z = cfg.spin_spec("zero")
         spec_h = cfg.spin_spec("high")
-        s0 = one_group_average_trace(spec_z, "zero", grid)
-        sb = one_group_average_trace(spec_h, "high", grid)
+        s0 = one_group_pair_trace(spec_z, "zero", grid).relaxed(spec_z.T1, spec_z.T2).singlet()
+        sb = one_group_pair_trace(spec_h, "high", grid).relaxed(spec_h.T1, spec_h.T2).singlet()
         r = observed_ratio(sb, s0, cfg.postprocess)
         v, t = r.values, r.times
         peaks = [i for i in range(1, len(v) - 1) if v[i] >= v[i - 1] and v[i] > v[i + 1]]

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -92,6 +93,35 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def preset_with(name, *path_and_value):
+    """Preset YAML document with one field replaced (path given as keys)."""
+    from importlib.resources import files
+
+    doc = yaml.safe_load(files("qbeats.data").joinpath(f"{name}.yaml").read_text())
+    *keys, value = path_and_value
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+BAD_CONFIGS = {
+    "count 0": preset_with("octalin", "system", "groups", 0, "count", 0),
+    "small group of 3": preset_with("dmb", "system", "groups", 0, "count", 3),
+    "no such I": preset_with("octalin", "initial_state", "5,5"),
+    "not a state": preset_with("octalin", "initial_state", "up"),
+    "two-group pure state": preset_with("dmb", "initial_state", "1,1"),
+    "echo with m != I": dict(preset_with("octalin", "initial_state", "2,1"),
+                             noise_method="echo-synthetic"),
+    "field_B nan": preset_with("octalin", "system", "field_B", math.nan),
+    "g1 nan": preset_with("octalin", "system", "g1", math.nan),
+    "g2 inf": preset_with("octalin", "system", "g2", math.inf),
+    "hfc nan": preset_with("octalin", "system", "groups", 0, "hfc_G", math.nan),
+    "grid end inf": preset_with("octalin", "time_grid", "end", math.inf),
+}
+
+
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -140,6 +170,32 @@ class TestCli:
         r = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 1
         assert "hfc" in r.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_1_without_traceback(self, tmp_path, case):
+        cfgfile = tmp_path / "bad.yaml"
+        cfgfile.write_text(yaml.safe_dump(BAD_CONFIGS[case]))
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--config", str(cfgfile), "--field", "high", "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.startswith(f"configuration error: {cfgfile}")
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5])
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch, bad):
+        from qbeats import cli, pipeline
+
+        monkeypatch.setattr(pipeline, "singlet_values", lambda traj: np.full(len(traj), bad))
+        cfgfile = tmp_path / "tiny.yaml"
+        cfgfile.write_text(yaml.safe_dump(dict(
+            preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),
+            noise_method="none")))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_validate_unknown_suite(self):
         r = run_cli("validate", "--suite", "nonsense")

@@ -3,6 +3,7 @@ import pytest
 
 from qbeats.dynamics import (
     DensityMatrix,
+    NumericalError,
     TimeSeries,
     clip_probabilities,
     evolve,
@@ -26,7 +27,6 @@ from qbeats.hamiltonians import (
     build_reduced_one_group,
     one_group_reduced_index,
 )
-from qbeats.kernels import phase_sum, phase_sum_numpy
 from qbeats.spinalg import HalfInt
 
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
@@ -163,15 +163,6 @@ class TestPairTrajectories:
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-class TestKernelBackends:
-    def test_numba_and_numpy_agree(self):
-        rng = np.random.default_rng(3)
-        M = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-        w = rng.normal(size=50)
-        t = np.linspace(0.0, 25.0, 101)
-        assert np.abs(phase_sum(M, w, t) - phase_sum_numpy(M, w, t)).max() < 1e-11
-
-
 class TestAveraging:
     def test_zero_field_weights(self):
         w = one_group_weights(8, "zero")
@@ -239,3 +230,8 @@ class TestProbabilityClipping:
     def test_large_negativity_rejected(self):
         with pytest.raises(ValueError):
             clip_probabilities(np.array([0.5, -1e-6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            clip_probabilities(np.array([0.5, bad, 0.25]))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qbeats.dynamics import DensityMatrix, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
-from qbeats.pipeline import half_rate_equivalence_check, one_group_average_trace
+from qbeats.pipeline import half_rate_equivalence_check, one_group_pair_trace
 from qbeats.relaxation import (
     KrausChannel,
     RelaxationParams,
@@ -166,9 +166,9 @@ class TestDecayEnvelope:
         # noisy/coherent ratio at the coherent envelope's peak samples (the
         # raw peak heights carry beat ripples of coherent origin)
         times = time_grid(0, 90, 0.1)
-        noisy = one_group_average_trace(OCTALIN_RELAXED, "zero", times).values
-        coherent = one_group_average_trace(OCTALIN_RELAXED, "zero", times,
-                                           apply_noise=False).values
+        coherent_trace = one_group_pair_trace(OCTALIN_RELAXED, "zero", times)
+        noisy = coherent_trace.relaxed(OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2).singlet().values
+        coherent = coherent_trace.singlet().values
         dn, dc = np.abs(noisy - 0.25), np.abs(coherent - 0.25)
         idx = np.array([i for i in range(1, len(dc) - 1)
                         if dc[i] >= dc[i - 1] and dc[i] >= dc[i + 1] and dc[i] > 1e-3])
@@ -178,5 +178,6 @@ class TestDecayEnvelope:
 
     def test_asymptote(self):
         times = time_grid(0, 90, 0.5)
-        s = one_group_average_trace(OCTALIN_RELAXED, "zero", times)
+        s = one_group_pair_trace(OCTALIN_RELAXED, "zero", times)
+        s = s.relaxed(OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2).singlet()
         assert abs(s.values[-1] - 0.25) <= 0.01
