@@ -10,7 +10,6 @@ post-processes singlet-probability traces into TR-MFE ratio curves.
 from .dynamics import (
     DensityMatrix,
     TimeSeries,
-    evolve,
     initial_sector_state,
     maximally_mixed_nuclear_state,
     reassemble_two_group,
@@ -57,7 +56,6 @@ __all__ = [
     "build_reduced_one_group",
     "build_two_group_block",
     "cg_block_matrix",
-    "evolve",
     "ideal_intensity",
     "infinite_temperature_thermal_channel",
     "initial_sector_state",

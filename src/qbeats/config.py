@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
 from .postprocess import FluorescenceParams
 from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
+MAX_TIME_POINTS = 1_000_000  # about 256 MB per (T, 4, 4) complex pair trajectory
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
 FIELD_REGIMES = ("zero", "high")
 
@@ -207,6 +209,9 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     )
     _require(grid[2] > 0, f"{name}.time_grid.step", "step must be positive")
     _require(grid[1] >= grid[0], f"{name}.time_grid.end", "end must be >= start")
+    intervals = (grid[1] - grid[0]) / grid[2]
+    _require(intervals < MAX_TIME_POINTS, f"{name}.time_grid.step",
+             f"the grid has {intervals:.3g} intervals; at most {MAX_TIME_POINTS - 1} allowed")
 
     post = None
     if data.get("postprocess") is not None:
@@ -245,7 +250,22 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
         config.spin_spec(regime)  # triggers SpinSystemSpec validation
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
+    _check_frequencies(config, f"{name}.system")
     return config
+
+
+def _check_frequencies(config: ExperimentConfig, where: str) -> None:
+    """Derived angular frequencies, and their phases over the grid, must be finite."""
+    t_max = max(abs(config.time_grid[0]), abs(config.time_grid[1]))
+    rates = {f"hyperfine[{i}]": hyperfine_angular_frequency(g.hfc_mT, config.g1)
+             for i, g in enumerate(config.groups)}
+    for field_B in (0.0, config.field_B):
+        rates[f"b1 at {field_B} T"] = zeeman_half_angular_frequency(field_B, config.g1)
+        rates[f"b2 at {field_B} T"] = zeeman_half_angular_frequency(field_B, config.g2)
+    for label, rate in rates.items():
+        _require(math.isfinite(rate * t_max), where,
+                 f"angular frequency {label} = {rate:.3g} rad/ns is too large "
+                 f"(its phase at t = {t_max:.3g} ns is not finite)")
 
 
 def load_config_file(path: str) -> ExperimentConfig:

@@ -5,9 +5,12 @@ tensor factors; everything in between is the nuclear register.  The
 electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
-For long time grids nothing materializes rho(t): either the statevector is
-propagated with one matrix product over the whole grid (pure states), or an
-eigenbasis phase sum evaluates the required traces directly.
+Nothing materializes rho(t).  A pure state is propagated only on the exact
+invariant blocks of the Hamiltonian that it touches (``BlockHamiltonian.blocks``),
+each through that block's own eigenpairs, and its pair trajectory is
+contracted over the nuclear slots those blocks reach.  Density-matrix
+initial conditions go through an eigenbasis phase sum that evaluates the
+required traces directly.
 """
 
 from __future__ import annotations
@@ -170,22 +173,9 @@ def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
 # Evolution
 # ---------------------------------------------------------------------------
 
-def evolve(H: BlockHamiltonian, rho0: DensityMatrix, times: np.ndarray) -> list[DensityMatrix]:
-    """rho(t) = exp(-iHt) rho0 exp(+iHt) for every grid point.
-
-    One eigendecomposition; per-timepoint phase reassembly.  Intended for
-    moderate dimensions where materializing every rho(t) is acceptable.
-    """
-    if rho0.dim != H.dim:
-        raise ValueError(f"dimension mismatch: rho {rho0.dim} vs H {H.dim}")
-    w, v = H.eig()
-    R = v.conj().T @ rho0.matrix @ v
-    out = []
-    for t in times:
-        phase = np.exp(-1j * w * t)
-        m = v @ (R * np.outer(phase, phase.conj())) @ v.conj().T
-        out.append(DensityMatrix(m, rho0.dims, rho0.labels))
-    return out
+def _check_dim(H: BlockHamiltonian, dim: int) -> None:
+    if dim != H.dim:
+        raise ValueError(f"dimension mismatch: state {dim} vs H {H.dim}")
 
 
 def singlet_probability(rho: DensityMatrix,
@@ -216,16 +206,36 @@ def pair_probabilities(rho4: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ia,...ab,ib->...i", BELL_BASIS.conj(), rho4, BELL_BASIS))
 
 
+def _pair_amplitudes(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Amplitudes (4, R, T) of psi(t) at (pair state p, nuclear slot r).
+
+    Only the invariant blocks that ``psi0`` touches are propagated, each with
+    its own eigenpairs; the R slots are the nuclear slots those blocks reach.
+    """
+    _check_dim(H, len(psi0))
+    w, v = H.eig()
+    K = _nuclear_dim(H.dims)
+    blocks = H.blocks(touching=psi0)
+    states = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+    slots, slot_of = np.unique((states // 2) % K, return_inverse=True)
+    pair_of = 2 * (states % 2) + states // (2 * K)  # p = 2*e1 + e2
+    amps = np.zeros((4, len(slots), len(times)), dtype=complex)
+    start = 0
+    for b in blocks:
+        vb = v[np.ix_(b, b)]
+        c = vb.conj().T @ psi0[b]
+        phases = np.exp(-1j * np.outer(w[b], times))
+        rows = slice(start, start + len(b))
+        amps[pair_of[rows], slot_of[rows]] = vb @ (c[:, None] * phases)
+        start += len(b)
+    return amps
+
+
 def pair_trajectory_pure(H: BlockHamiltonian, psi0: np.ndarray,
                          times: np.ndarray) -> np.ndarray:
     """Reduced electron-pair density matrices (T, 4, 4) of a pure-state evolution."""
-    w, v = H.eig()
-    K = _nuclear_dim(H.dims)
-    c = v.conj().T @ psi0
-    psi_t = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
-    idx = pair_slice_indices(H.dims)
-    blocks = psi_t[idx]  # (4, K, T)
-    return np.einsum("art,brt->tab", blocks, blocks.conj())
+    amps = _pair_amplitudes(H, np.asarray(psi0, dtype=complex), times)
+    return np.einsum("art,brt->tab", amps, amps.conj())
 
 
 def _phase_sum(M: np.ndarray, w: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -246,6 +256,7 @@ def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
 
     Sixteen eigenbasis phase sums, one per pair-matrix element.
     """
+    _check_dim(H, len(rho0))
     w, v = H.eig()
     R = v.conj().T @ rho0 @ v
     idx = pair_slice_indices(H.dims)
@@ -265,17 +276,9 @@ def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
 
 def singlet_trace_pure(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray,
                        label: str = "") -> TimeSeries:
-    """S(t) for a pure initial state, without forming pair density matrices.
-
-    Only the dim/4 singlet amplitude rows are propagated, which keeps the
-    1024-dimensional oracle runs cheap.
-    """
-    w, v = H.eig()
-    idx = pair_slice_indices(H.dims)
-    B = SQRT_HALF * (v[idx[1], :] - v[idx[2], :])  # <S,r| V
-    c = v.conj().T @ psi0
-    amps = B @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
-    vals = np.sum(np.abs(amps) ** 2, axis=0)
+    """S(t) for a pure initial state, without forming pair density matrices."""
+    amps = _pair_amplitudes(H, np.asarray(psi0, dtype=complex), times)
+    vals = np.sum(np.abs(SQRT_HALF * (amps[1] - amps[2])) ** 2, axis=0)
     return TimeSeries(times, clip_probabilities(vals, label), label)
 
 

@@ -94,8 +94,8 @@ class BlockHamiltonian:
     ``dims``/``labels`` describe the tensor factors (e.g. (2, 32, 2) with
     labels ("e2", "nuc", "e1")).  ``basis_labels`` annotates the nuclear
     register slots (``None`` marks padding) and ``degeneracy`` carries the
-    omitted multiplicity of each slot.  The eigendecomposition is computed
-    once and cached.
+    omitted multiplicity of each slot.  The exact invariant blocks and the
+    eigendecomposition are computed once and cached.
     """
 
     def __init__(self, matrix, dims, labels, basis_labels=None, padded_rows=0,
@@ -105,6 +105,8 @@ class BlockHamiltonian:
             raise ValueError("matrix must be square")
         if int(np.prod(dims)) != matrix.shape[0]:
             raise ValueError("register dims do not match matrix size")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix has non-finite entries")
         herm = np.abs(matrix - matrix.conj().T).max()
         if herm > 1e-13 * max(1.0, np.abs(matrix).max()):
             raise ValueError(f"matrix is not Hermitian (max deviation {herm:.2e})")
@@ -114,21 +116,71 @@ class BlockHamiltonian:
         self.basis_labels = basis_labels
         self.padded_rows = padded_rows
         self.degeneracy = degeneracy
+        self._block_of: np.ndarray | None = None
+        self._blocks: list[np.ndarray] | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def blocks(self, touching: np.ndarray | None = None) -> list[np.ndarray]:
+        """Basis indices of the exact invariant blocks, ordered by first index (cached).
+
+        A block is a connected component of the nonzero pattern of
+        ``matrix``: every entry between two blocks is exactly zero, so each
+        block evolves on its own.  With ``touching``, a vector over the
+        basis, only the blocks on which it has a nonzero entry are returned.
+        """
+        if self._blocks is None:
+            self._block_of = _connected_components(self.matrix != 0)
+            order = np.argsort(self._block_of, kind="stable")
+            self._blocks = np.split(order, np.cumsum(np.bincount(self._block_of))[:-1])
+        if touching is None:
+            return self._blocks
+        hit = np.unique(self._block_of[np.flatnonzero(touching)])
+        return [self._blocks[k] for k in hit]
+
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors (cached)."""
+        """Eigenvalues and eigenvectors (cached), diagonalized block by block.
+
+        ``v`` has the sparsity of the blocks: the eigenpairs of the block
+        with indices ``b`` are ``w[b]`` and ``v[np.ix_(b, b)]``.
+        """
         if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix)
+            w = np.empty(self.dim)
+            v = np.zeros((self.dim, self.dim), dtype=complex)
+            for b in self.blocks():
+                w[b], v[np.ix_(b, b)] = np.linalg.eigh(self.matrix[np.ix_(b, b)])
             self._eig = (w, v)
         return self._eig
 
     def site(self, label: str) -> int:
         return self.labels.index(label)
+
+
+def _connected_components(pattern: np.ndarray) -> np.ndarray:
+    """Component number of each vertex of a graph given by a boolean adjacency matrix.
+
+    Breadth-first search from the lowest unvisited vertex, one frontier per
+    step; components are numbered in order of their lowest vertex.
+    """
+    linked = pattern | pattern.T
+    n = len(linked)
+    component = np.full(n, -1)
+    count = 0
+    for seed in range(n):
+        if component[seed] >= 0:
+            continue
+        reached = np.zeros(n, dtype=bool)
+        frontier = reached.copy()
+        frontier[seed] = True
+        while frontier.any():
+            reached |= frontier
+            frontier = linked[frontier].any(axis=0) & ~reached
+        component[reached] = count
+        count += 1
+    return component
 
 
 def _next_pow2(n: int) -> int:

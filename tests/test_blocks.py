@@ -1,0 +1,160 @@
+"""Block-by-block propagation against the dense eigendecomposition it replaced.
+
+The oracle below is the dense formula: one ``np.linalg.eigh`` of the whole
+matrix and the statevector propagated over every basis state.  Trajectories
+are compared as sector sums; a single high-field dmb register state already
+sits at the dense oracle's own roundoff floor (about 1e-12).
+"""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+
+from qbeats import pipeline
+from qbeats.config import load_preset
+from qbeats.dynamics import pair_slice_indices, sector_statevector
+from qbeats.hamiltonians import (
+    BlockHamiltonian,
+    build_full_one_group,
+    build_partitioned,
+    build_reduced_one_group,
+    build_two_group_block,
+    one_group_reduced_index,
+)
+from qbeats.pipeline import (
+    one_group_sector_trajectories,
+    simulate,
+    two_group_sector_trace,
+)
+from qbeats.spinalg import HalfInt, spin_addition_counts
+
+REGIMES = ("zero", "high")
+GRID = (0.0, 100.0, 1.0)
+TIMES = np.arange(101) * 1.0
+
+
+@functools.lru_cache(maxsize=4)
+def dense_eig(H):
+    return np.linalg.eigh(H.matrix)
+
+
+def dense_pair_trajectory(H, psi0, times):
+    """Pair trajectory (T, 4, 4) from a dense eigendecomposition of the whole matrix."""
+    w, v = dense_eig(H)
+    c = v.conj().T @ psi0
+    psi_t = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
+    amps = psi_t[pair_slice_indices(H.dims)]
+    return np.einsum("art,brt->tab", amps, amps.conj())
+
+
+def spec(name, regime):
+    return load_preset(name).spin_spec(regime)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_octalin_sector_trajectories_match_dense(regime):
+    s = spec("octalin", regime)
+    H = build_reduced_one_group(s)
+    for I, trace in one_group_sector_trajectories(s, TIMES).items():
+        psi = sector_statevector(one_group_reduced_index(8, I, I), H.dims[1])
+        assert np.abs(trace.trajectory - dense_pair_trajectory(H, psi, TIMES)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_dmb_sector_trajectories_match_dense(regime):
+    s = spec("dmb", regime)
+    for I2 in spin_addition_counts(12):
+        sector = build_two_group_block(I2, s)
+        dense = sum(dense_pair_trajectory(sector.hamiltonian,
+                                          sector_statevector(r, sector.register_size), TIMES)
+                    for r in range(sector.real_register)) / sector.register_size
+        blocked = two_group_sector_trace(sector, TIMES).trajectory
+        assert np.abs(blocked - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["octalin", "dmb"])
+def test_simulate_matches_dense(monkeypatch, name, regime):
+    config = dataclasses.replace(load_preset(name), time_grid=GRID)
+    blocked = simulate(config, regime).trace.values
+    monkeypatch.setattr(pipeline, "pair_trajectory_pure", dense_pair_trajectory)
+    dense = simulate(config, regime).trace.values
+    assert np.abs(blocked - dense).max() <= 1e-12
+
+
+def dmb_sector(I2, s):
+    return build_two_group_block(I2, s).hamiltonian
+
+
+def builders():
+    """Name -> builder of every Hamiltonian whose blocks are inspected."""
+    out = {}
+    for regime in REGIMES:
+        octalin, dmb = spec("octalin", regime), spec("dmb", regime)
+        out[f"reduced-{regime}"] = functools.partial(build_reduced_one_group, octalin)
+        out[f"partitioned-{regime}"] = functools.partial(build_partitioned, HalfInt(8), octalin)
+        for I2 in spin_addition_counts(12):
+            out[f"dmb-I2={I2}-{regime}"] = functools.partial(dmb_sector, I2, dmb)
+    out["full-oracle-high"] = functools.partial(build_full_one_group, spec("octalin", "high"))
+    return out
+
+
+BUILDERS = builders()
+
+
+@functools.cache
+def hamiltonian(name):
+    return BUILDERS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_block_invariants(name):
+    H = hamiltonian(name)
+    blocks = H.blocks()
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(H.dim))
+    same_block = np.zeros((H.dim, H.dim), dtype=bool)
+    for b in blocks:
+        same_block[np.ix_(b, b)] = True
+    assert np.all(H.matrix[~same_block] == 0)
+    w, v = H.eig()
+    scale = np.abs(H.matrix).max()
+    assert np.abs((v * w) @ v.conj().T - H.matrix).max() <= 1e-12 * scale
+    assert np.abs(v.conj().T @ v - np.eye(H.dim)).max() <= 1e-12
+
+
+def test_block_sizes():
+    largest = {kind: max(len(b) for name in BUILDERS if name.startswith(kind)
+                         for b in hamiltonian(name).blocks())
+               for kind in ("reduced", "dmb", "full-oracle")}
+    assert largest["reduced"] <= 2
+    assert largest["dmb"] <= 6
+    assert largest["full-oracle"] <= 126
+    for name in BUILDERS:
+        H = hamiltonian(name)
+        if H.basis_labels is None:
+            continue
+        slots = [r for r, lab in enumerate(H.basis_labels) if lab is None]
+        padding = pair_slice_indices(H.dims)[:, slots].ravel()
+        assert len(padding) == H.padded_rows, name
+        touched = H.blocks(touching=np.isin(np.arange(H.dim), padding))
+        assert [len(b) for b in touched] == [1] * len(padding), name
+
+
+def test_touching_selects_the_blocks_of_the_support():
+    H = build_reduced_one_group(spec("octalin", "zero"))
+    psi = sector_statevector(one_group_reduced_index(8, HalfInt(8), HalfInt(8)), H.dims[1])
+    touched = H.blocks(touching=psi)
+    support = set(np.flatnonzero(psi))
+    assert all(support & set(b) for b in touched)
+    assert support <= set(np.concatenate(touched))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(bad):
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BlockHamiltonian(m, (2, 1, 2), ("e2", "nuc", "e1"))
+

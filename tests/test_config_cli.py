@@ -119,6 +119,9 @@ BAD_CONFIGS = {
     "g2 inf": preset_with("octalin", "system", "g2", math.inf),
     "hfc nan": preset_with("octalin", "system", "groups", 0, "hfc_G", math.nan),
     "grid end inf": preset_with("octalin", "time_grid", "end", math.inf),
+    "grid step 1e-300": preset_with("octalin", "time_grid", "step", 1e-300),
+    "field_B 1e300": preset_with("octalin", "system", "field_B", 1e300),
+    "g1 1e300": preset_with("octalin", "system", "g1", 1e300),
 }
 
 
@@ -180,6 +183,7 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith(f"configuration error: {cfgfile}")
         assert "Traceback" not in r.stderr
+        assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qbeats.dynamics import (
+    SINGLET,
     DensityMatrix,
     NumericalError,
     TimeSeries,
     clip_probabilities,
-    evolve,
     initial_sector_state,
     maximally_mixed_nuclear_state,
     one_group_weights,
@@ -45,15 +45,15 @@ class TestEvolve:
         H = BlockHamiltonian(np.zeros((8, 8), dtype=complex), (2, 2, 2),
                              ("e2", "nuc", "e1"))
         rho0 = initial_sector_state(0, 2)
-        states = evolve(H, rho0, np.array([0.0, 3.0, 11.0]))
-        for st in states:
-            assert np.abs(st.matrix - rho0.matrix).max() < 1e-14
+        traj = pair_trajectory_density(H, rho0.matrix, np.array([0.0, 3.0, 11.0]))
+        for pair in traj:
+            assert np.abs(pair - np.outer(SINGLET, SINGLET)).max() < 1e-14
 
     def test_equal_g_singlet_is_stationary(self):
         H = bare_pair_hamiltonian(b1=7.3, b2=7.3)
         rho0 = initial_sector_state(0, 1)
-        for st in evolve(H, rho0, time_grid(0, 5, 1.0)):
-            assert singlet_probability(st) == pytest.approx(1.0, abs=1e-12)
+        for value in singlet_trace(H, rho0, time_grid(0, 5, 1.0)).values:
+            assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_octalin_zero_spin_sector_is_flat(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
@@ -64,27 +64,25 @@ class TestEvolve:
     def test_trace_and_hermiticity_preserved(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         rho0 = initial_sector_state(3, 32)
-        for st in evolve(H, rho0, np.array([0.0, 17.0, 83.0])):
-            assert abs(np.trace(st.matrix) - 1) <= 1e-12
-            assert np.abs(st.matrix - st.matrix.conj().T).max() <= 1e-12
+        for pair in pair_trajectory_density(H, rho0.matrix, np.array([0.0, 17.0, 83.0])):
+            assert abs(np.trace(pair) - 1) <= 1e-12
+            assert np.abs(pair - pair.conj().T).max() <= 1e-12
 
     def test_linearity(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = np.array([0.0, 9.0, 31.0])
         rho_a = initial_sector_state(0, 32)
         rho_b = initial_sector_state(5, 32)
-        mix = DensityMatrix(0.3 * rho_a.matrix + 0.7 * rho_b.matrix,
-                            rho_a.dims, rho_a.labels)
-        ev_mix = evolve(H, mix, times)
-        ev_a = evolve(H, rho_a, times)
-        ev_b = evolve(H, rho_b, times)
-        for em, ea, eb in zip(ev_mix, ev_a, ev_b):
-            assert np.abs(em.matrix - 0.3 * ea.matrix - 0.7 * eb.matrix).max() <= 1e-12
+        mix = 0.3 * rho_a.matrix + 0.7 * rho_b.matrix
+        ev_mix = pair_trajectory_density(H, mix, times)
+        ev_a = pair_trajectory_density(H, rho_a.matrix, times)
+        ev_b = pair_trajectory_density(H, rho_b.matrix, times)
+        assert np.abs(ev_mix - 0.3 * ev_a - 0.7 * ev_b).max() <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         with pytest.raises(ValueError):
-            evolve(H, initial_sector_state(0, 2), np.array([0.0]))
+            singlet_trace(H, initial_sector_state(0, 2), np.array([0.0]))
 
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
