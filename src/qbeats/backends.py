@@ -8,6 +8,11 @@ thermal noise model: after every gate of nonzero duration each involved site
 relaxes for that duration with its own (T1, T2), and delay gates additionally
 accumulate a deterministic drift phase.  That one mechanism realizes both the
 noisy-identity-gate method and the delay-based inherent-noise method.
+
+The density backend runs one template circuit over a leading batch axis:
+the initial state may be a (B, d, d) stack, a DELAY duration or an RZ angle
+a length-B array and a UNITARY matrix a (B, d, d) stack, so a whole time
+grid goes through a single call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .dynamics import DensityMatrix
-from .relaxation import RelaxationParams, infinite_temperature_thermal_channel
+from .relaxation import RelaxationParams
 
 STATEVECTOR_MAX_SITES = 12
 DENSITY_NOISE_MAX_SITES = 6
@@ -75,8 +80,10 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         return np.array([[math.cos(th), -1j * math.sin(th)],
                          [-1j * math.sin(th), math.cos(th)]], dtype=complex)
     if k == "RZ":
-        th = gate.params[0] / 2
-        return np.array([[np.exp(-1j * th), 0], [0, np.exp(1j * th)]], dtype=complex)
+        th = np.asarray(gate.params[0]) / 2
+        out = np.zeros(th.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = np.exp(-1j * th), np.exp(1j * th)
+        return out
     if k == "U3":
         th, phi, lam = gate.params
         c, s = math.cos(th / 2), math.sin(th / 2)
@@ -107,35 +114,57 @@ def apply_unitary_to_state(psi: np.ndarray, U: np.ndarray, sites: tuple[int, ...
 
 def apply_unitary_to_density(rho: np.ndarray, U: np.ndarray, sites: tuple[int, ...],
                              n: int) -> np.ndarray:
-    work = rho.reshape([2] * (2 * n))
-    ket_axes = list(sites)
-    bra_axes = [n + s for s in sites]
-    k = len(sites)
-    work = np.moveaxis(work, ket_axes, range(k))
-    shape = work.shape
-    work = (U @ work.reshape(2**k, -1)).reshape(shape)
-    work = np.moveaxis(work, range(k), ket_axes)
-    work = np.moveaxis(work, bra_axes, range(k))
-    shape = work.shape
-    work = (U.conj() @ work.reshape(2**k, -1)).reshape(shape)
-    work = np.moveaxis(work, range(k), bra_axes)
+    """U rho U^dagger on the given sites; rho and U may carry a leading batch axis."""
+    lead = rho.shape[:-2]
+    b, k = len(lead), len(sites)
+    work = rho.reshape(lead + (2,) * (2 * n))
+    for axes, op in (([b + s for s in sites], U), ([b + n + s for s in sites], U.conj())):
+        work = np.moveaxis(work, axes, range(b, b + k))
+        shape = work.shape
+        work = (op @ work.reshape(lead + (2**k, -1))).reshape(shape)
+        work = np.moveaxis(work, range(b, b + k), axes)
     return work.reshape(rho.shape)
 
 
-def _apply_kraus_to_density(rho: np.ndarray, ops, site: int, n: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for K in ops:
-        work = rho.reshape([2] * (2 * n))
-        work = np.moveaxis(work, site, 0)
-        shape = work.shape
-        work = (K @ work.reshape(2, -1)).reshape(shape)
-        work = np.moveaxis(work, 0, site)
-        work = np.moveaxis(work, n + site, 0)
-        shape = work.shape
-        work = (K.conj() @ work.reshape(2, -1)).reshape(shape)
-        work = np.moveaxis(work, 0, n + site)
-        out += work.reshape(rho.shape)
-    return out
+def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
+                 n: int) -> np.ndarray:
+    """Per-site thermal map for the gate's duration, in place on a (B, d, d) stack.
+
+    Populations mix toward 1/2 with exp(-dt/T1), coherences scale by
+    exp(-dt/T2) and, during delays, pick up the drift phase exp(-i rate dt):
+    the closed form of ``infinite_temperature_thermal_channel`` followed by
+    the drift RZ.  Rows with dt <= 0 are left as they are.
+    """
+    dt = np.maximum(noise.duration_of(gate), 0.0)
+    if not np.any(dt > 0.0):
+        return rho
+    work = rho.reshape((len(rho),) + (2,) * (2 * n))
+    dt = np.reshape(dt, (-1,) + (1,) * (2 * n - 2))
+    for s in gate.sites:
+        T1, T2 = noise.site_T1(s), noise.site_T2(s)
+        RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+        site = np.moveaxis(work, (1 + s, 1 + n + s), (1, 2))  # view: (row, ket, bra, ...)
+        delta = 0.5 * (1.0 - np.exp(-dt / T1)) * (site[:, 0, 0] - site[:, 1, 1])
+        site[:, 0, 0] -= delta
+        site[:, 1, 1] += delta
+        coherence = np.exp(-dt / T2)
+        if gate.kind == "DELAY":
+            coherence = coherence * np.exp(-1j * noise.site_drift(s) * dt)
+        site[:, 0, 1] *= coherence
+        site[:, 1, 0] *= np.conj(coherence)
+    return work.reshape(rho.shape)
+
+
+def _batch_size(circuit: Circuit, rho0) -> int | None:
+    """Common length of the batched gate parameters, matrices and initial states."""
+    sizes = {len(p) for g in circuit.gates for p in g.params if np.ndim(p)}
+    sizes |= {len(g.matrix) for g in circuit.gates
+              if g.kind == "UNITARY" and g.matrix.ndim == 3}
+    if rho0 is not None and np.ndim(rho0) == 3:
+        sizes.add(len(rho0))
+    if len(sizes) > 1:
+        raise ValueError(f"mismatched batch lengths {sorted(sizes)}")
+    return sizes.pop() if sizes else None
 
 
 def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
@@ -190,7 +219,9 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
 
     With a noise model attached, each gate is followed by per-site thermal
     relaxation for the gate duration; delay gates also accumulate the model's
-    deterministic drift phase.
+    deterministic drift phase.  Batched parameters, matrices or a (B, d, d)
+    ``rho0`` run the circuit once per row and return a (B, d, d) matrix; a
+    (d, d) ``rho0`` is shared by all rows.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:
@@ -199,42 +230,37 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
         raise ValueError("density backend capped at "
                          f"{STATEVECTOR_MAX_SITES // 2} sites without noise")
     dim = 2**n
+    batch = _batch_size(circuit, rho0)
     if rho0 is None:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
+        rho = np.zeros((batch or 1, dim, dim), dtype=complex)
+        rho[:, 0, 0] = 1.0
     else:
-        rho = np.array(rho0, dtype=complex)
+        rho = np.array(np.broadcast_to(rho0, (batch or 1, dim, dim)), dtype=complex)
 
     for g in circuit.gates:
-        U = _gate_matrix(g)
-        applied = apply_unitary_to_density(rho, U, g.sites, n)
-        if g.prob is not None:
-            rho = (1.0 - g.prob) * rho + g.prob * applied
-        else:
-            rho = applied
+        if g.kind != "DELAY":
+            applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
+            rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied
         if noise is not None:
-            dt = noise.duration_of(g)
-            if dt > 0.0:
-                for s in g.sites:
-                    params = RelaxationParams(dt, noise.site_T1(s), noise.site_T2(s))
-                    chan = infinite_temperature_thermal_channel(params)
-                    rho = _apply_kraus_to_density(rho, chan.operators, s, n)
-                    if g.kind == "DELAY" and noise.site_drift(s):
-                        drift = _gate_matrix(Gate("RZ", (s,), (noise.site_drift(s) * dt,)))
-                        rho = apply_unitary_to_density(rho, drift, (s,), n)
-    return DensityMatrix(rho, (2,) * n, tuple(f"q{i}" for i in range(n)))
+            rho = _relax_sites(rho, g, noise, n)
+    return DensityMatrix(rho if batch else rho[0], (2,) * n, tuple(f"q{i}" for i in range(n)))
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """Trace out all sites except ``keep`` (result ordered as ``keep``)."""
-    work = rho.reshape([2] * (2 * n))
+    """Trace out all sites except ``keep`` (result ordered as ``keep``).
+
+    Leading batch axes of ``rho`` are kept.
+    """
+    lead = rho.shape[:-2]
+    b = len(lead)
+    work = rho.reshape(lead + (2,) * (2 * n))
     m = n
     for s in sorted((s for s in range(n) if s not in keep), reverse=True):
         # descending order keeps lower site axes in place
-        work = np.trace(work, axis1=s, axis2=s + m)
+        work = np.trace(work, axis1=b + s, axis2=b + s + m)
         m -= 1
     k = len(keep)
     rank = list(np.argsort(np.argsort(keep)))
-    perm = rank + [k + r for r in rank]
-    work = work.reshape([2] * (2 * k))
-    return np.transpose(work, perm).reshape(2**k, 2**k)
+    perm = list(range(b)) + [b + r for r in rank] + [b + k + r for r in rank]
+    work = work.reshape(lead + (2,) * (2 * k))
+    return np.transpose(work, perm).reshape(lead + (2**k, 2**k))

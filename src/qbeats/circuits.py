@@ -2,7 +2,8 @@
 
 Sites are qubit indices; site 0 is the leftmost (most significant) tensor
 factor.  Probabilistic gates carry an insertion probability and are expanded
-exactly by the backends, never sampled.
+exactly by the backends, never sampled.  For a batched density run a
+parameter may be a length-B array and a UNITARY matrix a (B, d, d) stack.
 
 Text dump format (one item per line, '#' for comments):
 
@@ -43,7 +44,7 @@ class Gate:
             if self.matrix is None:
                 raise ValueError("UNITARY gate requires a matrix")
             d = 2 ** len(self.sites)
-            if self.matrix.shape != (d, d):
+            if self.matrix.shape[-2:] != (d, d) or self.matrix.ndim > 3:
                 raise ValueError("UNITARY matrix size does not match site count")
         elif self.kind in PARAM_COUNTS:
             if len(self.params) != PARAM_COUNTS[self.kind]:
@@ -57,7 +58,7 @@ class Gate:
             raise ValueError("gate probability must be in [0, 1]")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("gate sites must be distinct")
-        if not all(np.isfinite(self.params)):
+        if not all(np.all(np.isfinite(p)) for p in self.params):
             raise ValueError("gate parameters must be finite")
 
     @property

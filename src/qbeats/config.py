@@ -184,11 +184,17 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     _require(isinstance(relax_raw, dict), f"{name}.system.relaxation", "expected a mapping")
     relaxation = {}
     for regime in FIELD_REGIMES:
+        where = f"{name}.system.relaxation.{regime}"
         block = relax_raw.get(regime, {})
-        _require(isinstance(block, dict), f"{name}.system.relaxation.{regime}",
-                 "expected a mapping")
-        T1 = _float(block.get("T1", math.inf), f"{name}.system.relaxation.{regime}.T1")
-        T2 = _float(block.get("T2", math.inf), f"{name}.system.relaxation.{regime}.T2")
+        _require(isinstance(block, dict), where, "expected a mapping")
+        T1 = _float(block.get("T1", math.inf), f"{where}.T1")
+        T2 = _float(block.get("T2", math.inf), f"{where}.T2")
+        # both regimes are checked: --field and trmfe run the unconfigured one too
+        try:
+            SpinSystemSpec(groups=groups, T1=T1, T2=T2)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        _require(not (math.isnan(T1) or math.isnan(T2)), where, "relaxation times must not be NaN")
         relaxation[regime] = (T1, T2)
 
     regime = data.get("field_regime", "zero")
@@ -209,6 +215,8 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     )
     _require(grid[2] > 0, f"{name}.time_grid.step", "step must be positive")
     _require(grid[1] >= grid[0], f"{name}.time_grid.end", "end must be >= start")
+    _require(noise != "echo-synthetic" or grid[0] >= 0, f"{name}.time_grid.start",
+             "echo-synthetic needs times >= 0")
     intervals = (grid[1] - grid[0]) / grid[2]
     _require(intervals < MAX_TIME_POINTS, f"{name}.time_grid.step",
              f"the grid has {intervals:.3g} intervals; at most {MAX_TIME_POINTS - 1} allowed")
@@ -227,31 +235,38 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{name}.postprocess: {exc}") from None
 
-    hw_raw = data.get("hardware", {})
-    _require(isinstance(hw_raw, dict), f"{name}.hardware", "expected a mapping")
-    drift = hw_raw.get("drift_phase_rate", (0.0, 0.0))
-    if isinstance(drift, (int, float)):
-        drift = (float(drift), float(drift))
-    hardware = HardwareModel(
-        T1_ns=_float(hw_raw.get("T1_us", 100.0), f"{name}.hardware.T1_us") * 1000.0,
-        T2_ns=_float(hw_raw.get("T2_us", 100.0), f"{name}.hardware.T2_us") * 1000.0,
-        identity_ns=_float(hw_raw.get("identity_ns", 35.5), f"{name}.hardware.identity_ns"),
-        u_circuit_ns=_float(hw_raw.get("u_circuit_ns", 300.0), f"{name}.hardware.u_circuit_ns"),
-        drift_phase_rate=(float(drift[0]), float(drift[1])),
+    config = ExperimentConfig(
+        name=str(data.get("name", name)),
+        groups=groups, g1=g1, g2=g2, field_B=field_B,
+        relaxation=relaxation, field_regime=regime, initial_state=initial,
+        noise_method=noise, time_grid=grid, postprocess=post,
+        hardware=_parse_hardware(data.get("hardware", {}), f"{name}.hardware"),
     )
-
-    try:
-        config = ExperimentConfig(
-            name=str(data.get("name", name)),
-            groups=groups, g1=g1, g2=g2, field_B=field_B,
-            relaxation=relaxation, field_regime=regime, initial_state=initial,
-            noise_method=noise, time_grid=grid, postprocess=post, hardware=hardware,
-        )
-        config.spin_spec(regime)  # triggers SpinSystemSpec validation
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
     _check_frequencies(config, f"{name}.system")
     return config
+
+
+def _parse_hardware(raw, where: str) -> HardwareModel:
+    """Positive finite qubit T1/T2 with T2 <= 2 T1, positive identity duration,
+    finite circuit duration >= 0 and one or two finite drift rates."""
+    _require(isinstance(raw, dict), where, "expected a mapping")
+    T1_us, T2_us, identity_ns, u_circuit_ns = (
+        _finite(raw.get(key, default), f"{where}.{key}")
+        for key, default in (("T1_us", 100.0), ("T2_us", 100.0), ("identity_ns", 35.5),
+                             ("u_circuit_ns", 300.0)))
+    for key, value in (("T1_us", T1_us), ("T2_us", T2_us), ("identity_ns", identity_ns)):
+        _require(value > 0, f"{where}.{key}", "must be positive")
+    _require(u_circuit_ns >= 0, f"{where}.u_circuit_ns", "must be >= 0")
+    _require(T2_us <= 2 * T1_us, f"{where}.T2_us", f"{T2_us} exceeds 2 * T1_us = {2 * T1_us}")
+    _require(math.isfinite(T1_us * 1000.0) and math.isfinite(T2_us * 1000.0), where,
+             "T1_us or T2_us is too large")
+    drift = raw.get("drift_phase_rate", 0.0)
+    drift = list(drift) if isinstance(drift, (list, tuple)) else [drift]
+    _require(1 <= len(drift) <= 2, f"{where}.drift_phase_rate",
+             "expected one rate, or one per electron site")
+    drift = [_finite(d, f"{where}.drift_phase_rate") for d in drift]
+    return HardwareModel(T1_ns=T1_us * 1000.0, T2_ns=T2_us * 1000.0, identity_ns=identity_ns,
+                         u_circuit_ns=u_circuit_ns, drift_phase_rate=(drift[0], drift[-1]))
 
 
 def _check_frequencies(config: ExperimentConfig, where: str) -> None:

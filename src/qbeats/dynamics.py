@@ -40,7 +40,10 @@ PROBABILITY_EPS = 1e-9
 
 @dataclass
 class DensityMatrix:
-    """Positive semidefinite unit-trace matrix over a labeled register."""
+    """Positive semidefinite unit-trace matrix over a labeled register.
+
+    The batched density backend returns a (B, d, d) stack in ``matrix``.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -49,7 +52,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         self.dims = tuple(int(d) for d in self.dims)
-        if self.matrix.shape != (self.dim, self.dim):
+        if self.matrix.shape[-2:] != (self.dim, self.dim) or self.matrix.ndim > 3:
             raise ValueError("matrix shape does not match register dims")
 
     @property

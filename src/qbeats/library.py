@@ -114,11 +114,13 @@ def echo_pulse_circuit(N: int, t_identity: float, sites: tuple[int, ...],
 
     N identity gates in total, required divisible by 8; each delay segment is
     one DELAY gate of the aggregate duration.  The four X pulses cancel the
-    deterministic drift phase accumulated during the delays.
+    deterministic drift phase accumulated during the delays.  An array of
+    counts gives one template whose delays are batched over the counts.
     """
-    if N % 8 != 0:
+    N = np.asarray(N)
+    if np.any(N % 8 != 0):
         raise ValueError(f"delay count must be divisible by 8, got {N}")
-    if N < 0:
+    if np.any(N < 0):
         raise ValueError("delay count must be nonnegative")
     c = Circuit(site_count)
     segments = [N // 8, N // 4, N // 4, N // 4, N // 8]
@@ -135,23 +137,26 @@ def delay_gate_count(t: float, T_qubit: float, T_RP: float, t_identity: float) -
     """N = (T_qubit / (T_RP t_identity)) t, rounded down to a multiple of 8.
 
     Waiting N identity gates on hardware with decay constant T_qubit matches
-    the radical-pair decay constant T_RP at simulated time t.
+    the radical-pair decay constant T_RP at simulated time t.  Elementwise
+    for an array of times; the counts are whole numbers held as floats.
     """
     if min(T_qubit, T_RP, t_identity) <= 0:
         raise ValueError("time constants must be positive")
-    raw = T_qubit / (T_RP * t_identity) * t
-    return int(raw // 8) * 8
+    raw = T_qubit / (T_RP * t_identity) * np.asarray(t, dtype=float)
+    return raw // 8 * 8
 
 
 # ---------------------------------------------------------------------------
 # Rz-encoded singlet probability
 # ---------------------------------------------------------------------------
 
-def rz_encode_angle(s_value: float) -> float:
-    """theta(t) = 2 acos(sqrt(S(t)))."""
-    if not -1e-12 <= s_value <= 1 + 1e-12:
-        raise ValueError(f"singlet probability {s_value} outside [0, 1]")
-    return 2.0 * math.acos(math.sqrt(min(max(s_value, 0.0), 1.0)))
+def rz_encode_angle(s_value):
+    """theta(t) = 2 acos(sqrt(S(t))), elementwise for an array of values."""
+    s_value = np.asarray(s_value, dtype=float)
+    outside = ~((s_value >= -1e-12) & (s_value <= 1 + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"singlet probability {s_value[outside].flat[0]} outside [0, 1]")
+    return 2.0 * np.arccos(np.sqrt(np.clip(s_value, 0.0, 1.0)))
 
 
 def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Circuit:

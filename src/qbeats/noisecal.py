@@ -33,7 +33,11 @@ DENOMINATOR_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class MeasurementStats:
-    """Bell-basis outcome probabilities (singlet, T0, T+, T-)."""
+    """Bell-basis outcome probabilities (singlet, T0, T+, T-).
+
+    Each field is a float, or an array with one entry per time point of a
+    batched run; every check and formula below acts elementwise.
+    """
 
     s: float
     t0: float
@@ -43,25 +47,26 @@ class MeasurementStats:
     def __post_init__(self):
         # corrected statistics are estimators and may carry small model error,
         # so construction is lenient; measured/channel stats use validate()
-        total = self.s + self.t0 + self.tp + self.tm
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        if min(self.s, self.t0, self.tp, self.tm) < -0.05:
-            raise ValueError("strongly negative outcome probability")
+        self._check(1e-6, 0.05, "strongly negative outcome probability")
+
+    def _check(self, tol_sum: float, tol_neg: float, message: str) -> None:
+        total = np.asarray(self.s + self.t0 + self.tp + self.tm)
+        off = np.abs(total - 1.0) > tol_sum
+        if np.any(off):
+            raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
+        if min(np.min(p) for p in (self.s, self.t0, self.tp, self.tm)) < -tol_neg:
+            raise ValueError(message)
 
     def validate(self, tol: float = 1e-12) -> "MeasurementStats":
-        total = self.s + self.t0 + self.tp + self.tm
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        if min(self.s, self.t0, self.tp, self.tm) < -tol:
-            raise ValueError("negative outcome probability")
+        self._check(tol, tol, "negative outcome probability")
         return self
 
     @staticmethod
     def from_array(p) -> "MeasurementStats":
+        """Stats from (..., 4) probabilities (S, T0, T+, T-)."""
         p = np.asarray(p, dtype=float)
         p = np.where(np.abs(p) < 1e-15, 0.0, p)
-        return MeasurementStats(*p)
+        return MeasurementStats(*np.moveaxis(p, -1, 0))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.t0, self.tp, self.tm])
@@ -73,7 +78,7 @@ def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
     den_p = 1.0 - 4.0 * reference.tp
     den_m = 1.0 - 4.0 * reference.tm
     den_s = reference.s**2 - reference.t0**2
-    if min(abs(den_p), abs(den_m), abs(den_s)) < floor:
+    if np.min(np.abs([den_p, den_m, den_s])) < floor:
         raise ValueError(
             "unrecoverable noise level: correction denominators "
             f"({den_p:.3e}, {den_m:.3e}, {den_s:.3e}) below floor {floor:g}"
@@ -100,10 +105,8 @@ def damp_stats(undamped: MeasurementStats, reference: MeasurementStats) -> Measu
 
 def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> float:
     """Noisy singlet probability with the target channel's statistics folded in."""
-    return float(
-        undamped.s * target.s + undamped.t0 * target.t0
-        + undamped.tp * target.tp + undamped.tm * target.tm
-    )
+    return (undamped.s * target.s + undamped.t0 * target.t0
+            + undamped.tp * target.tp + undamped.tm * target.tm)
 
 
 def channel_target_stats(params: RelaxationParams, sites: str = "both") -> MeasurementStats:

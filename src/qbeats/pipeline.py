@@ -41,6 +41,7 @@ from .hamiltonians import (
 from .noisemethods import (
     echo_synthetic_encoded_values,
     echo_synthetic_sector_values,
+    echo_targets,
     per_gate_singlet_values,
 )
 from .relaxation import relax_pair_trajectory, relaxed_singlet_values
@@ -194,12 +195,15 @@ def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
     times = time_grid(*config.time_grid)
     method = config.noise_method
     columns: dict[str, np.ndarray] = {}
+    if method == "echo-synthetic":
+        # the target statistics depend on (t, T1, T2, hardware) only
+        target = echo_targets(times, spec.T1, spec.T2, config.hardware)
 
     if len(spec.groups) == 2:
         trace = two_group_pair_trace(spec, times, threads, sectors)
         if method == "echo-synthetic":
-            values = echo_synthetic_encoded_values(trace.singlet("S_coherent"), spec.T1,
-                                                   spec.T2, config.hardware)
+            values = echo_synthetic_encoded_values(trace.singlet("S_coherent"), target,
+                                                   config.hardware)
         else:
             values = _noisy_singlet(method, trace, spec)
         for I2, padded in trace.meta.get("sectors", {}).items():
@@ -211,8 +215,8 @@ def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
             spins = [pure[0]] if pure else distinct_spins(n)
             per_sector = {
                 I: clip_probabilities(
-                    echo_synthetic_sector_values(build_partitioned(I, spec), times, spec.T1,
-                                                 spec.T2, config.hardware),
+                    echo_synthetic_sector_values(build_partitioned(I, spec), times, target,
+                                                 config.hardware),
                     _sector_label(I))
                 for I in spins
             }

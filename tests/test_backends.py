@@ -1,0 +1,334 @@
+"""Batched density backend against a per-row operator-sum oracle.
+
+``run_rows`` below is the gate-by-gate backend kept as the oracle: it runs a
+template circuit one batch row at a time, applies unitaries with
+``apply_unitary_to_density`` and the thermal noise with
+``relaxation.apply_channel`` of ``infinite_temperature_thermal_channel``
+followed by the drift RZ.  The noise routes are checked against per-point
+versions of their formulas built on the same oracle.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qbeats import pipeline
+from qbeats.backends import (
+    SyntheticQubitNoise,
+    _gate_matrix,
+    apply_unitary_to_density,
+    partial_trace,
+    run_density,
+)
+from qbeats.circuits import Circuit, Gate
+from qbeats.config import HardwareModel, load_preset
+from qbeats.dynamics import SINGLET, DensityMatrix, TimeSeries, pair_probabilities, time_grid
+from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned
+from qbeats.library import (
+    add_singlet_prep,
+    delay_gate_count,
+    echo_pulse_circuit,
+    rz_encode_angle,
+)
+from qbeats.noisecal import MeasurementStats, channel_target_stats, correct_stats, inject_singlet
+from qbeats.noisemethods import (
+    echo_synthetic_encoded_values,
+    echo_synthetic_sector_values,
+    echo_targets,
+    effective_decay_constant,
+    per_gate_singlet_values,
+)
+from qbeats.pipeline import one_group_sector_trajectories
+from qbeats.relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
+from qbeats.spinalg import HalfInt
+
+TOL = 1e-12
+
+
+def row_gate(g: Gate, i: int) -> Gate:
+    params = tuple(p[i] if np.ndim(p) else p for p in g.params)
+    matrix = g.matrix[i] if g.matrix is not None and g.matrix.ndim == 3 else g.matrix
+    return Gate(g.kind, g.sites, params, g.prob, matrix)
+
+
+def run_row(circuit: Circuit, rho0, noise, i: int) -> np.ndarray:
+    """Row i of a template circuit, gate by gate, with Kraus-channel noise."""
+    n = circuit.site_count
+    labels = tuple(f"q{k}" for k in range(n))
+    if rho0 is None:
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = np.array(rho0[i] if np.ndim(rho0) == 3 else rho0, dtype=complex)
+    for g in (row_gate(g, i) for g in circuit.gates):
+        applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
+        rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied
+        dt = 0.0 if noise is None else noise.duration_of(g)
+        if dt <= 0.0:
+            continue
+        for s in g.sites:
+            params = RelaxationParams(float(dt), noise.site_T1(s), noise.site_T2(s))
+            chan = infinite_temperature_thermal_channel(params, f"q{s}")
+            rho = apply_channel(DensityMatrix(rho, (2,) * n, labels), chan).matrix
+            if g.kind == "DELAY":
+                drift = _gate_matrix(Gate("RZ", (s,), (noise.site_drift(s) * dt,)))
+                rho = apply_unitary_to_density(rho, drift, (s,), n)
+    return rho
+
+
+def run_rows(circuit: Circuit, rho0, noise, rows: int) -> np.ndarray:
+    return np.array([run_row(circuit, rho0, noise, i) for i in range(rows)])
+
+
+def random_states(rng, rows: int, dim: int) -> np.ndarray:
+    z = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+    rho = z @ z.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+def random_unitaries(rng, rows: int, dim: int) -> np.ndarray:
+    z = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[
+        :, None, :]
+
+
+ROWS = 6
+DURATIONS = np.array([0.0, 0.7, 3.0, 0.0, 11.5, 40.0])  # zero-duration rows included
+
+
+def template(rng) -> Circuit:
+    c = Circuit(3)
+    c.add("H", 0)
+    c.add("CNOT", (0, 1))
+    c.add("X", 2, prob=0.3)
+    c.add("RZ", 1, (rng.uniform(-4.0, 4.0, ROWS),))
+    c.add("UNITARY", (0, 1, 2), matrix=random_unitaries(rng, ROWS, 8))
+    c.add("DELAY", 0, (DURATIONS,))
+    c.add("DELAY", 2, (2.5,))
+    c.add("Z", 1, prob=0.6)
+    c.add("UNITARY", (2, 0), matrix=random_unitaries(rng, 1, 4)[0])
+    c.add("DELAY", 1, (DURATIONS[::-1].copy(),))
+    return c
+
+
+NOISES = {
+    "none": None,
+    "finite T1, drift, gate durations": SyntheticQubitNoise(
+        T1=(9.0, 30.0, 20.0), T2=(9.0, 5.0, 30.0), gate_durations={"X": 0.5, "CNOT": 1.0},
+        drift_phase_rate=(0.01, 0.2, -0.03)),
+    "T1 = inf": SyntheticQubitNoise(T1=math.inf, T2=7.0, drift_phase_rate=(0.0, -0.05, 0.1)),
+    "T1 = T2 = inf": SyntheticQubitNoise(T1=math.inf, T2=math.inf),
+}
+
+
+class TestBatchedRunDensity:
+    @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
+    @pytest.mark.parametrize("shared_start", [False, True])
+    def test_template_matches_per_row_oracle(self, noise, shared_start):
+        rng = np.random.default_rng(5)
+        c = template(rng)
+        states = random_states(rng, ROWS, 8)
+        rho0 = states[0] if shared_start else states
+        got = run_density(c, rho0, NOISES[noise]).matrix
+        assert got.shape == (ROWS, 8, 8)
+        want = run_rows(c, rho0, NOISES[noise], ROWS)
+        assert np.abs(got - want).max() <= TOL
+
+    def test_default_start_and_single_batched_parameter(self):
+        noise = SyntheticQubitNoise(T1=9.0, T2=9.0, drift_phase_rate=(0.03, 0.0))
+        c = Circuit(2)
+        add_singlet_prep(c, 0, 1)
+        c.add("DELAY", 0, (DURATIONS,))
+        c.add("X", 1)
+        got = run_density(c, noise=noise).matrix
+        assert np.abs(got - run_rows(c, None, noise, ROWS)).max() <= TOL
+
+    def test_unbatched_call_is_the_single_row_case(self):
+        noise = NOISES["finite T1, drift, gate durations"]
+        rng = np.random.default_rng(8)
+        c = Circuit(3)
+        c.add("H", 1)
+        c.add("CNOT", (1, 2))
+        c.add("RZ", 2, (0.4,))
+        c.add("DELAY", 2, (4.0,))
+        rho0 = random_states(rng, 1, 8)
+        single = run_density(c, rho0[0], noise).matrix
+        assert single.shape == (8, 8)
+        assert np.abs(single - run_density(c, rho0, noise).matrix[0]).max() == 0.0
+        assert np.abs(single - run_row(c, rho0, noise, 0)).max() <= TOL
+
+    def test_closed_form_map_matches_the_channel_on_one_site(self):
+        # the population/coherence/drift factors of the map, directly
+        rho = random_states(np.random.default_rng(3), 1, 2)[0]
+        dt, T1, T2, rate = 2.0, 9.0, 11.0, 0.3
+        c = Circuit(1)
+        c.add("DELAY", 0, (dt,))
+        got = run_density(c, rho, SyntheticQubitNoise(T1, T2, drift_phase_rate=rate)).matrix
+        g, f = math.exp(-dt / T1), math.exp(-dt / T2)
+        assert got[0, 0] == pytest.approx(0.5 + g * (rho[0, 0] - 0.5), abs=TOL)
+        assert got[0, 1] == pytest.approx(f * np.exp(-1j * rate * dt) * rho[0, 1], abs=TOL)
+
+    @pytest.mark.parametrize("case", ["params", "rho0", "matrix"])
+    def test_mismatched_batch_lengths_raise(self, case):
+        rng = np.random.default_rng(1)
+        c = Circuit(2)
+        c.add("DELAY", 0, (np.ones(3),))
+        rho0 = None
+        if case == "params":
+            c.add("RZ", 1, (np.ones(4),))
+        elif case == "rho0":
+            rho0 = random_states(rng, 5, 4)
+        else:
+            c.add("UNITARY", (0, 1), matrix=random_unitaries(rng, 2, 4))
+        with pytest.raises(ValueError, match="mismatched batch lengths"):
+            run_density(c, rho0, SyntheticQubitNoise())
+
+    def test_non_finite_batched_parameter_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Circuit(1).add("DELAY", 0, (np.array([1.0, np.nan, 2.0]),))
+        with pytest.raises(ValueError, match="finite"):
+            Circuit(1).add("RZ", 0, (np.array([0.0, np.inf]),))
+
+    def test_unphysical_site_times_rejected(self):
+        c = Circuit(1)
+        c.add("DELAY", 0, (np.array([0.0, 1.0]),))
+        with pytest.raises(ValueError, match="unphysical"):
+            run_density(c, noise=SyntheticQubitNoise(T1=4.0, T2=9.0))
+
+    def test_unitary_stack_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="UNITARY"):
+            Circuit(2).add("UNITARY", (0, 1), matrix=np.zeros((3, 2, 2)))
+
+    def test_batched_partial_trace(self):
+        rho = random_states(np.random.default_rng(4), 3, 8)
+        got = partial_trace(rho, (2, 0), 3)
+        for i in range(3):
+            assert np.abs(got[i] - partial_trace(rho[i], (2, 0), 3)).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# noise routes against per-point versions of their formulas
+# ---------------------------------------------------------------------------
+
+def bell_stats(rho, e1, e2, n) -> MeasurementStats:
+    pair = partial_trace(rho, (e1, e2), n)
+    return MeasurementStats.from_array(np.clip(pair_probabilities(pair), 0.0, None))
+
+
+def target_at(t: float, T1: float, T2: float, hw: HardwareModel) -> MeasurementStats:
+    if math.isinf(T1):
+        return channel_target_stats(RelaxationParams(t, T1, T2), sites="both")
+    N = delay_gate_count(t, (hw.T1_ns + hw.T2_ns) / 2, effective_decay_constant(T1, T2),
+                        hw.identity_ns)
+    c = Circuit(2)
+    add_singlet_prep(c, 0, 1)
+    c.extend(echo_pulse_circuit(int(N), hw.identity_ns, (0, 1), 2))
+    noise = SyntheticQubitNoise(T1=hw.T1_ns, T2=hw.T2_ns, drift_phase_rate=hw.drift_phase_rate)
+    return bell_stats(run_row(c, None, noise, 0), 0, 1, 2)
+
+
+def corrected_at(prep_and_evolve, n, e1, e2, hw, target) -> float:
+    noise = SyntheticQubitNoise(T1=hw.T1_ns, T2=hw.T2_ns)
+    stats = []
+    for evolve in (True, False):
+        c = Circuit(n)
+        add_singlet_prep(c, e1, e2)
+        if evolve:
+            prep_and_evolve(c)
+        for s in (e2, e1):  # delays on different sites commute: the other order
+            c.add("DELAY", s, (hw.u_circuit_ns,))
+        stats.append(bell_stats(run_row(c, None, noise, 0), e1, e2, n))
+    return inject_singlet(correct_stats(stats[0], stats[1]), target)
+
+
+TIMES = time_grid(0.0, 20.0, 4.0)
+HARDWARE = {
+    "default": HardwareModel(),
+    "noisy, drifting": HardwareModel(T1_ns=20_000.0, T2_ns=15_000.0, identity_ns=50.0,
+                                     u_circuit_ns=800.0, drift_phase_rate=(0.01, -0.004)),
+}
+RELAXATION = {"T1 = T2": (9.0, 9.0), "T1 = inf": (math.inf, 9.0), "T2 < T1": (40.0, 20.0)}
+
+
+class TestNoiseRoutes:
+    @pytest.mark.parametrize("T1,T2", list(RELAXATION.values()), ids=list(RELAXATION))
+    def test_per_gate_matches_per_point_runs(self, T1, T2):
+        spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3, T1=T1, T2=T2)
+        times = time_grid(-1.0, 15.0, 2.0)  # a negative time idles for no time
+        traj = one_group_sector_trajectories(spec, times)[HalfInt(4)].trajectory
+        noise = SyntheticQubitNoise(T1=T1, T2=T2)
+        want = []
+        for i, t in enumerate(times):
+            c = Circuit(2)
+            if t > 0:
+                c.add("DELAY", 0, (float(t),))
+                c.add("DELAY", 1, (float(t),))
+            rho = run_row(c, traj[i], noise, 0)
+            want.append(float(np.real(SINGLET.conj() @ rho @ SINGLET)))
+        assert np.abs(per_gate_singlet_values(traj, times, T1, T2) - want).max() <= TOL
+
+    @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
+    @pytest.mark.parametrize("T1,T2", list(RELAXATION.values()), ids=list(RELAXATION))
+    def test_echo_targets_match_per_point_runs(self, T1, T2, hw):
+        got = echo_targets(TIMES, T1, T2, HARDWARE[hw])
+        for i, t in enumerate(TIMES):
+            want = target_at(float(t), T1, T2, HARDWARE[hw])
+            assert np.abs(got.as_array()[:, i] - want.as_array()).max() <= TOL
+
+    @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
+    @pytest.mark.parametrize("regime", ["zero", "high"])
+    def test_sector_route_matches_per_point_runs(self, regime, hw):
+        spec = load_preset("octalin").spin_spec(regime)
+        H = build_partitioned(HalfInt(2), spec)
+        target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
+        got = echo_synthetic_sector_values(H, TIMES, target, HARDWARE[hw])
+        w, v = H.eig()
+        for i, t in enumerate(TIMES):
+            U = (v * np.exp(-1j * w * t)) @ v.conj().T
+            want = corrected_at(lambda c: c.add("UNITARY", (0, 1, 2), matrix=U), 3, 2, 0,
+                                HARDWARE[hw], target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]))
+            assert abs(got[i] - want) <= TOL
+
+    @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
+    @pytest.mark.parametrize("T1,T2", [(20.0, 20.0), (2000.0, 20.0)])
+    def test_encoded_route_matches_per_point_runs(self, T1, T2, hw):
+        coherent = TimeSeries(TIMES, 0.5 + 0.5 * np.cos(0.45 * TIMES))
+        target = echo_targets(TIMES, T1, T2, HARDWARE[hw])
+        got = echo_synthetic_encoded_values(coherent, target, HARDWARE[hw])
+        for i, t in enumerate(TIMES):
+            theta = rz_encode_angle(float(coherent.values[i]))
+            want = corrected_at(lambda c: c.add("RZ", 1, (theta,)), 2, 0, 1, HARDWARE[hw],
+                                target_at(float(t), T1, T2, HARDWARE[hw]))
+            assert abs(got[i] - want) <= TOL
+
+    def test_rz_encode_angle_range_checked_elementwise(self):
+        with pytest.raises(ValueError, match="outside"):
+            rz_encode_angle(np.array([0.2, 1.5, 0.3]))
+        with pytest.raises(ValueError, match="outside"):
+            rz_encode_angle(np.array([0.2, np.nan]))
+
+    def test_stats_checks_act_on_every_row(self):
+        with pytest.raises(ValueError, match="sum"):
+            MeasurementStats(np.array([0.5, 0.6]), np.array([0.5, 0.5]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="negative"):
+            MeasurementStats(np.array([0.5, 1.1]), np.array([0.5, -0.1]), 0.0, 0.0)
+        ref = MeasurementStats(0.5, 0.5, 0.0, 0.0)  # S'^2 - T0'^2 = 0
+        with pytest.raises(ValueError, match="floor"):
+            correct_stats(MeasurementStats(np.array([0.5, 1.0]), np.array([0.5, 0.0]), 0.0, 0.0),
+                          ref)
+
+    def test_simulate_computes_the_echo_targets_once_per_regime(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return echo_targets(*args)
+
+        monkeypatch.setattr(pipeline, "echo_targets", counted)
+        config = load_preset("octalin")
+        config.noise_method = "echo-synthetic"
+        config.time_grid = (0.0, 4.0, 1.0)
+        result = pipeline.simulate(config, "zero", sectors=True)
+        assert len(calls) == 1 and len(result.sectors) == 5

@@ -106,6 +106,11 @@ def preset_with(name, *path_and_value):
     return doc
 
 
+def echo_with(key, value):
+    """Octalin echo-synthetic document with one top-level key set."""
+    return dict(preset_with("octalin", "noise_method", "echo-synthetic"), **{key: value})
+
+
 BAD_CONFIGS = {
     "count 0": preset_with("octalin", "system", "groups", 0, "count", 0),
     "small group of 3": preset_with("dmb", "system", "groups", 0, "count", 3),
@@ -122,6 +127,17 @@ BAD_CONFIGS = {
     "grid step 1e-300": preset_with("octalin", "time_grid", "step", 1e-300),
     "field_B 1e300": preset_with("octalin", "system", "field_B", 1e300),
     "g1 1e300": preset_with("octalin", "system", "g1", 1e300),
+    # the unconfigured regime is validated too: --field high runs it
+    "high T2 > 2 T1, zero configured": preset_with(
+        "octalin", "system", "relaxation", "high", {"T1": 4.0, "T2": 9.0}),
+    "zero T1 nan": preset_with("octalin", "system", "relaxation", "zero", "T1", math.nan),
+    "echo start < 0": echo_with("time_grid", {"start": -1.0, "end": 1.0, "step": 0.5}),
+    "hardware T1_us -5": echo_with("hardware", {"T1_us": -5}),
+    "hardware identity_ns 0": echo_with("hardware", {"identity_ns": 0}),
+    "hardware T2_us > 2 T1_us": echo_with("hardware", {"T1_us": 10, "T2_us": 30}),
+    "hardware drift nan": echo_with("hardware", {"drift_phase_rate": math.nan}),
+    "hardware three drifts": echo_with("hardware", {"drift_phase_rate": [0.1, 0.2, 0.3]}),
+    "hardware u_circuit_ns inf": echo_with("hardware", {"u_circuit_ns": math.inf}),
 }
 
 

@@ -16,6 +16,7 @@ from qbeats.noisecal import (
 from qbeats.noisemethods import (
     echo_synthetic_encoded_values,
     echo_synthetic_sector_values,
+    echo_targets,
     effective_decay_constant,
     kraus_singlet_values,
     per_gate_singlet_values,
@@ -123,7 +124,7 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel()
         I = HalfInt(8)
         H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values(H, times, 9.0, 9.0, hw)
+        echo = echo_synthetic_sector_values(H, times, echo_targets(times, 9.0, 9.0, hw), hw)
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
@@ -136,7 +137,8 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
         H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values(H, times, math.inf, 9.0, hw)
+        echo = echo_synthetic_sector_values(H, times, echo_targets(times, math.inf, 9.0, hw),
+                                            hw)
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9
@@ -147,7 +149,8 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 30, 3.0)
         coherent = TimeSeries(times, 0.5 + 0.5 * np.cos(0.45 * times))
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)
-        got = echo_synthetic_encoded_values(coherent, math.inf, 20.0, hw)
+        got = echo_synthetic_encoded_values(coherent, echo_targets(times, math.inf, 20.0, hw),
+                                            hw)
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
