@@ -32,7 +32,6 @@ DENSITY_NOISE_MAX_SITES = 6
 
 DEFAULT_QUBIT_T1_NS = 100_000.0  # 100 us
 DEFAULT_QUBIT_T2_NS = 100_000.0
-DEFAULT_IDENTITY_DURATION_NS = 35.5
 
 
 @dataclass(frozen=True)

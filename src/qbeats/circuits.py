@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KINDS_1Q = ("X", "H", "Z", "RX", "RZ", "U3", "DELAY")
 KINDS_2Q = ("CNOT", "CRX")
 PARAM_COUNTS = {"X": 0, "H": 0, "Z": 0, "RX": 1, "RZ": 1, "U3": 3, "DELAY": 1,
                 "CNOT": 0, "CRX": 1}

@@ -21,7 +21,6 @@ from .config import ConfigError, ExperimentConfig, load_config_file, load_preset
 from .dynamics import NumericalError
 from .pipeline import simulate
 from .postprocess import observed_intensity, observed_ratio
-from .validate import run_suite
 
 
 def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
@@ -73,7 +72,7 @@ def _load(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load(args)
     regime = args.field or config.field_regime
-    result = simulate(config, regime, threads=args.threads, sectors=args.sectors)
+    result = simulate(config, regime, sectors=args.sectors)
     trace = result.trace
     columns = {"time_ns": trace.times, "singlet_probability": trace.values, **result.sectors}
     meta = {
@@ -98,8 +97,8 @@ def cmd_trmfe(args) -> int:
     config = _load(args)
     if config.postprocess is None:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
-    s_high = simulate(config, "high", threads=args.threads).trace
-    s_zero = simulate(config, "zero", threads=args.threads).trace
+    s_high = simulate(config, "high").trace
+    s_zero = simulate(config, "zero").trace
     ratio = observed_ratio(s_high, s_zero, config.postprocess)
     i_b = observed_intensity(s_high, config.postprocess)
     i_0 = observed_intensity(s_zero, config.postprocess)
@@ -132,6 +131,7 @@ def cmd_trmfe(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_suite  # the oracle builders load only for this command
     try:
         results = run_suite(args.suite)
     except ValueError as exc:
@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=("octalin", "dmb"),
                        help="built-in experiment preset (default: octalin)")
         p.add_argument("--out", default="qbeats_out.csv", help="output CSV path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sector simulations")
         p.add_argument("--compare", metavar="CSV",
                        help="report the RMS deviation from a (time_ns, value) "
                             "reference curve (informational only)")

@@ -215,8 +215,8 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     )
     _require(grid[2] > 0, f"{name}.time_grid.step", "step must be positive")
     _require(grid[1] >= grid[0], f"{name}.time_grid.end", "end must be >= start")
-    _require(noise != "echo-synthetic" or grid[0] >= 0, f"{name}.time_grid.start",
-             "echo-synthetic needs times >= 0")
+    _require(noise == "none" or grid[0] >= 0, f"{name}.time_grid.start",
+             f"{noise} noise relaxes over elapsed time and needs times >= 0")
     intervals = (grid[1] - grid[0]) / grid[2]
     _require(intervals < MAX_TIME_POINTS, f"{name}.time_grid.step",
              f"the grid has {intervals:.3g} intervals; at most {MAX_TIME_POINTS - 1} allowed")

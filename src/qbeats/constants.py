@@ -11,7 +11,6 @@ MU_B_OVER_HBAR = 8.794e10
 
 RAD_PER_SEC_TO_RAD_PER_NS = 1e-9
 MILLITESLA_TO_TESLA = 1e-3
-GAUSS_TO_MILLITESLA = 0.1
 
 
 def hyperfine_angular_frequency(a_mT: float, g: float) -> float:

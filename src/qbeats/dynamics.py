@@ -5,12 +5,10 @@ tensor factors; everything in between is the nuclear register.  The
 electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
-Nothing materializes rho(t).  A pure state is propagated only on the exact
-invariant blocks of the Hamiltonian that it touches (``BlockHamiltonian.blocks``),
-each through that block's own eigenpairs, and its pair trajectory is
-contracted over the nuclear slots those blocks reach.  Density-matrix
-initial conditions go through an eigenbasis phase sum that evaluates the
-required traces directly.
+Nothing materializes rho(t).  One propagation path serves every initial
+state: ``pair_spectrum`` writes the pair trajectory as a merged sum over the
+Bohr frequencies w_j - w_k of the exact invariant blocks it touches
+(``BlockHamiltonian.blocks``), and ``evaluate_spectrum`` sums it on a grid.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ TRIPLET_0 = np.array([0.0, 1.0, 1.0, 0.0]) * SQRT_HALF
 TRIPLET_PLUS = np.array([1.0, 0.0, 0.0, 0.0])
 TRIPLET_MINUS = np.array([0.0, 0.0, 0.0, 1.0])
 BELL_BASIS = np.stack([SINGLET, TRIPLET_0, TRIPLET_PLUS, TRIPLET_MINUS])
-BELL_LABELS = ("S", "T0", "T+", "T-")
 
 PROBABILITY_EPS = 1e-9
 
@@ -134,11 +131,13 @@ def pair_slice_indices(dims: tuple[int, ...]) -> np.ndarray:
 
 
 def singlet_vector(nuclear_vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """|nuclear> x |S> as a statevector on the (e2, nuclear, e1) register."""
+    """|nuclear> x |S> as a statevector on the (e2, nuclear, e1) register
+    (one per row of a stack of nuclear vectors)."""
+    nuclear_vec = np.asarray(nuclear_vec)
     idx = pair_slice_indices(dims)
-    psi = np.zeros(int(np.prod(dims)), dtype=complex)
-    psi[idx[1]] = SQRT_HALF * nuclear_vec   # e1 up, e2 down
-    psi[idx[2]] = -SQRT_HALF * nuclear_vec  # e1 down, e2 up
+    psi = np.zeros(nuclear_vec.shape[:-1] + (int(np.prod(dims)),), dtype=complex)
+    psi[..., idx[1]] = SQRT_HALF * nuclear_vec   # e1 up, e2 down
+    psi[..., idx[2]] = -SQRT_HALF * nuclear_vec  # e1 down, e2 up
     return psi
 
 
@@ -176,11 +175,6 @@ def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
 # Evolution
 # ---------------------------------------------------------------------------
 
-def _check_dim(H: BlockHamiltonian, dim: int) -> None:
-    if dim != H.dim:
-        raise ValueError(f"dimension mismatch: state {dim} vs H {H.dim}")
-
-
 def singlet_probability(rho: DensityMatrix,
                         electron_sites: tuple[str, str] = ("e1", "e2")) -> float:
     """Tr(rho |S><S| x 1_nuclear) over the (e2, nuclear, e1) register."""
@@ -209,90 +203,171 @@ def pair_probabilities(rho4: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ia,...ab,ib->...i", BELL_BASIS.conj(), rho4, BELL_BASIS))
 
 
-def _pair_amplitudes(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Amplitudes (4, R, T) of psi(t) at (pair state p, nuclear slot r).
+# ---------------------------------------------------------------------------
+# Beat spectra
+# ---------------------------------------------------------------------------
 
-    Only the invariant blocks that ``psi0`` touches are propagated, each with
-    its own eigenpairs; the R slots are the nuclear slots those blocks reach.
+PAIR_TRIU = np.triu_indices(4)  # the 10 elements a <= b of a Hermitian pair state
+# <S|rho|S> = Re sum_k SINGLET_TRIU[k] rho[PAIR_TRIU][k]: off-diagonal ones count twice
+SINGLET_TRIU = (np.outer(SINGLET, SINGLET) * (2 - np.eye(4)))[PAIR_TRIU]
+EXP_TABLE_ENTRIES = 1 << 16  # complex entries of one chunk's exp table
+MIN_CHUNK = 16               # time points per chunk, at least
+
+
+@dataclass(frozen=True)
+class PairSpectrum:
+    """Beat spectrum rho_ab(t) = sum_f amplitudes[f, k] exp(-i freqs[f] t) of a pair trajectory.
+
+    k numbers the (a, b) of ``PAIR_TRIU``; the lower triangle is the conjugate.  Frequencies
+    (rad/ns) within ``tol`` are one beat and are merged.  Scale by a real ``c * s``; add ``s + r``.
     """
-    _check_dim(H, len(psi0))
+
+    freqs: np.ndarray
+    amplitudes: np.ndarray
+    tol: float = 0.0
+
+    def __rmul__(self, factor: float) -> "PairSpectrum":
+        return PairSpectrum(self.freqs, factor * self.amplitudes, self.tol)
+
+    def __add__(self, other: "PairSpectrum") -> "PairSpectrum":
+        return _merged([self.freqs, other.freqs], [self.amplitudes, other.amplitudes],
+                       max(self.tol, other.tol))
+
+
+def _merged(freqs: list, amplitudes: list, tol: float) -> PairSpectrum:
+    """The nonzero terms sorted by frequency, each run spaced <= tol summed into one."""
+    f, a = np.concatenate(freqs), np.concatenate(amplitudes)
+    order = np.flatnonzero(a.any(axis=1))
+    order = order[np.argsort(f[order], kind="stable")]
+    f, a = f[order], a[order]
+    starts = np.flatnonzero(np.diff(f, prepend=-np.inf) > tol)
+    return PairSpectrum(np.add.reduceat(f, starts) / np.diff(starts, append=len(f)),
+                        np.add.reduceat(a, starts), tol)
+
+
+def _reached_eigenbasis(w: np.ndarray, v: np.ndarray, coef: np.ndarray, tol: float):
+    """A block's eigenpairs (w, v) and the states' components ``coef`` on them,
+    with each degenerate eigenspace wider than the number of states in the
+    block cut to an orthonormal basis of their projections onto it (a QR of
+    their components; the eigenvalues become Rayleigh quotients).
+    """
+    hit = np.flatnonzero(coef.any(axis=1))
+    clusters = np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > tol) + 1)  # w sorted
+    if max(map(len, clusters), default=0) <= len(hit):
+        return w, v, coef
+    parts = []
+    for J in clusters:
+        if len(J) <= len(hit):
+            parts.append((w[J], v[:, J], coef[:, J]))
+            continue
+        q, r = np.linalg.qr(coef[np.ix_(hit, J)].T)
+        c = np.zeros((len(coef), len(hit)), dtype=complex)
+        c[hit] = r.T
+        parts.append((np.abs(q.T) ** 2 @ w[J], v[:, J] @ q, c))
+    ws, vs, cs = zip(*parts)
+    return np.concatenate(ws), np.hstack(vs), np.hstack(cs)
+
+
+def pair_spectrum(H: BlockHamiltonian, states, weights) -> PairSpectrum:
+    """Beat spectrum of the pair trajectory of sum_r weights[r] |states[r]><states[r]|.
+
+    Block pair by block pair on ``H.blocks()``: eigenvectors j of B and k of C
+    beat at w_j - w_k with amplitude sum_r weights[r] <v_j|psi_r><psi_r|v_k>
+    sum_n <a, n|v_j><v_k|b, n> over the nuclear slots n both reach, so a state
+    spanning B and C keeps its cross-block coherences; (C, B) is the conjugate.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=complex))
+    if states.shape[1] != H.dim:
+        raise ValueError(f"dimension mismatch: state {states.shape[1]} vs H {H.dim}")
+    weights = np.asarray(weights, dtype=float)
     w, v = H.eig()
-    K = _nuclear_dim(H.dims)
-    blocks = H.blocks(touching=psi0)
-    states = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
-    slots, slot_of = np.unique((states // 2) % K, return_inverse=True)
-    pair_of = 2 * (states % 2) + states // (2 * K)  # p = 2*e1 + e2
-    amps = np.zeros((4, len(slots), len(times)), dtype=complex)
-    start = 0
-    for b in blocks:
-        vb = v[np.ix_(b, b)]
-        c = vb.conj().T @ psi0[b]
-        phases = np.exp(-1j * np.outer(w[b], times))
-        rows = slice(start, start + len(b))
-        amps[pair_of[rows], slot_of[rows]] = vb @ (c[:, None] * phases)
-        start += len(b)
-    return amps
+    blocks, K = H.blocks(), _nuclear_dim(H.dims)
+    tol = 64 * np.finfo(float).eps * np.abs(w).max(initial=0.0)  # eigenvalue roundoff
+    touched = np.zeros((len(states), len(blocks)), dtype=int)
+    r, i = np.nonzero(states)
+    touched[r, H.block_of[i]] = 1
+    basis = {}
+    for B in np.flatnonzero(touched.any(axis=0)):
+        b = blocks[B]
+        vb = v[b][:, b]
+        wb, vb, cb = _reached_eigenbasis(w[b], vb, states[:, b] @ vb.conj(), tol)
+        y = np.zeros((4, K, len(wb)), dtype=complex)  # eigenvector j at (pair state, slot)
+        y[2 * (b % 2) + b // (2 * K), (b // 2) % K] = vb
+        basis[B] = wb, y.transpose(0, 2, 1).reshape(-1, K), cb
+    freqs, amps = [np.empty(0)], [np.empty((0, 10))]
+    for B, C in np.argwhere(np.triu(touched.T @ touched)):
+        (wb, yb, cb), (wc, yc, cc) = basis[B], basis[C]
+        a = ((yb @ yc.conj().T).reshape(4, len(wb), 4, len(wc))
+             * ((weights[:, None] * cb).T @ cc.conj())[None, :, None, :])
+        f = np.subtract.outer(wb, wc).ravel()
+        freqs.append(f)
+        amps.append(a[PAIR_TRIU[0], :, PAIR_TRIU[1], :].reshape(10, -1).T)
+        if B != C:
+            freqs.append(-f)
+            amps.append(a[PAIR_TRIU[1], :, PAIR_TRIU[0], :].conj().reshape(10, -1).T)
+    return _merged(freqs, amps, tol)
+
+
+def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
+    """Beat spectrum of a density matrix, as the eigen-ensemble of its own blocks."""
+    lam, u = BlockHamiltonian(rho0, H.dims, H.labels).eig()
+    return pair_spectrum(H, u.T[lam != 0], lam[lam != 0])
+
+
+def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
+                      singlet: bool = False) -> np.ndarray:
+    """Pair trajectory (T, 4, 4) of a spectrum on ``times``, or with ``singlet`` S(t).
+
+    In chunks of at most 8 sqrt(T) points (and ``EXP_TABLE_ENTRIES``), exp(-i w t) =
+    exp(-i w t0) exp(-i w (t - t0)) from the chunk start t0: the second factor's table is
+    kept while the offsets repeat (to the roundoff of the times) and only the amplitudes
+    are rephased.  The trajectory is stored time-fastest, a (4, 4, T) array seen (T, 4, 4).
+    """
+    times, f = np.asarray(times, dtype=float), spectrum.freqs
+    coef = (SINGLET_TRIU @ spectrum.amplitudes.T)[None] if singlet else spectrum.amplitudes.T
+    out = np.empty((len(coef), len(times)), dtype=complex)
+    chunk = max(MIN_CHUNK, min(EXP_TABLE_ENTRIES // max(len(f), 1), 8 * int(len(times) ** 0.5)))
+    same = 2 * np.spacing(np.abs(times).max(initial=0.0))
+    offsets = table = None
+    for start in range(0, len(times), chunk):
+        t = times[start:start + chunk]
+        if offsets is None or np.abs(t - t[0] - offsets[:len(t)]).max() > same:
+            offsets, table = t - t[0], np.exp(np.multiply.outer(-1j * f, t - t[0]))
+        out[:, start:start + len(t)] = (coef * np.exp(-1j * f * t[0])) @ table[:, :len(t)]
+    if singlet:
+        return out[0].real
+    out[PAIR_TRIU[0] == PAIR_TRIU[1]] = out[PAIR_TRIU[0] == PAIR_TRIU[1]].real
+    traj = np.empty((4, 4, len(times)), dtype=complex)
+    traj[PAIR_TRIU[1], PAIR_TRIU[0]] = out.conj()
+    traj[PAIR_TRIU] = out
+    return traj.transpose(2, 0, 1)
 
 
 def pair_trajectory_pure(H: BlockHamiltonian, psi0: np.ndarray,
                          times: np.ndarray) -> np.ndarray:
     """Reduced electron-pair density matrices (T, 4, 4) of a pure-state evolution."""
-    amps = _pair_amplitudes(H, np.asarray(psi0, dtype=complex), times)
-    return np.einsum("art,brt->tab", amps, amps.conj())
-
-
-def _phase_sum(M: np.ndarray, w: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """f(t) = sum_jk M_jk exp(-i(w_j - w_k) t) for every t, via BLAS.
-
-    With u_j(t) = exp(-i w_j t) the sum is u(t)^T M conj(u(t)); evaluating
-    W = M conj(U) for the full time grid turns the dim^2 x T loop into one
-    zgemm.  Memory per call: 2 * dim * T complex temporaries.
-    """
-    U = np.exp(-1j * np.outer(w, times))
-    W = M @ np.conj(U)
-    return np.einsum("jt,jt->t", U, W)
+    return evaluate_spectrum(pair_spectrum(H, psi0, [1.0]), times)
 
 
 def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
                             times: np.ndarray) -> np.ndarray:
-    """Reduced electron-pair trajectory of a density-matrix evolution.
-
-    Sixteen eigenbasis phase sums, one per pair-matrix element.
-    """
-    _check_dim(H, len(rho0))
-    w, v = H.eig()
-    R = v.conj().T @ rho0 @ v
-    idx = pair_slice_indices(H.dims)
-    out = np.empty((len(times), 4, 4), dtype=complex)
-    for a in range(4):
-        va = v[idx[a], :]
-        for b in range(a, 4):
-            vb = v[idx[b], :]
-            # Q = V^dag (|b><a| x 1) V = vb^dag va; G_ab(t) = sum R*Q^T phases
-            Q = vb.conj().T @ va
-            g = _phase_sum(R * Q.T, w, times)
-            out[:, a, b] = g
-            if b != a:
-                out[:, b, a] = g.conj()
-    return out
+    """Reduced electron-pair trajectory (T, 4, 4) of a density-matrix evolution."""
+    return evaluate_spectrum(_density_spectrum(H, rho0), times)
 
 
 def singlet_trace_pure(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray,
                        label: str = "") -> TimeSeries:
     """S(t) for a pure initial state, without forming pair density matrices."""
-    amps = _pair_amplitudes(H, np.asarray(psi0, dtype=complex), times)
-    vals = np.sum(np.abs(SQRT_HALF * (amps[1] - amps[2])) ** 2, axis=0)
-    return TimeSeries(times, clip_probabilities(vals, label), label)
+    return singlet_trace(H, psi0, times, label)
 
 
 def singlet_trace(H: BlockHamiltonian, initial, times: np.ndarray,
                   label: str = "") -> TimeSeries:
     """S(t) for a pure statevector or a DensityMatrix initial condition."""
-    if isinstance(initial, DensityMatrix):
-        traj = pair_trajectory_density(H, initial.matrix, times)
-        vals = pair_probabilities(traj)[:, 0]
-        return TimeSeries(times, clip_probabilities(vals, label), label)
-    return singlet_trace_pure(H, np.asarray(initial, dtype=complex), times, label)
+    spectrum = (_density_spectrum(H, initial.matrix) if isinstance(initial, DensityMatrix)
+                else pair_spectrum(H, initial, [1.0]))
+    vals = evaluate_spectrum(spectrum, times, singlet=True)
+    return TimeSeries(times, clip_probabilities(vals, label), label)
 
 
 # ---------------------------------------------------------------------------

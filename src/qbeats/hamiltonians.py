@@ -18,6 +18,7 @@ in rad/ns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,17 +142,26 @@ class BlockHamiltonian:
         hit = np.unique(self._block_of[np.flatnonzero(touching)])
         return [self._blocks[k] for k in hit]
 
+    @property
+    def block_of(self) -> np.ndarray:
+        """Number of the block (in ``blocks()`` order) of every basis index."""
+        self.blocks()
+        return self._block_of
+
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors (cached), diagonalized block by block.
 
         ``v`` has the sparsity of the blocks: the eigenpairs of the block
-        with indices ``b`` are ``w[b]`` and ``v[np.ix_(b, b)]``.
+        with indices ``b`` are ``w[b]`` and ``v[np.ix_(b, b)]``.  Blocks of
+        one size are diagonalized together by one stacked ``eigh``.
         """
         if self._eig is None:
-            w = np.empty(self.dim)
-            v = np.zeros((self.dim, self.dim), dtype=complex)
-            for b in self.blocks():
-                w[b], v[np.ix_(b, b)] = np.linalg.eigh(self.matrix[np.ix_(b, b)])
+            w, v = np.empty(self.dim), np.zeros((self.dim, self.dim), dtype=complex)
+            sizes = np.array([len(b) for b in self.blocks()])
+            for n in np.unique(sizes):
+                idx = np.stack([b for b, size in zip(self.blocks(), sizes) if size == n])
+                rows, cols = idx[:, :, None], idx[:, None, :]
+                w[idx], v[rows, cols] = np.linalg.eigh(self.matrix[rows, cols])
             self._eig = (w, v)
         return self._eig
 
@@ -162,39 +172,25 @@ class BlockHamiltonian:
 def _connected_components(pattern: np.ndarray) -> np.ndarray:
     """Component number of each vertex of a graph given by a boolean adjacency matrix.
 
-    Breadth-first search from the lowest unvisited vertex, one frontier per
-    step; components are numbered in order of their lowest vertex.
+    Every vertex takes the lowest label among itself and its neighbours, then
+    the label of that label, until nothing changes; components are numbered
+    in order of their lowest vertex.
     """
     linked = pattern | pattern.T
-    n = len(linked)
-    component = np.full(n, -1)
-    count = 0
-    for seed in range(n):
-        if component[seed] >= 0:
-            continue
-        reached = np.zeros(n, dtype=bool)
-        frontier = reached.copy()
-        frontier[seed] = True
-        while frontier.any():
-            reached |= frontier
-            frontier = linked[frontier].any(axis=0) & ~reached
-        component[reached] = count
-        count += 1
-    return component
+    label = np.arange(len(linked))
+    while True:
+        lowest = np.minimum(label, np.where(linked, label, len(label)).min(axis=1))
+        if np.array_equal(lowest, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = lowest[lowest]
 
 
 def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def _kron_chain(ops) -> np.ndarray:
-    out = None
-    for op in ops:
-        out = op if out is None else np.kron(out, op)
-    return out
+    return functools.reduce(np.kron, ops)
 
 
 def _collective_spin(n: int, axis: np.ndarray) -> np.ndarray:
@@ -290,18 +286,21 @@ def full_nuclear_sector_vector(n: int, I: HalfInt, m: HalfInt) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one nucleus")
-    Jz = _collective_spin(n, SIGMA_Z)
-    J2 = sum(
-        _collective_spin(n, ax) @ _collective_spin(n, ax) for ax in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    )
     eps = 1e-3
-    w, v = np.linalg.eigh(J2 + eps * Jz)
+    w, v = _total_spin_eigh(n, eps)
     target = I.as_float * (I.as_float + 1) + eps * m.as_float
     hits = np.nonzero(np.abs(w - target) < eps / 10)[0]
     if len(hits) == 0:
         raise ValueError(f"no ({I},{m}) sector found for {n} nuclei")
     vec = v[:, hits[0]].astype(complex)
     return vec
+
+
+@functools.cache
+def _total_spin_eigh(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of I_total^2 + eps * I_z over n spin-1/2 nuclei (cached)."""
+    J = [_collective_spin(n, ax) for ax in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    return np.linalg.eigh(sum(j @ j for j in J) + eps * J[2])
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +507,6 @@ class TwoGroupSector:
     @property
     def pad_register(self) -> int:
         return self.register_size - self.real_register
-
-    @property
-    def register_qubits(self) -> int:
-        return self.register_size.bit_length() - 1
 
 
 def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:

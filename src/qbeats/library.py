@@ -44,15 +44,6 @@ def add_basis_state_prep(circuit: Circuit, sites: tuple[int, ...], index: int) -
     return circuit
 
 
-def bell_probabilities_from_state(psi: np.ndarray, e1: int, e2: int, n: int) -> np.ndarray:
-    """(S, T0, T+, T-) outcome probabilities of a statevector, via projection."""
-    from .backends import partial_trace
-    from .dynamics import pair_probabilities
-
-    rho = partial_trace(np.outer(psi, psi.conj()), (e1, e2), n)
-    return pair_probabilities(rho)
-
-
 # ---------------------------------------------------------------------------
 # Kraus circuit (exemplary system qubit + electron pair + ancilla)
 # ---------------------------------------------------------------------------
@@ -74,15 +65,6 @@ def kraus_circuit(params: RelaxationParams, system_site: int, ancilla_site: int,
         c.add("CNOT", (system_site, ancilla_site))
     if params.p_z > 0:
         c.add("Z", system_site, prob=params.p_z)
-    return c
-
-
-def thermal_pair_circuit(params: RelaxationParams, e1: int, e2: int,
-                         anc1: int, anc2: int, site_count: int) -> Circuit:
-    """Kraus circuits on both electron sites, each with its own ancilla."""
-    c = Circuit(site_count)
-    c.extend(kraus_circuit(params, e1, anc1, site_count))
-    c.extend(kraus_circuit(params, e2, anc2, site_count))
     return c
 
 

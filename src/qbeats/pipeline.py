@@ -13,19 +13,25 @@ it picks the state preparation and owns the noise-method dispatch.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
+    PairSpectrum,
     TimeSeries,
     clip_probabilities,
+    evaluate_spectrum,
     one_group_weights,
+    pair_spectrum,
     pair_trajectory_pure,
     sector_statevector,
     singlet_values,
+    singlet_vector,
     time_grid,
 )
 from .hamiltonians import (
@@ -44,7 +50,7 @@ from .noisemethods import (
     echo_targets,
     per_gate_singlet_values,
 )
-from .relaxation import relax_pair_trajectory, relaxed_singlet_values
+from .relaxation import relax_pair_trajectory
 from .spinalg import HalfInt, spin_addition_counts
 
 
@@ -116,54 +122,43 @@ def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str, times: np.ndar
     return PairTrace(times, avg, {"system": "one_group", "field_regime": field_regime})
 
 
-def two_group_sector_trace(sector: TwoGroupSector, times: np.ndarray) -> PairTrace:
-    """Mixed-register pair trajectory of one I2 sector (real slots only).
+def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
+    """Beat spectrum of one I2 sector's mixed register (real slots only).
 
     Subnormalized by design: each real register slot carries weight
     1/register_size, exactly what a padded purification run leaves behind
     once the frozen padding-state contribution is subtracted.
     """
-    H = sector.hamiltonian
-    reg = sector.register_size
-    acc = None
-    for r in range(sector.real_register):
-        traj = pair_trajectory_pure(H, sector_statevector(r, reg), times)
-        acc = traj if acc is None else acc + traj
-    return PairTrace(times, acc / reg, {"I2": sector.I2})
+    H, reg = sector.hamiltonian, sector.register_size
+    states = singlet_vector(np.eye(reg)[:sector.real_register], H.dims)
+    return pair_spectrum(H, states, np.full(len(states), 1.0 / reg))
 
 
-def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray, threads: int = 1,
+def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray,
                          sectors: bool = False) -> PairTrace:
     """Fully mixed nuclear-state pair trajectory via I2 sector decomposition.
 
-    With ``sectors``, ``meta["sectors"]`` maps each I2 (descending) to the
+    The weighted sector spectra are summed and evaluated once.  With
+    ``sectors``, ``meta["sectors"]`` maps each I2 (descending) to the
     coherent singlet trace of its padded-register run, in which the frozen
     padding slots count as 1.
     """
-    n1, n2 = spec.groups[0].count, spec.groups[1].count
-    counts2 = spin_addition_counts(n2)
-    total = 2 ** (n1 + n2)
-
-    def sector_contribution(I2):
-        sector = build_two_group_block(I2, spec)
-        tr = two_group_sector_trace(sector, times)
-        padded = None
-        if sectors:
-            padded = tr.singlet().values + sector.pad_register / sector.register_size
-        return (counts2[I2] * sector.register_size / total) * tr.trajectory, padded
-
-    I2s = sorted(counts2, reverse=True)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sector_contribution, I2s))
-    else:
-        parts = [sector_contribution(I2) for I2 in I2s]
+    counts2 = spin_addition_counts(spec.groups[1].count)
+    total = 2 ** (spec.groups[0].count + spec.groups[1].count)
     meta = {"system": "two_group"}
-    if sectors:
-        meta["sectors"] = {I2: padded for I2, (_, padded) in zip(I2s, parts)}
-    return PairTrace(times, sum(part for part, _ in parts), meta)
+    padded = meta.setdefault("sectors", {}) if sectors else {}
+
+    def contribution(I2):
+        sector = build_two_group_block(I2, spec)
+        part = two_group_sector_spectrum(sector)
+        if sectors:
+            padded[I2] = (evaluate_spectrum(part, times, singlet=True)
+                          + sector.pad_register / sector.register_size)
+        return (counts2[I2] * sector.register_size / total) * part
+
+    # one sector at a time: each is dropped before the next is built
+    spectrum = functools.reduce(operator.add, map(contribution, sorted(counts2, reverse=True)))
+    return PairTrace(times, evaluate_spectrum(spectrum, times), meta)
 
 
 def _sector_label(I: HalfInt) -> str:
@@ -179,8 +174,7 @@ def _noisy_singlet(method: str, trace: PairTrace, spec: SpinSystemSpec) -> np.nd
     return per_gate_singlet_values(trace.trajectory, trace.times, spec.T1, spec.T2)
 
 
-def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
-             sectors: bool = False) -> SimulationResult:
+def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
     ``none``, ``kraus`` and ``per-gate`` act on the system's pair trajectory.
@@ -189,7 +183,7 @@ def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
     rotation (two groups).  With ``sectors`` the result also carries one
     column per sector: the noisy |I, m=I> traces of a mixed one-group run,
     or the coherent padded-register trace of each I2 sector of a two-group
-    run.  ``threads`` parallelizes the two-group sectors.
+    run.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -200,7 +194,7 @@ def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
         target = echo_targets(times, spec.T1, spec.T2, config.hardware)
 
     if len(spec.groups) == 2:
-        trace = two_group_pair_trace(spec, times, threads, sectors)
+        trace = two_group_pair_trace(spec, times, sectors)
         if method == "echo-synthetic":
             values = echo_synthetic_encoded_values(trace.singlet("S_coherent"), target,
                                                    config.hardware)
@@ -235,21 +229,3 @@ def simulate(config: ExperimentConfig, regime: str, threads: int = 1,
 
     label = f"S_{regime}"
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)
-
-
-def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
-                                tol: float = 1e-10) -> bool:
-    """Both-site channel at (T1,T2) vs single-site at (T1/2,T2/2), spec-level.
-
-    Runs the system's standard coherent pipeline and compares the relaxed
-    singlet traces pointwise.
-    """
-    if len(spec.groups) == 1:
-        trajs = one_group_sector_trajectories(spec, times)
-        traj = sum(t.trajectory for t in trajs.values()) / len(trajs)
-    else:
-        I2_max = max(spin_addition_counts(spec.groups[1].count))
-        traj = two_group_sector_trace(build_two_group_block(I2_max, spec), times).trajectory
-    both = relaxed_singlet_values(traj, times, spec.T1, spec.T2, sites="both")
-    single = relaxed_singlet_values(traj, times, spec.T1 / 2, spec.T2 / 2, sites="e1")
-    return bool(np.abs(both - single).max() <= tol)

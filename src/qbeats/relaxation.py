@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DensityMatrix,
-    TimeSeries,
-    clip_probabilities,
-    pair_probabilities,
-    singlet_values,
-)
+from .dynamics import DensityMatrix, pair_probabilities, singlet_values
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -67,11 +61,6 @@ class RelaxationParams:
     @property
     def phi_x(self) -> float:
         return 2.0 * math.asin(math.sqrt(self.p_x))
-
-    @property
-    def population_factor(self) -> float:
-        """exp(-t/T1): contraction of populations toward 1/2."""
-        return 1.0 - self.p_x
 
     @property
     def coherence_factor(self) -> float:
@@ -189,12 +178,6 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
 def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,
                            T1: float, T2: float, sites: str = "both") -> np.ndarray:
     return singlet_values(relax_pair_trajectory(traj, times, T1, T2, sites))
-
-
-def relaxed_singlet_trace(traj: np.ndarray, times: np.ndarray, T1: float, T2: float,
-                          label: str = "", sites: str = "both") -> TimeSeries:
-    vals = relaxed_singlet_values(traj, times, T1, T2, sites)
-    return TimeSeries(times, clip_probabilities(vals, label), label)
 
 
 def relaxed_pair_probabilities(traj: np.ndarray, times: np.ndarray,

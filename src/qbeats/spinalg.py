@@ -54,7 +54,6 @@ class HalfInt:
 
 
 HALF = HalfInt(1)
-ZERO = HalfInt(0)
 
 
 def multiplicity(I: HalfInt) -> int:

@@ -14,7 +14,9 @@ from .backends import partial_trace, run_density
 from .circuits import Circuit
 from .dynamics import (
     TimeSeries,
+    evaluate_spectrum,
     pair_probabilities,
+    pair_spectrum,
     sector_statevector,
     singlet_trace_pure,
     singlet_vector,
@@ -36,7 +38,7 @@ from .hamiltonians import (
 from .kak import kak_decompose
 from .library import add_singlet_prep, echo_pulse_circuit
 from .noisecal import MeasurementStats, correct_stats, damp_stats
-from .pipeline import one_group_pair_trace
+from .pipeline import one_group_pair_trace, two_group_sector_spectrum
 from .relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
@@ -146,20 +148,13 @@ def suite_oracle(step: float = 0.1, t_end: float = 100.0) -> list[CheckResult]:
     # two-group toy system against its product-space oracle
     toy = SpinSystemSpec(groups=(NuclearGroup(2, 0.65), NuclearGroup(2, 1.66)), field_B=0.1)
     Hfull = build_full_two_group(toy)
-    vals = np.zeros_like(times)
-    for r in range(16):
-        nuc = np.zeros(16, dtype=complex)
-        nuc[r] = 1.0
-        vals = vals + singlet_trace_pure(Hfull, singlet_vector(nuc, Hfull.dims), times).values
-    oracle = vals / 16
+    mixed = pair_spectrum(Hfull, singlet_vector(np.eye(16), Hfull.dims), np.full(16, 1 / 16))
+    oracle = evaluate_spectrum(mixed, times, singlet=True)
     traces, padding, degs = {}, {}, {}
     for I2 in spin_addition_counts(2):
         sec = build_two_group_block(I2, toy)
-        acc = np.zeros_like(times)
-        for r in range(sec.real_register):
-            acc = acc + singlet_trace_pure(
-                sec.hamiltonian, sector_statevector(r, sec.register_size), times).values
-        traces[I2] = TimeSeries(times, np.clip((acc + sec.pad_register) / sec.register_size,
+        padded = evaluate_spectrum(two_group_sector_spectrum(sec), times, singlet=True)
+        traces[I2] = TimeSeries(times, np.clip(padded + sec.pad_register / sec.register_size,
                                                0.0, 1.0))
         padding[I2] = (sec.pad_register, sec.register_size)
         degs[I2] = sec.degeneracy

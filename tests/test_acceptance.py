@@ -56,7 +56,6 @@ from qbeats.library import (
 from qbeats.noisecal import MeasurementStats, correct_stats, damp_stats
 from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
 from qbeats.pipeline import (
-    half_rate_equivalence_check,
     one_group_pair_trace,
     one_group_sector_trajectories,
     two_group_pair_trace,
@@ -64,6 +63,7 @@ from qbeats.pipeline import (
 from qbeats.postprocess import FluorescenceParams, boxcar_kernel, observed_ratio
 from qbeats.relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
 from qbeats.spinalg import HalfInt, spin_addition_counts
+from support import half_rate_equivalence_check
 
 OCTALIN = {B: SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=B)
            for B in (0.0, 0.3)}

@@ -1,7 +1,8 @@
 """Block-by-block propagation against the dense eigendecomposition it replaced.
 
 The oracle below is the dense formula: one ``np.linalg.eigh`` of the whole
-matrix and the statevector propagated over every basis state.  Trajectories
+matrix and the statevector propagated over every basis state (or, for the
+two-group mixed registers, a beat spectrum over every eigenvalue pair).  Trajectories
 are compared as sector sums; a single high-field dmb register state already
 sits at the dense oracle's own roundoff floor (about 1e-12).
 """
@@ -14,7 +15,13 @@ import pytest
 
 from qbeats import pipeline
 from qbeats.config import load_preset
-from qbeats.dynamics import pair_slice_indices, sector_statevector
+from qbeats.dynamics import (
+    PAIR_TRIU,
+    PairSpectrum,
+    evaluate_spectrum,
+    pair_slice_indices,
+    sector_statevector,
+)
 from qbeats.hamiltonians import (
     BlockHamiltonian,
     build_full_one_group,
@@ -26,7 +33,7 @@ from qbeats.hamiltonians import (
 from qbeats.pipeline import (
     one_group_sector_trajectories,
     simulate,
-    two_group_sector_trace,
+    two_group_sector_spectrum,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
 
@@ -47,6 +54,17 @@ def dense_pair_trajectory(H, psi0, times):
     psi_t = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
     amps = psi_t[pair_slice_indices(H.dims)]
     return np.einsum("art,brt->tab", amps, amps.conj())
+
+
+def dense_pair_spectrum(H, states, weights):
+    """Spectrum over every eigenvalue pair of a dense eigendecomposition of the whole matrix."""
+    w, v = dense_eig(H)
+    idx = pair_slice_indices(H.dims)
+    c = np.atleast_2d(states) @ v.conj()
+    coherence = (np.asarray(weights)[:, None] * c).T @ c.conj()
+    amps = [coherence * (v[idx[a]].T @ v[idx[b]].conj()) for a, b in zip(*PAIR_TRIU)]
+    return PairSpectrum(np.subtract.outer(w, w).ravel(),
+                        np.stack([a.ravel() for a in amps], axis=1))
 
 
 def spec(name, regime):
@@ -70,7 +88,7 @@ def test_dmb_sector_trajectories_match_dense(regime):
         dense = sum(dense_pair_trajectory(sector.hamiltonian,
                                           sector_statevector(r, sector.register_size), TIMES)
                     for r in range(sector.real_register)) / sector.register_size
-        blocked = two_group_sector_trace(sector, TIMES).trajectory
+        blocked = evaluate_spectrum(two_group_sector_spectrum(sector), TIMES)
         assert np.abs(blocked - dense).max() <= 1e-12
 
 
@@ -80,6 +98,7 @@ def test_simulate_matches_dense(monkeypatch, name, regime):
     config = dataclasses.replace(load_preset(name), time_grid=GRID)
     blocked = simulate(config, regime).trace.values
     monkeypatch.setattr(pipeline, "pair_trajectory_pure", dense_pair_trajectory)
+    monkeypatch.setattr(pipeline, "pair_spectrum", dense_pair_spectrum)
     dense = simulate(config, regime).trace.values
     assert np.abs(blocked - dense).max() <= 1e-12
 

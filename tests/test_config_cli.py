@@ -132,6 +132,11 @@ BAD_CONFIGS = {
         "octalin", "system", "relaxation", "high", {"T1": 4.0, "T2": 9.0}),
     "zero T1 nan": preset_with("octalin", "system", "relaxation", "zero", "T1", math.nan),
     "echo start < 0": echo_with("time_grid", {"start": -1.0, "end": 1.0, "step": 0.5}),
+    # relaxing over a negative elapsed time would amplify coherences
+    "kraus start < 0": dict(preset_with("octalin", "noise_method", "kraus"),
+                            time_grid={"start": -3.0, "end": 1.0, "step": 1.0}),
+    "per-gate start < 0": dict(preset_with("octalin", "noise_method", "per-gate"),
+                               time_grid={"start": -3.0, "end": 1.0, "step": 1.0}),
     "hardware T1_us -5": echo_with("hardware", {"T1_us": -5}),
     "hardware identity_ns 0": echo_with("hardware", {"identity_ns": 0}),
     "hardware T2_us > 2 T1_us": echo_with("hardware", {"T1_us": 10, "T2_us": 30}),

@@ -55,13 +55,6 @@ def test_two_group_sector_columns_reassemble_to_the_main_trace(regime):
     assert np.abs(rebuilt.values - result.trace.values).max() <= 1e-12
 
 
-def test_two_group_threads_do_not_change_the_result():
-    config = preset("dmb", "kraus")
-    one = simulate(config, "zero", threads=1).trace.values
-    two = simulate(config, "zero", threads=2).trace.values
-    assert np.array_equal(one, two)
-
-
 @pytest.mark.parametrize("regime", ["zero", "high"])
 @pytest.mark.parametrize("name", ["octalin", "dmb"])
 def test_per_gate_equals_kraus(name, regime):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qbeats.dynamics import DensityMatrix, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
-from qbeats.pipeline import half_rate_equivalence_check, one_group_pair_trace
+from qbeats.pipeline import one_group_pair_trace
 from qbeats.relaxation import (
     KrausChannel,
     RelaxationParams,
@@ -14,6 +14,7 @@ from qbeats.relaxation import (
     infinite_temperature_thermal_channel,
     relax_pair_trajectory,
 )
+from support import half_rate_equivalence_check
 
 OCTALIN_RELAXED = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                                  T1=9.0, T2=9.0)

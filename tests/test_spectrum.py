@@ -1,0 +1,299 @@
+"""Beat-spectrum propagation against the per-state propagation it replaced.
+
+The oracles below are the former propagation paths, kept here verbatim in
+substance: a pure state is propagated block by block through each block's
+eigenpairs over the whole grid, and a density matrix through sixteen
+eigenbasis phase sums.  Both use the same ``BlockHamiltonian.eig`` eigenpairs
+as the spectral path, so they differ from it only by the merging of equal
+frequencies and by evaluation roundoff.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from qbeats import dynamics
+from qbeats.config import load_preset
+from qbeats.dynamics import (
+    SQRT_HALF,
+    PairSpectrum,
+    evaluate_spectrum,
+    maximally_mixed_nuclear_state,
+    pair_slice_indices,
+    pair_spectrum,
+    pair_trajectory_density,
+    pair_trajectory_pure,
+    sector_statevector,
+    singlet_trace,
+    singlet_trace_pure,
+    singlet_values,
+    singlet_vector,
+    time_grid,
+)
+from qbeats.hamiltonians import (
+    build_full_one_group,
+    build_reduced_one_group,
+    build_two_group_block,
+    distinct_spins,
+    full_nuclear_sector_vector,
+    one_group_reduced_index,
+)
+from qbeats.pipeline import two_group_pair_trace, two_group_sector_spectrum
+from qbeats.spinalg import HalfInt, spin_addition_counts
+
+REGIMES = ("zero", "high")
+TIMES = time_grid(0.0, 100.0, 0.1)
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-state amplitude propagation and the density phase sum
+# ---------------------------------------------------------------------------
+
+def oracle_amplitudes(H, psi0, times):
+    """Amplitudes (4, R, T) of psi(t) at (pair state p, nuclear slot r)."""
+    w, v = H.eig()
+    K = H.dims[1]
+    blocks = H.blocks(touching=psi0)
+    states = np.concatenate(blocks)
+    slots, slot_of = np.unique((states // 2) % K, return_inverse=True)
+    pair_of = 2 * (states % 2) + states // (2 * K)  # p = 2*e1 + e2
+    amps = np.zeros((4, len(slots), len(times)), dtype=complex)
+    start = 0
+    for b in blocks:
+        vb = v[np.ix_(b, b)]
+        c = vb.conj().T @ psi0[b]
+        phases = np.exp(-1j * np.outer(w[b], times))
+        rows = slice(start, start + len(b))
+        amps[pair_of[rows], slot_of[rows]] = vb @ (c[:, None] * phases)
+        start += len(b)
+    return amps
+
+
+def oracle_pure(H, psi0, times):
+    amps = oracle_amplitudes(H, np.asarray(psi0, dtype=complex), times)
+    return np.einsum("art,brt->tab", amps, amps.conj())
+
+
+def oracle_singlet_pure(H, psi0, times):
+    amps = oracle_amplitudes(H, np.asarray(psi0, dtype=complex), times)
+    return np.sum(np.abs(SQRT_HALF * (amps[1] - amps[2])) ** 2, axis=0)
+
+
+def oracle_density(H, rho0, times):
+    """Sixteen phase sums f(t) = sum_jk M_jk exp(-i(w_j - w_k) t)."""
+    w, v = H.eig()
+    R = v.conj().T @ rho0 @ v
+    idx = pair_slice_indices(H.dims)
+    U = np.exp(-1j * np.outer(w, times))
+    out = np.empty((len(times), 4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            Q = v[idx[b], :].conj().T @ v[idx[a], :]
+            out[:, a, b] = np.einsum("jt,jt->t", U, (R * Q.T) @ np.conj(U))
+    return out
+
+
+def spec(name, regime):
+    return load_preset(name).spin_spec(regime)
+
+
+@functools.cache
+def reduced(regime):
+    return build_reduced_one_group(spec("octalin", regime))
+
+
+@functools.cache
+def oracle_hamiltonian(regime):
+    return build_full_one_group(spec("octalin", regime))
+
+
+@functools.cache
+def dmb_sector(regime, I2):
+    return build_two_group_block(I2, spec("dmb", regime))
+
+
+def oracle_sector(sector, times):
+    reg = sector.register_size
+    return sum(oracle_pure(sector.hamiltonian, sector_statevector(r, reg), times)
+               for r in range(sector.real_register)) / reg
+
+
+def dev(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max()
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_pure_states_of_the_reduced_basis(regime):
+    H = reduced(regime)
+    for I in distinct_spins(8):
+        for tm in range(-I.twice_value, I.twice_value + 1, 2):
+            psi = sector_statevector(one_group_reduced_index(8, I, HalfInt(tm)), H.dims[1])
+            assert dev(pair_trajectory_pure(H, psi, TIMES), oracle_pure(H, psi, TIMES)) <= TOL
+            assert dev(singlet_trace_pure(H, psi, TIMES).values,
+                       oracle_singlet_pure(H, psi, TIMES)) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_dmb_mixed_registers(regime):
+    for I2 in spin_addition_counts(12):
+        sector = dmb_sector(regime, I2)
+        assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), TIMES),
+                   oracle_sector(sector, TIMES)) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_dmb_mixed_state_trajectory(regime):
+    counts = spin_addition_counts(12)
+    oracle = sum(counts[I2] * dmb_sector(regime, I2).register_size / 2**14
+                 * oracle_sector(dmb_sector(regime, I2), TIMES) for I2 in counts)
+    assert dev(two_group_pair_trace(spec("dmb", regime), TIMES).trajectory, oracle) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_density_matrices(regime):
+    H = reduced(regime)
+    times = TIMES[::10]
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(H.dim, 3)) + 1j * rng.normal(size=(H.dim, 3))
+    random = g @ g.conj().T
+    for rho0 in (maximally_mixed_nuclear_state(32).matrix, random / np.trace(random)):
+        traj = pair_trajectory_density(H, rho0, times)
+        assert dev(traj, oracle_density(H, rho0, times)) <= TOL
+    mixed = maximally_mixed_nuclear_state(32)
+    assert dev(singlet_trace(H, mixed, times).values,
+               singlet_values(oracle_density(H, mixed.matrix, times))) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_full_oracle_hamiltonian(regime):
+    """The 1024-state matrix: blocks up to 126 with heavily degenerate eigenvalues."""
+    H = oracle_hamiltonian(regime)
+    states = [singlet_vector(full_nuclear_sector_vector(8, HalfInt(tI), HalfInt(tm)), H.dims)
+              for tI, tm in ((8, 8), (8, 0), (4, 2), (2, -2), (0, 0))]
+    for psi in states:
+        assert dev(singlet_trace_pure(H, psi, TIMES).values,
+                   oracle_singlet_pure(H, psi, TIMES)) <= TOL
+        assert dev(pair_trajectory_pure(H, psi, TIMES[::10]),
+                   oracle_pure(H, psi, TIMES[::10])) <= TOL
+    # an ensemble in the same blocks, so in shared degenerate eigenspaces
+    ensemble = [singlet_vector(full_nuclear_sector_vector(8, HalfInt(tI), HalfInt(0)), H.dims)
+                for tI in (8, 4, 2)]
+    weights = np.array([0.5, 0.3, 0.2])
+    spectrum = pair_spectrum(H, np.stack(ensemble), weights)
+    oracle = sum(wt * oracle_pure(H, psi, TIMES) for wt, psi in zip(weights, ensemble))
+    assert dev(evaluate_spectrum(spectrum, TIMES), oracle) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# Grids
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def small_tables(monkeypatch):
+    """Every spectrum is evaluated in chunks of ``MIN_CHUNK`` time points."""
+    monkeypatch.setattr(dynamics, "EXP_TABLE_ENTRIES", 1)
+    return dynamics.MIN_CHUNK
+
+
+def sector_case(regime="high"):
+    sector = dmb_sector(regime, HalfInt(4))
+    return sector, two_group_sector_spectrum(sector)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+def test_grids_that_are_not_a_multiple_of_the_chunk(small_tables, extra):
+    sector, spectrum = sector_case()
+    times = 0.7 * np.arange(3 * small_tables + extra)
+    assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
+
+
+@pytest.mark.parametrize("start", [0.05, 37.3, 1000.0])
+def test_nonzero_start(small_tables, start):
+    sector, spectrum = sector_case()
+    times = time_grid(start, start + 20.0, 0.1)
+    assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
+
+
+@pytest.mark.parametrize("t", [0.0, 3.3, 99.9])
+def test_one_point_grid(t):
+    sector, spectrum = sector_case()
+    times = np.array([t])
+    assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
+    assert evaluate_spectrum(spectrum, times, singlet=True).shape == (1,)
+
+
+def test_non_uniform_times(small_tables):
+    sector, spectrum = sector_case()
+    rng = np.random.default_rng(3)
+    # random points, then two uniform stretches of different steps
+    times = np.concatenate([np.sort(rng.uniform(0.0, 50.0, 40)),
+                            50.0 + 0.25 * np.arange(1, 40), 60.0 + 0.5 * np.arange(1, 40)])
+    assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
+
+
+def test_empty_grid():
+    _, spectrum = sector_case()
+    assert evaluate_spectrum(spectrum, np.empty(0)).shape == (0, 4, 4)
+
+
+def test_long_zero_field_grid_merges_degenerate_frequencies():
+    times = time_grid(0.0, 2000.0, 0.5)
+    total = 0
+    for I2 in spin_addition_counts(12):
+        sector = dmb_sector("zero", I2)
+        spectrum = two_group_sector_spectrum(sector)
+        total += len(spectrum.freqs)
+        blocks = sector.hamiltonian.blocks()
+        pairs = sum(len(b) ** 2 for b in blocks if len(b) > 1)
+        assert len(spectrum.freqs) < pairs
+        assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
+    counts = spin_addition_counts(12)
+    parts = [(counts[I2] / 2**14 * dmb_sector("zero", I2).register_size)
+             * two_group_sector_spectrum(dmb_sector("zero", I2)) for I2 in counts]
+    assert len(sum(parts[1:], parts[0]).freqs) < total
+
+
+# ---------------------------------------------------------------------------
+# Spectrum algebra and the eigendecomposition it rests on
+# ---------------------------------------------------------------------------
+
+def test_scaled_sum_evaluates_to_the_scaled_sum_of_trajectories():
+    (_, a), b = sector_case("zero"), two_group_sector_spectrum(dmb_sector("zero", HalfInt(2)))
+    combined = 0.3 * a + b
+    expected = 0.3 * evaluate_spectrum(a, TIMES) + evaluate_spectrum(b, TIMES)
+    assert dev(evaluate_spectrum(combined, TIMES), expected) <= TOL
+    assert np.all(np.diff(combined.freqs) > combined.tol)
+    assert dev(evaluate_spectrum(b + 0.3 * a, TIMES), expected) <= TOL
+
+
+def test_singlet_evaluation_matches_the_trajectory():
+    _, spectrum = sector_case()
+    traj = evaluate_spectrum(spectrum, TIMES)
+    assert dev(evaluate_spectrum(spectrum, TIMES, singlet=True), singlet_values(traj)) <= TOL
+    assert dev(traj, traj.conj().transpose(0, 2, 1)) == 0
+
+
+def test_exact_ties_merge_and_zero_terms_drop():
+    amps = np.zeros((4, 10), dtype=complex)
+    amps[0, 0], amps[1, 0], amps[3, 4] = 1.0, 2.0, 1j
+    s = 1.0 * PairSpectrum(np.array([0.5, 0.5, 0.7, -1.0]), amps)
+    merged = s + PairSpectrum(np.empty(0), np.empty((0, 10), dtype=complex))
+    assert list(merged.freqs) == [-1.0, 0.5]
+    assert merged.amplitudes[1, 0] == 3.0 and merged.amplitudes[0, 4] == 1j
+
+
+@pytest.mark.parametrize("name", ["reduced-high", "dmb-high", "oracle-zero"])
+def test_stacked_eig_equals_block_by_block_eigh(name):
+    H = {"reduced-high": lambda: reduced("high"),
+         "dmb-high": lambda: dmb_sector("high", HalfInt(6)).hamiltonian,
+         "oracle-zero": lambda: oracle_hamiltonian("zero")}[name]()
+    w, v = H.eig()
+    for b in H.blocks():
+        wb_ref, vb_ref = np.linalg.eigh(H.matrix[np.ix_(b, b)])
+        assert np.array_equal(w[b], wb_ref) and np.array_equal(v[np.ix_(b, b)], vb_ref)
