@@ -28,7 +28,6 @@ from .hamiltonians import (
     build_two_group_block,
     pauli_decompose_partitioned,
 )
-from .kak import KakDecomposition, kak_decompose
 from .postprocess import FluorescenceParams, ideal_intensity, observed_ratio
 from .relaxation import (
     KrausChannel,
@@ -72,3 +71,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # kak loads on first use: nothing on the simulate path needs it
+    if name in ("KakDecomposition", "kak_decompose"):
+        from . import kak
+        return getattr(kak, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,21 +18,24 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config_file, load_preset
-from .dynamics import NumericalError
+from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
-from .postprocess import observed_intensity, observed_ratio
+from .postprocess import intensity_ratio, kernel_step, observed_intensity
+
+CSV_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 
 
 def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
-    keys = list(columns)
-    n = len(next(iter(columns.values())))
+    values = list(columns.values())
+    row = ",".join(["%.17g"] * len(values)) + "\n"  # '%.17g' % x == f"{x:.17g}"
     with open(path, "w") as fh:
         fh.write(f"# qbeats {__version__}\n")
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
-        fh.write(",".join(keys) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{columns[k][i]:.17g}" for k in keys) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([v[start:start + CSV_BLOCK_ROWS] for v in values])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def rms_against_reference(times: np.ndarray, values: np.ndarray,
@@ -93,15 +96,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid ConfigError
+    try:
+        return step(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{source}.time_grid: {exc}") from None
+
+
 def cmd_trmfe(args) -> int:
     config = _load(args)
-    if config.postprocess is None:
+    pp = config.postprocess
+    if pp is None:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
-    s_high = simulate(config, "high").trace
-    s_zero = simulate(config, "zero").trace
-    ratio = observed_ratio(s_high, s_zero, config.postprocess)
-    i_b = observed_intensity(s_high, config.postprocess)
-    i_0 = observed_intensity(s_zero, config.postprocess)
+    source = args.config or config.name  # the prefix parse_config gives its errors
+    _grid_checked(source, kernel_step, time_grid(*config.time_grid), pp)  # before simulating
+    s_high, s_zero = (simulate(config, regime).trace for regime in ("high", "zero"))
+    i_b, i_0 = observed_intensity(s_high, pp), observed_intensity(s_zero, pp)
+    ratio = _grid_checked(source, intensity_ratio, i_b, i_0)
     mask = np.isin(s_high.times, ratio.times)
     columns = {
         "time_ns": ratio.times,
@@ -116,8 +127,7 @@ def cmd_trmfe(args) -> int:
         "name": config.name,
         "config_sha256": config.digest(),
         "noise_method": config.noise_method,
-        "postprocess": f"theta={config.postprocess.theta}, tau_f={config.postprocess.tau_f}, "
-                       f"t0={config.postprocess.t0}, t_g={config.postprocess.t_g}",
+        "postprocess": f"theta={pp.theta}, tau_f={pp.tau_f}, t0={pp.t0}, t_g={pp.t_g}",
         "edge_unreliable_before_ns": ratio.meta.get("edge_unreliable_before_ns"),
         "units": "time_ns, dimensionless",
     }

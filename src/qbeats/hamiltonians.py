@@ -70,7 +70,7 @@ class SpinSystemSpec:
     def __post_init__(self):
         if not 1 <= len(self.groups) <= 2:
             raise ValueError("only one- and two-group systems are supported")
-        if math.isfinite(self.T1) and math.isfinite(self.T2) and self.T2 > 2 * self.T1:
+        if math.isfinite(self.T1) and self.T2 > 2 * self.T1:
             raise ValueError(f"T2={self.T2} exceeds 2*T1={2 * self.T1} (unphysical dephasing rate)")
         if self.T1 <= 0 or self.T2 <= 0:
             raise ValueError("relaxation times must be positive")

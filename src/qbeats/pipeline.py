@@ -1,11 +1,11 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
-One-group systems reduce to five representative |I, m=I> evolutions whose
-count-weighted average reproduces the maximally mixed nuclear state (zero
-field weights over I, high field weights over |m|).  Two-group systems run
-one mixed-register evolution per I2 sector; sector results are combined at
-the electron-pair-trajectory level, which keeps the classical reassembly
-exact also in the presence of relaxation.
+One-group systems reduce to five representative |I, m=I> beat spectra whose
+count-weighted sum, evaluated once, reproduces the maximally mixed nuclear
+state (zero field weights over I, high field weights over |m|).  Two-group
+systems run one mixed-register evolution per I2 sector; sector results are
+combined at the electron-pair-trajectory level, which keeps the classical
+reassembly exact also in the presence of relaxation.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
 it picks the state preparation and owns the noise-method dispatch.
@@ -28,14 +28,12 @@ from .dynamics import (
     evaluate_spectrum,
     one_group_weights,
     pair_spectrum,
-    pair_trajectory_pure,
     sector_statevector,
     singlet_values,
     singlet_vector,
     time_grid,
 )
 from .hamiltonians import (
-    BlockHamiltonian,
     SpinSystemSpec,
     TwoGroupSector,
     build_partitioned,
@@ -82,44 +80,44 @@ class SimulationResult:
     sectors: dict[str, np.ndarray]
 
 
-def one_group_state_trace(spec: SpinSystemSpec, I: HalfInt, m: HalfInt, times: np.ndarray,
-                          H: BlockHamiltonian | None = None) -> PairTrace:
-    """Pair trajectory of |I, m> x |S> in the reduced one-group basis."""
-    H = H or build_reduced_one_group(spec)
-    psi = sector_statevector(one_group_reduced_index(spec.groups[0].count, I, m), H.dims[1])
-    return PairTrace(times, pair_trajectory_pure(H, psi, times), {"I": I, "m": m})
+def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt, PairSpectrum]:
+    """Beat spectra of |I, m> x |S> by I, for each (I, m) of ``states`` (default: |I, m=I>
+    for every distinct I), on one reduced Hamiltonian."""
+    n, H = spec.groups[0].count, build_reduced_one_group(spec)
+    return {I: pair_spectrum(H, sector_statevector(one_group_reduced_index(n, I, m), H.dims[1]),
+                             [1.0]) for I, m in states or [(I, I) for I in distinct_spins(n)]}
 
 
 def one_group_sector_trajectories(spec: SpinSystemSpec,
                                   times: np.ndarray) -> dict[HalfInt, PairTrace]:
     """Pair trajectories of |I, m=I> x |S> for every distinct I (reduced basis)."""
-    H = build_reduced_one_group(spec)
-    return {I: one_group_state_trace(spec, I, I, times, H)
-            for I in distinct_spins(spec.groups[0].count)}
+    return {I: PairTrace(times, evaluate_spectrum(s, times), {"I": I, "m": I})
+            for I, s in one_group_sector_spectra(spec).items()}
 
 
 def _class_average(n: int, field_regime: str, per_sector: dict):
-    """Count-weighted average of per-|I, m=I> values over the mixed nuclear state.
+    """Count-weighted average of per-|I, m=I> values or spectra over the mixed nuclear state.
 
     Each representative stands in for its degeneracy class: total spin I at
     zero field, |m| at high field.
     """
     weights = one_group_weights(n, field_regime)
     total = sum(weights.values())
-    return sum((w / total) * per_sector[abs(k)] for k, w in weights.items())
+    terms = [(w / total) * per_sector[abs(k)] for k, w in weights.items()]
+    return functools.reduce(operator.add, terms)
 
 
 def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str, times: np.ndarray,
-                         sector_traces: dict[HalfInt, PairTrace] | None = None) -> PairTrace:
+                         spectra: dict[HalfInt, PairSpectrum] | None = None) -> PairTrace:
     """Mixed-state pair trajectory of a one-group system.
 
-    ``sector_traces``, when given, are ``one_group_sector_trajectories`` of
-    the same spec and grid.
+    The count-weighted sector spectra are summed and evaluated once.
+    ``spectra``, when given, are ``one_group_sector_spectra`` of the same spec.
     """
-    trajs = sector_traces or one_group_sector_trajectories(spec, times)
     avg = _class_average(spec.groups[0].count, field_regime,
-                         {I: tr.trajectory for I, tr in trajs.items()})
-    return PairTrace(times, avg, {"system": "one_group", "field_regime": field_regime})
+                         spectra or one_group_sector_spectra(spec))
+    return PairTrace(times, evaluate_spectrum(avg, times),
+                     {"system": "one_group", "field_regime": field_regime})
 
 
 def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
@@ -218,14 +216,16 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
             if sectors and not pure:
                 columns = {_sector_label(I): v for I, v in per_sector.items()}
         elif pure:
-            values = _noisy_singlet(method, one_group_state_trace(spec, *pure, times), spec)
+            spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
+            trace = PairTrace(times, evaluate_spectrum(spectrum, times), {})
+            values = _noisy_singlet(method, trace, spec)
         else:
-            trajs = one_group_sector_trajectories(spec, times)
-            values = _noisy_singlet(method, one_group_pair_trace(spec, regime, times, trajs), spec)
-            if sectors:
-                for I, tr in trajs.items():
-                    columns[_sector_label(I)] = clip_probabilities(
-                        _noisy_singlet(method, tr, spec), _sector_label(I))
+            spectra = one_group_sector_spectra(spec)
+            values = _noisy_singlet(method, one_group_pair_trace(spec, regime, times, spectra),
+                                    spec)
+            for I, s in spectra.items() if sectors else ():
+                label, tr = _sector_label(I), PairTrace(times, evaluate_spectrum(s, times), {})
+                columns[label] = clip_probabilities(_noisy_singlet(method, tr, spec), label)
 
     label = f"S_{regime}"
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)

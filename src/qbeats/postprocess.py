@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeSeries
+from .dynamics import NumericalError, TimeSeries
 
 DENOMINATOR_RELATIVE_FLOOR = 1e-12
 
@@ -31,17 +31,23 @@ class FluorescenceParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.tau_f <= 0 or self.t0 <= 0 or self.t_g <= 0:
-            raise ValueError("tau_f, t0 and t_g must be positive")
+        if not all(0 < x < math.inf for x in (self.tau_f, self.t0, self.t_g)):
+            raise ValueError("tau_f, t0 and t_g must be positive and finite")
 
 
-def _uniform_step(times: np.ndarray) -> float:
+def kernel_step(times: np.ndarray, params: FluorescenceParams) -> float:
+    """Step of a grid the kernels can act on: uniform, >= 2 points, fine enough, t + t0 > 0."""
     steps = np.diff(times)
     if len(steps) == 0:
         raise ValueError("need at least two grid points")
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
         raise ValueError("post-processing requires a uniform time grid")
+    if h > min(params.tau_f, params.t_g) / 4:
+        raise ValueError(f"grid step {h} ns too coarse: need <= min(tau_f, t_g)/4 = "
+                         f"{min(params.tau_f, params.t_g) / 4} ns")
+    if times[0] + params.t0 <= 0:
+        raise ValueError("t + t0 must be positive on the whole grid")
     return float(h)
 
 
@@ -55,19 +61,21 @@ def ideal_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
     return TimeSeries(S.times, vals, f"I_{S.label}" if S.label else "I")
 
 
-def boxcar_kernel(t_g: float, step: float) -> np.ndarray:
+def boxcar_kernel(t_g: float, step: float, n_max: float = math.inf) -> np.ndarray:
     """Centered boxcar of width t_g, height 1/t_g, cell-overlap discretized.
 
     Odd length; edge cells carry their partial overlap so the kernel mass is
-    exactly 1 (a final one-cell compensation absorbs float rounding).
+    exactly 1 (a final one-cell compensation absorbs float rounding).  Cells
+    beyond n_max from the center, which reach no point of an n_max-point grid,
+    are cut, and then nothing is compensated.
     """
     half = t_g / 2
-    K = int(math.ceil(half / step + 0.5))
+    K = math.ceil(min(half / step + 0.5, n_max))
     offsets = np.arange(-K, K + 1) * step
     lo = np.maximum(offsets - step / 2, -half)
     hi = np.minimum(offsets + step / 2, half)
     w = np.clip(hi - lo, 0.0, None) / t_g
-    for _ in range(3):  # absorb float rounding into the center cell
+    for _ in range(3 if half / step + 0.5 <= n_max else 0):  # rounding into the center cell
         defect = 1.0 - w.sum()
         if defect == 0.0:
             break
@@ -77,7 +85,7 @@ def boxcar_kernel(t_g: float, step: float) -> np.ndarray:
 
 def exponential_kernel(tau_f: float, step: float, n_max: int) -> np.ndarray:
     """Causal exp(-t/tau_f) sampled with trapezoidal weights, truncated."""
-    n = min(n_max, int(math.ceil(50 * tau_f / step)) + 1)
+    n = min(n_max, math.ceil(min(50 * tau_f / step, n_max)) + 1)
     k = np.arange(n)
     w = step * np.exp(-k * step / tau_f)
     w[0] *= 0.5
@@ -86,18 +94,16 @@ def exponential_kernel(tau_f: float, step: float, n_max: int) -> np.ndarray:
 
 def observed_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
     """E * I~ * G on the trace's grid (zero-extended to the left of t=0)."""
-    h = _uniform_step(S.times)
-    if h > min(params.tau_f, params.t_g) / 4:
-        raise ValueError(
-            f"grid step {h} ns too coarse: need <= min(tau_f, t_g)/4 = "
-            f"{min(params.tau_f, params.t_g) / 4} ns"
-        )
-    ideal = ideal_intensity(S, params)
-    e = exponential_kernel(params.tau_f, h, len(S.times))
-    g = boxcar_kernel(params.t_g, h)
-    vals = np.convolve(ideal.values, e)[: len(S.times)]
-    k = len(g) // 2
-    vals = np.convolve(vals, g)[k: k + len(S.times)]
+    h = kernel_step(S.times, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        ideal = ideal_intensity(S, params)
+        e = exponential_kernel(params.tau_f, h, len(S.times))
+        g = boxcar_kernel(params.t_g, h, len(S.times))
+        vals = np.convolve(ideal.values, e)[: len(S.times)]
+        k = len(g) // 2
+        vals = np.convolve(vals, g)[k: k + len(S.times)]
+    if not np.isfinite(vals).all():
+        raise NumericalError(f"observed intensity {ideal.label!r} overflows")
     out = TimeSeries(S.times, vals, ideal.label, dict(S.meta))
     out.meta["edge_unreliable_before_ns"] = params.t_g + 3 * params.tau_f
     return out
@@ -106,15 +112,17 @@ def observed_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
 def observed_ratio(S_B: TimeSeries, S_0: TimeSeries,
                    params: FluorescenceParams) -> TimeSeries:
     """R(t) = [E * I_B * G] / [E * I_0 * G], restricted to a safe denominator."""
-    if S_B.times.shape != S_0.times.shape or not np.allclose(S_B.times, S_0.times):
+    return intensity_ratio(observed_intensity(S_B, params), observed_intensity(S_0, params))
+
+
+def intensity_ratio(I_B: TimeSeries, I_0: TimeSeries) -> TimeSeries:
+    """I_B / I_0 of two observed intensities, where |I_0| exceeds a relative floor."""
+    if I_B.times.shape != I_0.times.shape or not np.allclose(I_B.times, I_0.times):
         raise ValueError("field-on and field-off traces must share a grid")
-    num = observed_intensity(S_B, params)
-    den = observed_intensity(S_0, params)
-    floor = DENOMINATOR_RELATIVE_FLOOR * np.abs(den.values).max()
-    mask = np.abs(den.values) > floor
+    floor = DENOMINATOR_RELATIVE_FLOOR * np.abs(I_0.values).max()
+    mask = np.abs(I_0.values) > floor
     if not mask.any():
         raise ValueError("denominator underflow across the whole grid")
-    ratio = num.values[mask] / den.values[mask]
-    out = TimeSeries(S_B.times[mask], ratio, "I_B/I_0")
-    out.meta["edge_unreliable_before_ns"] = params.t_g + 3 * params.tau_f
+    out = TimeSeries(I_B.times[mask], I_B.values[mask] / I_0.values[mask], "I_B/I_0")
+    out.meta["edge_unreliable_before_ns"] = I_0.meta.get("edge_unreliable_before_ns")
     return out

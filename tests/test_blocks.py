@@ -97,7 +97,6 @@ def test_dmb_sector_trajectories_match_dense(regime):
 def test_simulate_matches_dense(monkeypatch, name, regime):
     config = dataclasses.replace(load_preset(name), time_grid=GRID)
     blocked = simulate(config, regime).trace.values
-    monkeypatch.setattr(pipeline, "pair_trajectory_pure", dense_pair_trajectory)
     monkeypatch.setattr(pipeline, "pair_spectrum", dense_pair_spectrum)
     dense = simulate(config, regime).trace.values
     assert np.abs(blocked - dense).max() <= 1e-12

@@ -1,17 +1,26 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qbeats import __version__
+from qbeats.cli import CSV_BLOCK_ROWS, write_csv
 from qbeats.config import (
     ConfigError,
     dump_config,
+    load_config_file,
     load_preset,
     parse_config,
 )
+from qbeats.pipeline import simulate
+from qbeats.postprocess import observed_intensity, observed_ratio
 
 MINIMAL = {
     "system": {
@@ -131,6 +140,8 @@ BAD_CONFIGS = {
     "high T2 > 2 T1, zero configured": preset_with(
         "octalin", "system", "relaxation", "high", {"T1": 4.0, "T2": 9.0}),
     "zero T1 nan": preset_with("octalin", "system", "relaxation", "zero", "T1", math.nan),
+    "finite T1, T2 inf": preset_with("octalin", "system", "relaxation", "high",
+                                     {"T1": 5.0, "T2": ".inf"}),
     "echo start < 0": echo_with("time_grid", {"start": -1.0, "end": 1.0, "step": 0.5}),
     # relaxing over a negative elapsed time would amplify coherences
     "kraus start < 0": dict(preset_with("octalin", "noise_method", "kraus"),
@@ -143,6 +154,16 @@ BAD_CONFIGS = {
     "hardware drift nan": echo_with("hardware", {"drift_phase_rate": math.nan}),
     "hardware three drifts": echo_with("hardware", {"drift_phase_rate": [0.1, 0.2, 0.3]}),
     "hardware u_circuit_ns inf": echo_with("hardware", {"u_circuit_ns": math.inf}),
+}
+
+
+TRMFE_BAD_GRIDS = {
+    # min(tau_f, t_g)/4 = 0.25 ns for the octalin preset
+    "step above the kernel limit": preset_with(
+        "octalin", "time_grid", {"start": 0.0, "end": 10.0, "step": 0.5}),
+    "one point": preset_with("octalin", "time_grid", {"start": 0.0, "end": 0.0, "step": 0.1}),
+    "t + t0 <= 0": dict(preset_with("octalin", "noise_method", "none"),
+                        time_grid={"start": -5.0, "end": 5.0, "step": 0.1}),
 }
 
 
@@ -207,6 +228,60 @@ class TestCli:
         assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", sorted(TRMFE_BAD_GRIDS))
+    def test_trmfe_bad_grid_exits_1_before_simulating(self, tmp_path, monkeypatch, case):
+        from qbeats import cli
+
+        cfgfile, out = tmp_path / "grid.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(TRMFE_BAD_GRIDS[case]))
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out)) == (0, [])
+        out.unlink()
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
+        code, err = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith(f"configuration error: {cfgfile}.time_grid: ")
+        assert not out.exists()
+
+    def test_trmfe_zero_denominator_exits_1(self, tmp_path):
+        # (t + t0)^(-3/2) underflows to 0 on the whole grid: I_0 is 0 everywhere
+        doc = dict(preset_with("octalin", "time_grid",
+                               {"start": 1e250, "end": 1e250 + 1e247, "step": 1e246}),
+                   postprocess={"theta": 0.35, "tau_f": 1e300, "t0": 1.0, "t_g": 1e300})
+        cfgfile, out = tmp_path / "far.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out)) == (1, [
+            f"configuration error: {cfgfile}.time_grid: denominator underflow across the "
+            "whole grid"])
+        assert not out.exists()
+
+    def test_trmfe_intensity_overflow_exits_2(self, tmp_path):
+        doc = dict(preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.1}),
+                   postprocess={"theta": 0.35, "tau_f": 1.2, "t0": 1e-300, "t_g": 1.0})
+        cfgfile, out = tmp_path / "t0.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        code, err = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
+        assert code == 2 and len(err) == 1 and err[0].startswith("numerical error: ")
+        assert not out.exists()
+
+    def test_trmfe_columns_are_the_separate_postprocess_calls(self, tmp_path):
+        doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 30.0, "step": 0.05})
+        cfgfile, out = tmp_path / "r.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out)) == (0, [])
+        header, values = csv_columns(out)
+        got = dict(zip(header, values.T))
+        config = load_config_file(str(cfgfile))
+        s_b, s_0 = simulate(config, "high").trace, simulate(config, "zero").trace
+        ratio = observed_ratio(s_b, s_0, config.postprocess)
+        mask = np.isin(s_b.times, ratio.times)
+        want = {"time_ns": ratio.times, "ratio": ratio.values,
+                "I_B": observed_intensity(s_b, config.postprocess).values[mask],
+                "I_0": observed_intensity(s_0, config.postprocess).values[mask],
+                "S_B": s_b.values[mask], "S_0": s_0.values[mask]}
+        assert header == list(want)
+        for name, column in want.items():
+            assert np.array_equal(got[name], column), name  # '%.17g' round-trips exactly
+
     @pytest.mark.parametrize("bad", [math.nan, 1.5])
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch, bad):
         from qbeats import cli, pipeline
@@ -267,3 +342,122 @@ class TestCli:
         assert r.returncode == 0
         header = [l for l in out.read_text().splitlines() if l.startswith("time_ns")]
         assert header[0] == "time_ns,ratio,I_B,I_0,S_B,S_0"
+
+
+def run_main(*argv):
+    """``cli.main`` in-process: (exit code, stderr lines).
+
+    A warning counts as the stderr line it would print from the command line.
+    """
+    from qbeats import cli
+
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(list(argv))
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def csv_columns(path):
+    """Header names and (rows, columns) values of a qbeats CSV."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    values = np.array([[float(x) for x in l.split(",")] for l in lines[1:]]).reshape(
+        len(lines) - 1, -1)
+    return lines[0].split(","), values
+
+
+NASTY = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, 1e307]
+TIMES = st.one_of(st.sampled_from(NASTY + [".inf"]), st.floats(0.5, 5e3))
+POST = st.one_of(st.sampled_from(NASTY), st.floats(0.01, 50.0))
+
+
+@st.composite
+def configs(draw):
+    """A preset document; its grid, relaxation times and postprocess block are each
+    either sane or drawn from extreme and invalid values."""
+    doc = preset_with(draw(st.sampled_from(["octalin", "octalin", "dmb"])), "noise_method",
+                      draw(st.sampled_from(["none", "kraus", "per-gate", "echo-synthetic"])))
+    wild = st.sampled_from([False, False, True])
+    if draw(wild):
+        start = draw(st.one_of(st.sampled_from([-2.0, 1e250, math.nan, math.inf]),
+                               st.floats(0.0, 1e3)))
+        step = draw(st.one_of(st.sampled_from(NASTY + [1e246]), st.floats(1e-3, 2.0)))
+    else:
+        start, step = draw(st.sampled_from([0.0, 0.5])), draw(st.floats(0.005, 0.25))
+    k = draw(st.integers(-1, 49))  # at most 50 grid points
+    doc["time_grid"] = {"start": start, "end": start + k * step, "step": step}
+    for regime in ("zero", "high"):
+        if draw(wild):
+            doc["system"]["relaxation"][regime] = {"T1": draw(TIMES), "T2": draw(TIMES)}
+    if draw(wild):
+        doc["postprocess"] = {"theta": draw(st.one_of(st.sampled_from([-0.1, 1.5, math.nan]),
+                                                      st.floats(0.0, 1.0))),
+                              "tau_f": draw(POST), "t0": draw(POST), "t_g": draw(POST)}
+    return doc
+
+
+class TestCliContract:
+    """Whatever the configuration: exit 0, 1 or 2, at most one stderr line and no
+    traceback, no CSV unless exit 0, no NaN in a written CSV; per-gate equals kraus."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=configs(), command=st.sampled_from(["simulate", "trmfe"]),
+           field=st.sampled_from(["zero", "high"]))
+    def test_exit_codes_stderr_and_csv(self, tmp_path_factory, doc, command, field):
+        tmp = tmp_path_factory.mktemp("contract")
+        cfgfile, out = tmp / "c.yaml", tmp / "out.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        extra = ["--field", field] if command == "simulate" else []
+        code, err = run_main(command, "--config", str(cfgfile), "--out", str(out), *extra)
+        assert code in (0, 1, 2)
+        assert len(err) <= 1 and not any("Traceback" in line for line in err), err
+        assert out.exists() == (code == 0)
+        if code:
+            return
+        header, values = csv_columns(out)
+        assert not np.isnan(values).any()
+        if doc["noise_method"] in ("kraus", "per-gate"):
+            other = "per-gate" if doc["noise_method"] == "kraus" else "kraus"
+            cfgfile.write_text(yaml.safe_dump(dict(doc, noise_method=other)))
+            out2 = tmp / "other.csv"
+            assert run_main(command, "--config", str(cfgfile), "--out", str(out2),
+                            *extra) == (0, [])
+            header2, values2 = csv_columns(out2)
+            probability = [i for i, name in enumerate(header)
+                           if name in ("singlet_probability", "S_B", "S_0")]
+            assert header2 == header
+            assert np.abs(values2[:, probability] - values[:, probability]).max(
+                initial=0.0) <= 1e-12
+
+
+def per_cell_csv(path, columns, meta):
+    """The former writer, one f-string per cell: the oracle of ``write_csv``."""
+    keys = list(columns)
+    n = len(next(iter(columns.values())))
+    with open(path, "w") as fh:
+        fh.write(f"# qbeats {__version__}\n")
+        for k, v in meta.items():
+            fh.write(f"# {k}: {v}\n")
+        fh.write(",".join(keys) + "\n")
+        for i in range(n):
+            fh.write(",".join(f"{columns[k][i]:.17g}" for k in keys) + "\n")
+
+
+SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                           -3.7e-320, 1e300, -1e300, 1.7976931348623157e308, 1.0, -1.0, 3.0,
+                           -42.0, 2.0 ** 53, 1e16, 1e22, 0.1, 1 / 3, np.nextafter(1.0, 2.0)])
+
+
+@pytest.mark.parametrize("n_columns", [1, 6])
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rows, n_columns):
+    rng = np.random.default_rng(1000 * n_columns + rows)
+    pool = np.concatenate([SPECIAL_FLOATS, rng.normal(size=200),
+                           rng.normal(size=200) * 10.0 ** rng.integers(-320, 300, 200)])
+    columns = {f"c{i}": rng.choice(pool, rows) for i in range(n_columns)}
+    meta = {"command": "test", "rows": rows}
+    write_csv(str(tmp_path / "block.csv"), columns, meta)
+    per_cell_csv(tmp_path / "cell.csv", columns, meta)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()

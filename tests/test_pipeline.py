@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from qbeats.config import load_preset
-from qbeats.dynamics import TimeSeries, one_group_weights, reassemble_two_group
+from qbeats.dynamics import (
+    TimeSeries,
+    one_group_weights,
+    reassemble_two_group,
+    singlet_values,
+    time_grid,
+)
 from qbeats.hamiltonians import build_two_group_block
-from qbeats.pipeline import simulate
-from qbeats.spinalg import spin_addition_counts
+from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
+from qbeats.pipeline import one_group_pair_trace, one_group_sector_trajectories, simulate
+from qbeats.spinalg import HalfInt, spin_addition_counts
 
 GRID = (0.0, 20.0, 0.5)
 
@@ -65,3 +72,49 @@ def test_per_gate_equals_kraus(name, regime):
 
 def test_without_sectors_no_columns_are_returned():
     assert simulate(preset("octalin", "kraus"), "zero").sectors == {}
+
+
+def noisy_singlet(method, traj, times, spec):
+    """S(t) of a pair trajectory under a noise method, through the noise layer's own entry points."""
+    if method == "none":
+        return singlet_values(traj)
+    noisy = kraus_singlet_values if method == "kraus" else per_gate_singlet_values
+    return noisy(traj, times, spec.T1, spec.T2)
+
+
+@pytest.mark.parametrize("regime", ["zero", "high"])
+def test_summed_spectrum_matches_the_average_of_sector_trajectories(regime):
+    """The one-group mixed trajectory, evaluated once from the summed spectra, against the
+    count-weighted average of the five evaluated |I, m=I> trajectories."""
+    spec = load_preset("octalin").spin_spec(regime)
+    times = time_grid(0.0, 100.0, 0.1)
+    trajs = one_group_sector_trajectories(spec, times)
+    weights = one_group_weights(8, regime)
+    total = sum(weights.values())
+    oracle = sum((w / total) * trajs[abs(k)].trajectory for k, w in weights.items())
+    assert np.abs(one_group_pair_trace(spec, regime, times).trajectory - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("regime", ["zero", "high"])
+@pytest.mark.parametrize("method", ["none", "kraus", "per-gate"])
+def test_simulate_matches_per_sector_trajectories(method, regime):
+    """simulate, with and without sectors, against noisy per-sector trajectories: the main
+    trace is their count-weighted average and each sector column is one of them."""
+    config = preset("octalin", method)
+    spec, times = config.spin_spec(regime), time_grid(*GRID)
+    per_sector = {f"I={I}": noisy_singlet(method, tr.trajectory, times, spec)
+                  for I, tr in one_group_sector_trajectories(spec, times).items()}
+    plain, with_sectors = simulate(config, regime), simulate(config, regime, sectors=True)
+    assert np.array_equal(plain.trace.values, with_sectors.trace.values)
+    assert np.abs(plain.trace.values - sector_average(per_sector, regime)).max() <= 1e-12
+    assert list(with_sectors.sectors) == list(per_sector)
+    for label, values in per_sector.items():
+        assert np.abs(with_sectors.sectors[label] - values).max() <= 1e-12
+
+
+def test_pure_sector_state_matches_its_sector_trajectory():
+    config = dataclasses.replace(preset("octalin", "kraus"), initial_state="3,3")
+    spec, times = config.spin_spec("zero"), time_grid(*GRID)
+    traj = one_group_sector_trajectories(spec, times)[HalfInt.from_float(3)].trajectory
+    assert np.abs(simulate(config, "zero").trace.values
+                  - noisy_singlet("kraus", traj, times, spec)).max() <= 1e-12

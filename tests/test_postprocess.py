@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from qbeats.dynamics import TimeSeries, time_grid
 from qbeats.postprocess import (
     FluorescenceParams,
     boxcar_kernel,
+    exponential_kernel,
     ideal_intensity,
     observed_intensity,
     observed_ratio,
@@ -24,6 +27,12 @@ class TestFluorescenceParams:
             FluorescenceParams(theta=1.2, tau_f=1.0, t0=1.0, t_g=1.0)
         with pytest.raises(ValueError):
             FluorescenceParams(theta=0.5, tau_f=-1.0, t0=1.0, t_g=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tau_f", "t0", "t_g"])
+    def test_non_finite_times_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FluorescenceParams(**{"theta": 0.5, "tau_f": 1.0, "t0": 1.0, "t_g": 1.0, name: bad})
 
 
 class TestIdealIntensity:
@@ -53,6 +62,19 @@ class TestKernels:
                                           (0.05, 0.01), (2.5, 0.1)])
     def test_boxcar_mass_exactly_one(self, t_g, step):
         assert boxcar_kernel(t_g, step).sum() == 1.0
+
+    def test_kernels_wider_than_the_grid_are_cut_without_changing_a_point(self):
+        t = time_grid(0, 2, 0.1)  # 21 points; the full boxcar has 103 taps
+        params = FluorescenceParams(0.35, 2.5, 1.0, 10.0)
+        ideal = ideal_intensity(wiggle(t), params).values
+        g = boxcar_kernel(10.0, 0.1)
+        want = np.convolve(np.convolve(ideal, exponential_kernel(2.5, 0.1, len(t)))[:len(t)],
+                           g)[len(g) // 2: len(g) // 2 + len(t)]
+        got = observed_intensity(wiggle(t), params).values
+        assert len(boxcar_kernel(10.0, 0.1, len(t))) == 2 * len(t) + 1
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()  # no mass compensation
+        # a kernel of about 1e53 taps, which could not be allocated, cut to the grid
+        assert len(boxcar_kernel(1e300, 1e246, 11)) == 23
 
     def test_boxcar_symmetric(self):
         g = boxcar_kernel(1.0, 0.1)
