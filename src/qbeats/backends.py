@@ -102,13 +102,10 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 def apply_unitary_to_state(psi: np.ndarray, U: np.ndarray, sites: tuple[int, ...],
                            n: int) -> np.ndarray:
     """Apply U on the given sites of an n-qubit statevector."""
-    k = len(sites)
-    work = psi.reshape([2] * n)
-    work = np.moveaxis(work, sites, range(k))
-    shape = work.shape
-    work = U @ work.reshape(2**k, -1)
-    work = np.moveaxis(work.reshape(shape), range(k), sites)
-    return work.reshape(-1)
+    order = list(sites) + [q for q in range(n) if q not in sites]  # the gate's sites first
+    work = psi.reshape([2] * n).transpose(order)
+    work = (U @ work.reshape(len(U), -1)).reshape(work.shape)
+    return work.transpose(np.argsort(order)).reshape(-1)
 
 
 def apply_unitary_to_density(rho: np.ndarray, U: np.ndarray, sites: tuple[int, ...],

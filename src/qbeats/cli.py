@@ -12,6 +12,7 @@ Output is deterministic for a given configuration; CSV files carry a
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -38,42 +39,76 @@ def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def rms_against_reference(times: np.ndarray, values: np.ndarray,
-                          reference_csv: str) -> float:
-    """RMS deviation from a user-supplied (time_ns, value) CSV.
+def read_reference(path: str) -> np.ndarray:
+    """Time-sorted (time_ns, value) rows of a reference CSV.
+
+    '#' starts a comment, a line starting with a letter is a header, and ';'
+    separates like ','.  A row that is not two finite numbers is an error
+    naming its line.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a text file") from None
+    rows = []
+    for number, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line or line[0].isalpha():
+            continue
+        try:
+            time_ns, value = map(float, line.replace(";", ",").split(",")[:2])
+        except ValueError:
+            raise ConfigError(f"{path}: line {number}: expected 'time, value', "
+                              f"got {line!r}") from None
+        if not (np.isfinite(time_ns) and np.isfinite(value)):
+            raise ConfigError(f"{path}: line {number}: non-finite value in {line!r}")
+        rows.append((time_ns, value))
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: need at least two (time, value) rows")
+    return np.array(sorted(rows))
+
+
+def _inputs(args) -> tuple[ExperimentConfig, np.ndarray | None]:
+    """The configuration and the ``--compare`` reference, with ``--out`` checked: every
+    file error surfaces before anything is simulated."""
+    config = (load_config_file(args.config) if args.config
+              else load_preset(args.preset or "octalin"))
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{args.out}: directory {folder!r} does not exist")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"{args.out}: is a directory")
+    return config, read_reference(args.compare) if args.compare else None
+
+
+def _finish(args, reference, times, values, columns: dict[str, np.ndarray], meta: dict) -> int:
+    """Write the CSV, after the RMS deviation from the ``--compare`` reference, if any.
 
     The reference curve is linearly interpolated onto the simulated grid,
     restricted to the overlapping time window.  Purely informational: nothing
     is asserted about external data.
     """
-    rows = []
-    with open(reference_csv) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line or line[0].isalpha():
-                continue
-            parts = line.replace(";", ",").split(",")
-            rows.append((float(parts[0]), float(parts[1])))
-    if len(rows) < 2:
-        raise ConfigError(f"{reference_csv}: need at least two (time, value) rows")
-    rows.sort()
-    ref_t = np.array([r[0] for r in rows])
-    ref_v = np.array([r[1] for r in rows])
-    mask = (times >= ref_t[0]) & (times <= ref_t[-1])
-    if not mask.any():
-        raise ConfigError(f"{reference_csv}: no overlap with the simulated grid")
-    interp = np.interp(times[mask], ref_t, ref_v)
-    return float(np.sqrt(np.mean((values[mask] - interp) ** 2)))
-
-
-def _load(args) -> ExperimentConfig:
-    if args.config:
-        return load_config_file(args.config)
-    return load_preset(args.preset or "octalin")
+    if reference is not None:
+        ref_t, ref_v = reference.T
+        mask = (times >= ref_t[0]) & (times <= ref_t[-1])
+        if not mask.any():
+            raise ConfigError(f"{args.compare}: no overlap with the simulated grid")
+        rms = np.sqrt(np.mean((values[mask] - np.interp(times[mask], ref_t, ref_v)) ** 2))
+        meta["rms_vs_reference"] = f"{rms:.6g} ({args.compare})"
+        print(f"RMS deviation vs {args.compare}: {rms:.6g}")
+    try:
+        write_csv(args.out, columns, meta)
+    except OSError as exc:
+        raise ConfigError(f"{args.out}: {exc.strerror}") from None
+    print(f"wrote {args.out} ({len(times)} rows)")
+    return 0
 
 
 def cmd_simulate(args) -> int:
-    config = _load(args)
+    config, reference = _inputs(args)
     regime = args.field or config.field_regime
     result = simulate(config, regime, sectors=args.sectors)
     trace = result.trace
@@ -87,13 +122,7 @@ def cmd_simulate(args) -> int:
         "initial_state": config.initial_state,
         "units": "time_ns, probability",
     }
-    if args.compare:
-        rms = rms_against_reference(trace.times, trace.values, args.compare)
-        meta["rms_vs_reference"] = f"{rms:.6g} ({args.compare})"
-        print(f"RMS deviation vs {args.compare}: {rms:.6g}")
-    write_csv(args.out, columns, meta)
-    print(f"wrote {args.out} ({len(trace.times)} rows)")
-    return 0
+    return _finish(args, reference, trace.times, trace.values, columns, meta)
 
 
 def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid ConfigError
@@ -104,7 +133,7 @@ def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid
 
 
 def cmd_trmfe(args) -> int:
-    config = _load(args)
+    config, reference = _inputs(args)
     pp = config.postprocess
     if pp is None:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
@@ -131,13 +160,7 @@ def cmd_trmfe(args) -> int:
         "edge_unreliable_before_ns": ratio.meta.get("edge_unreliable_before_ns"),
         "units": "time_ns, dimensionless",
     }
-    if args.compare:
-        rms = rms_against_reference(ratio.times, ratio.values, args.compare)
-        meta["rms_vs_reference"] = f"{rms:.6g} ({args.compare})"
-        print(f"RMS deviation vs {args.compare}: {rms:.6g}")
-    write_csv(args.out, columns, meta)
-    print(f"wrote {args.out} ({len(ratio.times)} rows)")
-    return 0
+    return _finish(args, reference, ratio.times, ratio.values, columns, meta)
 
 
 def cmd_validate(args) -> int:

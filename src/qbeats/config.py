@@ -284,11 +284,15 @@ def _check_frequencies(config: ExperimentConfig, where: str) -> None:
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a text file") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config(data, name=path)
 
 

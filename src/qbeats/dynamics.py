@@ -5,10 +5,12 @@ tensor factors; everything in between is the nuclear register.  The
 electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
-Nothing materializes rho(t).  One propagation path serves every initial
-state: ``pair_spectrum`` writes the pair trajectory as a merged sum over the
-Bohr frequencies w_j - w_k of the exact invariant blocks it touches
-(``BlockHamiltonian.blocks``), and ``evaluate_spectrum`` sums it on a grid.
+Nothing materializes rho(t).  A pair trajectory is a merged sum over Bohr
+frequencies, which ``evaluate_spectrum`` sums on a grid.  ``pair_spectrum``
+builds it for any initial state from the exact invariant blocks it touches
+(``BlockHamiltonian.blocks``); ``cation_spectrum`` builds it for the singlet-born
+ensembles of the pipeline from the cation block alone, the anion electron
+being a fixed Larmor phase.
 """
 
 from __future__ import annotations
@@ -308,6 +310,62 @@ def pair_spectrum(H: BlockHamiltonian, states, weights) -> PairSpectrum:
     return _merged(freqs, amps, tol)
 
 
+def cation_spectrum(h: np.ndarray, twice_m: np.ndarray, weights, b2: float) -> PairSpectrum:
+    """Beat spectrum of |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1.
+
+    ``h`` is the real cation block (nuclei and e1, index 2 * slot + e1) and
+    conserves M, given as ``twice_m`` per index; the anion electron only adds
+    the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r],
+    p_s(t) = sum_r weights[r] sum_n |<n s|exp(-iht)|r s>|^2 and
+    c(t) = sum_r weights[r] sum_n <n up|exp(-iht)|r up> <n down|exp(-iht)|r down>^*,
+    the five live pair elements are rho_11 = p_up / 2, rho_22 = p_down / 2,
+    rho_00 = (w - p_down) / 2, rho_33 = (w - p_up) / 2 and
+    rho_12 = -c(t) exp(-2i b2 t) / 2.  Each M block is diagonalized once (blocks
+    of one size by one stacked ``eigh``); p_s beats within a block, c between
+    the up rows of block M and the down rows of block M - 1.  Terms at the
+    roundoff level of the largest amplitude are dropped.
+    """
+    h, weights = np.asarray(h, dtype=float), np.asarray(weights, dtype=float)
+    labels, block_of = np.unique(twice_m, return_inverse=True)
+    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
+    hit = np.unique(block_of[np.repeat(weights, 2) != 0])  # the blocks the ensemble reaches
+    need = np.union1d(hit, hit[hit > 0] - 1)  # and their M - 1 partners
+    sizes = np.array([len(blocks[k]) for k in need])
+    eig = {}  # block number -> (eigenvalues, eigenvectors)
+    for n in np.unique(sizes):
+        ks = need[sizes == n]
+        idx = np.stack([blocks[k] for k in ks])
+        eig.update(zip(ks, zip(*np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]]))))
+    w = weights.sum()
+    freqs, amps = [np.zeros(1)], [np.zeros((1, 10))]
+    amps[0][0, [0, 9]] = w / 2  # the constant parts of rho_00 and rho_33
+
+    def add(f, a, cols):  # beats f with amplitude a into the PAIR_TRIU columns cols
+        out = np.zeros((a.size, 10))
+        out[:, list(cols)] = a.reshape(-1, 1) * np.array(list(cols.values()))
+        freqs.append(f.ravel())
+        amps.append(out)
+
+    for k in hit:
+        b, (lam, v) = blocks[k], eig[k]
+        spin, wt = b % 2, weights[b // 2]
+        for s, cols in ((0, {4: 0.5, 9: -0.5}), (1, {7: 0.5, 0: -0.5})):  # p_up, p_down
+            rows, ws = v[spin == s], wt[spin == s]
+            if ws.any():
+                add(np.subtract.outer(lam, lam), ((rows.T * ws) @ rows) * (rows.T @ rows), cols)
+        if k and labels[k - 1] == labels[k] - 2:  # c: up rows of M, down rows of M - 1
+            lam_lo, v_lo = eig[k - 1]
+            up, down = v[spin == 0], v_lo[blocks[k - 1] % 2 == 1]
+            ws = wt[spin == 0]
+            if ws.any():
+                add(np.subtract.outer(lam, lam_lo) + 2 * b2,
+                    ((up.T * ws) @ down) * (up.T @ down), {5: -0.5})
+    f, a = np.concatenate(freqs), np.concatenate(amps)
+    keep = np.abs(a).max(axis=1) > 8 * np.finfo(float).eps * np.abs(a).max()
+    lam_max = np.abs(h).sum(axis=1).max(initial=0.0)  # bounds every eigenvalue of h
+    return _merged([f[keep]], [a[keep]], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
+
+
 def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
     """Beat spectrum of a density matrix, as the eigen-ensemble of its own blocks."""
     lam, u = BlockHamiltonian(rho0, H.dims, H.labels).eig()
@@ -321,11 +379,13 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
     In chunks of at most 8 sqrt(T) points (and ``EXP_TABLE_ENTRIES``), exp(-i w t) =
     exp(-i w t0) exp(-i w (t - t0)) from the chunk start t0: the second factor's table is
     kept while the offsets repeat (to the roundoff of the times) and only the amplitudes
-    are rephased.  The trajectory is stored time-fastest, a (4, 4, T) array seen (T, 4, 4).
+    are rephased.  Pair elements whose amplitudes are all zero are not evaluated.  The
+    trajectory is stored time-fastest, a (4, 4, T) array seen (T, 4, 4).
     """
     times, f = np.asarray(times, dtype=float), spectrum.freqs
     coef = (SINGLET_TRIU @ spectrum.amplitudes.T)[None] if singlet else spectrum.amplitudes.T
-    out = np.empty((len(coef), len(times)), dtype=complex)
+    live = np.flatnonzero(coef.any(axis=1))  # a singlet-born pair has 5 zero columns
+    coef, out = coef[live], np.zeros((len(coef), len(times)), dtype=complex)
     chunk = max(MIN_CHUNK, min(EXP_TABLE_ENTRIES // max(len(f), 1), 8 * int(len(times) ** 0.5)))
     same = 2 * np.spacing(np.abs(times).max(initial=0.0))
     offsets = table = None
@@ -333,7 +393,7 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
         t = times[start:start + chunk]
         if offsets is None or np.abs(t - t[0] - offsets[:len(t)]).max() > same:
             offsets, table = t - t[0], np.exp(np.multiply.outer(-1j * f, t - t[0]))
-        out[:, start:start + len(t)] = (coef * np.exp(-1j * f * t[0])) @ table[:, :len(t)]
+        out[live, start:start + len(t)] = (coef * np.exp(-1j * f * t[0])) @ table[:, :len(t)]
     if singlet:
         return out[0].real
     out[PAIR_TRIU[0] == PAIR_TRIU[1]] = out[PAIR_TRIU[0] == PAIR_TRIU[1]].real

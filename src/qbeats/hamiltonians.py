@@ -307,16 +307,32 @@ def _total_spin_eigh(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
 # Reduced (degeneracy-free) one-group Hamiltonian
 # ---------------------------------------------------------------------------
 
-def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
-    """Degeneracy-free H over distinct |I,m> states, zero-padded to a power of 2.
+def _pair_register(h: np.ndarray, reg: int, b2: float, e1_zeeman=0.0) -> np.ndarray:
+    """The (e2, nuc, e1) register matrix 1_e2 x h - b2 Z_e2 x 1 over ``reg`` nuclear slots.
 
-    The (nuclear x e1) block is U Lambda U with U the block-diagonal stack of
-    CG blocks (one per distinct I, descending); the anion Zeeman term is
-    appended on the outer e2 factor.  Padded slots stay exactly zero,
-    including the Zeeman terms.
+    ``h`` covers the populated slots; the padding slots beyond it stay exactly
+    zero, the Zeeman terms included.  ``e1_zeeman``, a cation Zeeman diagonal
+    kept out of ``h``, is summed with the anion term before it is added.
+    """
+    n, pair_dim = len(h), 2 * reg
+    H = np.zeros((2 * pair_dim, 2 * pair_dim), dtype=complex)
+    zeeman = np.zeros(2 * pair_dim)
+    for start, z2 in ((0, -b2), (pair_dim, b2)):
+        H[start:start + n, start:start + n] = h
+        zeeman[start:start + n] = e1_zeeman + z2
+    return H + np.diag(zeeman.astype(complex))
+
+
+def _reduced_one_group_parts(spec: SpinSystemSpec):
+    """Hyperfine block, e1 Zeeman diagonal, 2M per index, slot labels and
+    degeneracies of the populated slots of the reduced basis, and its padded
+    register size.
+
+    The (nuclear x e1) hyperfine block is U Lambda U with U the
+    block-diagonal stack of CG blocks (one per distinct I, descending).
     """
     if len(spec.groups) != 1:
-        raise ValueError("build_reduced_one_group requires a one-group spec")
+        raise ValueError("the reduced one-group basis requires a one-group spec")
     n = spec.groups[0].count
     if n < 1:
         raise ValueError("need at least one nucleus")
@@ -332,7 +348,7 @@ def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     U = np.zeros((pair_dim, pair_dim))
     lam = np.zeros(pair_dim)
     pos = 0
-    basis_labels: list[tuple[HalfInt, HalfInt] | None] = []
+    basis_labels: list[tuple[HalfInt, HalfInt]] = []
     degeneracy: list[int] = []
     for I in spins:
         blk = cg_block_matrix(I)
@@ -344,30 +360,39 @@ def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
         )
         degeneracy.extend([counts[I]] * multiplicity(I))
         pos += size
-    basis_labels.extend([None] * (nuc_dim - slots))
-    degeneracy.extend([0] * (nuc_dim - slots))
 
     h_hfc = a * (U @ np.diag(lam) @ U)
+    z1 = np.tile(np.array([-spec.b1, spec.b1]), slots)
+    twice_m = np.array([m.twice_value + s for _, m in basis_labels for s in (1, -1)])
+    return h_hfc[:pair_real, :pair_real], z1, twice_m, basis_labels, degeneracy, nuc_dim
 
-    dim = 2 * pair_dim
-    H = np.zeros((dim, dim), dtype=complex)
-    H[:pair_dim, :pair_dim] = h_hfc
-    H[pair_dim:, pair_dim:] = h_hfc
-    # Zeeman terms, masked off the padded slots so padding stays exactly zero
-    z1 = np.tile(np.array([-spec.b1, spec.b1]), nuc_dim)
-    z1[pair_real:] = 0.0
-    zeeman = np.concatenate([z1 - spec.b2 * np.ones(pair_dim), z1 + spec.b2 * np.ones(pair_dim)])
-    zeeman[pair_real:pair_dim] = 0.0
-    zeeman[pair_dim + pair_real:] = 0.0
-    H += np.diag(zeeman.astype(complex))
 
+def build_cation_one_group(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real cation block h (nuclei and e1, hyperfine plus e1 Zeeman) of the reduced
+    basis on its populated slots (index 2 * slot + e1), and 2M = 2(m + m_e1) per index.
+
+    h conserves M, so it is exactly zero between indices of different M.
+    """
+    h_hfc, z1, twice_m, *_ = _reduced_one_group_parts(spec)
+    return h_hfc + np.diag(z1), twice_m
+
+
+def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
+    """Degeneracy-free H over distinct |I,m> states, zero-padded to a power of 2.
+
+    The cation block of ``build_cation_one_group`` on both e2 sublevels, with
+    the anion Zeeman term.  Padded slots stay exactly zero, including the
+    Zeeman terms.
+    """
+    h_hfc, z1, _, basis_labels, degeneracy, nuc_dim = _reduced_one_group_parts(spec)
+    pad = nuc_dim - len(basis_labels)
     return BlockHamiltonian(
-        H,
+        _pair_register(h_hfc, nuc_dim, spec.b2, z1),
         (2, nuc_dim, 2),
         ("e2", "nuc", "e1"),
-        basis_labels=basis_labels,
-        padded_rows=2 * (pair_dim - pair_real),
-        degeneracy=degeneracy,
+        basis_labels=basis_labels + [None] * pad,
+        padded_rows=4 * pad,
+        degeneracy=degeneracy + [0] * pad,
     )
 
 
@@ -496,10 +521,18 @@ I1_STATES: tuple[tuple[HalfInt, HalfInt], ...] = (
 
 @dataclass
 class TwoGroupSector:
-    """One fixed-I2 block of a two-group system, with padding bookkeeping."""
+    """One fixed-I2 block of a two-group system, with padding bookkeeping.
+
+    ``cation`` is the real cation block h on the populated slots (index
+    2 * slot + e1) and ``twice_m`` its 2M per index.  ``hamiltonian``, the
+    padded (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1, is assembled from
+    it on first use.
+    """
 
     I2: HalfInt
-    hamiltonian: BlockHamiltonian
+    cation: np.ndarray
+    twice_m: np.ndarray
+    b2: float
     register_size: int      # padded nuclear register (power of 2)
     real_register: int      # populated nuclear slots: 4 * (2*I2 + 1)
     degeneracy: int         # multiplicity of I2 in the large group
@@ -508,24 +541,39 @@ class TwoGroupSector:
     def pad_register(self) -> int:
         return self.register_size - self.real_register
 
+    @functools.cached_property
+    def hamiltonian(self) -> BlockHamiltonian:
+        reg, real = self.register_size, self.real_register
+        basis_labels: list[tuple | None] = [
+            (self.I2, HalfInt(tm2), I1, m1)
+            for tm2 in range(self.I2.twice_value, -self.I2.twice_value - 2, -2)
+            for I1, m1 in I1_STATES]
+        return BlockHamiltonian(
+            _pair_register(self.cation, reg, self.b2),
+            (2, reg, 2),
+            ("e2", "nuc", "e1"),
+            basis_labels=basis_labels + [None] * (reg - real),
+            padded_rows=4 * (reg - real),
+            degeneracy=[self.degeneracy] * real + [0] * (reg - real),
+        )
 
-def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
-    """Sector Hamiltonian for fixed total spin I2 of the large nuclear group.
 
-    Register slots run over (m2 descending) x (|1,1>,|1,0>,|1,-1>,|0,0>);
-    the small group must contain exactly two nuclei.  The group-1 coupling is
-    CG1/CG0 block-diagonal per m2; the group-2 coupling embeds CG_{I2} on the
+def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real cation block h of the fixed-I2 sector on its populated slots
+    (index 2 * slot + e1), and 2M = 2(m2 + m1 + m_e1) per index.
+
+    Slots run over (m2 descending) x (|1,1>,|1,0>,|1,-1>,|0,0>); the small
+    group must contain exactly two nuclei.  The group-1 coupling is CG1/CG0
+    block-diagonal per m2; the group-2 coupling embeds CG_{I2} on the
     (m2, e1) pair with the group-1 label as spectator (index-offset
-    embedding).  Slots are zero-padded to a power of 2 and the anion Zeeman
-    term is appended, zero on padding.
+    embedding); the e1 Zeeman term completes h.
     """
     if len(spec.groups) != 2:
         raise ValueError("build_two_group_block requires a two-group spec")
     n1, n2 = spec.groups[0].count, spec.groups[1].count
     if n1 != 2:
         raise ValueError("the small group must contain exactly 2 nuclei")
-    counts2 = spin_addition_counts(n2)
-    if I2 not in counts2:
+    if not (n2 >= 1 and 0 <= I2.twice_value <= n2 and (n2 - I2.twice_value) % 2 == 0):
         raise ValueError(f"I2={I2} is not a valid total spin for {n2} nuclei")
     w1, w2 = spec.hyperfine_rad_ns
 
@@ -556,40 +604,31 @@ def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
         for k in range(4):
             lam2[emb(yi) + 2 * k] = lam2_coupled[yi]
 
-    h_prime = (w1 * (U1 @ np.diag(lam1) @ U1) + w2 * (U2 @ np.diag(lam2) @ U2)).astype(complex)
-    h_prime -= spec.b1 * np.kron(np.eye(real_reg), SIGMA_Z)
+    h = w1 * (U1 @ np.diag(lam1) @ U1) + w2 * (U2 @ np.diag(lam2) @ U2)
+    h -= spec.b1 * np.kron(np.eye(real_reg), SIGMA_Z.real)
+    twice_m = np.array([tm2 + m1.twice_value + s
+                        for tm2 in range(I2.twice_value, -I2.twice_value - 2, -2)
+                        for _, m1 in I1_STATES for s in (1, -1)])
+    return h, twice_m
 
-    reg = _next_pow2(real_reg)
-    pair_dim = 2 * reg
-    dim = 2 * pair_dim
-    H = np.zeros((dim, dim), dtype=complex)
-    H[:pair_real, :pair_real] = h_prime
-    H[pair_dim:pair_dim + pair_real, pair_dim:pair_dim + pair_real] = h_prime
-    zee = np.zeros(dim)
-    zee[:pair_real] = -spec.b2
-    zee[pair_dim:pair_dim + pair_real] = spec.b2
-    H += np.diag(zee.astype(complex))
 
-    basis_labels: list[tuple | None] = []
-    for tm2 in range(I2.twice_value, -I2.twice_value - 2, -2):
-        for I1, m1 in I1_STATES:
-            basis_labels.append((I2, HalfInt(tm2), I1, m1))
-    basis_labels.extend([None] * (reg - real_reg))
+def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
+    """Sector for fixed total spin I2 of the large nuclear group.
 
-    block = BlockHamiltonian(
-        H,
-        (2, reg, 2),
-        ("e2", "nuc", "e1"),
-        basis_labels=basis_labels,
-        padded_rows=2 * (pair_dim - pair_real),
-        degeneracy=[counts2[I2]] * real_reg + [0] * (reg - real_reg),
-    )
+    Holds the cation block of ``build_cation_two_group``; its register is
+    zero-padded to a power of 2 and the anion Zeeman term is appended, zero
+    on padding.
+    """
+    h, twice_m = build_cation_two_group(I2, spec)
+    real_reg = len(h) // 2
     return TwoGroupSector(
         I2=I2,
-        hamiltonian=block,
-        register_size=reg,
+        cation=h,
+        twice_m=twice_m,
+        b2=spec.b2,
+        register_size=_next_pow2(real_reg),
         real_register=real_reg,
-        degeneracy=counts2[I2],
+        degeneracy=spin_addition_counts(spec.groups[1].count)[I2],
     )
 
 

@@ -24,20 +24,18 @@ from .config import ExperimentConfig
 from .dynamics import (
     PairSpectrum,
     TimeSeries,
+    cation_spectrum,
     clip_probabilities,
     evaluate_spectrum,
     one_group_weights,
-    pair_spectrum,
-    sector_statevector,
     singlet_values,
-    singlet_vector,
     time_grid,
 )
 from .hamiltonians import (
     SpinSystemSpec,
     TwoGroupSector,
+    build_cation_one_group,
     build_partitioned,
-    build_reduced_one_group,
     build_two_group_block,
     distinct_spins,
     one_group_reduced_index,
@@ -82,10 +80,14 @@ class SimulationResult:
 
 def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt, PairSpectrum]:
     """Beat spectra of |I, m> x |S> by I, for each (I, m) of ``states`` (default: |I, m=I>
-    for every distinct I), on one reduced Hamiltonian."""
-    n, H = spec.groups[0].count, build_reduced_one_group(spec)
-    return {I: pair_spectrum(H, sector_statevector(one_group_reduced_index(n, I, m), H.dims[1]),
-                             [1.0]) for I, m in states or [(I, I) for I in distinct_spins(n)]}
+    for every distinct I), on one reduced cation block."""
+    n, (h, twice_m) = spec.groups[0].count, build_cation_one_group(spec)
+
+    def spectrum(I, m):
+        weights = np.zeros(len(h) // 2)
+        weights[one_group_reduced_index(n, I, m)] = 1.0
+        return cation_spectrum(h, twice_m, weights, spec.b2)
+    return {I: spectrum(I, m) for I, m in states or [(I, I) for I in distinct_spins(n)]}
 
 
 def one_group_sector_trajectories(spec: SpinSystemSpec,
@@ -127,9 +129,8 @@ def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
     1/register_size, exactly what a padded purification run leaves behind
     once the frozen padding-state contribution is subtracted.
     """
-    H, reg = sector.hamiltonian, sector.register_size
-    states = singlet_vector(np.eye(reg)[:sector.real_register], H.dims)
-    return pair_spectrum(H, states, np.full(len(states), 1.0 / reg))
+    weights = np.full(sector.real_register, 1.0 / sector.register_size)
+    return cation_spectrum(sector.cation, sector.twice_m, weights, sector.b2)
 
 
 def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qbeats.dynamics import evaluate_spectrum
-from qbeats.hamiltonians import SpinSystemSpec, build_two_group_block
+from qbeats.hamiltonians import BlockHamiltonian, SpinSystemSpec, build_two_group_block
 from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
 from qbeats.relaxation import relaxed_singlet_values
 from qbeats.spinalg import spin_addition_counts
@@ -26,3 +26,10 @@ def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
     both = relaxed_singlet_values(traj, times, spec.T1, spec.T2, sites="both")
     single = relaxed_singlet_values(traj, times, spec.T1 / 2, spec.T2 / 2, sites="e1")
     return bool(np.abs(both - single).max() <= tol)
+
+
+def cation_register(h: np.ndarray, b2: float) -> BlockHamiltonian:
+    """The unpadded (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 of a cation block."""
+    K = len(h) // 2
+    matrix = np.kron(np.eye(2), h) - b2 * np.kron(np.diag([1.0, -1.0]), np.eye(2 * K))
+    return BlockHamiltonian(matrix, (2, K, 2), ("e2", "nuc", "e1"))

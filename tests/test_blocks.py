@@ -21,6 +21,7 @@ from qbeats.dynamics import (
     evaluate_spectrum,
     pair_slice_indices,
     sector_statevector,
+    singlet_vector,
 )
 from qbeats.hamiltonians import (
     BlockHamiltonian,
@@ -36,6 +37,7 @@ from qbeats.pipeline import (
     two_group_sector_spectrum,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
+from support import cation_register
 
 REGIMES = ("zero", "high")
 GRID = (0.0, 100.0, 1.0)
@@ -65,6 +67,12 @@ def dense_pair_spectrum(H, states, weights):
     amps = [coherence * (v[idx[a]].T @ v[idx[b]].conj()) for a, b in zip(*PAIR_TRIU)]
     return PairSpectrum(np.subtract.outer(w, w).ravel(),
                         np.stack([a.ravel() for a in amps], axis=1))
+
+
+def dense_cation_spectrum(h, twice_m, weights, b2):
+    """``dense_pair_spectrum`` of the register 1_e2 x h - b2 Z_e2 x 1 of a cation block."""
+    H = cation_register(h, b2)
+    return dense_pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
 
 
 def spec(name, regime):
@@ -97,7 +105,7 @@ def test_dmb_sector_trajectories_match_dense(regime):
 def test_simulate_matches_dense(monkeypatch, name, regime):
     config = dataclasses.replace(load_preset(name), time_grid=GRID)
     blocked = simulate(config, regime).trace.values
-    monkeypatch.setattr(pipeline, "pair_spectrum", dense_pair_spectrum)
+    monkeypatch.setattr(pipeline, "cation_spectrum", dense_cation_spectrum)
     dense = simulate(config, regime).trace.values
     assert np.abs(blocked - dense).max() <= 1e-12
 

@@ -97,6 +97,15 @@ class TestPresets:
             load_preset("benzene")
 
 
+# --compare files that must be refused: (file text or None for no file, reason printed)
+BAD_REFERENCES = {
+    "missing": (None, "No such file or directory"),
+    "one column": ("time_ns,value\n0,1.0\n1\n", "line 3: expected 'time, value', got '1'"),
+    "not a number": ("0,1.0\n1,one\n", "line 2: expected 'time, value', got '1,one'"),
+    "nan": ("0,1.0\n1,nan\n2,1.0\n", "line 2: non-finite value in '1,nan'"),
+}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "qbeats.cli", *args],
                           capture_output=True, text=True)
@@ -326,6 +335,35 @@ class TestCli:
         rms_line = [l for l in out.read_text().splitlines()
                     if l.startswith("# rms_vs_reference")][0]
         assert float(rms_line.split(":")[1].split("(")[0]) < 1e-9
+
+    def test_missing_config_file_exits_1(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        r = run_cli("simulate", "--config", str(missing), "--out", str(tmp_path / "x.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"configuration error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "trmfe"])
+    def test_out_in_missing_directory_exits_1_before_simulating(self, tmp_path, monkeypatch,
+                                                                 command):
+        from qbeats import cli
+
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
+        out = tmp_path / "nowhere" / "x.csv"
+        assert run_main(command, "--preset", "octalin", "--out", str(out)) == (1, [
+            f"configuration error: {out}: directory '{out.parent}' does not exist"])
+
+    @pytest.mark.parametrize("case", sorted(BAD_REFERENCES))
+    def test_bad_compare_file_exits_1_before_simulating(self, tmp_path, monkeypatch, case):
+        from qbeats import cli
+
+        text, reason = BAD_REFERENCES[case]
+        ref, out = tmp_path / "ref.csv", tmp_path / "x.csv"
+        if text is not None:
+            ref.write_text(text)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
+        assert run_main("simulate", "--preset", "octalin", "--out", str(out),
+                        "--compare", str(ref)) == (1, [f"configuration error: {ref}: {reason}"])
+        assert not out.exists()
 
     def test_trmfe_smoke(self, tmp_path):
         cfgfile = tmp_path / "small.yaml"

@@ -5,9 +5,11 @@ substance: a pure state is propagated block by block through each block's
 eigenpairs over the whole grid, and a density matrix through sixteen
 eigenbasis phase sums.  Both use the same ``BlockHamiltonian.eig`` eigenpairs
 as the spectral path, so they differ from it only by the merging of equal
-frequencies and by evaluation roundoff.
+frequencies and by evaluation roundoff.  The cation-block spectra of the
+pipeline are checked against ``pair_spectrum`` on the full register.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -18,8 +20,10 @@ from qbeats.config import load_preset
 from qbeats.dynamics import (
     SQRT_HALF,
     PairSpectrum,
+    cation_spectrum,
     evaluate_spectrum,
     maximally_mixed_nuclear_state,
+    one_group_weights,
     pair_slice_indices,
     pair_spectrum,
     pair_trajectory_density,
@@ -31,7 +35,9 @@ from qbeats.dynamics import (
     singlet_vector,
     time_grid,
 )
+from qbeats import pipeline
 from qbeats.hamiltonians import (
+    build_cation_one_group,
     build_full_one_group,
     build_reduced_one_group,
     build_two_group_block,
@@ -39,8 +45,15 @@ from qbeats.hamiltonians import (
     full_nuclear_sector_vector,
     one_group_reduced_index,
 )
-from qbeats.pipeline import two_group_pair_trace, two_group_sector_spectrum
+from qbeats.pipeline import (
+    one_group_pair_trace,
+    one_group_sector_spectra,
+    simulate,
+    two_group_pair_trace,
+    two_group_sector_spectrum,
+)
 from qbeats.spinalg import HalfInt, spin_addition_counts
+from support import cation_register
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -297,3 +310,128 @@ def test_stacked_eig_equals_block_by_block_eigh(name):
     for b in H.blocks():
         wb_ref, vb_ref = np.linalg.eigh(H.matrix[np.ix_(b, b)])
         assert np.array_equal(w[b], wb_ref) and np.array_equal(v[np.ix_(b, b)], vb_ref)
+
+
+# ---------------------------------------------------------------------------
+# Cation-block spectra against pair_spectrum on the full register
+# ---------------------------------------------------------------------------
+
+def full_register_spectrum(h, twice_m, weights, b2):
+    """``pair_spectrum`` of |S><S| x sum_r weights[r] |r><r| on 1_e2 x h - b2 Z_e2 x 1."""
+    H = cation_register(h, b2)
+    return pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
+
+
+def full_register_sector_spectrum(sector):
+    """The sector's mixed-register spectrum on its padded full register."""
+    H, real = sector.hamiltonian, sector.real_register
+    return pair_spectrum(H, singlet_vector(np.eye(sector.register_size)[:real], H.dims),
+                         np.full(real, 1.0 / sector.register_size))
+
+
+def class_weights(regime):
+    """Slot weights of the |I, m=I> representatives in the one-group mixed state."""
+    weights = np.zeros(25)
+    for k, count in one_group_weights(8, regime).items():
+        weights[one_group_reduced_index(8, abs(k), abs(k))] = count / 256
+    return weights
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cation_spectra_of_every_dmb_sector(regime):
+    for I2 in spin_addition_counts(12):
+        sector = dmb_sector(regime, I2)
+        assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), TIMES),
+                   evaluate_spectrum(full_register_sector_spectrum(sector), TIMES)) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cation_spectrum_of_the_mixed_octalin_ensemble(regime):
+    s = spec("octalin", regime)
+    h, twice_m = build_cation_one_group(s)
+    weights = class_weights(regime)
+    H = reduced(regime)
+    reached = np.flatnonzero(weights)
+    oracle = evaluate_spectrum(
+        pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
+                      weights[reached]), TIMES)
+    assert dev(evaluate_spectrum(cation_spectrum(h, twice_m, weights, s.b2), TIMES),
+               oracle) <= TOL
+    assert dev(one_group_pair_trace(s, regime, TIMES).trajectory, oracle) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cation_spectra_of_all_25_pure_states(regime):
+    s, H = spec("octalin", regime), reduced(regime)
+    for I in distinct_spins(8):
+        for tm in range(-I.twice_value, I.twice_value + 1, 2):
+            m = HalfInt(tm)
+            psi = sector_statevector(one_group_reduced_index(8, I, m), H.dims[1])
+            assert dev(evaluate_spectrum(one_group_sector_spectra(s, [(I, m)])[I], TIMES),
+                       evaluate_spectrum(pair_spectrum(H, psi, [1.0]), TIMES)) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["octalin", "dmb"])
+def test_sector_columns_match_the_full_register(monkeypatch, name, regime):
+    config = dataclasses.replace(load_preset(name), noise_method="none")
+    result = simulate(config, regime, sectors=True)
+    monkeypatch.setattr(pipeline, "cation_spectrum", full_register_spectrum)
+    oracle = simulate(config, regime, sectors=True)
+    assert list(result.sectors) == list(oracle.sectors) and len(result.sectors) in (5, 7)
+    for label, column in oracle.sectors.items():
+        assert dev(result.sectors[label], column) <= TOL, label
+    assert dev(result.trace.values, oracle.trace.values) <= TOL
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
+    times = 0.7 * np.arange(3 * small_tables + extra)
+    sector = dmb_sector("high", HalfInt(6))
+    oracle = full_register_sector_spectrum(sector)
+    assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), times),
+               evaluate_spectrum(oracle, times)) <= TOL
+    s = spec("octalin", "high")
+    h, twice_m = build_cation_one_group(s)
+    H, weights = reduced("high"), class_weights("high")
+    reached = np.flatnonzero(weights)
+    oracle = pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
+                           weights[reached])
+    assert dev(evaluate_spectrum(cation_spectrum(h, twice_m, weights, s.b2), times),
+               evaluate_spectrum(oracle, times)) <= TOL
+
+
+def cation_blocks():
+    """(name, h, twice_m, builder matrix, b2) of every cation block of both presets."""
+    for regime in REGIMES:
+        s = spec("octalin", regime)
+        yield (f"octalin-{regime}", *build_cation_one_group(s), reduced(regime).matrix, s.b2)
+        for I2 in spin_addition_counts(12):
+            sector = dmb_sector(regime, I2)
+            yield (f"dmb-I2={I2}-{regime}", sector.cation, sector.twice_m,
+                   sector.hamiltonian.matrix, sector.b2)
+
+
+def kron_assembly(h, b2, reg):
+    """1_e2 x h - b2 Z_e2 x 1 on a register of ``reg`` slots, zero on the padding."""
+    n = len(h)
+    pair = np.kron(np.eye(2), h) - b2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
+    populated = np.concatenate([np.arange(n), 2 * reg + np.arange(n)])
+    out = np.zeros((4 * reg, 4 * reg))
+    out[np.ix_(populated, populated)] = pair
+    return out
+
+
+def test_cation_blocks_conserve_m_and_assemble_the_builders_matrices():
+    for name, h, twice_m, matrix, b2 in cation_blocks():
+        assert h.dtype == float and h.shape == (len(twice_m),) * 2, name
+        assert np.all(h[np.not_equal.outer(twice_m, twice_m)] == 0.0), name
+        assembled = kron_assembly(h, b2, matrix.shape[0] // 4)
+        if name.startswith("dmb") or b2 == 0.0:
+            assert np.array_equal(assembled, matrix), name
+        else:
+            # the reduced builder sums each diagonal entry as hyperfine + (e1 Zeeman -+ b2),
+            # so the assembly from h (e1 Zeeman already in) can move its last bits
+            off = ~np.eye(len(matrix), dtype=bool)
+            assert np.array_equal(assembled[off], matrix[off]), name
+            assert dev(assembled, matrix) <= 4 * np.spacing(np.abs(matrix).max()), name
