@@ -140,10 +140,11 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
         T1, T2 = noise.site_T1(s), noise.site_T2(s)
         RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
         site = np.moveaxis(work, (1 + s, 1 + n + s), (1, 2))  # view: (row, ket, bra, ...)
-        delta = 0.5 * (1.0 - np.exp(-dt / T1)) * (site[:, 0, 0] - site[:, 1, 1])
+        with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
+            damping, coherence = np.exp(-dt / T1), np.exp(-dt / T2)
+        delta = 0.5 * (1.0 - damping) * (site[:, 0, 0] - site[:, 1, 1])
         site[:, 0, 0] -= delta
         site[:, 1, 1] += delta
-        coherence = np.exp(-dt / T2)
         if gate.kind == "DELAY":
             coherence = coherence * np.exp(-1j * noise.site_drift(s) * dt)
         site[:, 0, 1] *= coherence
@@ -161,6 +162,12 @@ def _batch_size(circuit: Circuit, rho0) -> int | None:
     if len(sizes) > 1:
         raise ValueError(f"mismatched batch lengths {sorted(sizes)}")
     return sizes.pop() if sizes else None
+
+
+def _per_row(gate: Gate) -> bool:
+    """Whether the gate carries batched parameters or a (B, d, d) matrix stack."""
+    return (any(np.ndim(p) for p in gate.params)
+            or (gate.kind == "UNITARY" and gate.matrix.ndim == 3))
 
 
 def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
@@ -217,7 +224,9 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
     relaxation for the gate duration; delay gates also accumulate the model's
     deterministic drift phase.  Batched parameters, matrices or a (B, d, d)
     ``rho0`` run the circuit once per row and return a (B, d, d) matrix; a
-    (d, d) ``rho0`` is shared by all rows.
+    (d, d) ``rho0`` is shared by all rows.  A shared start stays one row until
+    the first gate with per-row parameters or matrices, so the gates before
+    it run once.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:
@@ -228,12 +237,15 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
     dim = 2**n
     batch = _batch_size(circuit, rho0)
     if rho0 is None:
-        rho = np.zeros((batch or 1, dim, dim), dtype=complex)
-        rho[:, 0, 0] = 1.0
+        rho = np.zeros((1, dim, dim), dtype=complex)
+        rho[0, 0, 0] = 1.0
     else:
-        rho = np.array(np.broadcast_to(rho0, (batch or 1, dim, dim)), dtype=complex)
+        rho = np.array(rho0, dtype=complex, ndmin=3)
 
     for g in circuit.gates:
+        if len(rho) != (batch or 1) and _per_row(g):
+            # the gates before this one act alike on every row: they ran once
+            rho = np.array(np.broadcast_to(rho, (batch, dim, dim)))
         if g.kind != "DELAY":
             applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
             rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied

@@ -15,10 +15,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
+from .library import delay_gate_count, effective_decay_constant
 from .postprocess import FluorescenceParams
 from .spinalg import HalfInt
 
@@ -26,6 +28,10 @@ PRESETS = ("octalin", "dmb")
 MAX_TIME_POINTS = 1_000_000  # about 256 MB per (T, 4, 4) complex pair trajectory
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
 FIELD_REGIMES = ("zero", "high")
+
+
+# libyaml's parser where it is built; both resolve scalars with the same SafeConstructor
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -41,6 +47,12 @@ class HardwareModel:
     identity_ns: float = 35.5
     u_circuit_ns: float = 300.0  # nominal on-device duration of the evolution block
     drift_phase_rate: tuple[float, float] = (0.0, 0.0)
+
+    def delay_counts(self, t, T1: float, T2: float):
+        """Identity-gate counts of the echo-delay runs that match, at each time t, the
+        decay of a radical pair with relaxation times (T1, T2)."""
+        return delay_gate_count(t, (self.T1_ns + self.T2_ns) / 2,
+                                effective_decay_constant(T1, T2), self.identity_ns)
 
 
 @dataclass
@@ -243,6 +255,7 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
         hardware=_parse_hardware(data.get("hardware", {}), f"{name}.hardware"),
     )
     _check_frequencies(config, f"{name}.system")
+    _check_echo_delays(config, f"{name}.hardware")
     return config
 
 
@@ -283,24 +296,51 @@ def _check_frequencies(config: ExperimentConfig, where: str) -> None:
                  f"(its phase at t = {t_max:.3g} ns is not finite)")
 
 
+def _check_echo_delays(config: ExperimentConfig, where: str) -> None:
+    """The longest echo-delay target run of each finite-T1 regime must have a finite
+    identity-gate count, total delay and drift phase."""
+    if config.noise_method != "echo-synthetic":
+        return
+    hw = config.hardware
+    for regime, (T1, T2) in config.relaxation.items():
+        if math.isinf(T1):
+            continue  # closed-form targets: no delay run
+        with np.errstate(all="ignore"):
+            N = hw.delay_counts(config.time_grid[1], T1, T2)
+            delay = N * hw.identity_ns
+            phase = max(map(abs, hw.drift_phase_rate)) * delay
+        _require(math.isfinite(delay) and math.isfinite(phase), where,
+                 f"the {regime}-field echo-delay run to t = {config.time_grid[1]:.3g} ns "
+                 f"overflows ({N:.3g} identity gates, {delay:.3g} ns, drift phase "
+                 f"{phase:.3g} rad)")
+
+
 def load_config_file(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not a text file") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {_yaml_problem(exc)}") from None
     return parse_config(data, name=path)
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line: 'line L, column C: <problem>' where the parser marks it."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None or exc.problem is None:
+        return " ".join(str(exc).split())
+    return f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
 
 
 def load_preset(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     ref = importlib.resources.files("qbeats.data").joinpath(f"{name}.yaml")
-    data = yaml.safe_load(ref.read_text())
+    data = yaml.load(ref.read_text(), Loader=YAML_LOADER)
     return parse_config(data, name=name)
 
 

@@ -115,6 +115,14 @@ def echo_pulse_circuit(N: int, t_identity: float, sites: tuple[int, ...],
     return c
 
 
+def effective_decay_constant(T1: float, T2: float) -> float:
+    """Radical-pair decay constant for delay-count matching (mean of finite values)."""
+    finite = [T for T in (T1, T2) if math.isfinite(T)]
+    if not finite:
+        raise ValueError("echo-based noise requires at least one finite relaxation time")
+    return sum(finite) / len(finite)
+
+
 def delay_gate_count(t: float, T_qubit: float, T_RP: float, t_identity: float) -> int:
     """N = (T_qubit / (T_RP t_identity)) t, rounded down to a multiple of 8.
 
@@ -124,7 +132,7 @@ def delay_gate_count(t: float, T_qubit: float, T_RP: float, t_identity: float) -
     """
     if min(T_qubit, T_RP, t_identity) <= 0:
         raise ValueError("time constants must be positive")
-    raw = T_qubit / (T_RP * t_identity) * np.asarray(t, dtype=float)
+    raw = np.divide(T_qubit, T_RP * t_identity) * np.asarray(t, dtype=float)  # 0 divides to inf
     return raw // 8 * 8
 
 

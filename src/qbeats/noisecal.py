@@ -72,17 +72,25 @@ class MeasurementStats:
         return np.array([self.s, self.t0, self.tp, self.tm])
 
 
+class UnrecoverableNoiseError(ValueError):
+    """The reference run is too damped for the statistics correction to be solved."""
+
+
 def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
                   floor: float = DENOMINATOR_FLOOR) -> MeasurementStats:
-    """Recover undamped statistics from a damped run and its delay-only reference."""
+    """Recover undamped statistics from a damped run and its delay-only reference.
+
+    Raises ``UnrecoverableNoiseError`` when a denominator's smallest magnitude
+    over the rows falls below ``floor``; the message reports those magnitudes.
+    """
     den_p = 1.0 - 4.0 * reference.tp
     den_m = 1.0 - 4.0 * reference.tm
     den_s = reference.s**2 - reference.t0**2
-    if np.min(np.abs([den_p, den_m, den_s])) < floor:
-        raise ValueError(
+    smallest = [np.min(np.abs(den)) for den in (den_p, den_m, den_s)]
+    if min(smallest) < floor:
+        raise UnrecoverableNoiseError(
             "unrecoverable noise level: correction denominators "
-            f"({den_p:.3e}, {den_m:.3e}, {den_s:.3e}) below floor {floor:g}"
-        )
+            "({:.3e}, {:.3e}, {:.3e}) below floor {:g}".format(*smallest, floor))
     tp = (measured.tp - reference.tp) / den_p
     tm = (measured.tm - reference.tm) / den_m
     a = measured.s - tp * reference.tp - tm * reference.tm

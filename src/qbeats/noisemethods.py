@@ -14,6 +14,7 @@ template run by the batched density backend over the whole time grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -22,17 +23,9 @@ from .circuits import Circuit
 from .config import HardwareModel
 from .dynamics import SINGLET, TimeSeries, pair_probabilities, singlet_values
 from .hamiltonians import BlockHamiltonian
-from .library import add_singlet_prep, delay_gate_count, echo_pulse_circuit, rz_encode_angle
+from .library import add_singlet_prep, echo_pulse_circuit, rz_encode_angle
 from .noisecal import MeasurementStats, correct_stats, inject_singlet
 from .relaxation import relaxed_pair_probabilities, relaxed_singlet_values
-
-
-def effective_decay_constant(T1: float, T2: float) -> float:
-    """Radical-pair decay constant for delay-count matching (mean of finite values)."""
-    finite = [T for T in (T1, T2) if math.isfinite(T)]
-    if not finite:
-        raise ValueError("echo-based noise requires at least one finite relaxation time")
-    return sum(finite) / len(finite)
 
 
 def kraus_singlet_values(traj: np.ndarray, times: np.ndarray,
@@ -56,9 +49,9 @@ def per_gate_singlet_values(traj: np.ndarray, times: np.ndarray,
     return singlet_values(run_density(c, rho0=traj, noise=SyntheticQubitNoise(T1, T2)).matrix)
 
 
-def _bell_stats_from_density(rho: np.ndarray, e1: int, e2: int, n: int) -> MeasurementStats:
-    pair = partial_trace(rho, (e1, e2), n)
-    return MeasurementStats.from_array(np.clip(pair_probabilities(pair), 0.0, None))
+def _bell_probabilities(rho: np.ndarray, e1: int, e2: int, n: int) -> np.ndarray:
+    """(..., 4) Bell-outcome probabilities of the (e1, e2) pair, clipped at 0."""
+    return np.clip(pair_probabilities(partial_trace(rho, (e1, e2), n)), 0.0, None)
 
 
 def echo_targets(times: np.ndarray, T1: float, T2: float,
@@ -76,26 +69,26 @@ def echo_targets(times: np.ndarray, T1: float, T2: float,
     if math.isinf(T1):
         singlet = np.broadcast_to(np.outer(SINGLET, SINGLET.conj()), (len(t), 4, 4))
         return MeasurementStats.from_array(relaxed_pair_probabilities(singlet, t, T1, T2))
-    T_rp = effective_decay_constant(T1, T2)
-    T_qubit = (hardware.T1_ns + hardware.T2_ns) / 2
-    N = delay_gate_count(t, T_qubit, T_rp, hardware.identity_ns)
+    N = hardware.delay_counts(t, T1, T2)
     noise = SyntheticQubitNoise(T1=hardware.T1_ns, T2=hardware.T2_ns,
                                 drift_phase_rate=hardware.drift_phase_rate)
     c = Circuit(2)
     add_singlet_prep(c, 0, 1)
     c.extend(echo_pulse_circuit(N, hardware.identity_ns, (0, 1), 2))
-    return _bell_stats_from_density(run_density(c, noise=noise).matrix, 0, 1, 2)
+    return MeasurementStats.from_array(_bell_probabilities(run_density(c, noise=noise).matrix,
+                                                           0, 1, 2))
 
 
 def _corrected_injection(site_count: int, e1: int, e2: int, hardware: HardwareModel,
-                         target: MeasurementStats, **evolution) -> np.ndarray:
+                         target: MeasurementStats, rows: int = 1, **evolution) -> np.ndarray:
     """Steps (a)-(d) of the delay-based procedure over the whole grid.
 
     (a) singlet prep, the batched ``evolution`` gate (``Circuit.add``
     arguments) and circuit-duration delays under the light circuit noise;
     (b) the same run without the evolution gate as the reference; (c) the
     statistics correction recovering the undamped outcome; (d) injection
-    of the desired-decay ``target`` statistics.
+    of the desired-decay ``target`` statistics.  The evolution batch holds
+    ``rows`` consecutive grids; the result is (rows, T).
     """
     noise = SyntheticQubitNoise(T1=hardware.T1_ns, T2=hardware.T2_ns)
     stats = []
@@ -106,27 +99,30 @@ def _corrected_injection(site_count: int, e1: int, e2: int, hardware: HardwareMo
             c.add(**gate)
         for s in (e1, e2):
             c.add("DELAY", s, (float(hardware.u_circuit_ns),))
-        stats.append(_bell_stats_from_density(run_density(c, noise=noise).matrix,
-                                              e1, e2, site_count))
+        p = _bell_probabilities(run_density(c, noise=noise).matrix, e1, e2, site_count)
+        stats.append(MeasurementStats.from_array(p.reshape((rows, -1, 4)) if gate else p))
     measured, reference = stats
     return inject_singlet(correct_stats(measured, reference), target)
 
 
-def echo_synthetic_sector_values(H: BlockHamiltonian, times: np.ndarray,
+def echo_synthetic_sector_values(blocks: Sequence[BlockHamiltonian], times: np.ndarray,
                                  target: MeasurementStats,
                                  hardware: HardwareModel) -> np.ndarray:
     """Delay-based noise procedure with full Hamiltonian blocks (3-site systems).
 
-    The evolution gate is the stack of U(t) over the grid; ``target`` is
-    ``echo_targets`` of the same grid.
+    One damped run covers every (block, time) row: the evolution gate is the
+    stack of U(t) over the grid for each block in turn.  ``target`` is
+    ``echo_targets`` of the same grid; the result is (blocks, T).
     """
-    if H.dims != (2, 2, 2):
-        raise ValueError("echo-synthetic full-Hamiltonian route needs a 3-qubit block")
-    w, v = H.eig()
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), w))
-    U = (v * phases[:, None, :]) @ v.conj().T
-    return _corrected_injection(3, 2, 0, hardware, target,
-                                kind="UNITARY", sites=(0, 1, 2), matrix=U)
+    t = np.asarray(times, dtype=float)
+    U = np.empty((len(blocks), len(t), 8, 8), dtype=complex)
+    for b, H in enumerate(blocks):
+        if H.dims != (2, 2, 2):
+            raise ValueError("echo-synthetic full-Hamiltonian route needs a 3-qubit block")
+        w, v = H.eig()
+        U[b] = (v * np.exp(-1j * np.multiply.outer(t, w))[:, None, :]) @ v.conj().T
+    return _corrected_injection(3, 2, 0, hardware, target, rows=len(blocks),
+                                kind="UNITARY", sites=(0, 1, 2), matrix=U.reshape(-1, 8, 8))
 
 
 def echo_synthetic_encoded_values(coherent: TimeSeries, target: MeasurementStats,
@@ -139,4 +135,4 @@ def echo_synthetic_encoded_values(coherent: TimeSeries, target: MeasurementStats
     ``target`` is ``echo_targets`` of the trace's grid.
     """
     return _corrected_injection(2, 0, 1, hardware, target, kind="RZ", sites=1,
-                                params=(rz_encode_angle(coherent.values),))
+                                params=(rz_encode_angle(coherent.values),))[0]

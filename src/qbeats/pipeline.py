@@ -177,12 +177,12 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
     ``none``, ``kraus`` and ``per-gate`` act on the system's pair trajectory.
-    ``echo-synthetic`` runs per |I, m=I> sector on the partitioned 3-qubit
-    Hamiltonian (one group), or on the coherent S(t) encoded in an Rz
-    rotation (two groups).  With ``sectors`` the result also carries one
-    column per sector: the noisy |I, m=I> traces of a mixed one-group run,
-    or the coherent padded-register trace of each I2 sector of a two-group
-    run.
+    ``echo-synthetic`` runs every |I, m=I> sector in one batch on the
+    partitioned 3-qubit Hamiltonians (one group), or on the coherent S(t)
+    encoded in an Rz rotation (two groups).  With ``sectors`` the result
+    also carries one column per sector: the noisy |I, m=I> traces of a mixed
+    one-group run, or the coherent padded-register trace of each I2 sector
+    of a two-group run.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -206,13 +206,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         pure = config.initial_sector()
         if method == "echo-synthetic":
             spins = [pure[0]] if pure else distinct_spins(n)
-            per_sector = {
-                I: clip_probabilities(
-                    echo_synthetic_sector_values(build_partitioned(I, spec), times, target,
-                                                 config.hardware),
-                    _sector_label(I))
-                for I in spins
-            }
+            rows = echo_synthetic_sector_values([build_partitioned(I, spec) for I in spins],
+                                                times, target, config.hardware)
+            per_sector = {I: clip_probabilities(row, _sector_label(I))
+                          for I, row in zip(spins, rows)}
             values = per_sector[pure[0]] if pure else _class_average(n, regime, per_sector)
             if sectors and not pure:
                 columns = {_sector_label(I): v for I, v in per_sector.items()}

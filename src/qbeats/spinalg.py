@@ -8,8 +8,11 @@ stays exact; floats only appear inside the CG matrices themselves.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,13 +64,15 @@ def multiplicity(I: HalfInt) -> int:
     return I.twice_value + 1
 
 
-def spin_addition_counts(n: int) -> dict[HalfInt, int]:
+@lru_cache(maxsize=None)
+def spin_addition_counts(n: int) -> Mapping[HalfInt, int]:
     """Multiplicity of each total spin I for n coupled spin-1/2 particles.
 
     Row n of the spin-addition table: adding one spin-1/2 to a total spin I
     yields I+1/2 and (for I > 0) I-1/2, so row n+1 follows from row n by the
     Pascal-like recurrence.  The identity sum_I mult(I) * (2I+1) = 2**n holds
-    exactly.
+    exactly.  Memoized per n: the row is a read-only view whose keys run from
+    the largest I down, the order callers' sums follow.
     """
     if n <= 0:
         raise ValueError(f"particle count must be >= 1, got {n}")
@@ -81,7 +86,7 @@ def spin_addition_counts(n: int) -> dict[HalfInt, int]:
                 down = I - HALF
                 nxt[down] = nxt.get(down, 0) + count
         row = nxt
-    return row
+    return MappingProxyType(row)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qbeats import pipeline
+from qbeats import noisemethods, pipeline
 from qbeats.backends import (
     SyntheticQubitNoise,
     _gate_matrix,
@@ -24,11 +24,12 @@ from qbeats.backends import (
 from qbeats.circuits import Circuit, Gate
 from qbeats.config import HardwareModel, load_preset
 from qbeats.dynamics import SINGLET, DensityMatrix, TimeSeries, pair_probabilities, time_grid
-from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned
+from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
 from qbeats.library import (
     add_singlet_prep,
     delay_gate_count,
     echo_pulse_circuit,
+    effective_decay_constant,
     rz_encode_angle,
 )
 from qbeats.noisecal import MeasurementStats, channel_target_stats, correct_stats, inject_singlet
@@ -36,7 +37,6 @@ from qbeats.noisemethods import (
     echo_synthetic_encoded_values,
     echo_synthetic_sector_values,
     echo_targets,
-    effective_decay_constant,
     per_gate_singlet_values,
 )
 from qbeats.pipeline import one_group_sector_trajectories
@@ -135,6 +135,41 @@ class TestBatchedRunDensity:
         assert got.shape == (ROWS, 8, 8)
         want = run_rows(c, rho0, NOISES[noise], ROWS)
         assert np.abs(got - want).max() <= TOL
+
+    @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
+    @pytest.mark.parametrize("start", ["default", "shared", "stacked"])
+    def test_shared_prefix_equals_eager_rows(self, start, noise):
+        # a shared start runs the gates before the first batched one on one row;
+        # every row must still come out bit for bit as if it ran alone
+        rng = np.random.default_rng(5)
+        c = template(rng)
+        states = random_states(rng, ROWS, 8)
+        rho0 = {"default": None, "shared": states[0], "stacked": states}[start]
+        got = run_density(c, rho0, NOISES[noise]).matrix
+        for i in range(ROWS):
+            alone = Circuit(3, [row_gate(g, i) for g in c.gates])
+            start_i = None if rho0 is None else rho0[i] if rho0.ndim == 3 else rho0
+            assert np.abs(got[i] - run_density(alone, start_i, NOISES[noise]).matrix).max() == 0.0
+        if NOISES[noise] is None or NOISES[noise].T1 == NOISES[noise].T2 == math.inf:
+            assert np.abs(got - run_rows(c, rho0, NOISES[noise], ROWS)).max() == 0.0
+
+    def test_shared_gates_run_on_one_row(self, monkeypatch):
+        import qbeats.backends as backends
+
+        rows = []
+
+        def recorded(rho, *args):
+            rows.append(len(rho))
+            return apply_unitary_to_density(rho, *args)
+
+        monkeypatch.setattr(backends, "apply_unitary_to_density", recorded)
+        c = template(np.random.default_rng(5))
+        run_density(c, noise=NOISES["finite T1, drift, gate durations"])
+        # H, CNOT and the probabilistic X precede the batched RZ
+        assert rows == [1, 1, 1] + [ROWS] * (len(rows) - 3)
+        rows.clear()
+        run_density(c, random_states(np.random.default_rng(6), ROWS, 8))
+        assert rows == [ROWS] * len(rows)
 
     def test_default_start_and_single_batched_parameter(self):
         noise = SyntheticQubitNoise(T1=9.0, T2=9.0, drift_phase_rate=(0.03, 0.0))
@@ -283,13 +318,25 @@ class TestNoiseRoutes:
         spec = load_preset("octalin").spin_spec(regime)
         H = build_partitioned(HalfInt(2), spec)
         target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
-        got = echo_synthetic_sector_values(H, TIMES, target, HARDWARE[hw])
+        got = echo_synthetic_sector_values([H], TIMES, target, HARDWARE[hw])[0]
         w, v = H.eig()
         for i, t in enumerate(TIMES):
             U = (v * np.exp(-1j * w * t)) @ v.conj().T
             want = corrected_at(lambda c: c.add("UNITARY", (0, 1, 2), matrix=U), 3, 2, 0,
                                 HARDWARE[hw], target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]))
             assert abs(got[i] - want) <= TOL
+
+    @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
+    @pytest.mark.parametrize("regime", ["zero", "high"])
+    def test_all_sector_batch_equals_single_block_calls(self, regime, hw):
+        spec = load_preset("octalin").spin_spec(regime)
+        blocks = [build_partitioned(I, spec) for I in distinct_spins(8)]
+        target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
+        got = echo_synthetic_sector_values(blocks, TIMES, target, HARDWARE[hw])
+        assert got.shape == (len(blocks), len(TIMES))
+        for row, H in zip(got, blocks):
+            alone = echo_synthetic_sector_values([H], TIMES, target, HARDWARE[hw])
+            assert np.abs(row - alone[0]).max() == 0.0
 
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("T1,T2", [(20.0, 20.0), (2000.0, 20.0)])
@@ -332,3 +379,22 @@ class TestNoiseRoutes:
         config.time_grid = (0.0, 4.0, 1.0)
         result = pipeline.simulate(config, "zero", sectors=True)
         assert len(calls) == 1 and len(result.sectors) == 5
+
+    @pytest.mark.parametrize("regime,runs", [("zero", 3), ("high", 2)])
+    def test_simulate_runs_one_damped_and_one_reference_circuit(self, monkeypatch, regime,
+                                                                 runs):
+        # the echo targets, one damped run over every (sector, time) row and one
+        # reference; infinite T1 (octalin at high field) takes closed-form targets
+        batches = []
+
+        def counted(circuit, *args, **kwargs):
+            out = run_density(circuit, *args, **kwargs)
+            batches.append(out.matrix.shape[:-2])
+            return out
+
+        monkeypatch.setattr(noisemethods, "run_density", counted)
+        config = load_preset("octalin")
+        config.noise_method = "echo-synthetic"
+        config.time_grid = (0.0, 4.0, 1.0)
+        pipeline.simulate(config, regime, sectors=True)
+        assert len(batches) == runs and (5 * 5,) in batches and () in batches

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qbeats import __version__
 from qbeats.cli import CSV_BLOCK_ROWS, write_csv
 from qbeats.config import (
+    YAML_LOADER,
     ConfigError,
     dump_config,
     load_config_file,
@@ -96,6 +98,14 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown preset"):
             load_preset("benzene")
 
+    @pytest.mark.parametrize("preset", ["octalin", "dmb"])
+    def test_libyaml_loader_parses_like_the_pure_loader(self, preset):
+        from importlib.resources import files
+
+        for text in (files("qbeats.data").joinpath(f"{preset}.yaml").read_text(),
+                     dump_config(load_preset(preset))):
+            assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
+
 
 # --compare files that must be refused: (file text or None for no file, reason printed)
 BAD_REFERENCES = {
@@ -128,6 +138,8 @@ def echo_with(key, value):
     """Octalin echo-synthetic document with one top-level key set."""
     return dict(preset_with("octalin", "noise_method", "echo-synthetic"), **{key: value})
 
+
+UNRECOVERABLE_HARDWARE = {"T1_us": 0.001, "T2_us": 0.001, "u_circuit_ns": 1000}
 
 BAD_CONFIGS = {
     "count 0": preset_with("octalin", "system", "groups", 0, "count", 0),
@@ -163,6 +175,12 @@ BAD_CONFIGS = {
     "hardware drift nan": echo_with("hardware", {"drift_phase_rate": math.nan}),
     "hardware three drifts": echo_with("hardware", {"drift_phase_rate": [0.1, 0.2, 0.3]}),
     "hardware u_circuit_ns inf": echo_with("hardware", {"u_circuit_ns": math.inf}),
+    # the reference run decays fully: the statistics correction has no solution
+    "hardware noise unrecoverable": echo_with("hardware", UNRECOVERABLE_HARDWARE),
+    # (T1_ns + T2_ns) / 2 overflows, and so does the drift phase of the longest echo run
+    "hardware T1_us + T2_us overflow": echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e305}),
+    "hardware drift phase overflow": echo_with("hardware", {"T1_us": 1e300, "T2_us": 1e300,
+                                                            "drift_phase_rate": 1e10}),
 }
 
 
@@ -235,6 +253,28 @@ class TestCli:
         assert r.stderr.startswith(f"configuration error: {cfgfile}")
         assert "Traceback" not in r.stderr
         assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
+        assert not out.exists()
+
+    def test_malformed_yaml_exits_1_on_one_line(self, tmp_path):
+        cfgfile, out = tmp_path / "bad.yaml", tmp_path / "x.csv"
+        cfgfile.write_text("system: [1, 2\n")
+        r = run_cli("simulate", "--config", str(cfgfile), "--out", str(out))
+        assert r.returncode == 1
+        assert re.fullmatch(f"configuration error: {re.escape(str(cfgfile))}: "
+                            r"line 2, column 1: [^\n]+\n", r.stderr), r.stderr
+        assert not out.exists()
+
+    def test_unrecoverable_hardware_noise_exits_1(self, tmp_path):
+        # the echo-octalin benchmark workload on a qubit with 1 ns T1 and T2
+        doc = dict(echo_with("time_grid", {"start": 0.0, "end": 25.0, "step": 0.25}),
+                   hardware=UNRECOVERABLE_HARDWARE)
+        cfgfile, out = tmp_path / "strong.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        r = run_cli("trmfe", "--config", str(cfgfile), "--out", str(out))
+        assert r.returncode == 1
+        assert re.fullmatch(f"configuration error: {re.escape(str(cfgfile))}.hardware: "
+                            r"unrecoverable noise level: correction denominators "
+                            r"\([^)]+\) below floor 1e-06\n", r.stderr), r.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(TRMFE_BAD_GRIDS))
@@ -408,12 +448,13 @@ def csv_columns(path):
 NASTY = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, 1e307]
 TIMES = st.one_of(st.sampled_from(NASTY + [".inf"]), st.floats(0.5, 5e3))
 POST = st.one_of(st.sampled_from(NASTY), st.floats(0.01, 50.0))
+HARDWARE = st.one_of(st.sampled_from(NASTY + [1e-3, [0.1, 0.2, 0.3]]), st.floats(0.0, 1e3))
 
 
 @st.composite
 def configs(draw):
-    """A preset document; its grid, relaxation times and postprocess block are each
-    either sane or drawn from extreme and invalid values."""
+    """A preset document; its grid, relaxation times, postprocess and hardware blocks
+    are each either sane or drawn from extreme and invalid values."""
     doc = preset_with(draw(st.sampled_from(["octalin", "octalin", "dmb"])), "noise_method",
                       draw(st.sampled_from(["none", "kraus", "per-gate", "echo-synthetic"])))
     wild = st.sampled_from([False, False, True])
@@ -432,6 +473,15 @@ def configs(draw):
         doc["postprocess"] = {"theta": draw(st.one_of(st.sampled_from([-0.1, 1.5, math.nan]),
                                                       st.floats(0.0, 1.0))),
                               "tau_f": draw(POST), "t0": draw(POST), "t_g": draw(POST)}
+    if draw(wild):
+        doc["hardware"] = {key: draw(HARDWARE) for key in
+                           ("T1_us", "T2_us", "identity_ns", "u_circuit_ns", "drift_phase_rate")}
+    elif draw(st.booleans()):
+        doc["hardware"] = {"T1_us": draw(st.floats(50.0, 200.0)),
+                           "T2_us": draw(st.floats(20.0, 100.0)),
+                           "identity_ns": draw(st.floats(10.0, 100.0)),
+                           "u_circuit_ns": draw(st.floats(0.0, 1000.0)),
+                           "drift_phase_rate": draw(st.floats(-0.01, 0.01))}
     return doc
 
 

@@ -6,8 +6,10 @@ import pytest
 from qbeats.config import HardwareModel
 from qbeats.dynamics import pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned
+from qbeats.library import effective_decay_constant
 from qbeats.noisecal import (
     MeasurementStats,
+    UnrecoverableNoiseError,
     channel_target_stats,
     correct_stats,
     damp_stats,
@@ -17,7 +19,6 @@ from qbeats.noisemethods import (
     echo_synthetic_encoded_values,
     echo_synthetic_sector_values,
     echo_targets,
-    effective_decay_constant,
     kraus_singlet_values,
     per_gate_singlet_values,
 )
@@ -53,6 +54,14 @@ class TestCorrection:
         mixed = MeasurementStats(0.25, 0.25, 0.25, 0.25)
         with pytest.raises(ValueError, match="unrecoverable"):
             correct_stats(MeasurementStats(0.3, 0.3, 0.2, 0.2), mixed)
+
+    def test_array_denominators_report_their_smallest_magnitude(self):
+        # rows: S'^2 - T0'^2 = 0.16, 0 and -0.16; 1 - 4 T+' = 1 - 4 T-' = 0.6
+        ref = MeasurementStats(np.array([0.5, 0.4, 0.3]), np.array([0.3, 0.4, 0.5]), 0.1, 0.1)
+        with pytest.raises(UnrecoverableNoiseError,
+                           match=r"denominators \(6\.000e-01, 6\.000e-01, 0\.000e\+00\) "
+                                 r"below floor 1e-06"):
+            correct_stats(ref, ref)
 
     def test_stats_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +133,8 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel()
         I = HalfInt(8)
         H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values(H, times, echo_targets(times, 9.0, 9.0, hw), hw)
+        echo = echo_synthetic_sector_values([H], times, echo_targets(times, 9.0, 9.0, hw),
+                                            hw)[0]
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
@@ -137,8 +147,8 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
         H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values(H, times, echo_targets(times, math.inf, 9.0, hw),
-                                            hw)
+        echo = echo_synthetic_sector_values([H], times, echo_targets(times, math.inf, 9.0, hw),
+                                            hw)[0]
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9

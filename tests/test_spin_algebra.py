@@ -47,6 +47,13 @@ class TestSpinAdditionCounts:
                     derived[J] = derived.get(J, 0) + c
         assert derived == spin_addition_counts(9)
 
+    def test_rows_are_memoized_read_only_in_descending_order(self):
+        row = spin_addition_counts(12)
+        assert spin_addition_counts(12) is row
+        assert [I.twice_value for I in row] == [12, 10, 8, 6, 4, 2, 0]
+        with pytest.raises(TypeError):
+            row[HalfInt(0)] = 0
+
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_rejects_nonpositive(self, n):
         with pytest.raises(ValueError):
