@@ -6,16 +6,17 @@ electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
 Nothing materializes rho(t).  A pair trajectory is a merged sum over Bohr
-frequencies, which ``evaluate_spectrum`` sums on a grid.  ``pair_spectrum``
-builds it for any initial state from the exact invariant blocks it touches
-(``BlockHamiltonian.blocks``); ``cation_spectrum`` builds it for the singlet-born
-ensembles of the pipeline from the cation block alone, the anion electron
-being a fixed Larmor phase.
+frequencies; ``evaluate_rows`` sums any linear read-out of it on a grid.
+``pair_spectrum`` builds it for any initial state from the exact invariant
+blocks it touches (``BlockHamiltonian.blocks``); ``cation_spectrum`` builds it
+for the singlet-born ensembles of the pipeline from their cation blocks alone,
+the anion electron being a fixed Larmor phase.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,9 @@ class TimeSeries:
 
 
 def time_grid(t_start: float = 0.0, t_end: float = 100.0, step: float = 0.1) -> np.ndarray:
-    """Uniform grid including both endpoints (default 0..100 ns at 0.1 ns)."""
-    n = int(round((t_end - t_start) / step)) if t_end > t_start else 0
+    """Uniform grid from ``t_start`` that reaches ``t_end`` (to roundoff) but never passes it
+    (default 0..100 ns at 0.1 ns, both endpoints included)."""
+    n = math.floor((t_end - t_start) / step + 1e-9) if t_end > t_start else 0
     return t_start + step * np.arange(n + 1)
 
 
@@ -212,7 +214,7 @@ def pair_probabilities(rho4: np.ndarray) -> np.ndarray:
 PAIR_TRIU = np.triu_indices(4)  # the 10 elements a <= b of a Hermitian pair state
 # <S|rho|S> = Re sum_k SINGLET_TRIU[k] rho[PAIR_TRIU][k]: off-diagonal ones count twice
 SINGLET_TRIU = (np.outer(SINGLET, SINGLET) * (2 - np.eye(4)))[PAIR_TRIU]
-EXP_TABLE_ENTRIES = 1 << 16  # complex entries of one chunk's exp table
+EXP_TABLE_ENTRIES = 1 << 16  # complex entries of an evaluation's exp tables, roughly
 MIN_CHUNK = 16               # time points per chunk, at least
 
 
@@ -310,60 +312,61 @@ def pair_spectrum(H: BlockHamiltonian, states, weights) -> PairSpectrum:
     return _merged(freqs, amps, tol)
 
 
-def cation_spectrum(h: np.ndarray, twice_m: np.ndarray, weights, b2: float) -> PairSpectrum:
-    """Beat spectrum of |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1.
+def cation_spectrum(blocks, b2: float) -> PairSpectrum:
+    """Beat spectrum of the sum over ``blocks`` (h, twice_m, weights) of
+    |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1, each block on its own slots.
 
-    ``h`` is the real cation block (nuclei and e1, index 2 * slot + e1) and
+    Every ``h`` is a real cation block (nuclei and e1, index 2 * slot + e1) and
     conserves M, given as ``twice_m`` per index; the anion electron only adds
     the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r],
     p_s(t) = sum_r weights[r] sum_n |<n s|exp(-iht)|r s>|^2 and
     c(t) = sum_r weights[r] sum_n <n up|exp(-iht)|r up> <n down|exp(-iht)|r down>^*,
     the five live pair elements are rho_11 = p_up / 2, rho_22 = p_down / 2,
     rho_00 = (w - p_down) / 2, rho_33 = (w - p_up) / 2 and
-    rho_12 = -c(t) exp(-2i b2 t) / 2.  Each M block is diagonalized once (blocks
-    of one size by one stacked ``eigh``); p_s beats within a block, c between
-    the up rows of block M and the down rows of block M - 1.  Terms at the
-    roundoff level of the largest amplitude are dropped.
+    rho_12 = -c(t) exp(-2i b2 t) / 2.  The M blocks the weights reach, and their
+    M - 1 partners, are diagonalized by one stacked ``eigh`` per block size;
+    p_s beats within a block, c between the up rows of block M and the down
+    rows of block M - 1.  Terms at the roundoff level of the largest amplitude
+    are dropped, and all are merged once.
     """
-    h, weights = np.asarray(h, dtype=float), np.asarray(weights, dtype=float)
-    labels, block_of = np.unique(twice_m, return_inverse=True)
-    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
-    hit = np.unique(block_of[np.repeat(weights, 2) != 0])  # the blocks the ensemble reaches
+    hs, ms, ws = zip(*blocks)
+    sizes = np.array([len(h) for h in hs])
+    offset, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(hs)), sizes)
+    twice_m, weights = np.concatenate(ms), np.concatenate(ws).astype(float)  # weights per slot
+    key = owner * (np.ptp(twice_m) + 3) + twice_m  # one key per (block, M), in that order
+    block_of = np.unique(key, return_inverse=True)[1]
+    members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
+    hit = np.unique(block_of[np.repeat(weights, 2) != 0])  # the M blocks the ensemble reaches
     need = np.union1d(hit, hit[hit > 0] - 1)  # and their M - 1 partners
-    sizes = np.array([len(blocks[k]) for k in need])
-    eig = {}  # block number -> (eigenvalues, eigenvectors)
-    for n in np.unique(sizes):
-        ks = need[sizes == n]
-        idx = np.stack([blocks[k] for k in ks])
-        eig.update(zip(ks, zip(*np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]]))))
-    w = weights.sum()
-    freqs, amps = [np.zeros(1)], [np.zeros((1, 10))]
-    amps[0][0, [0, 9]] = w / 2  # the constant parts of rho_00 and rho_33
+    n, own = np.array([len(members[k]) for k in need]), owner[[members[k][0] for k in need]]
+    lam, X = np.zeros((len(need), n.max())), np.zeros((len(need), sizes.max(), n.max()))
+    for size in np.unique(n):  # eigenvector j of block b at its index in the owner: X[b, :, j]
+        sel = np.flatnonzero(n == size)
+        idx = np.stack([members[k] for k in need[sel]]) - offset[own[sel], None]
+        lam[sel, :size], X[sel[:, None], idx, :size] = np.linalg.eigh(
+            np.stack([hs[o][np.ix_(i, i)] for o, i in zip(own[sel], idx)]))
+    w = np.zeros((len(hs), sizes.max() // 2))  # each owner's slot weights
+    w[owner[::2], np.arange(len(weights)) - offset[owner[::2]] // 2] = weights
+    # block M has up rows only when its owner has a block M - 1, which comes right before it
+    pair, below = np.searchsorted(need, hit[hit > 0]), np.searchsorted(need, hit[hit > 0] - 1)
 
-    def add(f, a, cols):  # beats f with amplitude a into the PAIR_TRIU columns cols
-        out = np.zeros((a.size, 10))
-        out[:, list(cols)] = a.reshape(-1, 1) * np.array(list(cols.values()))
-        freqs.append(f.ravel())
-        amps.append(out)
+    def beats(rows, cols, b):  # sum_r weights[r] <j|r s><r s'|l> sum_n <j|n s><n s'|l>
+        rows = rows.transpose(0, 2, 1)
+        return ((rows * w[own[b], None, :]) @ cols) * (rows @ cols)
 
-    for k in hit:
-        b, (lam, v) = blocks[k], eig[k]
-        spin, wt = b % 2, weights[b // 2]
-        for s, cols in ((0, {4: 0.5, 9: -0.5}), (1, {7: 0.5, 0: -0.5})):  # p_up, p_down
-            rows, ws = v[spin == s], wt[spin == s]
-            if ws.any():
-                add(np.subtract.outer(lam, lam), ((rows.T * ws) @ rows) * (rows.T @ rows), cols)
-        if k and labels[k - 1] == labels[k] - 2:  # c: up rows of M, down rows of M - 1
-            lam_lo, v_lo = eig[k - 1]
-            up, down = v[spin == 0], v_lo[blocks[k - 1] % 2 == 1]
-            ws = wt[spin == 0]
-            if ws.any():
-                add(np.subtract.outer(lam, lam_lo) + 2 * b2,
-                    ((up.T * ws) @ down) * (up.T @ down), {5: -0.5})
-    f, a = np.concatenate(freqs), np.concatenate(amps)
-    keep = np.abs(a).max(axis=1) > 8 * np.finfo(float).eps * np.abs(a).max()
-    lam_max = np.abs(h).sum(axis=1).max(initial=0.0)  # bounds every eigenvalue of h
-    return _merged([f[keep]], [a[keep]], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
+    up, down, every = X[:, 0::2], X[:, 1::2], np.arange(len(need))
+    p_up, p_down = beats(up, up, every), beats(down, down, every)
+    c = beats(up[pair], down[below], pair)
+    amps = np.zeros((1 + p_up.size + c.size, 10))
+    amps[0, [0, 9]] = weights.sum() / 2  # the constant parts of rho_00 and rho_33
+    amps[1:1 + p_up.size, [4, 9, 7, 0]] = 0.5 * np.stack(
+        [p_up, -p_up, p_down, -p_down], axis=-1).reshape(-1, 4)
+    amps[1 + p_up.size:, 5] = -0.5 * c.ravel()
+    freqs = np.concatenate([[0.0], (lam[:, :, None] - lam[:, None, :]).ravel(),
+                            (lam[pair, :, None] - lam[below, None, :] + 2 * b2).ravel()])
+    keep = np.abs(amps).max(axis=1) > 8 * np.finfo(float).eps * np.abs(amps).max()
+    lam_max = max(np.abs(h).sum(axis=1).max() for h in hs)  # bounds every eigenvalue
+    return _merged([freqs[keep]], [amps[keep]], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
 
 
 def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
@@ -372,32 +375,60 @@ def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
     return pair_spectrum(H, u.T[lam != 0], lam[lam != 0])
 
 
+def _phase_powers(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
+    """(F, n) table exp(-i freqs k step), k < n, by doubling: each entry is a product of
+    at most log2(n) + 1 directly computed exponentials."""
+    table = np.ones((len(freqs), 1), dtype=complex)
+    while table.shape[1] < n:
+        table = np.hstack([table, table * np.exp(-1j * freqs * (table.shape[1] * step))[:, None]])
+    return table[:, :n]
+
+
+def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(R, T) sums sum_f (rows[r] . amplitudes[f]) exp(-i freqs[f] t) of coefficient rows
+    over the 10 ``PAIR_TRIU`` elements, each over its own nonzero frequencies only.
+
+    Two-level exp table: the grid is cut in chunks of K points, t = s + d with s a
+    chunk start.  On a uniform grid (to the roundoff of the times) every chunk shares
+    the offsets d, and both exp(-i w d) and exp(-i w s) over a run of J chunks are
+    built by ``_phase_powers``; a row is one (J x F_r) @ (F_r x K) product per run.
+    On any other grid each chunk gets its own directly computed table.  The tables
+    hold about ``EXP_TABLE_ENTRIES`` entries, never F x T.
+    """
+    times = np.asarray(times, dtype=float)
+    coef = np.asarray(rows) @ spectrum.amplitudes.T
+    used = coef.any(axis=0)
+    f, coef, T = spectrum.freqs[used], coef[:, used], len(times)
+    out = np.zeros((len(coef), T), dtype=complex)
+    if T == 0 or len(f) == 0:
+        return out
+    step = (times[-1] - times[0]) / max(T - 1, 1)
+    uniform = T > 1 and (np.abs(times - times[0] - step * np.arange(T)).max()
+                         <= 4 * np.spacing(np.abs(times).max()))
+    budget = max(2, EXP_TABLE_ENTRIES // len(f))  # table columns
+    K = max(MIN_CHUNK, min(math.isqrt(T - 1) + 1, budget // 2))
+    J = max(1, min(-(-T // K), budget - K)) if uniform else 1
+    fine = _phase_powers(f, step, K) if uniform else None
+    run = _phase_powers(f, K * step, J)
+    live = [np.flatnonzero(row) for row in coef]
+    for start in range(0, T, J * K):
+        t = times[start:start + J * K]
+        if not uniform:
+            fine = np.exp(np.multiply.outer(-1j * f, t - t[0]))
+        coarse = np.exp(-1j * f * t[0])[:, None] * run
+        for r, k in enumerate(live):
+            out[r, start:start + len(t)] = ((coef[r, k] * coarse[k].T) @ fine[k]).ravel()[:len(t)]
+    return out
+
+
 def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
                       singlet: bool = False) -> np.ndarray:
-    """Pair trajectory (T, 4, 4) of a spectrum on ``times``, or with ``singlet`` S(t).
-
-    In chunks of at most 8 sqrt(T) points (and ``EXP_TABLE_ENTRIES``), exp(-i w t) =
-    exp(-i w t0) exp(-i w (t - t0)) from the chunk start t0: the second factor's table is
-    kept while the offsets repeat (to the roundoff of the times) and only the amplitudes
-    are rephased.  Pair elements whose amplitudes are all zero are not evaluated.  The
-    trajectory is stored time-fastest, a (4, 4, T) array seen (T, 4, 4).
-    """
-    times, f = np.asarray(times, dtype=float), spectrum.freqs
-    coef = (SINGLET_TRIU @ spectrum.amplitudes.T)[None] if singlet else spectrum.amplitudes.T
-    live = np.flatnonzero(coef.any(axis=1))  # a singlet-born pair has 5 zero columns
-    coef, out = coef[live], np.zeros((len(coef), len(times)), dtype=complex)
-    chunk = max(MIN_CHUNK, min(EXP_TABLE_ENTRIES // max(len(f), 1), 8 * int(len(times) ** 0.5)))
-    same = 2 * np.spacing(np.abs(times).max(initial=0.0))
-    offsets = table = None
-    for start in range(0, len(times), chunk):
-        t = times[start:start + chunk]
-        if offsets is None or np.abs(t - t[0] - offsets[:len(t)]).max() > same:
-            offsets, table = t - t[0], np.exp(np.multiply.outer(-1j * f, t - t[0]))
-        out[live, start:start + len(t)] = (coef * np.exp(-1j * f * t[0])) @ table[:, :len(t)]
+    """Pair trajectory (T, 4, 4) of a spectrum on ``times``, or with ``singlet`` S(t)."""
     if singlet:
-        return out[0].real
+        return evaluate_rows(spectrum, times, SINGLET_TRIU[None])[0].real
+    out = evaluate_rows(spectrum, times, np.eye(10))
     out[PAIR_TRIU[0] == PAIR_TRIU[1]] = out[PAIR_TRIU[0] == PAIR_TRIU[1]].real
-    traj = np.empty((4, 4, len(times)), dtype=complex)
+    traj = np.empty((4, 4, len(times)), dtype=complex)  # time-fastest, seen (T, 4, 4)
     traj[PAIR_TRIU[1], PAIR_TRIU[0]] = out.conj()
     traj[PAIR_TRIU] = out
     return traj.transpose(2, 0, 1)

@@ -585,27 +585,20 @@ def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarra
     blk1 = np.zeros((8, 8))
     blk1[:6, :6] = cg_block_matrix(HalfInt(2))
     blk1[6:, 6:] = cg_block_matrix(HalfInt(0))
-    lam1_blk = np.concatenate(
-        [coupled_hfc_eigenvalues(HalfInt(2)), coupled_hfc_eigenvalues(HalfInt(0))]
-    )
-    U1 = np.kron(np.eye(n_m2), blk1)
-    lam1 = np.tile(lam1_blk, n_m2)
+    lam1 = np.concatenate([coupled_hfc_eigenvalues(HalfInt(2)),
+                           coupled_hfc_eigenvalues(HalfInt(0))])
 
-    # Group-2 coupling: CG_{I2} on the (m2, e1) pair, group-1 slot as spectator.
+    # Group-2 coupling: CG_{I2} on the (m2, e1) pair, group-1 slot k as spectator.
     cg2 = cg_block_matrix(I2)
-    lam2_coupled = coupled_hfc_eigenvalues(I2)
     U2 = np.zeros((pair_real, pair_real))
     lam2 = np.zeros(pair_real)
-    emb = lambda i: i + (i // 2) * 6  # (m2, e1) product index -> sector slot, spectator 0
-    for xi, yi in zip(*np.nonzero(cg2)):
-        for k in range(4):
-            U2[emb(xi) + 2 * k, emb(yi) + 2 * k] = cg2[xi, yi]
-    for yi in range(2 * multiplicity(I2)):
-        for k in range(4):
-            lam2[emb(yi) + 2 * k] = lam2_coupled[yi]
+    emb = lambda i: i + (i // 2) * 6 + 2 * np.arange(4)[:, None]  # (m2, e1) index -> slot k
+    rows, cols = np.nonzero(cg2)
+    U2[emb(rows), emb(cols)] = cg2[rows, cols]
+    lam2[emb(np.arange(len(cg2)))] = coupled_hfc_eigenvalues(I2)
 
-    h = w1 * (U1 @ np.diag(lam1) @ U1) + w2 * (U2 @ np.diag(lam2) @ U2)
-    h -= spec.b1 * np.kron(np.eye(real_reg), SIGMA_Z.real)
+    h = w1 * np.kron(np.eye(n_m2), (blk1 * lam1) @ blk1) + w2 * ((U2 * lam2) @ U2)
+    h[np.diag_indices(pair_real)] -= spec.b1 * np.tile([1.0, -1.0], real_reg)  # e1 Zeeman
     twice_m = np.array([tm2 + m1.twice_value + s
                         for tm2 in range(I2.twice_value, -I2.twice_value - 2, -2)
                         for _, m1 in I1_STATES for s in (1, -1)])

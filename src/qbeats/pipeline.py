@@ -1,11 +1,11 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
-One-group systems reduce to five representative |I, m=I> beat spectra whose
-count-weighted sum, evaluated once, reproduces the maximally mixed nuclear
-state (zero field weights over I, high field weights over |m|).  Two-group
-systems run one mixed-register evolution per I2 sector; sector results are
-combined at the electron-pair-trajectory level, which keeps the classical
-reassembly exact also in the presence of relaxation.
+Each regime is one beat spectrum.  A one-group system is its reduced cation
+block with every |I, m=I> representative carrying the count of its class
+(zero field weights over I, high field weights over |m|); a two-group system
+is every fixed-I2 cation block at once, each weighted by its I2 degeneracy,
+which keeps the classical reassembly exact also in the presence of
+relaxation.  Per-sector spectra are built only for sector columns.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
 it picks the state preparation and owns the noise-method dispatch.
@@ -46,7 +46,7 @@ from .noisemethods import (
     echo_targets,
     per_gate_singlet_values,
 )
-from .relaxation import relax_pair_trajectory
+from .relaxation import relax_pair_trajectory, relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
 
@@ -78,16 +78,25 @@ class SimulationResult:
     sectors: dict[str, np.ndarray]
 
 
+def _one_group_ensembles(spec: SpinSystemSpec, ensembles) -> list[PairSpectrum]:
+    """Beat spectrum of sum weights[I, m] |I, m><I, m| x |S><S| for each ``weights`` dict of
+    ``ensembles``, on one reduced cation block."""
+    n, (h, twice_m) = spec.groups[0].count, build_cation_one_group(spec)
+    spectra = []
+    for weights in ensembles:
+        slot_weights = np.zeros(len(h) // 2)
+        for (I, m), w in weights.items():
+            slot_weights[one_group_reduced_index(n, I, m)] = w
+        spectra.append(cation_spectrum([(h, twice_m, slot_weights)], spec.b2))
+    return spectra
+
+
 def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt, PairSpectrum]:
     """Beat spectra of |I, m> x |S> by I, for each (I, m) of ``states`` (default: |I, m=I>
-    for every distinct I), on one reduced cation block."""
-    n, (h, twice_m) = spec.groups[0].count, build_cation_one_group(spec)
-
-    def spectrum(I, m):
-        weights = np.zeros(len(h) // 2)
-        weights[one_group_reduced_index(n, I, m)] = 1.0
-        return cation_spectrum(h, twice_m, weights, spec.b2)
-    return {I: spectrum(I, m) for I, m in states or [(I, I) for I in distinct_spins(n)]}
+    for every distinct I)."""
+    states = states or [(I, I) for I in distinct_spins(spec.groups[0].count)]
+    spectra = _one_group_ensembles(spec, [{(I, m): 1.0} for I, m in states])
+    return {I: spectrum for (I, _), spectrum in zip(states, spectra)}
 
 
 def one_group_sector_trajectories(spec: SpinSystemSpec,
@@ -109,16 +118,18 @@ def _class_average(n: int, field_regime: str, per_sector: dict):
     return functools.reduce(operator.add, terms)
 
 
-def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str, times: np.ndarray,
-                         spectra: dict[HalfInt, PairSpectrum] | None = None) -> PairTrace:
-    """Mixed-state pair trajectory of a one-group system.
+def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
+    """Beat spectrum of the mixed nuclear state of a one-group system: one ensemble in
+    which every |I, m=I> representative carries the weight of its class."""
+    counts = one_group_weights(spec.groups[0].count, field_regime)
+    total = sum(counts.values())
+    return _one_group_ensembles(spec, [{(k, k): c / total for k, c in counts.items()}])[0]
 
-    The count-weighted sector spectra are summed and evaluated once.
-    ``spectra``, when given, are ``one_group_sector_spectra`` of the same spec.
-    """
-    avg = _class_average(spec.groups[0].count, field_regime,
-                         spectra or one_group_sector_spectra(spec))
-    return PairTrace(times, evaluate_spectrum(avg, times),
+
+def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str,
+                         times: np.ndarray) -> PairTrace:
+    """Mixed-state pair trajectory of a one-group system."""
+    return PairTrace(times, evaluate_spectrum(one_group_spectrum(spec, field_regime), times),
                      {"system": "one_group", "field_regime": field_regime})
 
 
@@ -130,59 +141,50 @@ def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
     once the frozen padding-state contribution is subtracted.
     """
     weights = np.full(sector.real_register, 1.0 / sector.register_size)
-    return cation_spectrum(sector.cation, sector.twice_m, weights, sector.b2)
+    return cation_spectrum([(sector.cation, sector.twice_m, weights)], sector.b2)
 
 
-def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray,
-                         sectors: bool = False) -> PairTrace:
-    """Fully mixed nuclear-state pair trajectory via I2 sector decomposition.
+def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
+    """Beat spectrum of the fully mixed nuclear state of a two-group system: every I2
+    sector's cation block at once, each slot weighted by its I2 degeneracy / 2^N."""
+    n1, n2 = spec.groups[0].count, spec.groups[1].count
+    sectors = [build_two_group_block(I2, spec) for I2 in spin_addition_counts(n2)]
+    total = 2 ** (n1 + n2)
+    return cation_spectrum([(s.cation, s.twice_m, np.full(s.real_register, s.degeneracy / total))
+                            for s in sectors], spec.b2)
 
-    The weighted sector spectra are summed and evaluated once.  With
-    ``sectors``, ``meta["sectors"]`` maps each I2 (descending) to the
-    coherent singlet trace of its padded-register run, in which the frozen
-    padding slots count as 1.
-    """
-    counts2 = spin_addition_counts(spec.groups[1].count)
-    total = 2 ** (spec.groups[0].count + spec.groups[1].count)
-    meta = {"system": "two_group"}
-    padded = meta.setdefault("sectors", {}) if sectors else {}
 
-    def contribution(I2):
-        sector = build_two_group_block(I2, spec)
-        part = two_group_sector_spectrum(sector)
-        if sectors:
-            padded[I2] = (evaluate_spectrum(part, times, singlet=True)
-                          + sector.pad_register / sector.register_size)
-        return (counts2[I2] * sector.register_size / total) * part
-
-    # one sector at a time: each is dropped before the next is built
-    spectrum = functools.reduce(operator.add, map(contribution, sorted(counts2, reverse=True)))
-    return PairTrace(times, evaluate_spectrum(spectrum, times), meta)
+def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray) -> PairTrace:
+    """Fully mixed nuclear-state pair trajectory via I2 sector decomposition."""
+    return PairTrace(times, evaluate_spectrum(two_group_spectrum(spec), times),
+                     {"system": "two_group"})
 
 
 def _sector_label(I: HalfInt) -> str:
     return f"I={I}" if I.is_integer else f"I={I.twice_value}/2"
 
 
-def _noisy_singlet(method: str, trace: PairTrace, spec: SpinSystemSpec) -> np.ndarray:
-    """S(t) of a pair trajectory under 'none', 'kraus' or 'per-gate' noise."""
-    if method == "none":
-        return singlet_values(trace.trajectory)
-    if method == "kraus":
-        return singlet_values(trace.relaxed(spec.T1, spec.T2).trajectory)
-    return per_gate_singlet_values(trace.trajectory, trace.times, spec.T1, spec.T2)
+def _noisy_singlet(method: str, spectrum: PairSpectrum, times: np.ndarray,
+                  spec: SpinSystemSpec) -> np.ndarray:
+    """S(t) of a beat spectrum under 'none', 'kraus' or 'per-gate' noise."""
+    if method == "per-gate":
+        return per_gate_singlet_values(evaluate_spectrum(spectrum, times), times,
+                                       spec.T1, spec.T2)
+    T1, T2 = (spec.T1, spec.T2) if method == "kraus" else (math.inf, math.inf)
+    return relaxed_singlet(spectrum, times, T1, T2)
 
 
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
-    ``none``, ``kraus`` and ``per-gate`` act on the system's pair trajectory.
-    ``echo-synthetic`` runs every |I, m=I> sector in one batch on the
-    partitioned 3-qubit Hamiltonians (one group), or on the coherent S(t)
-    encoded in an Rz rotation (two groups).  With ``sectors`` the result
-    also carries one column per sector: the noisy |I, m=I> traces of a mixed
-    one-group run, or the coherent padded-register trace of each I2 sector
-    of a two-group run.
+    ``none``, ``kraus`` and ``per-gate`` act on the system's beat spectrum: the
+    first two read S(t) from its correlators, ``per-gate`` runs its pair
+    trajectory through the noisy circuit.  ``echo-synthetic`` runs every
+    |I, m=I> sector in one batch on the partitioned 3-qubit Hamiltonians (one
+    group), or on the coherent S(t) encoded in an Rz rotation (two groups).
+    With ``sectors`` the result also carries one column per sector: the noisy
+    |I, m=I> traces of a mixed one-group run, or the coherent padded-register
+    trace of each I2 sector of a two-group run.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -193,14 +195,20 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         target = echo_targets(times, spec.T1, spec.T2, config.hardware)
 
     if len(spec.groups) == 2:
-        trace = two_group_pair_trace(spec, times, sectors)
+        spectrum = two_group_spectrum(spec)
         if method == "echo-synthetic":
-            values = echo_synthetic_encoded_values(trace.singlet("S_coherent"), target,
-                                                   config.hardware)
+            coherent = relaxed_singlet(spectrum, times, math.inf, math.inf)
+            values = echo_synthetic_encoded_values(
+                TimeSeries(times, clip_probabilities(coherent, "S_coherent")), target,
+                config.hardware)
         else:
-            values = _noisy_singlet(method, trace, spec)
-        for I2, padded in trace.meta.get("sectors", {}).items():
-            columns[f"I2={I2}"] = clip_probabilities(padded, f"I2={I2}")
+            values = _noisy_singlet(method, spectrum, times, spec)
+        for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
+            # the coherent padded-register run, in which the frozen padding slots count as 1
+            sector, label = build_two_group_block(I2, spec), f"I2={I2}"
+            padded = evaluate_spectrum(two_group_sector_spectrum(sector), times, singlet=True)
+            columns[label] = clip_probabilities(
+                padded + sector.pad_register / sector.register_size, label)
     else:
         n = spec.groups[0].count
         pure = config.initial_sector()
@@ -215,15 +223,12 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
                 columns = {_sector_label(I): v for I, v in per_sector.items()}
         elif pure:
             spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
-            trace = PairTrace(times, evaluate_spectrum(spectrum, times), {})
-            values = _noisy_singlet(method, trace, spec)
+            values = _noisy_singlet(method, spectrum, times, spec)
         else:
-            spectra = one_group_sector_spectra(spec)
-            values = _noisy_singlet(method, one_group_pair_trace(spec, regime, times, spectra),
-                                    spec)
-            for I, s in spectra.items() if sectors else ():
-                label, tr = _sector_label(I), PairTrace(times, evaluate_spectrum(s, times), {})
-                columns[label] = clip_probabilities(_noisy_singlet(method, tr, spec), label)
+            values = _noisy_singlet(method, one_group_spectrum(spec, regime), times, spec)
+            for I, s in one_group_sector_spectra(spec).items() if sectors else ():
+                label = _sector_label(I)
+                columns[label] = clip_probabilities(_noisy_singlet(method, s, times, spec), label)
 
     label = f"S_{regime}"
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)

@@ -93,7 +93,7 @@ def exponential_kernel(tau_f: float, step: float, n_max: int) -> np.ndarray:
 
 
 def observed_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
-    """E * I~ * G on the trace's grid (zero-extended to the left of t=0)."""
+    """E * I~ * G on the trace's grid (zero-extended to the left of its first point)."""
     h = kernel_step(S.times, params)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
         ideal = ideal_intensity(S, params)
@@ -105,7 +105,7 @@ def observed_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
     if not np.isfinite(vals).all():
         raise NumericalError(f"observed intensity {ideal.label!r} overflows")
     out = TimeSeries(S.times, vals, ideal.label, dict(S.meta))
-    out.meta["edge_unreliable_before_ns"] = params.t_g + 3 * params.tau_f
+    out.meta["edge_unreliable_before_ns"] = float(S.times[0] + (params.t_g + 3 * params.tau_f))
     return out
 
 

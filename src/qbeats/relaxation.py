@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, pair_probabilities, singlet_values
+from .dynamics import (DensityMatrix, PairSpectrum, evaluate_rows, pair_probabilities,
+                       singlet_values)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -173,6 +174,24 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
     if sites not in ("both", "e1", "e2"):
         raise ValueError(f"unknown site selector {sites!r}")
     return work.reshape(len(t), 4, 4)
+
+
+# the trace, <ZZ> and <XX + YY> = 4 Re rho_12 as rows over the PAIR_TRIU elements (real parts)
+CORRELATOR_TRIU = np.array([[1, 0, 0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 0, -1, 0, 0, -1, 0, 1],
+                            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0]], dtype=float)
+
+
+def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, T1: float, T2: float) -> np.ndarray:
+    """S(t) of a beat spectrum after the both-site channel, read from two correlators.
+
+    The channel scales <ZZ> by g^2 = exp(-2t/T1) and <XX + YY> by f^2 = exp(-2t/T2),
+    so S = (w - g^2 <ZZ> - f^2 <XX + YY>) / 4 with w the constant trace; equal to
+    ``relaxed_singlet_values`` of the evaluated trajectory.
+    """
+    t = np.asarray(times, dtype=float)
+    RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+    w, zz, xy = evaluate_rows(spectrum, t, CORRELATOR_TRIU).real
+    return (w - np.exp(-2 * t / T1) * zz - np.exp(-2 * t / T2) * xy) / 4
 
 
 def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,

@@ -134,6 +134,7 @@ def coupled_basis_labels(I: HalfInt) -> list[tuple[HalfInt, HalfInt]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def cg_block_matrix(I: HalfInt) -> np.ndarray:
     """Clebsch-Gordan block for coupling spin I with one spin-1/2.
 
@@ -142,6 +143,7 @@ def cg_block_matrix(I: HalfInt) -> np.ndarray:
     (``coupled_basis_labels`` order).  Condon-Shortley phases: the J = I+1/2
     column built on the highest-m product state has a positive coefficient.
     The resulting matrix is symmetric (each 2x2 mixing block is a reflection).
+    Memoized per I, so the matrix is read-only.
     """
     if I.twice_value < 0:
         raise ValueError("total spin must be >= 0")
@@ -164,6 +166,7 @@ def cg_block_matrix(I: HalfInt) -> np.ndarray:
             mat[row_index[(m_up, 0)], j] = alpha if plus else -beta
         if abs(m_dn.twice_value) <= two_I:
             mat[row_index[(m_dn, 1)], j] = beta if plus else alpha
+    mat.setflags(write=False)
     return mat
 
 

@@ -9,6 +9,7 @@ sits at the dense oracle's own roundoff floor (about 1e-12).
 
 import dataclasses
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qbeats.dynamics import (
 )
 from qbeats.hamiltonians import (
     BlockHamiltonian,
+    build_cation_two_group,
     build_full_one_group,
     build_partitioned,
     build_reduced_one_group,
@@ -36,7 +38,13 @@ from qbeats.pipeline import (
     simulate,
     two_group_sector_spectrum,
 )
-from qbeats.spinalg import HalfInt, spin_addition_counts
+from qbeats.spinalg import (
+    HalfInt,
+    cg_block_matrix,
+    coupled_hfc_eigenvalues,
+    multiplicity,
+    spin_addition_counts,
+)
 from support import cation_register
 
 REGIMES = ("zero", "high")
@@ -69,10 +77,13 @@ def dense_pair_spectrum(H, states, weights):
                         np.stack([a.ravel() for a in amps], axis=1))
 
 
-def dense_cation_spectrum(h, twice_m, weights, b2):
-    """``dense_pair_spectrum`` of the register 1_e2 x h - b2 Z_e2 x 1 of a cation block."""
-    H = cation_register(h, b2)
-    return dense_pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
+def dense_cation_spectrum(blocks, b2):
+    """Sum of ``dense_pair_spectrum`` over the registers 1_e2 x h - b2 Z_e2 x 1 of cation
+    blocks."""
+    def one(h, twice_m, weights):
+        H = cation_register(h, b2)
+        return dense_pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
+    return functools.reduce(operator.add, (one(*block) for block in blocks))
 
 
 def spec(name, regime):
@@ -184,3 +195,37 @@ def test_non_finite_matrix_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
         BlockHamiltonian(m, (2, 1, 2), ("e2", "nuc", "e1"))
 
+
+
+def elementwise_cation_two_group(I2, s):
+    """The fixed-I2 cation block assembled entry by entry: U1 Lambda1 U1 and U2 Lambda2 U2
+    with CG_{I2} placed on every (m2, e1) pair of each group-1 slot, plus the e1 Zeeman term."""
+    n_m2 = multiplicity(I2)
+    size = 8 * n_m2
+    U1, lam1 = np.zeros((size, size)), np.zeros(size)
+    U2, lam2 = np.zeros((size, size)), np.zeros(size)
+    for k in range(n_m2):
+        for I1, start, width in ((HalfInt(2), 0, 6), (HalfInt(0), 6, 2)):
+            o = 8 * k + start
+            U1[o:o + width, o:o + width] = cg_block_matrix(I1)
+            lam1[o:o + width] = coupled_hfc_eigenvalues(I1)
+    cg2, lam2_coupled = cg_block_matrix(I2), coupled_hfc_eigenvalues(I2)
+    for x in range(len(cg2)):
+        for k in range(4):
+            row = (x // 2) * 8 + 2 * k + x % 2  # m2 block, group-1 slot k, e1
+            lam2[row] = lam2_coupled[x]
+            for y in range(len(cg2)):
+                U2[row, (y // 2) * 8 + 2 * k + y % 2] = cg2[x, y]
+    w1, w2 = s.hyperfine_rad_ns
+    h = w1 * U1 @ np.diag(lam1) @ U1 + w2 * U2 @ np.diag(lam2) @ U2
+    return h - s.b1 * np.diag(np.tile([1.0, -1.0], size // 2))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cation_two_group_matches_the_elementwise_assembly(regime):
+    s = spec("dmb", regime)
+    for I2 in spin_addition_counts(12):
+        h, twice_m = build_cation_two_group(I2, s)
+        oracle = elementwise_cation_two_group(I2, s)
+        assert np.abs(h - oracle).max() <= 1e-14 * np.abs(oracle).max(), I2
+        assert len(twice_m) == len(h) == 8 * multiplicity(I2)

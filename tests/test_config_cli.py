@@ -335,7 +335,8 @@ class TestCli:
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch, bad):
         from qbeats import cli, pipeline
 
-        monkeypatch.setattr(pipeline, "singlet_values", lambda traj: np.full(len(traj), bad))
+        monkeypatch.setattr(pipeline, "relaxed_singlet",
+                            lambda spectrum, times, T1, T2: np.full(len(times), bad))
         cfgfile = tmp_path / "tiny.yaml"
         cfgfile.write_text(yaml.safe_dump(dict(
             preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),

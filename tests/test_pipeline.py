@@ -118,3 +118,25 @@ def test_pure_sector_state_matches_its_sector_trajectory():
     traj = one_group_sector_trajectories(spec, times)[HalfInt.from_float(3)].trajectory
     assert np.abs(simulate(config, "zero").trace.values
                   - noisy_singlet("kraus", traj, times, spec)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("grid, count", [
+    ((0.0, 1.0, 0.6), 2),        # 1 / 0.6 intervals: 0 and 0.6, never 1.2
+    ((0.0, 0.3, 0.1), 4),        # 2.9999999999999996 intervals: the end is kept
+    ((0.0, 100.0, 0.1), 1001),
+    ((0.0, 100.0, 0.02), 5001),
+    ((5.0, 20.0, 0.1), 151),
+    ((2.0, 2.0, 0.5), 1),
+])
+def test_time_grid_never_passes_its_end(grid, count):
+    times = time_grid(*grid)
+    start, end, step = grid
+    assert len(times) == count and times[0] == start
+    assert times[-1] <= end + 1e-9 * step
+    assert np.array_equal(times, start + step * np.arange(count))
+
+
+def test_simulate_writes_no_row_past_the_end():
+    config = dataclasses.replace(load_preset("octalin"), noise_method="none",
+                                 time_grid=(0.0, 1.0, 0.6))
+    assert list(simulate(config, "zero").trace.times) == [0.0, 0.6]

@@ -129,6 +129,17 @@ class TestObservedRatio:
         r = observed_ratio(wiggle(t), wiggle(t, 0.3), FIG9)
         assert r.meta["edge_unreliable_before_ns"] == pytest.approx(1.0 + 3 * 1.2)
 
+    def test_edge_metadata_counts_from_the_first_grid_point(self):
+        # the zero extension starts at the grid's first point, not at t = 0
+        t = time_grid(5.0, 20.0, 0.1)
+        r = observed_ratio(wiggle(t), wiggle(t, 0.3), FIG9)
+        assert r.meta["edge_unreliable_before_ns"] == pytest.approx(5.0 + 1.0 + 3 * 1.2)
+        # against the same signal from t = 0, the cut run differs most at its first point
+        full = time_grid(0.0, 20.0, 0.1)
+        whole = observed_ratio(wiggle(full), wiggle(full, 0.3), FIG9).values[-len(t):]
+        gap = np.abs(r.values - whole)
+        assert gap[0] == gap.max() and gap[t > 18.0].max() < 1e-3 * gap[0]
+
     @given(st.floats(0.1, 10.0))
     def test_homogeneity_under_f_rescale(self, alpha):
         # multiplying both ideal intensities by alpha leaves R untouched

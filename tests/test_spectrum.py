@@ -11,6 +11,9 @@ pipeline are checked against ``pair_spectrum`` on the full register.
 
 import dataclasses
 import functools
+import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +21,11 @@ import pytest
 from qbeats import dynamics
 from qbeats.config import load_preset
 from qbeats.dynamics import (
+    SINGLET_TRIU,
     SQRT_HALF,
     PairSpectrum,
     cation_spectrum,
+    evaluate_rows,
     evaluate_spectrum,
     maximally_mixed_nuclear_state,
     one_group_weights,
@@ -46,12 +51,16 @@ from qbeats.hamiltonians import (
     one_group_reduced_index,
 )
 from qbeats.pipeline import (
+    _class_average,
     one_group_pair_trace,
     one_group_sector_spectra,
+    one_group_spectrum,
     simulate,
     two_group_pair_trace,
     two_group_sector_spectrum,
+    two_group_spectrum,
 )
+from qbeats.relaxation import CORRELATOR_TRIU, relax_pair_trajectory, relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
 from support import cation_register
 
@@ -316,10 +325,13 @@ def test_stacked_eig_equals_block_by_block_eigh(name):
 # Cation-block spectra against pair_spectrum on the full register
 # ---------------------------------------------------------------------------
 
-def full_register_spectrum(h, twice_m, weights, b2):
-    """``pair_spectrum`` of |S><S| x sum_r weights[r] |r><r| on 1_e2 x h - b2 Z_e2 x 1."""
-    H = cation_register(h, b2)
-    return pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
+def full_register_spectrum(blocks, b2):
+    """Sum over cation blocks (h, twice_m, weights) of the ``pair_spectrum`` of
+    |S><S| x sum_r weights[r] |r><r| on 1_e2 x h - b2 Z_e2 x 1."""
+    def one(h, twice_m, weights):
+        H = cation_register(h, b2)
+        return pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
+    return functools.reduce(operator.add, (one(*block) for block in blocks))
 
 
 def full_register_sector_spectrum(sector):
@@ -355,7 +367,7 @@ def test_cation_spectrum_of_the_mixed_octalin_ensemble(regime):
     oracle = evaluate_spectrum(
         pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
                       weights[reached]), TIMES)
-    assert dev(evaluate_spectrum(cation_spectrum(h, twice_m, weights, s.b2), TIMES),
+    assert dev(evaluate_spectrum(cation_spectrum([(h, twice_m, weights)], s.b2), TIMES),
                oracle) <= TOL
     assert dev(one_group_pair_trace(s, regime, TIMES).trajectory, oracle) <= TOL
 
@@ -397,7 +409,7 @@ def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
     reached = np.flatnonzero(weights)
     oracle = pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
                            weights[reached])
-    assert dev(evaluate_spectrum(cation_spectrum(h, twice_m, weights, s.b2), times),
+    assert dev(evaluate_spectrum(cation_spectrum([(h, twice_m, weights)], s.b2), times),
                evaluate_spectrum(oracle, times)) <= TOL
 
 
@@ -435,3 +447,97 @@ def test_cation_blocks_conserve_m_and_assemble_the_builders_matrices():
             off = ~np.eye(len(matrix), dtype=bool)
             assert np.array_equal(assembled[off], matrix[off]), name
             assert dev(assembled, matrix) <= 4 * np.spacing(np.abs(matrix).max()), name
+
+
+# ---------------------------------------------------------------------------
+# One spectrum per regime and its correlator read-out
+# ---------------------------------------------------------------------------
+
+def regime_spectrum(name, regime):
+    s = spec(name, regime)
+    return s, one_group_spectrum(s, regime) if name == "octalin" else two_group_spectrum(s)
+
+
+@pytest.mark.parametrize("relaxation", ["preset", "T1=inf", "T1=T2=inf"])
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["octalin", "dmb"])
+def test_correlator_readout_matches_the_relaxed_trajectory(name, regime, relaxation):
+    s, spectrum = regime_spectrum(name, regime)
+    T1 = s.T1 if relaxation == "preset" else math.inf
+    T2 = math.inf if relaxation == "T1=T2=inf" else s.T2
+    traj = evaluate_spectrum(spectrum, TIMES)
+    oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
+    assert dev(relaxed_singlet(spectrum, TIMES, T1, T2), oracle) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["octalin", "dmb"])
+def test_the_trace_is_one_constant_term(name, regime):
+    _, spectrum = regime_spectrum(name, regime)
+    trace = CORRELATOR_TRIU[0] @ spectrum.amplitudes.T
+    (k,) = np.flatnonzero(trace)  # one term, the zero frequency merged with its roundoff
+    assert abs(spectrum.freqs[k]) <= spectrum.tol and trace[k] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_all_dmb_sectors_at_once_equal_the_per_sector_sum(regime):
+    counts, total = spin_addition_counts(12), 2 ** 14
+    parts = [(counts[I2] * dmb_sector(regime, I2).register_size / total)
+             * two_group_sector_spectrum(dmb_sector(regime, I2)) for I2 in counts]
+    oracle = functools.reduce(operator.add, parts)
+    spectrum = two_group_spectrum(spec("dmb", regime))
+    assert dev(evaluate_spectrum(spectrum, TIMES), evaluate_spectrum(oracle, TIMES)) <= TOL
+    assert len(spectrum.freqs) <= len(oracle.freqs)
+
+
+def test_a_reached_block_without_an_m_minus_1_block():
+    # |I=4, m=-4> reaches the lowest block M = -9/2, which has no M - 1 partner; a
+    # second copy of the block adds a sector whose M labels overlap the first one's
+    s = spec("octalin", "high")
+    h, twice_m = build_cation_one_group(s)
+    lowest = np.zeros(len(h) // 2)
+    lowest[one_group_reduced_index(8, HalfInt(8), HalfInt(-8))] = 0.7
+    both = [(h, twice_m, lowest), (h, twice_m, class_weights("high"))]
+    for blocks in (both[:1], both):
+        assert dev(evaluate_spectrum(cation_spectrum(blocks, s.b2), TIMES),
+                   evaluate_spectrum(full_register_spectrum(blocks, s.b2), TIMES)) <= TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_one_group_summed_weights_equal_the_class_average(regime):
+    s = spec("octalin", regime)
+    oracle = _class_average(8, regime, one_group_sector_spectra(s))
+    spectrum = one_group_spectrum(s, regime)
+    assert dev(evaluate_spectrum(spectrum, TIMES), evaluate_spectrum(oracle, TIMES)) <= TOL
+    assert len(spectrum.freqs) <= len(oracle.freqs)
+
+
+ROWS = np.vstack([CORRELATOR_TRIU, SINGLET_TRIU, np.eye(10)])
+
+
+def direct_rows(spectrum, times, rows):
+    """The row sums with one exp per (frequency, time)."""
+    return (rows @ spectrum.amplitudes.T) @ np.exp(-1j * np.multiply.outer(spectrum.freqs, times))
+
+
+def test_row_kernel_on_a_non_uniform_grid():
+    _, spectrum = sector_case()
+    rng = np.random.default_rng(11)
+    times = np.sort(rng.uniform(0.0, 100.0, 700))
+    assert dev(evaluate_rows(spectrum, times, ROWS), direct_rows(spectrum, times, ROWS)) <= TOL
+
+
+def test_row_kernel_on_a_long_grid_allocates_no_frequency_by_time_table():
+    _, spectrum = regime_spectrum("dmb", "zero")
+    times = time_grid(0.0, 200.0, 0.001)
+    F, T = len(spectrum.freqs), len(times)
+    assert T == 200_001
+    tracemalloc.start()
+    try:
+        rows = evaluate_rows(spectrum, times, CORRELATOR_TRIU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F * T * 16 / 10, "an (F x T) table was allocated"
+    sample = np.arange(0, T, 997)
+    assert dev(rows[:, sample], direct_rows(spectrum, times[sample], CORRELATOR_TRIU)) <= TOL

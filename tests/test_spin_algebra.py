@@ -107,6 +107,12 @@ class TestClebschGordanBlocks:
         with pytest.raises(ValueError):
             cg_block_matrix(HalfInt(-2))
 
+    def test_memoized_read_only(self):
+        first = cg_block_matrix(HalfInt(5))
+        assert cg_block_matrix(HalfInt(5)) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+
 
 class TestCoupledEigenvalues:
     def test_spin_one(self):
