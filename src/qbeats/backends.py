@@ -10,9 +10,8 @@ accumulate a deterministic drift phase.  That one mechanism realizes both the
 noisy-identity-gate method and the delay-based inherent-noise method.
 
 The density backend runs one template circuit over a leading batch axis:
-the initial state may be a (B, d, d) stack, a DELAY duration or an RZ angle
-a length-B array and a UNITARY matrix a (B, d, d) stack, so a whole time
-grid goes through a single call.
+the initial state may be a (B, d, d) stack and a DELAY duration or an RZ
+angle a length-B array, so a whole time grid goes through a single call.
 """
 
 from __future__ import annotations
@@ -153,21 +152,13 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
 
 
 def _batch_size(circuit: Circuit, rho0) -> int | None:
-    """Common length of the batched gate parameters, matrices and initial states."""
+    """Common length of the batched gate parameters and initial states."""
     sizes = {len(p) for g in circuit.gates for p in g.params if np.ndim(p)}
-    sizes |= {len(g.matrix) for g in circuit.gates
-              if g.kind == "UNITARY" and g.matrix.ndim == 3}
     if rho0 is not None and np.ndim(rho0) == 3:
         sizes.add(len(rho0))
     if len(sizes) > 1:
         raise ValueError(f"mismatched batch lengths {sorted(sizes)}")
     return sizes.pop() if sizes else None
-
-
-def _per_row(gate: Gate) -> bool:
-    """Whether the gate carries batched parameters or a (B, d, d) matrix stack."""
-    return (any(np.ndim(p) for p in gate.params)
-            or (gate.kind == "UNITARY" and gate.matrix.ndim == 3))
 
 
 def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
@@ -222,11 +213,10 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
 
     With a noise model attached, each gate is followed by per-site thermal
     relaxation for the gate duration; delay gates also accumulate the model's
-    deterministic drift phase.  Batched parameters, matrices or a (B, d, d)
-    ``rho0`` run the circuit once per row and return a (B, d, d) matrix; a
-    (d, d) ``rho0`` is shared by all rows.  A shared start stays one row until
-    the first gate with per-row parameters or matrices, so the gates before
-    it run once.
+    deterministic drift phase.  Batched parameters or a (B, d, d) ``rho0``
+    run the circuit once per row and return a (B, d, d) matrix; a (d, d)
+    ``rho0`` is shared by all rows.  A shared start stays one row until the
+    first gate with per-row parameters, so the gates before it run once.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:
@@ -243,7 +233,7 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
         rho = np.array(rho0, dtype=complex, ndmin=3)
 
     for g in circuit.gates:
-        if len(rho) != (batch or 1) and _per_row(g):
+        if len(rho) != (batch or 1) and any(np.ndim(p) for p in g.params):
             # the gates before this one act alike on every row: they ran once
             rho = np.array(np.broadcast_to(rho, (batch, dim, dim)))
         if g.kind != "DELAY":

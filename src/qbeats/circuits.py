@@ -3,7 +3,7 @@
 Sites are qubit indices; site 0 is the leftmost (most significant) tensor
 factor.  Probabilistic gates carry an insertion probability and are expanded
 exactly by the backends, never sampled.  For a batched density run a
-parameter may be a length-B array and a UNITARY matrix a (B, d, d) stack.
+parameter may be a length-B array.
 
 Text dump format (one item per line, '#' for comments):
 
@@ -43,7 +43,7 @@ class Gate:
             if self.matrix is None:
                 raise ValueError("UNITARY gate requires a matrix")
             d = 2 ** len(self.sites)
-            if self.matrix.shape[-2:] != (d, d) or self.matrix.ndim > 3:
+            if self.matrix.shape != (d, d):
                 raise ValueError("UNITARY matrix size does not match site count")
         elif self.kind in PARAM_COUNTS:
             if len(self.params) != PARAM_COUNTS[self.kind]:

@@ -101,7 +101,7 @@ class BlockHamiltonian:
 
     def __init__(self, matrix, dims, labels, basis_labels=None, padded_rows=0,
                  degeneracy=None):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         if int(np.prod(dims)) != matrix.shape[0]:
@@ -225,23 +225,6 @@ def one_group_reduced_index(n: int, I: HalfInt, m: HalfInt) -> int:
     raise ValueError(f"I={I} is not a valid total spin for {n} nuclei")
 
 
-def one_group_degenerate_index(n: int, I: HalfInt, m: HalfInt) -> int:
-    """Slot of the first |I,m> copy in the degeneracy-repeated nuclear ordering."""
-    if abs(m.twice_value) > I.twice_value:
-        raise ValueError(f"|m|={m} exceeds I={I}")
-    counts = spin_addition_counts(n)
-    idx = 0
-    for J in distinct_spins(n):
-        if J == I:
-            return idx + (I.twice_value - m.twice_value) // 2
-        idx += counts[J] * multiplicity(J)
-    raise ValueError(f"I={I} is not a valid total spin for {n} nuclei")
-
-
-def index_bitstring(index: int, n_bits: int) -> str:
-    return format(index, f"0{n_bits}b")
-
-
 # ---------------------------------------------------------------------------
 # Full tensor-product oracle (one group)
 # ---------------------------------------------------------------------------
@@ -272,7 +255,7 @@ def build_full_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     H -= spec.b2 * _kron_chain([SIGMA_Z, eye_nuc, eye2])
 
     labels = ("e2", "nuc", "e1")
-    return BlockHamiltonian(H, (2, nuc_dim, 2), labels)
+    return BlockHamiltonian(H.real, (2, nuc_dim, 2), labels)  # Jy x sigma_y is real, so H is
 
 
 def full_nuclear_sector_vector(n: int, I: HalfInt, m: HalfInt) -> np.ndarray:

@@ -35,18 +35,17 @@ from .hamiltonians import (
     SpinSystemSpec,
     TwoGroupSector,
     build_cation_one_group,
-    build_partitioned,
     build_two_group_block,
     distinct_spins,
     one_group_reduced_index,
 )
 from .noisemethods import (
-    echo_synthetic_encoded_values,
-    echo_synthetic_sector_values,
+    echo_synthetic_values,
     echo_targets,
     per_gate_singlet_values,
+    rz_encoded_correlators,
 )
-from .relaxation import relax_pair_trajectory, relaxed_singlet
+from .relaxation import pair_correlators, relax_pair_trajectory, relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
 
@@ -179,9 +178,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
 
     ``none``, ``kraus`` and ``per-gate`` act on the system's beat spectrum: the
     first two read S(t) from its correlators, ``per-gate`` runs its pair
-    trajectory through the noisy circuit.  ``echo-synthetic`` runs every
-    |I, m=I> sector in one batch on the partitioned 3-qubit Hamiltonians (one
-    group), or on the coherent S(t) encoded in an Rz rotation (two groups).
+    trajectory through the noisy circuit.  ``echo-synthetic`` reads the
+    correlators of every |I, m=I> sector spectrum (one group), or of the
+    coherent S(t) encoded in an Rz rotation (two groups), and averages a
+    mixed one-group state over the sectors after the correction.
     With ``sectors`` the result also carries one column per sector: the noisy
     |I, m=I> traces of a mixed one-group run, or the coherent padded-register
     trace of each I2 sector of a two-group run.
@@ -197,10 +197,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     if len(spec.groups) == 2:
         spectrum = two_group_spectrum(spec)
         if method == "echo-synthetic":
-            coherent = relaxed_singlet(spectrum, times, math.inf, math.inf)
-            values = echo_synthetic_encoded_values(
-                TimeSeries(times, clip_probabilities(coherent, "S_coherent")), target,
-                config.hardware)
+            coherent = clip_probabilities(relaxed_singlet(spectrum, times, math.inf, math.inf),
+                                          "S_coherent")
+            values = echo_synthetic_values(rz_encoded_correlators(coherent), target,
+                                           config.hardware)
         else:
             values = _noisy_singlet(method, spectrum, times, spec)
         for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
@@ -213,11 +213,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         n = spec.groups[0].count
         pure = config.initial_sector()
         if method == "echo-synthetic":
-            spins = [pure[0]] if pure else distinct_spins(n)
-            rows = echo_synthetic_sector_values([build_partitioned(I, spec) for I in spins],
-                                                times, target, config.hardware)
-            per_sector = {I: clip_probabilities(row, _sector_label(I))
-                          for I, row in zip(spins, rows)}
+            per_sector = {}
+            for I, s in one_group_sector_spectra(spec, [pure] if pure else None).items():
+                row = echo_synthetic_values(pair_correlators(s, times), target, config.hardware)
+                per_sector[I] = clip_probabilities(row, _sector_label(I))
             values = per_sector[pure[0]] if pure else _class_average(n, regime, per_sector)
             if sectors and not pure:
                 columns = {_sector_label(I): v for I, v in per_sector.items()}

@@ -63,11 +63,6 @@ class RelaxationParams:
     def phi_x(self) -> float:
         return 2.0 * math.asin(math.sqrt(self.p_x))
 
-    @property
-    def coherence_factor(self) -> float:
-        """exp(-t/T2): scaling of off-diagonal elements."""
-        return math.sqrt(1.0 - self.p_x) * (1.0 - 2.0 * self.p_z)
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -176,22 +171,41 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
     return work.reshape(len(t), 4, 4)
 
 
-# the trace, <ZZ> and <XX + YY> = 4 Re rho_12 as rows over the PAIR_TRIU elements (real parts)
+# the trace, <ZZ>, <XX + YY> = 4 Re rho_12 and <Z1 + Z2> as rows over the PAIR_TRIU elements
+# (real parts); a singlet pair has the correlators SINGLET_CORRELATORS
 CORRELATOR_TRIU = np.array([[1, 0, 0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 0, -1, 0, 0, -1, 0, 1],
-                            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0]], dtype=float)
+                            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0, 0, -2]],
+                           dtype=float)
+SINGLET_CORRELATORS = np.array([1.0, -1.0, -2.0, 0.0])
+
+
+def pair_correlators(spectrum: PairSpectrum, times: np.ndarray) -> np.ndarray:
+    """(4, T) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>) of a beat spectrum; w is the trace."""
+    return evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU).real
+
+
+def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarray:
+    """(..., 4) Bell-outcome probabilities (S, T0, T+, T-) after the both-site channel of
+    duration ``t``, read from (4, ...) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>).
+
+    The channel scales <Z1 + Z2> by g = exp(-t/T1), <ZZ> by g^2 and <XX + YY> by
+    f^2 = exp(-2t/T2): S, T0 = (w - g^2 <ZZ> -+ f^2 <XX + YY>) / 4 and
+    T+- = (w + g^2 <ZZ> +- g <Z1 + Z2>) / 4.
+    """
+    RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+    w, zz, xy, z = correlators
+    zz, xy, z = np.exp(-2 * t / T1) * zz, np.exp(-2 * t / T2) * xy, np.exp(-t / T1) * z
+    return np.stack(np.broadcast_arrays(w - zz - xy, w - zz + xy, w + zz + z, w + zz - z),
+                    axis=-1) / 4
 
 
 def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, T1: float, T2: float) -> np.ndarray:
-    """S(t) of a beat spectrum after the both-site channel, read from two correlators.
-
-    The channel scales <ZZ> by g^2 = exp(-2t/T1) and <XX + YY> by f^2 = exp(-2t/T2),
-    so S = (w - g^2 <ZZ> - f^2 <XX + YY>) / 4 with w the constant trace; equal to
-    ``relaxed_singlet_values`` of the evaluated trajectory.
-    """
+    """S(t) of a beat spectrum after the both-site channel, read from its correlators;
+    equal to ``relaxed_singlet_values`` of the evaluated trajectory.  S does not read
+    <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
     t = np.asarray(times, dtype=float)
-    RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
-    w, zz, xy = evaluate_rows(spectrum, t, CORRELATOR_TRIU).real
-    return (w - np.exp(-2 * t / T1) * zz - np.exp(-2 * t / T2) * xy) / 4
+    w, zz, xy = evaluate_rows(spectrum, t, CORRELATOR_TRIU[:3]).real
+    return relaxed_bell_probabilities((w, zz, xy, 0.0), t, T1, T2)[..., 0]
 
 
 def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,

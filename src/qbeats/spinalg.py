@@ -99,9 +99,6 @@ class SpinMultiplicityTable:
     def build(n_max: int) -> "SpinMultiplicityTable":
         return SpinMultiplicityTable({n: spin_addition_counts(n) for n in range(1, n_max + 1)})
 
-    def state_total(self, n: int) -> int:
-        return sum(c * multiplicity(I) for I, c in self.rows[n].items())
-
 
 def product_basis_labels(I: HalfInt) -> list[tuple[HalfInt, int]]:
     """Product-basis ordering for the I (+) 1/2 coupling.

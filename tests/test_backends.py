@@ -8,6 +8,7 @@ followed by the drift RZ.  The noise routes are checked against per-point
 versions of their formulas built on the same oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qbeats.backends import (
 )
 from qbeats.circuits import Circuit, Gate
 from qbeats.config import HardwareModel, load_preset
-from qbeats.dynamics import SINGLET, DensityMatrix, TimeSeries, pair_probabilities, time_grid
+from qbeats.dynamics import SINGLET, DensityMatrix, pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
 from qbeats.library import (
     add_singlet_prep,
@@ -34,13 +35,18 @@ from qbeats.library import (
 )
 from qbeats.noisecal import MeasurementStats, channel_target_stats, correct_stats, inject_singlet
 from qbeats.noisemethods import (
-    echo_synthetic_encoded_values,
-    echo_synthetic_sector_values,
+    echo_synthetic_values,
     echo_targets,
     per_gate_singlet_values,
+    rz_encoded_correlators,
 )
-from qbeats.pipeline import one_group_sector_trajectories
-from qbeats.relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
+from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
+from qbeats.relaxation import (
+    RelaxationParams,
+    apply_channel,
+    infinite_temperature_thermal_channel,
+    pair_correlators,
+)
 from qbeats.spinalg import HalfInt
 
 TOL = 1e-12
@@ -48,8 +54,7 @@ TOL = 1e-12
 
 def row_gate(g: Gate, i: int) -> Gate:
     params = tuple(p[i] if np.ndim(p) else p for p in g.params)
-    matrix = g.matrix[i] if g.matrix is not None and g.matrix.ndim == 3 else g.matrix
-    return Gate(g.kind, g.sites, params, g.prob, matrix)
+    return Gate(g.kind, g.sites, params, g.prob, g.matrix)
 
 
 def run_row(circuit: Circuit, rho0, noise, i: int) -> np.ndarray:
@@ -104,7 +109,7 @@ def template(rng) -> Circuit:
     c.add("CNOT", (0, 1))
     c.add("X", 2, prob=0.3)
     c.add("RZ", 1, (rng.uniform(-4.0, 4.0, ROWS),))
-    c.add("UNITARY", (0, 1, 2), matrix=random_unitaries(rng, ROWS, 8))
+    c.add("UNITARY", (0, 1, 2), matrix=random_unitaries(rng, 1, 8)[0])
     c.add("DELAY", 0, (DURATIONS,))
     c.add("DELAY", 2, (2.5,))
     c.add("Z", 1, prob=0.6)
@@ -205,7 +210,7 @@ class TestBatchedRunDensity:
         assert got[0, 0] == pytest.approx(0.5 + g * (rho[0, 0] - 0.5), abs=TOL)
         assert got[0, 1] == pytest.approx(f * np.exp(-1j * rate * dt) * rho[0, 1], abs=TOL)
 
-    @pytest.mark.parametrize("case", ["params", "rho0", "matrix"])
+    @pytest.mark.parametrize("case", ["params", "rho0"])
     def test_mismatched_batch_lengths_raise(self, case):
         rng = np.random.default_rng(1)
         c = Circuit(2)
@@ -213,10 +218,8 @@ class TestBatchedRunDensity:
         rho0 = None
         if case == "params":
             c.add("RZ", 1, (np.ones(4),))
-        elif case == "rho0":
-            rho0 = random_states(rng, 5, 4)
         else:
-            c.add("UNITARY", (0, 1), matrix=random_unitaries(rng, 2, 4))
+            rho0 = random_states(rng, 5, 4)
         with pytest.raises(ValueError, match="mismatched batch lengths"):
             run_density(c, rho0, SyntheticQubitNoise())
 
@@ -235,6 +238,9 @@ class TestBatchedRunDensity:
     def test_unitary_stack_of_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="UNITARY"):
             Circuit(2).add("UNITARY", (0, 1), matrix=np.zeros((3, 2, 2)))
+        stack = random_unitaries(np.random.default_rng(1), 2, 4)  # of right-sized ones
+        with pytest.raises(ValueError, match="UNITARY"):
+            Circuit(2).add("UNITARY", (0, 1), matrix=stack)
 
     def test_batched_partial_trace(self):
         rho = random_states(np.random.default_rng(4), 3, 8)
@@ -315,37 +321,34 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("regime", ["zero", "high"])
     def test_sector_route_matches_per_point_runs(self, regime, hw):
-        spec = load_preset("octalin").spin_spec(regime)
-        H = build_partitioned(HalfInt(2), spec)
+        # every |I, m=I> sector, and the pure |2, 2> state through simulate, against
+        # the damped and reference circuits with U(t) of the 3-qubit partitioned block
+        config = dataclasses.replace(load_preset("octalin"), noise_method="echo-synthetic",
+                                     time_grid=(0.0, 20.0, 4.0), hardware=HARDWARE[hw])
+        spec = config.spin_spec(regime)
         target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
-        got = echo_synthetic_sector_values([H], TIMES, target, HARDWARE[hw])[0]
-        w, v = H.eig()
-        for i, t in enumerate(TIMES):
-            U = (v * np.exp(-1j * w * t)) @ v.conj().T
-            want = corrected_at(lambda c: c.add("UNITARY", (0, 1, 2), matrix=U), 3, 2, 0,
-                                HARDWARE[hw], target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]))
-            assert abs(got[i] - want) <= TOL
-
-    @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
-    @pytest.mark.parametrize("regime", ["zero", "high"])
-    def test_all_sector_batch_equals_single_block_calls(self, regime, hw):
-        spec = load_preset("octalin").spin_spec(regime)
-        blocks = [build_partitioned(I, spec) for I in distinct_spins(8)]
-        target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
-        got = echo_synthetic_sector_values(blocks, TIMES, target, HARDWARE[hw])
-        assert got.shape == (len(blocks), len(TIMES))
-        for row, H in zip(got, blocks):
-            alone = echo_synthetic_sector_values([H], TIMES, target, HARDWARE[hw])
-            assert np.abs(row - alone[0]).max() == 0.0
+        targets = [target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]) for t in TIMES]
+        got = {I: echo_synthetic_values(pair_correlators(s, TIMES), target, HARDWARE[hw])
+               for I, s in one_group_sector_spectra(spec).items()}
+        assert list(got) == distinct_spins(8)
+        got["pure"] = pipeline.simulate(dataclasses.replace(config, initial_state="2, 2"),
+                                        regime).trace.values
+        for I, values in got.items():
+            w, v = build_partitioned(HalfInt.from_float(2) if I == "pure" else I, spec).eig()
+            for i, t in enumerate(TIMES):
+                U = (v * np.exp(-1j * w * t)) @ v.conj().T
+                want = corrected_at(lambda c: c.add("UNITARY", (0, 1, 2), matrix=U), 3, 2, 0,
+                                    HARDWARE[hw], targets[i])
+                assert abs(values[i] - want) <= TOL, (I, t)
 
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("T1,T2", [(20.0, 20.0), (2000.0, 20.0)])
     def test_encoded_route_matches_per_point_runs(self, T1, T2, hw):
-        coherent = TimeSeries(TIMES, 0.5 + 0.5 * np.cos(0.45 * TIMES))
+        coherent = 0.5 + 0.5 * np.cos(0.45 * TIMES)
         target = echo_targets(TIMES, T1, T2, HARDWARE[hw])
-        got = echo_synthetic_encoded_values(coherent, target, HARDWARE[hw])
+        got = echo_synthetic_values(rz_encoded_correlators(coherent), target, HARDWARE[hw])
         for i, t in enumerate(TIMES):
-            theta = rz_encode_angle(float(coherent.values[i]))
+            theta = rz_encode_angle(float(coherent[i]))
             want = corrected_at(lambda c: c.add("RZ", 1, (theta,)), 2, 0, 1, HARDWARE[hw],
                                 target_at(float(t), T1, T2, HARDWARE[hw]))
             assert abs(got[i] - want) <= TOL
@@ -380,21 +383,20 @@ class TestNoiseRoutes:
         result = pipeline.simulate(config, "zero", sectors=True)
         assert len(calls) == 1 and len(result.sectors) == 5
 
-    @pytest.mark.parametrize("regime,runs", [("zero", 3), ("high", 2)])
-    def test_simulate_runs_one_damped_and_one_reference_circuit(self, monkeypatch, regime,
-                                                                 runs):
-        # the echo targets, one damped run over every (sector, time) row and one
-        # reference; infinite T1 (octalin at high field) takes closed-form targets
-        batches = []
+    @pytest.mark.parametrize("regime,runs", [("zero", 1), ("high", 0)])
+    def test_simulate_runs_only_the_echo_target_circuit(self, monkeypatch, regime, runs):
+        # the damped and reference runs are read out in closed form; only the echo
+        # targets run on the gate backend, and infinite T1 (octalin at high field)
+        # takes closed-form targets too
+        calls = []
 
-        def counted(circuit, *args, **kwargs):
-            out = run_density(circuit, *args, **kwargs)
-            batches.append(out.matrix.shape[:-2])
-            return out
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_density(*args, **kwargs)
 
         monkeypatch.setattr(noisemethods, "run_density", counted)
         config = load_preset("octalin")
         config.noise_method = "echo-synthetic"
         config.time_grid = (0.0, 4.0, 1.0)
         pipeline.simulate(config, regime, sectors=True)
-        assert len(batches) == runs and (5 * 5,) in batches and () in batches
+        assert len(calls) == runs

@@ -18,8 +18,6 @@ from qbeats.hamiltonians import (
     build_reduced_one_group,
     build_two_group_block,
     full_nuclear_sector_vector,
-    index_bitstring,
-    one_group_degenerate_index,
     one_group_reduced_index,
     partitioned_params,
     pauli_decompose_partitioned,
@@ -144,19 +142,6 @@ class TestIndexTables:
     ])
     def test_reduced_index(self, tI, tm, expected):
         assert one_group_reduced_index(8, HalfInt(tI), HalfInt(tm)) == expected
-
-    @pytest.mark.parametrize("tI,tm,expected", [
-        (8, 8, 0), (8, 4, 2), (8, -8, 8), (6, 6, 9), (6, -6, 15),
-        (4, 4, 58), (4, -4, 62), (2, 2, 158), (2, -2, 160), (0, 0, 242),
-    ])
-    def test_degenerate_index(self, tI, tm, expected):
-        assert one_group_degenerate_index(8, HalfInt(tI), HalfInt(tm)) == expected
-
-    def test_bitstring_round_trip(self):
-        assert index_bitstring(58, 8) == "00111010"
-        assert int(index_bitstring(58, 8), 2) == 58
-        assert index_bitstring(16, 5) == "10000"
-        assert index_bitstring(2, 8) == "00000010"
 
     def test_rejects_invalid_sector(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from qbeats.config import HardwareModel
 from qbeats.dynamics import pair_probabilities, time_grid
-from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned
+from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
 from qbeats.library import effective_decay_constant
 from qbeats.noisecal import (
     MeasurementStats,
@@ -16,14 +16,14 @@ from qbeats.noisecal import (
     inject_singlet,
 )
 from qbeats.noisemethods import (
-    echo_synthetic_encoded_values,
-    echo_synthetic_sector_values,
+    echo_synthetic_values,
     echo_targets,
     kraus_singlet_values,
     per_gate_singlet_values,
+    rz_encoded_correlators,
 )
-from qbeats.pipeline import one_group_sector_trajectories
-from qbeats.relaxation import RelaxationParams
+from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
+from qbeats.relaxation import RelaxationParams, pair_correlators
 from qbeats.spinalg import HalfInt
 
 REF_CLEAN = MeasurementStats(1.0, 0.0, 0.0, 0.0)
@@ -132,9 +132,8 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel()
         I = HalfInt(8)
-        H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values([H], times, echo_targets(times, 9.0, 9.0, hw),
-                                            hw)[0]
+        correlators = pair_correlators(one_group_sector_spectra(spec)[I], times)
+        echo = echo_synthetic_values(correlators, echo_targets(times, 9.0, 9.0, hw), hw)
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
@@ -146,27 +145,24 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
-        H = build_partitioned(I, spec)
-        echo = echo_synthetic_sector_values([H], times, echo_targets(times, math.inf, 9.0, hw),
-                                            hw)[0]
+        correlators = pair_correlators(one_group_sector_spectra(spec)[I], times)
+        echo = echo_synthetic_values(correlators, echo_targets(times, math.inf, 9.0, hw), hw)
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9
 
     def test_encoded_route_matches_on_high_field(self):
-        from qbeats.dynamics import TimeSeries
-
         times = time_grid(0, 30, 3.0)
-        coherent = TimeSeries(times, 0.5 + 0.5 * np.cos(0.45 * times))
+        coherent = 0.5 + 0.5 * np.cos(0.45 * times)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)
-        got = echo_synthetic_encoded_values(coherent, echo_targets(times, math.inf, 20.0, hw),
-                                            hw)
+        got = echo_synthetic_values(rz_encoded_correlators(coherent),
+                                    echo_targets(times, math.inf, 20.0, hw), hw)
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
             float(np.array([s, 1 - s, 0, 0]) @ channel_target_stats(
                 RelaxationParams(t, math.inf, 20.0), "both").as_array())
-            for t, s in zip(times, coherent.values)
+            for t, s in zip(times, coherent)
         ])
         assert np.abs(got - expected).max() <= 1e-9
 

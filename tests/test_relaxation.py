@@ -40,7 +40,6 @@ class TestRelaxationParams:
     def test_infinite_T1(self):
         p = RelaxationParams(t=5.0, T1=math.inf, T2=9.0)
         assert p.p_x == 0.0
-        assert p.coherence_factor == pytest.approx(math.exp(-5 / 9))
 
 
 class TestChannel:

@@ -60,7 +60,14 @@ from qbeats.pipeline import (
     two_group_sector_spectrum,
     two_group_spectrum,
 )
-from qbeats.relaxation import CORRELATOR_TRIU, relax_pair_trajectory, relaxed_singlet
+from qbeats.relaxation import (
+    CORRELATOR_TRIU,
+    pair_correlators,
+    relax_pair_trajectory,
+    relaxed_bell_probabilities,
+    relaxed_pair_probabilities,
+    relaxed_singlet,
+)
 from qbeats.spinalg import HalfInt, spin_addition_counts
 from support import cation_register
 
@@ -468,6 +475,8 @@ def test_correlator_readout_matches_the_relaxed_trajectory(name, regime, relaxat
     traj = evaluate_spectrum(spectrum, TIMES)
     oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
     assert dev(relaxed_singlet(spectrum, TIMES, T1, T2), oracle) <= TOL
+    bell = relaxed_bell_probabilities(pair_correlators(spectrum, TIMES), TIMES, T1, T2)
+    assert dev(bell, relaxed_pair_probabilities(traj, TIMES, T1, T2)) <= TOL
 
 
 @pytest.mark.parametrize("regime", REGIMES)

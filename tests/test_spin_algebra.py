@@ -61,7 +61,6 @@ class TestSpinAdditionCounts:
 
     def test_table_rows(self):
         table = SpinMultiplicityTable.build(12)
-        assert table.state_total(12) == 4096
         assert table.rows[8][HalfInt(4)] == 20
 
 
