@@ -6,8 +6,9 @@ backend applies the equivalent mixture map gate by gate (identical result by
 linearity).  The density backend optionally attaches a synthetic per-site
 thermal noise model: after every gate of nonzero duration each involved site
 relaxes for that duration with its own (T1, T2), and delay gates additionally
-accumulate a deterministic drift phase.  That one mechanism realizes both the
-noisy-identity-gate method and the delay-based inherent-noise method.
+accumulate a deterministic drift phase.  That one mechanism realizes the
+noisy-identity-gate method, and the echo-delay runs of the delay-based
+inherent-noise method that its closed form is checked against.
 
 The density backend runs one template circuit over a leading batch axis:
 the initial state may be a (B, d, d) stack and a DELAY duration or an RZ
@@ -215,8 +216,7 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
     relaxation for the gate duration; delay gates also accumulate the model's
     deterministic drift phase.  Batched parameters or a (B, d, d) ``rho0``
     run the circuit once per row and return a (B, d, d) matrix; a (d, d)
-    ``rho0`` is shared by all rows.  A shared start stays one row until the
-    first gate with per-row parameters, so the gates before it run once.
+    ``rho0`` is shared by all rows.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:
@@ -227,15 +227,11 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
     dim = 2**n
     batch = _batch_size(circuit, rho0)
     if rho0 is None:
-        rho = np.zeros((1, dim, dim), dtype=complex)
-        rho[0, 0, 0] = 1.0
-    else:
-        rho = np.array(rho0, dtype=complex, ndmin=3)
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[0, 0] = 1.0
+    rho = np.array(np.broadcast_to(rho0, (batch or 1, dim, dim)), dtype=complex)
 
     for g in circuit.gates:
-        if len(rho) != (batch or 1) and any(np.ndim(p) for p in g.params):
-            # the gates before this one act alike on every row: they ran once
-            rho = np.array(np.broadcast_to(rho, (batch, dim, dim)))
         if g.kind != "DELAY":
             applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
             rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied

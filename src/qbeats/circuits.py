@@ -5,15 +5,14 @@ factor.  Probabilistic gates carry an insertion probability and are expanded
 exactly by the backends, never sampled.  For a batched density run a
 parameter may be a length-B array.
 
-Text dump format (one item per line, '#' for comments):
+Text dump format (one item per line), compared against golden files:
 
     SITES <n>
     GATE <kind> <site[,site...]> [<param[,param...]>] [p=<prob>]
     MEASURE <site[,site...]>
 
 UNITARY gates dump their dimension and a content hash instead of matrix
-elements; dumps containing them can be compared but not re-parsed into a
-runnable circuit.
+elements.
 """
 
 from __future__ import annotations
@@ -109,36 +108,3 @@ class Circuit:
         if self.measured_sites:
             lines.append("MEASURE " + ",".join(map(str, self.measured_sites)))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse(text: str) -> "Circuit":
-        circuit = None
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, *rest = line.split()
-            if head == "SITES":
-                circuit = Circuit(int(rest[0]))
-            elif head == "GATE":
-                if circuit is None:
-                    raise ValueError("GATE before SITES")
-                kind = rest[0]
-                if kind == "UNITARY":
-                    raise ValueError("UNITARY gates cannot be re-parsed from a dump")
-                sites = tuple(int(s) for s in rest[1].split(","))
-                params: tuple[float, ...] = ()
-                prob = None
-                for token in rest[2:]:
-                    if token.startswith("p="):
-                        prob = float(token[2:])
-                    else:
-                        params = tuple(float(x) for x in token.split(","))
-                circuit.add(kind, sites, params, prob)
-            elif head == "MEASURE":
-                circuit.measured_sites = tuple(int(s) for s in rest[0].split(","))
-            else:
-                raise ValueError(f"unrecognized line: {raw!r}")
-        if circuit is None:
-            raise ValueError("no SITES line found")
-        return circuit

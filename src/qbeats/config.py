@@ -298,13 +298,14 @@ def _check_frequencies(config: ExperimentConfig, where: str) -> None:
 
 def _check_echo_delays(config: ExperimentConfig, where: str) -> None:
     """The longest echo-delay target run of each finite-T1 regime must have a finite
-    identity-gate count, total delay and drift phase."""
+    identity-gate count, total delay and drift phase.  The closed-form targets read
+    the total delay; the drift phase is the one the gate-level run would carry."""
     if config.noise_method != "echo-synthetic":
         return
     hw = config.hardware
     for regime, (T1, T2) in config.relaxation.items():
         if math.isinf(T1):
-            continue  # closed-form targets: no delay run
+            continue  # targets of duration t itself: no delay counts
         with np.errstate(all="ignore"):
             N = hw.delay_counts(config.time_grid[1], T1, T2)
             delay = N * hw.identity_ns

@@ -488,22 +488,6 @@ def one_group_weights(n: int, field_regime: str) -> dict[HalfInt, int]:
     raise ValueError(f"unknown field regime {field_regime!r}")
 
 
-def weighted_average_one_group(per_state_traces: dict[HalfInt, TimeSeries],
-                               field_regime: str, n_nuclei: int = 8) -> TimeSeries:
-    """Count-weighted average of per-sector traces (Table-III style weights).
-
-    Zero field: keys are total spins I.  High field: keys are |m| values.
-    """
-    weights = one_group_weights(n_nuclei, field_regime)
-    missing = set(weights) - set(per_state_traces)
-    if missing:
-        raise ValueError(f"missing sector traces for {sorted(missing)}")
-    grid = _check_common_grid([per_state_traces[k] for k in weights])
-    total = sum(weights.values())
-    vals = sum(weights[k] * per_state_traces[k].values for k in weights) / total
-    return TimeSeries(grid, vals, f"S_avg_{field_regime}")
-
-
 def reassemble_two_group(per_sector_traces: dict[HalfInt, TimeSeries],
                          padding: dict[HalfInt, tuple[int, int]],
                          degeneracy: dict[HalfInt, int],

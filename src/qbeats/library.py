@@ -164,11 +164,6 @@ def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Cir
     return c
 
 
-def rz_encode_trace(trace, noise_block: Circuit | None = None) -> list[Circuit]:
-    """One encoding circuit per time point of a singlet-probability trace."""
-    return [rz_encode_circuit(float(v), noise_block) for v in trace.values]
-
-
 # ---------------------------------------------------------------------------
 # First-order Trotter circuits over Pauli strings
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ and the synthetic-hardware echo-delay procedure with statistics correction.
 All three act on electron-pair states produced by the coherent pipelines.
 The per-gate method inserts a noisy delay gate of duration t into a two-site
 circuit holding the pair state (the noise model realizes the thermal channel
-gate-wise).  The echo-synthetic method reproduces the delay-based hardware
-procedure: a damped run and a delay-only reference, both read out in closed
-form from the pair correlators (their only noisy gates are the fixed
-circuit-duration delays), the correction equations, then injection of the
-target statistics of matched-duration echo-delay runs.  Each circuit that
-remains is one template run by the batched density backend over the whole
-time grid.
+gate-wise); one template circuit runs on the batched density backend over
+the whole time grid.  The echo-synthetic method reproduces the delay-based
+hardware procedure: a damped run and a delay-only reference, the correction
+equations, then injection of the target statistics of matched-duration
+echo-delay runs.  All three of its runs are read out in closed form from
+pair correlators; the gate-level circuits stay in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ import math
 
 import numpy as np
 
-from .backends import SyntheticQubitNoise, partial_trace, run_density
+from .backends import SyntheticQubitNoise, run_density
 from .circuits import Circuit
 from .config import HardwareModel
-from .dynamics import pair_probabilities, singlet_values
-from .library import add_singlet_prep, echo_pulse_circuit
+from .dynamics import singlet_values
 from .noisecal import MeasurementStats, correct_stats, inject_singlet
 from .relaxation import SINGLET_CORRELATORS, relaxed_bell_probabilities, relaxed_singlet_values
 
@@ -56,22 +54,19 @@ def echo_targets(times: np.ndarray, T1: float, T2: float,
     At time t a singlet pair idles for N = (T_qubit/(T_RP t_identity)) t
     identity gates (echo pulses interleaved) under the synthetic qubit noise,
     so its decay at the end of the run matches the radical-pair decay at
-    simulated time t; one template circuit covers the grid.  With infinite
-    T1 the hardware cannot switch off amplitude damping, so the closed-form
-    dephasing-only channel supplies the statistics instead.
+    simulated time t.  The per-site thermal map commutes with X and the
+    delay segments N/8, N/4, N/4, N/4, N/8 between the four X pulses sum the
+    drift phase to zero, so the run is the both-site channel of duration
+    N t_identity at the hardware (T1, T2), read out in closed form.  With
+    infinite T1 the hardware cannot switch off amplitude damping, so the
+    dephasing-only channel of duration t supplies the statistics instead.
     """
     t = np.asarray(times, dtype=float)
-    if math.isinf(T1):
-        return MeasurementStats.from_array(
-            relaxed_bell_probabilities(SINGLET_CORRELATORS[:, None], t, T1, T2))
-    N = hardware.delay_counts(t, T1, T2)
-    noise = SyntheticQubitNoise(T1=hardware.T1_ns, T2=hardware.T2_ns,
-                                drift_phase_rate=hardware.drift_phase_rate)
-    c = Circuit(2)
-    add_singlet_prep(c, 0, 1)
-    c.extend(echo_pulse_circuit(N, hardware.identity_ns, (0, 1), 2))
-    pair = partial_trace(run_density(c, noise=noise).matrix, (0, 1), 2)
-    return MeasurementStats.from_array(np.clip(pair_probabilities(pair), 0.0, None))
+    if not math.isinf(T1):
+        t, T1, T2 = (hardware.delay_counts(t, T1, T2) * hardware.identity_ns,
+                     hardware.T1_ns, hardware.T2_ns)
+    p = relaxed_bell_probabilities(SINGLET_CORRELATORS[:, None], t, T1, T2)
+    return MeasurementStats.from_array(np.clip(p, 0.0, None))
 
 
 def echo_synthetic_values(correlators: np.ndarray, target: MeasurementStats,

@@ -89,17 +89,6 @@ def spin_addition_counts(n: int) -> Mapping[HalfInt, int]:
     return MappingProxyType(row)
 
 
-@dataclass(frozen=True)
-class SpinMultiplicityTable:
-    """Rows 1..n_max of the spin-addition table."""
-
-    rows: dict[int, dict[HalfInt, int]]
-
-    @staticmethod
-    def build(n_max: int) -> "SpinMultiplicityTable":
-        return SpinMultiplicityTable({n: spin_addition_counts(n) for n in range(1, n_max + 1)})
-
-
 def product_basis_labels(I: HalfInt) -> list[tuple[HalfInt, int]]:
     """Product-basis ordering for the I (+) 1/2 coupling.
 

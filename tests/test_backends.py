@@ -144,8 +144,8 @@ class TestBatchedRunDensity:
     @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
     @pytest.mark.parametrize("start", ["default", "shared", "stacked"])
     def test_shared_prefix_equals_eager_rows(self, start, noise):
-        # a shared start runs the gates before the first batched one on one row;
-        # every row must still come out bit for bit as if it ran alone
+        # every row of a batched run, from a shared or a stacked start, must come
+        # out bit for bit as if it ran alone
         rng = np.random.default_rng(5)
         c = template(rng)
         states = random_states(rng, ROWS, 8)
@@ -157,24 +157,6 @@ class TestBatchedRunDensity:
             assert np.abs(got[i] - run_density(alone, start_i, NOISES[noise]).matrix).max() == 0.0
         if NOISES[noise] is None or NOISES[noise].T1 == NOISES[noise].T2 == math.inf:
             assert np.abs(got - run_rows(c, rho0, NOISES[noise], ROWS)).max() == 0.0
-
-    def test_shared_gates_run_on_one_row(self, monkeypatch):
-        import qbeats.backends as backends
-
-        rows = []
-
-        def recorded(rho, *args):
-            rows.append(len(rho))
-            return apply_unitary_to_density(rho, *args)
-
-        monkeypatch.setattr(backends, "apply_unitary_to_density", recorded)
-        c = template(np.random.default_rng(5))
-        run_density(c, noise=NOISES["finite T1, drift, gate durations"])
-        # H, CNOT and the probabilistic X precede the batched RZ
-        assert rows == [1, 1, 1] + [ROWS] * (len(rows) - 3)
-        rows.clear()
-        run_density(c, random_states(np.random.default_rng(6), ROWS, 8))
-        assert rows == [ROWS] * len(rows)
 
     def test_default_start_and_single_batched_parameter(self):
         noise = SyntheticQubitNoise(T1=9.0, T2=9.0, drift_phase_rate=(0.03, 0.0))
@@ -383,11 +365,9 @@ class TestNoiseRoutes:
         result = pipeline.simulate(config, "zero", sectors=True)
         assert len(calls) == 1 and len(result.sectors) == 5
 
-    @pytest.mark.parametrize("regime,runs", [("zero", 1), ("high", 0)])
-    def test_simulate_runs_only_the_echo_target_circuit(self, monkeypatch, regime, runs):
-        # the damped and reference runs are read out in closed form; only the echo
-        # targets run on the gate backend, and infinite T1 (octalin at high field)
-        # takes closed-form targets too
+    @pytest.mark.parametrize("regime", ["zero", "high"])
+    def test_simulate_runs_no_circuit(self, monkeypatch, regime):
+        # the damped, reference and echo-target runs are all read out in closed form
         calls = []
 
         def counted(*args, **kwargs):
@@ -399,4 +379,4 @@ class TestNoiseRoutes:
         config.noise_method = "echo-synthetic"
         config.time_grid = (0.0, 4.0, 1.0)
         pipeline.simulate(config, regime, sectors=True)
-        assert len(calls) == runs
+        assert calls == []

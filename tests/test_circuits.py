@@ -281,17 +281,6 @@ class TestRzEncoding:
         rho = run_density(rz_encode_circuit(s)).matrix
         assert np.real(rho[3, 3]) == pytest.approx(s, abs=1e-12)
 
-    def test_trace_encoding(self):
-        from qbeats.dynamics import TimeSeries
-        from qbeats.library import rz_encode_trace
-
-        trace = TimeSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.25, 0.6]))
-        circuits = rz_encode_trace(trace)
-        assert len(circuits) == 3
-        for circ, s in zip(circuits, trace.values):
-            rho = run_density(circ).matrix
-            assert np.real(rho[3, 3]) == pytest.approx(s, abs=1e-12)
-
 
 class TestTrotter:
     def test_commuting_terms_exact_at_one_step(self):
@@ -353,19 +342,11 @@ class TestDumpFormat:
         golden = (GOLDEN / "kraus_pipeline_circuit.txt").read_text()
         assert dump == golden
 
-    def test_parse_round_trip(self):
-        c = self.build_reference_circuit()
-        parsed = Circuit.parse(c.dump())
-        assert parsed.dump() == c.dump()
-        assert parsed.measured_sites == (0, 2)
-
     def test_unitary_dump_is_hashed(self):
         c = Circuit(2)
         c.add("UNITARY", (0, 1), matrix=np.eye(4, dtype=complex))
         dump = c.dump()
         assert "sha256=" in dump and "dim=4" in dump
-        with pytest.raises(ValueError):
-            Circuit.parse(dump)
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):

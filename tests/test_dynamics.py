@@ -174,23 +174,6 @@ class TestAveraging:
             0: 70, 2: 112, 4: 56, 6: 16, 8: 2}
         assert sum(w.values()) == 256
 
-    def test_constant_input_passes_through(self):
-        from qbeats.dynamics import weighted_average_one_group
-
-        times = time_grid(0, 10, 1.0)
-        ones = {HalfInt(t): TimeSeries(times, np.ones_like(times))
-                for t in (0, 2, 4, 6, 8)}
-        avg = weighted_average_one_group(ones, "zero")
-        assert np.abs(avg.values - 1.0).max() == 0.0
-
-    def test_missing_sector_rejected(self):
-        from qbeats.dynamics import weighted_average_one_group
-
-        times = time_grid(0, 10, 1.0)
-        partial = {HalfInt(0): TimeSeries(times, np.ones_like(times))}
-        with pytest.raises(ValueError):
-            weighted_average_one_group(partial, "zero")
-
 
 class TestReassembly:
     DEGS = {HalfInt(t): d for t, d in

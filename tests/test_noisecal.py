@@ -23,7 +23,7 @@ from qbeats.noisemethods import (
     rz_encoded_correlators,
 )
 from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
-from qbeats.relaxation import RelaxationParams, pair_correlators
+from qbeats.relaxation import SINGLET_CORRELATORS, RelaxationParams, pair_correlators
 from qbeats.spinalg import HalfInt
 
 REF_CLEAN = MeasurementStats(1.0, 0.0, 0.0, 0.0)
@@ -165,6 +165,21 @@ class TestEchoSyntheticPipelines:
             for t, s in zip(times, coherent)
         ])
         assert np.abs(got - expected).max() <= 1e-9
+
+    def test_readout_uses_the_hardware_T1_and_T2(self):
+        # step (c) undoes (a) and (b), so the hardware constants reach the result
+        # only through the correction denominators: at u = 680 ns, T1 = 100 and
+        # T2 = 200 leave 1 - 4 T+' = 1.2e-6 and S'^2 - T0'^2 = 5.6e-4 above the
+        # 1e-6 floor; swapping them leaves 6.2e-7, and u = 700 ns leaves 8.3e-7
+        times = time_grid(0, 20, 4.0)
+        correlators = SINGLET_CORRELATORS[:, None]
+        target = echo_targets(times, 9.0, 9.0, HardwareModel())
+        hw = HardwareModel(T1_ns=100.0, T2_ns=200.0, u_circuit_ns=680.0)
+        assert np.all(np.isfinite(echo_synthetic_values(correlators, target, hw)))
+        for T1, T2, u in ((200.0, 100.0, 680.0), (100.0, 200.0, 700.0)):
+            hw = HardwareModel(T1_ns=T1, T2_ns=T2, u_circuit_ns=u)
+            with pytest.raises(UnrecoverableNoiseError):
+                echo_synthetic_values(correlators, target, hw)
 
     def test_per_gate_equals_kraus(self):
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,

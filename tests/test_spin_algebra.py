@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from qbeats.spinalg import (
     HALF,
     HalfInt,
-    SpinMultiplicityTable,
     cg_block_matrix,
     coupled_hfc_eigenvalues,
     multiplicity,
@@ -60,8 +59,7 @@ class TestSpinAdditionCounts:
             spin_addition_counts(n)
 
     def test_table_rows(self):
-        table = SpinMultiplicityTable.build(12)
-        assert table.rows[8][HalfInt(4)] == 20
+        assert spin_addition_counts(8)[HalfInt(4)] == 20
 
 
 class TestClebschGordanBlocks:
