@@ -6,9 +6,10 @@ backend applies the equivalent mixture map gate by gate (identical result by
 linearity).  The density backend optionally attaches a synthetic per-site
 thermal noise model: after every gate of nonzero duration each involved site
 relaxes for that duration with its own (T1, T2), and delay gates additionally
-accumulate a deterministic drift phase.  That one mechanism realizes the
-noisy-identity-gate method, and the echo-delay runs of the delay-based
-inherent-noise method that its closed form is checked against.
+accumulate a deterministic drift phase.  That one mechanism is the
+gate-level oracle of the noisy-identity-gate method and of the echo-delay
+runs of the delay-based inherent-noise method, whose closed forms the
+pipeline reads instead.
 
 The density backend runs one template circuit over a leading batch axis:
 the initial state may be a (B, d, d) stack and a DELAY duration or an RZ

@@ -165,9 +165,6 @@ class BlockHamiltonian:
             self._eig = (w, v)
         return self._eig
 
-    def site(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def _connected_components(pattern: np.ndarray) -> np.ndarray:
     """Component number of each vertex of a graph given by a boolean adjacency matrix.

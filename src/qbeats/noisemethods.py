@@ -2,14 +2,17 @@
 and the synthetic-hardware echo-delay procedure with statistics correction.
 
 All three act on electron-pair states produced by the coherent pipelines.
-The per-gate method inserts a noisy delay gate of duration t into a two-site
-circuit holding the pair state (the noise model realizes the thermal channel
-gate-wise); one template circuit runs on the batched density backend over
-the whole time grid.  The echo-synthetic method reproduces the delay-based
-hardware procedure: a damped run and a delay-only reference, the correction
-equations, then injection of the target statistics of matched-duration
-echo-delay runs.  All three of its runs are read out in closed form from
-pair correlators; the gate-level circuits stay in the tests as the oracle.
+The per-gate method inserts a noisy delay gate of duration t on both sites
+of a circuit holding the pair state; that delay is the both-site thermal
+channel of duration t, so ``pipeline.simulate`` reads it in closed form
+from the pair correlators, exactly as for the Kraus method.
+``per_gate_singlet_values`` runs the gate-level circuit on the batched
+density backend over a whole time grid and stays as its oracle.  The
+echo-synthetic method reproduces the delay-based hardware procedure: a
+damped run and a delay-only reference, the correction equations, then
+injection of the target statistics of matched-duration echo-delay runs.
+All three of its runs are read out in closed form from pair correlators;
+the gate-level circuits stay in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ def kraus_singlet_values(traj: np.ndarray, times: np.ndarray,
 
 def per_gate_singlet_values(traj: np.ndarray, times: np.ndarray,
                             T1: float, T2: float) -> np.ndarray:
-    """Noisy-identity-gate method: a delay of duration t on both pair sites.
+    """Gate-level oracle of the noisy-identity-gate method: a delay of duration t on
+    both pair sites.
 
     One two-site circuit runs over the whole grid (row i starts in traj[i]
     and idles for times[i]); the backend's per-gate thermal map coincides
-    with the closed-form channel.
+    with the closed-form channel that ``pipeline.simulate`` reads instead.
     """
     t = np.asarray(times, dtype=float)
     c = Circuit(2)

@@ -39,12 +39,7 @@ from .hamiltonians import (
     distinct_spins,
     one_group_reduced_index,
 )
-from .noisemethods import (
-    echo_synthetic_values,
-    echo_targets,
-    per_gate_singlet_values,
-    rz_encoded_correlators,
-)
+from .noisemethods import echo_synthetic_values, echo_targets, rz_encoded_correlators
 from .relaxation import pair_correlators, relax_pair_trajectory, relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
@@ -163,36 +158,29 @@ def _sector_label(I: HalfInt) -> str:
     return f"I={I}" if I.is_integer else f"I={I.twice_value}/2"
 
 
-def _noisy_singlet(method: str, spectrum: PairSpectrum, times: np.ndarray,
-                  spec: SpinSystemSpec) -> np.ndarray:
-    """S(t) of a beat spectrum under 'none', 'kraus' or 'per-gate' noise."""
-    if method == "per-gate":
-        return per_gate_singlet_values(evaluate_spectrum(spectrum, times), times,
-                                       spec.T1, spec.T2)
-    T1, T2 = (spec.T1, spec.T2) if method == "kraus" else (math.inf, math.inf)
-    return relaxed_singlet(spectrum, times, T1, T2)
-
-
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
-    ``none``, ``kraus`` and ``per-gate`` act on the system's beat spectrum: the
-    first two read S(t) from its correlators, ``per-gate`` runs its pair
-    trajectory through the noisy circuit.  ``echo-synthetic`` reads the
-    correlators of every |I, m=I> sector spectrum (one group), or of the
-    coherent S(t) encoded in an Rz rotation (two groups), and averages a
-    mixed one-group state over the sectors after the correction.
-    With ``sectors`` the result also carries one column per sector: the noisy
-    |I, m=I> traces of a mixed one-group run, or the coherent padded-register
-    trace of each I2 sector of a two-group run.
+    ``none``, ``kraus`` and ``per-gate`` read S(t) from the correlators of the
+    system's beat spectrum after the both-site channel: of duration t at the
+    regime's (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay
+    of duration t is that channel), at T1 = T2 = inf for ``none``.
+    ``echo-synthetic`` reads the correlators of every |I, m=I> sector
+    spectrum (one group), or of the coherent S(t) encoded in an Rz rotation
+    (two groups), and averages a mixed one-group state over the sectors after
+    the correction.  No route runs a circuit or builds a (T, 4, 4) pair
+    trajectory.  With ``sectors`` the result also carries one column per
+    sector: the noisy |I, m=I> traces of a mixed one-group run, or the
+    coherent padded-register trace of each I2 sector of a two-group run.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
     method = config.noise_method
+    T1, T2 = (math.inf, math.inf) if method == "none" else (spec.T1, spec.T2)
     columns: dict[str, np.ndarray] = {}
     if method == "echo-synthetic":
         # the target statistics depend on (t, T1, T2, hardware) only
-        target = echo_targets(times, spec.T1, spec.T2, config.hardware)
+        target = echo_targets(times, T1, T2, config.hardware)
 
     if len(spec.groups) == 2:
         spectrum = two_group_spectrum(spec)
@@ -202,7 +190,7 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
             values = echo_synthetic_values(rz_encoded_correlators(coherent), target,
                                            config.hardware)
         else:
-            values = _noisy_singlet(method, spectrum, times, spec)
+            values = relaxed_singlet(spectrum, times, T1, T2)
         for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
             # the coherent padded-register run, in which the frozen padding slots count as 1
             sector, label = build_two_group_block(I2, spec), f"I2={I2}"
@@ -222,12 +210,12 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
                 columns = {_sector_label(I): v for I, v in per_sector.items()}
         elif pure:
             spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
-            values = _noisy_singlet(method, spectrum, times, spec)
+            values = relaxed_singlet(spectrum, times, T1, T2)
         else:
-            values = _noisy_singlet(method, one_group_spectrum(spec, regime), times, spec)
+            values = relaxed_singlet(one_group_spectrum(spec, regime), times, T1, T2)
             for I, s in one_group_sector_spectra(spec).items() if sectors else ():
                 label = _sector_label(I)
-                columns[label] = clip_probabilities(_noisy_singlet(method, s, times, spec), label)
+                columns[label] = clip_probabilities(relaxed_singlet(s, times, T1, T2), label)
 
     label = f"S_{regime}"
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)

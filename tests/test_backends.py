@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from qbeats import noisemethods, pipeline
+from qbeats import backends, noisemethods, pipeline
 from qbeats.backends import (
     SyntheticQubitNoise,
     _gate_matrix,
@@ -366,8 +366,10 @@ class TestNoiseRoutes:
         assert len(calls) == 1 and len(result.sectors) == 5
 
     @pytest.mark.parametrize("regime", ["zero", "high"])
-    def test_simulate_runs_no_circuit(self, monkeypatch, regime):
-        # the damped, reference and echo-target runs are all read out in closed form
+    @pytest.mark.parametrize("method", ["none", "kraus", "per-gate", "echo-synthetic"])
+    def test_simulate_runs_no_circuit(self, monkeypatch, method, regime):
+        # the per-gate delay and the damped, reference and echo-target runs are all read
+        # out in closed form
         calls = []
 
         def counted(*args, **kwargs):
@@ -375,8 +377,10 @@ class TestNoiseRoutes:
             return run_density(*args, **kwargs)
 
         monkeypatch.setattr(noisemethods, "run_density", counted)
-        config = load_preset("octalin")
-        config.noise_method = "echo-synthetic"
-        config.time_grid = (0.0, 4.0, 1.0)
-        pipeline.simulate(config, regime, sectors=True)
+        monkeypatch.setattr(backends, "run_density", counted)
+        for name in ("octalin", "dmb"):
+            config = load_preset(name)
+            config.noise_method = method
+            config.time_grid = (0.0, 4.0, 1.0)
+            pipeline.simulate(config, regime, sectors=True)
         assert calls == []

@@ -15,7 +15,12 @@ from qbeats.dynamics import (
 )
 from qbeats.hamiltonians import build_two_group_block
 from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
-from qbeats.pipeline import one_group_pair_trace, one_group_sector_trajectories, simulate
+from qbeats.pipeline import (
+    one_group_pair_trace,
+    one_group_sector_trajectories,
+    simulate,
+    two_group_pair_trace,
+)
 from qbeats.spinalg import HalfInt, spin_addition_counts
 
 GRID = (0.0, 20.0, 0.5)
@@ -68,6 +73,17 @@ def test_per_gate_equals_kraus(name, regime):
     kraus = simulate(preset(name, "kraus"), regime).trace.values
     per_gate = simulate(preset(name, "per-gate"), regime).trace.values
     assert np.abs(kraus - per_gate).max() <= 1e-12
+
+
+@pytest.mark.parametrize("regime", ["zero", "high"])
+def test_two_group_per_gate_matches_the_gate_level_circuit(regime):
+    """per-gate simulate on a two-group system against the noisy delay circuit run on its
+    evaluated pair trajectory."""
+    config = preset("dmb", "per-gate")
+    spec, times = config.spin_spec(regime), time_grid(*GRID)
+    oracle = per_gate_singlet_values(two_group_pair_trace(spec, times).trajectory, times,
+                                     spec.T1, spec.T2)
+    assert np.abs(simulate(config, regime).trace.values - oracle).max() <= 1e-12
 
 
 def test_without_sectors_no_columns_are_returned():
