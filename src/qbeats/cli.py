@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config_file, load_preset
 from .dynamics import NumericalError, time_grid
-from .noisecal import UnrecoverableNoiseError
 from .pipeline import simulate
 from .postprocess import intensity_ratio, kernel_step, observed_intensity
 
@@ -108,19 +107,10 @@ def _finish(args, reference, times, values, columns: dict[str, np.ndarray], meta
     return 0
 
 
-def _simulated(source: str, config: ExperimentConfig, regime: str, sectors: bool = False):
-    """``simulate``; hardware noise too strong for the statistics correction is an
-    error of the configuration's ``hardware`` block."""
-    try:
-        return simulate(config, regime, sectors=sectors)
-    except UnrecoverableNoiseError as exc:
-        raise ConfigError(f"{source}.hardware: {exc}") from None
-
-
 def cmd_simulate(args) -> int:
     config, reference = _inputs(args)
     regime = args.field or config.field_regime
-    result = _simulated(args.config or config.name, config, regime, args.sectors)
+    result = simulate(config, regime, sectors=args.sectors)
     trace = result.trace
     columns = {"time_ns": trace.times, "singlet_probability": trace.values, **result.sectors}
     meta = {
@@ -149,7 +139,7 @@ def cmd_trmfe(args) -> int:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
     source = args.config or config.name  # the prefix parse_config gives its errors
     _grid_checked(source, kernel_step, time_grid(*config.time_grid), pp)  # before simulating
-    s_high, s_zero = (_simulated(source, config, regime).trace for regime in ("high", "zero"))
+    s_high, s_zero = (simulate(config, regime).trace for regime in ("high", "zero"))
     i_b, i_0 = observed_intensity(s_high, pp), observed_intensity(s_zero, pp)
     ratio = _grid_checked(source, intensity_ratio, i_b, i_0)
     mask = np.isin(s_high.times, ratio.times)

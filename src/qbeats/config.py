@@ -21,7 +21,9 @@ import yaml
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
 from .library import delay_gate_count, effective_decay_constant
+from .noisecal import MeasurementStats, UnrecoverableNoiseError, correction_denominators
 from .postprocess import FluorescenceParams
+from .relaxation import SINGLET_CORRELATORS, relaxed_bell_probabilities
 from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
@@ -123,6 +125,15 @@ def _require(cond: bool, where: str, message: str):
         raise ConfigError(f"{where}: {message}")
 
 
+def _mapping(raw, where: str, known: tuple[str, ...],
+             message: str = "expected a mapping") -> dict:
+    """``raw`` checked to be a mapping whose every key is one of ``known``."""
+    _require(isinstance(raw, dict), where, message)
+    for key in raw:
+        _require(key in known, f"{where}.{key}", "unknown key")
+    return raw
+
+
 def _float(raw, where: str) -> float:
     if isinstance(raw, str) and raw.strip() in (".inf", "inf", "infinity"):
         return math.inf
@@ -163,7 +174,7 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
     out = []
     for i, g in enumerate(raw):
         spot = f"{where}[{i}]"
-        _require(isinstance(g, dict), spot, "expected a mapping")
+        _mapping(g, spot, ("count", "hfc_mT", "hfc_G"))
         count = g.get("count")
         _require(isinstance(count, int) and count >= 1, spot, "count must be an integer >= 1")
         if "hfc_mT" in g:
@@ -179,26 +190,23 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
 
 
 def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
-    _require(isinstance(data, dict), name, "top level must be a mapping")
-    known = {"system", "field_regime", "initial_state", "noise_method", "time_grid",
-             "postprocess", "hardware", "name"}
-    for key in data:
-        _require(key in known, f"{name}.{key}", "unknown key")
-    system = data.get("system")
-    _require(isinstance(system, dict), f"{name}.system", "missing system mapping")
+    _mapping(data, name, ("system", "field_regime", "initial_state", "noise_method",
+                          "time_grid", "postprocess", "hardware", "name"),
+             "top level must be a mapping")
+    system = _mapping(data.get("system"), f"{name}.system",
+                      ("groups", "g1", "g2", "field_B", "relaxation"), "missing system mapping")
 
     groups = _parse_groups(system.get("groups"), f"{name}.system.groups")
     g1 = _finite(system.get("g1", 2.0028), f"{name}.system.g1")
     g2 = _finite(system.get("g2", 2.0028), f"{name}.system.g2")
     field_B = _finite(system.get("field_B", 0.0), f"{name}.system.field_B")
 
-    relax_raw = system.get("relaxation", {})
-    _require(isinstance(relax_raw, dict), f"{name}.system.relaxation", "expected a mapping")
+    relax_raw = _mapping(system.get("relaxation", {}), f"{name}.system.relaxation",
+                         FIELD_REGIMES)
     relaxation = {}
     for regime in FIELD_REGIMES:
         where = f"{name}.system.relaxation.{regime}"
-        block = relax_raw.get(regime, {})
-        _require(isinstance(block, dict), where, "expected a mapping")
+        block = _mapping(relax_raw.get(regime, {}), where, ("T1", "T2"))
         T1 = _float(block.get("T1", math.inf), f"{where}.T1")
         T2 = _float(block.get("T2", math.inf), f"{where}.T2")
         # both regimes are checked: --field and trmfe run the unconfigured one too
@@ -218,8 +226,7 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     initial = str(data.get("initial_state", "mixed"))
     _check_initial_state(initial, groups, noise, f"{name}.initial_state")
 
-    grid_raw = data.get("time_grid", {})
-    _require(isinstance(grid_raw, dict), f"{name}.time_grid", "expected a mapping")
+    grid_raw = _mapping(data.get("time_grid", {}), f"{name}.time_grid", ("start", "end", "step"))
     grid = (
         _finite(grid_raw.get("start", 0.0), f"{name}.time_grid.start"),
         _finite(grid_raw.get("end", 100.0), f"{name}.time_grid.end"),
@@ -235,8 +242,7 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
 
     post = None
     if data.get("postprocess") is not None:
-        p = data["postprocess"]
-        _require(isinstance(p, dict), f"{name}.postprocess", "expected a mapping")
+        p = _mapping(data["postprocess"], f"{name}.postprocess", ("theta", "tau_f", "t0", "t_g"))
         try:
             post = FluorescenceParams(
                 theta=_float(p.get("theta", 0.0), f"{name}.postprocess.theta"),
@@ -255,14 +261,14 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
         hardware=_parse_hardware(data.get("hardware", {}), f"{name}.hardware"),
     )
     _check_frequencies(config, f"{name}.system")
-    _check_echo_delays(config, f"{name}.hardware")
+    _check_echo_hardware(config, f"{name}.hardware")
     return config
 
 
 def _parse_hardware(raw, where: str) -> HardwareModel:
     """Positive finite qubit T1/T2 with T2 <= 2 T1, positive identity duration,
     finite circuit duration >= 0 and one or two finite drift rates."""
-    _require(isinstance(raw, dict), where, "expected a mapping")
+    _mapping(raw, where, ("T1_us", "T2_us", "identity_ns", "u_circuit_ns", "drift_phase_rate"))
     T1_us, T2_us, identity_ns, u_circuit_ns = (
         _finite(raw.get(key, default), f"{where}.{key}")
         for key, default in (("T1_us", 100.0), ("T2_us", 100.0), ("identity_ns", 35.5),
@@ -296,13 +302,20 @@ def _check_frequencies(config: ExperimentConfig, where: str) -> None:
                  f"(its phase at t = {t_max:.3g} ns is not finite)")
 
 
-def _check_echo_delays(config: ExperimentConfig, where: str) -> None:
-    """The longest echo-delay target run of each finite-T1 regime must have a finite
-    identity-gate count and total delay, which the closed-form targets read.  The
+def _check_echo_hardware(config: ExperimentConfig, where: str) -> None:
+    """The hardware of an echo-synthetic run must leave the statistics correction
+    solvable on its delay-only reference run, and the longest echo-delay target run of
+    each finite-T1 regime must have a finite identity-gate count and total delay.  The
     echo pulses cancel the drift phase, so no route reads it."""
     if config.noise_method != "echo-synthetic":
         return
     hw = config.hardware
+    reference = relaxed_bell_probabilities(SINGLET_CORRELATORS, hw.u_circuit_ns,
+                                           hw.T1_ns, hw.T2_ns)
+    try:
+        correction_denominators(MeasurementStats.from_array(np.clip(reference, 0.0, None)))
+    except UnrecoverableNoiseError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     for regime, (T1, T2) in config.relaxation.items():
         if math.isinf(T1):
             continue  # targets of duration t itself: no delay counts

@@ -153,12 +153,6 @@ def sector_statevector(index: int, nuclear_dim: int) -> np.ndarray:
     return singlet_vector(nuc, (2, nuclear_dim, 2))
 
 
-def initial_sector_state(index: int, nuclear_dim: int) -> DensityMatrix:
-    """Pure |index><index| on the nuclear register, singlet on the electrons."""
-    psi = sector_statevector(index, nuclear_dim)
-    return DensityMatrix(np.outer(psi, psi.conj()), (2, nuclear_dim, 2), ("e2", "nuc", "e1"))
-
-
 def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
     """(1/n) identity on the nuclear block, singlet on the electron pair."""
     if n_nuclear_dims < 1:
@@ -432,18 +426,6 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
     traj[PAIR_TRIU[1], PAIR_TRIU[0]] = out.conj()
     traj[PAIR_TRIU] = out
     return traj.transpose(2, 0, 1)
-
-
-def pair_trajectory_pure(H: BlockHamiltonian, psi0: np.ndarray,
-                         times: np.ndarray) -> np.ndarray:
-    """Reduced electron-pair density matrices (T, 4, 4) of a pure-state evolution."""
-    return evaluate_spectrum(pair_spectrum(H, psi0, [1.0]), times)
-
-
-def pair_trajectory_density(H: BlockHamiltonian, rho0: np.ndarray,
-                            times: np.ndarray) -> np.ndarray:
-    """Reduced electron-pair trajectory (T, 4, 4) of a density-matrix evolution."""
-    return evaluate_spectrum(_density_spectrum(H, rho0), times)
 
 
 def singlet_trace_pure(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray,

@@ -459,10 +459,6 @@ def build_partitioned(I: HalfInt, spec: SpinSystemSpec) -> BlockHamiltonian:
     return BlockHamiltonian(H, (2, 2, 2), ("e2", "nuc", "e1"), basis_labels=basis_labels)
 
 
-def pauli_string_matrix(s: str) -> np.ndarray:
-    return _kron_chain([PAULI[c] for c in s])
-
-
 def pauli_decompose_partitioned(I: HalfInt, spec: SpinSystemSpec) -> list[tuple[float, str]]:
     """Seven-term Pauli decomposition of the partitioned Hamiltonian.
 

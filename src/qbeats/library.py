@@ -34,16 +34,6 @@ def add_singlet_unprep(circuit: Circuit, e1: int, e2: int) -> Circuit:
     return circuit
 
 
-def add_basis_state_prep(circuit: Circuit, sites: tuple[int, ...], index: int) -> Circuit:
-    """Select |index> on a register by X gates per set bit (sites[0] = MSB)."""
-    if not 0 <= index < 2 ** len(sites):
-        raise ValueError(f"index {index} out of range for {len(sites)} sites")
-    for bit, site in enumerate(reversed(sites)):
-        if (index >> bit) & 1:
-            circuit.add("X", site)
-    return circuit
-
-
 # ---------------------------------------------------------------------------
 # Kraus circuit (exemplary system qubit + electron pair + ancilla)
 # ---------------------------------------------------------------------------

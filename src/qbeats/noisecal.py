@@ -17,6 +17,13 @@ and the injection step folds a target channel's statistics back in:
 
 The forward damping model implied by inverting the correction equations is
 also provided; correct(damp(x)) round-trips exactly up to float error.
+
+These equations are the gate-level oracle of the echo-synthetic method
+(acceptance criterion 09, ``validate --suite correction`` and the per-point
+circuit runs of the tests).  On the closed-form damping of a unit-trace pair
+they reduce to the target channel (``noisemethods``), so ``simulate`` does
+not call them; ``config`` calls ``correction_denominators`` on the hardware's
+reference run at parse time.
 """
 
 from __future__ import annotations
@@ -24,9 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import SINGLET, pair_probabilities
-from .relaxation import RelaxationParams, relax_pair_trajectory
 
 DENOMINATOR_FLOOR = 1e-6
 
@@ -76,9 +80,9 @@ class UnrecoverableNoiseError(ValueError):
     """The reference run is too damped for the statistics correction to be solved."""
 
 
-def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
-                  floor: float = DENOMINATOR_FLOOR) -> MeasurementStats:
-    """Recover undamped statistics from a damped run and its delay-only reference.
+def correction_denominators(reference: MeasurementStats,
+                            floor: float = DENOMINATOR_FLOOR) -> tuple:
+    """The correction denominators 1 - 4 T+', 1 - 4 T-' and S'^2 - T0'^2 of a reference.
 
     Raises ``UnrecoverableNoiseError`` when a denominator's smallest magnitude
     over the rows falls below ``floor``; the message reports those magnitudes.
@@ -91,6 +95,14 @@ def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
         raise UnrecoverableNoiseError(
             "unrecoverable noise level: correction denominators "
             "({:.3e}, {:.3e}, {:.3e}) below floor {:g}".format(*smallest, floor))
+    return den_p, den_m, den_s
+
+
+def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
+                  floor: float = DENOMINATOR_FLOOR) -> MeasurementStats:
+    """Recover undamped statistics from a damped run and its delay-only reference
+    (``correction_denominators`` raises for a reference below the ``floor``)."""
+    den_p, den_m, den_s = correction_denominators(reference, floor)
     tp = (measured.tp - reference.tp) / den_p
     tm = (measured.tm - reference.tm) / den_m
     a = measured.s - tp * reference.tp - tm * reference.tm
@@ -115,10 +127,3 @@ def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> floa
     """Noisy singlet probability with the target channel's statistics folded in."""
     return (undamped.s * target.s + undamped.t0 * target.t0
             + undamped.tp * target.tp + undamped.tm * target.tm)
-
-
-def channel_target_stats(params: RelaxationParams, sites: str = "both") -> MeasurementStats:
-    """Bell statistics of the thermal channel applied to a fresh singlet pair."""
-    rho = np.outer(SINGLET, SINGLET.conj())[None, :, :]
-    relaxed = relax_pair_trajectory(rho, np.array([params.t]), params.T1, params.T2, sites)
-    return MeasurementStats.from_array(pair_probabilities(relaxed)[0])

@@ -8,14 +8,13 @@ which keeps the classical reassembly exact also in the presence of
 relaxation.  Per-sector spectra are built only for sector columns.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
-it picks the state preparation and owns the noise-method dispatch.
+it picks the state preparation and owns the noise-method dispatch, which is
+the choice of one both-site channel per regime.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,8 @@ from .hamiltonians import (
     distinct_spins,
     one_group_reduced_index,
 )
-from .noisemethods import echo_synthetic_values, echo_targets, rz_encoded_correlators
-from .relaxation import pair_correlators, relax_pair_trajectory, relaxed_singlet
+from .noisemethods import echo_channel, rz_encoded_correlators
+from .relaxation import relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
 
@@ -100,18 +99,6 @@ def one_group_sector_trajectories(spec: SpinSystemSpec,
             for I, s in one_group_sector_spectra(spec).items()}
 
 
-def _class_average(n: int, field_regime: str, per_sector: dict):
-    """Count-weighted average of per-|I, m=I> values or spectra over the mixed nuclear state.
-
-    Each representative stands in for its degeneracy class: total spin I at
-    zero field, |m| at high field.
-    """
-    weights = one_group_weights(n, field_regime)
-    total = sum(weights.values())
-    terms = [(w / total) * per_sector[abs(k)] for k, w in weights.items()]
-    return functools.reduce(operator.add, terms)
-
-
 def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
     """Beat spectrum of the mixed nuclear state of a one-group system: one ensemble in
     which every |I, m=I> representative carries the weight of its class."""
@@ -161,14 +148,15 @@ def _sector_label(I: HalfInt) -> str:
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
-    ``none``, ``kraus`` and ``per-gate`` read S(t) from the correlators of the
-    system's beat spectrum after the both-site channel: of duration t at the
-    regime's (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay
-    of duration t is that channel), at T1 = T2 = inf for ``none``.
-    ``echo-synthetic`` reads the correlators of every |I, m=I> sector
-    spectrum (one group), or of the coherent S(t) encoded in an Rz rotation
-    (two groups), and averages a mixed one-group state over the sectors after
-    the correction.  No route runs a circuit or builds a (T, 4, 4) pair
+    Every noise method is one both-site channel (elapsed, T1, T2), picked once
+    per regime: of duration t at T1 = T2 = inf for ``none``, at the regime's
+    (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay of
+    duration t is that channel), and ``noisemethods.echo_channel`` for
+    ``echo-synthetic`` (the correction undoes the hardware damping, so the
+    procedure leaves its target channel).  S(t) is read from the correlators
+    of the system's beat spectrum after the channel; a two-group
+    ``echo-synthetic`` run reads it from the coherent S(t) encoded in an Rz
+    rotation instead.  No route runs a circuit or builds a (T, 4, 4) pair
     trajectory.  With ``sectors`` the result also carries one column per
     sector: the noisy |I, m=I> traces of a mixed one-group run, or the
     coherent padded-register trace of each I2 sector of a two-group run.
@@ -176,46 +164,37 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
     method = config.noise_method
-    T1, T2 = (math.inf, math.inf) if method == "none" else (spec.T1, spec.T2)
-    columns: dict[str, np.ndarray] = {}
     if method == "echo-synthetic":
-        # the target statistics depend on (t, T1, T2, hardware) only
-        target = echo_targets(times, T1, T2, config.hardware)
+        channel = echo_channel(times, spec.T1, spec.T2, config.hardware)
+    elif method == "none":
+        channel = (times, math.inf, math.inf)
+    else:
+        channel = (times, spec.T1, spec.T2)
+    pure = config.initial_sector()
+    columns: dict[str, np.ndarray] = {}
 
     if len(spec.groups) == 2:
         spectrum = two_group_spectrum(spec)
         if method == "echo-synthetic":
-            coherent = clip_probabilities(relaxed_singlet(spectrum, times, math.inf, math.inf),
-                                          "S_coherent")
-            values = echo_synthetic_values(rz_encoded_correlators(coherent), target,
-                                           config.hardware)
+            coherent = clip_probabilities(relaxed_singlet(spectrum, times, times, math.inf,
+                                                          math.inf), "S_coherent")
+            values = relaxed_bell_probabilities(rz_encoded_correlators(coherent), *channel)[..., 0]
         else:
-            values = relaxed_singlet(spectrum, times, T1, T2)
+            values = relaxed_singlet(spectrum, times, *channel)
         for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
             # the coherent padded-register run, in which the frozen padding slots count as 1
             sector, label = build_two_group_block(I2, spec), f"I2={I2}"
             padded = evaluate_spectrum(two_group_sector_spectrum(sector), times, singlet=True)
             columns[label] = clip_probabilities(
                 padded + sector.pad_register / sector.register_size, label)
+    elif pure:
+        spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
+        values = relaxed_singlet(spectrum, times, *channel)
     else:
-        n = spec.groups[0].count
-        pure = config.initial_sector()
-        if method == "echo-synthetic":
-            per_sector = {}
-            for I, s in one_group_sector_spectra(spec, [pure] if pure else None).items():
-                row = echo_synthetic_values(pair_correlators(s, times), target, config.hardware)
-                per_sector[I] = clip_probabilities(row, _sector_label(I))
-            values = per_sector[pure[0]] if pure else _class_average(n, regime, per_sector)
-            if sectors and not pure:
-                columns = {_sector_label(I): v for I, v in per_sector.items()}
-        elif pure:
-            spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
-            values = relaxed_singlet(spectrum, times, T1, T2)
-        else:
-            values = relaxed_singlet(one_group_spectrum(spec, regime), times, T1, T2)
-            for I, s in one_group_sector_spectra(spec).items() if sectors else ():
-                label = _sector_label(I)
-                columns[label] = clip_probabilities(relaxed_singlet(s, times, T1, T2), label)
+        values = relaxed_singlet(one_group_spectrum(spec, regime), times, *channel)
+        for I, s in one_group_sector_spectra(spec).items() if sectors else ():
+            label = _sector_label(I)
+            columns[label] = clip_probabilities(relaxed_singlet(s, times, *channel), label)
 
     label = f"S_{regime}"
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)

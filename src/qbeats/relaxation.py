@@ -179,11 +179,6 @@ CORRELATOR_TRIU = np.array([[1, 0, 0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 0, -1, 0, 
 SINGLET_CORRELATORS = np.array([1.0, -1.0, -2.0, 0.0])
 
 
-def pair_correlators(spectrum: PairSpectrum, times: np.ndarray) -> np.ndarray:
-    """(4, T) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>) of a beat spectrum; w is the trace."""
-    return evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU).real
-
-
 def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarray:
     """(..., 4) Bell-outcome probabilities (S, T0, T+, T-) after the both-site channel of
     duration ``t``, read from (4, ...) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>).
@@ -199,13 +194,14 @@ def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarr
                     axis=-1) / 4
 
 
-def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, T1: float, T2: float) -> np.ndarray:
-    """S(t) of a beat spectrum after the both-site channel, read from its correlators;
+def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, elapsed, T1: float,
+                    T2: float) -> np.ndarray:
+    """S(t) of a beat spectrum at ``times`` after the both-site channel of duration
+    ``elapsed`` (``times`` itself for the Kraus channel), read from its correlators;
     equal to ``relaxed_singlet_values`` of the evaluated trajectory.  S does not read
     <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
-    t = np.asarray(times, dtype=float)
-    w, zz, xy = evaluate_rows(spectrum, t, CORRELATOR_TRIU[:3]).real
-    return relaxed_bell_probabilities((w, zz, xy, 0.0), t, T1, T2)[..., 0]
+    w, zz, xy = evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU[:3]).real
+    return relaxed_bell_probabilities((w, zz, xy, 0.0), elapsed, T1, T2)[..., 0]
 
 
 def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,

@@ -10,11 +10,12 @@ versions of their formulas built on the same oracle.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qbeats import backends, noisemethods, pipeline
+from qbeats import noisecal, pipeline
 from qbeats.backends import (
     SyntheticQubitNoise,
     _gate_matrix,
@@ -33,21 +34,18 @@ from qbeats.library import (
     effective_decay_constant,
     rz_encode_angle,
 )
-from qbeats.noisecal import MeasurementStats, channel_target_stats, correct_stats, inject_singlet
-from qbeats.noisemethods import (
-    echo_synthetic_values,
-    echo_targets,
-    per_gate_singlet_values,
-    rz_encoded_correlators,
-)
-from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
+from qbeats.noisecal import MeasurementStats, correct_stats, inject_singlet
+from qbeats.noisemethods import echo_channel, per_gate_singlet_values, rz_encoded_correlators
+from qbeats.pipeline import one_group_sector_trajectories
 from qbeats.relaxation import (
+    SINGLET_CORRELATORS,
     RelaxationParams,
     apply_channel,
     infinite_temperature_thermal_channel,
-    pair_correlators,
+    relaxed_bell_probabilities,
 )
 from qbeats.spinalg import HalfInt
+from support import channel_target_stats
 
 TOL = 1e-12
 
@@ -295,23 +293,23 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("T1,T2", list(RELAXATION.values()), ids=list(RELAXATION))
     def test_echo_targets_match_per_point_runs(self, T1, T2, hw):
-        got = echo_targets(TIMES, T1, T2, HARDWARE[hw])
+        got = relaxed_bell_probabilities(SINGLET_CORRELATORS,
+                                         *echo_channel(TIMES, T1, T2, HARDWARE[hw]))
         for i, t in enumerate(TIMES):
             want = target_at(float(t), T1, T2, HARDWARE[hw])
-            assert np.abs(got.as_array()[:, i] - want.as_array()).max() <= TOL
+            assert np.abs(got[i] - want.as_array()).max() <= TOL
 
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("regime", ["zero", "high"])
     def test_sector_route_matches_per_point_runs(self, regime, hw):
-        # every |I, m=I> sector, and the pure |2, 2> state through simulate, against
+        # every |I, m=I> sector column and the pure |2, 2> state of simulate against
         # the damped and reference circuits with U(t) of the 3-qubit partitioned block
         config = dataclasses.replace(load_preset("octalin"), noise_method="echo-synthetic",
                                      time_grid=(0.0, 20.0, 4.0), hardware=HARDWARE[hw])
         spec = config.spin_spec(regime)
-        target = echo_targets(TIMES, spec.T1, spec.T2, HARDWARE[hw])
         targets = [target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]) for t in TIMES]
-        got = {I: echo_synthetic_values(pair_correlators(s, TIMES), target, HARDWARE[hw])
-               for I, s in one_group_sector_spectra(spec).items()}
+        columns = pipeline.simulate(config, regime, sectors=True).sectors
+        got = {HalfInt.from_float(float(label[len("I="):])): v for label, v in columns.items()}
         assert list(got) == distinct_spins(8)
         got["pure"] = pipeline.simulate(dataclasses.replace(config, initial_state="2, 2"),
                                         regime).trace.values
@@ -327,8 +325,8 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("T1,T2", [(20.0, 20.0), (2000.0, 20.0)])
     def test_encoded_route_matches_per_point_runs(self, T1, T2, hw):
         coherent = 0.5 + 0.5 * np.cos(0.45 * TIMES)
-        target = echo_targets(TIMES, T1, T2, HARDWARE[hw])
-        got = echo_synthetic_values(rz_encoded_correlators(coherent), target, HARDWARE[hw])
+        got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
+                                         *echo_channel(TIMES, T1, T2, HARDWARE[hw]))[..., 0]
         for i, t in enumerate(TIMES):
             theta = rz_encode_angle(float(coherent[i]))
             want = corrected_at(lambda c: c.add("RZ", 1, (theta,)), 2, 0, 1, HARDWARE[hw],
@@ -351,33 +349,21 @@ class TestNoiseRoutes:
             correct_stats(MeasurementStats(np.array([0.5, 1.0]), np.array([0.5, 0.0]), 0.0, 0.0),
                           ref)
 
-    def test_simulate_computes_the_echo_targets_once_per_regime(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return echo_targets(*args)
-
-        monkeypatch.setattr(pipeline, "echo_targets", counted)
-        config = load_preset("octalin")
-        config.noise_method = "echo-synthetic"
-        config.time_grid = (0.0, 4.0, 1.0)
-        result = pipeline.simulate(config, "zero", sectors=True)
-        assert len(calls) == 1 and len(result.sectors) == 5
-
     @pytest.mark.parametrize("regime", ["zero", "high"])
     @pytest.mark.parametrize("method", ["none", "kraus", "per-gate", "echo-synthetic"])
     def test_simulate_runs_no_circuit(self, monkeypatch, method, regime):
-        # the per-gate delay and the damped, reference and echo-target runs are all read
-        # out in closed form
+        # the per-gate delay, the echo-synthetic runs and its correction and injection
+        # are all read out as one both-site channel
         calls = []
+        for original in (run_density, noisecal.correct_stats, noisecal.inject_singlet):
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return run_density(*args, **kwargs)
-
-        monkeypatch.setattr(noisemethods, "run_density", counted)
-        monkeypatch.setattr(backends, "run_density", counted)
+            for module in [m for k, m in sys.modules.items() if k.startswith("qbeats")]:
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
         for name in ("octalin", "dmb"):
             config = load_preset(name)
             config.noise_method = method

@@ -20,7 +20,6 @@ from qbeats.hamiltonians import (
     build_partitioned,
     build_reduced_one_group,
     pauli_decompose_partitioned,
-    pauli_string_matrix,
 )
 from qbeats.library import (
     add_singlet_prep,
@@ -39,6 +38,7 @@ from qbeats.relaxation import (
     infinite_temperature_thermal_channel,
 )
 from qbeats.spinalg import HalfInt
+from support import pauli_matrix
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
 
@@ -107,7 +107,6 @@ class TestBackends:
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3)
         H = build_reduced_one_group(spec)
         from qbeats.hamiltonians import one_group_reduced_index
-        from qbeats.library import add_basis_state_prep
         from qbeats.dynamics import pair_slice_indices
         from qbeats.spinalg import HalfInt
 
@@ -119,7 +118,9 @@ class TestBackends:
         for ref_val, t in zip(ref, (7.0, 31.0)):
             U = (v * np.exp(-1j * w * t)) @ v.conj().T
             c = Circuit(7)  # site 0 = e2, 1..5 = nuclear register, 6 = e1
-            add_basis_state_prep(c, (1, 2, 3, 4, 5), nuc_index)
+            for bit, site in enumerate((5, 4, 3, 2, 1)):  # site 1 holds the top bit
+                if (nuc_index >> bit) & 1:
+                    c.add("X", site)
             add_singlet_prep(c, 6, 0)
             c.add("UNITARY", tuple(range(7)), matrix=U)
             psi = run_statevector(c)
@@ -293,7 +294,7 @@ class TestTrotter:
         exact = np.eye(8, dtype=complex)
         from scipy.linalg import expm
 
-        H = sum(c * pauli_string_matrix(s) for c, s in terms)
+        H = sum(c * pauli_matrix(s) for c, s in terms)
         exact = expm(-1j * H * t)
         phase = np.vdot(built.reshape(-1), exact.reshape(-1))
         phase /= abs(phase)

@@ -20,8 +20,11 @@ from qbeats.config import (
     load_preset,
     parse_config,
 )
-from qbeats.pipeline import simulate
+from qbeats.dynamics import singlet_values, time_grid
+from qbeats.library import delay_gate_count, effective_decay_constant
+from qbeats.pipeline import one_group_pair_trace, simulate
 from qbeats.postprocess import observed_intensity, observed_ratio
+from qbeats.relaxation import relax_pair_trajectory
 
 MINIMAL = {
     "system": {
@@ -174,6 +177,17 @@ BAD_CONFIGS = {
     "hardware T1_us + T2_us overflow": echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e305}),
     # a finite identity-gate count whose total delay overflows
     "hardware delay overflow": echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e304}),
+    # a misspelt key of any mapping is refused, not replaced by its default
+    "unknown key in system": preset_with("octalin", "system", "field", 0.3),
+    "unknown key in a group": preset_with("octalin", "system", "groups", 0, "hfc", 2.49),
+    "unknown key in relaxation": preset_with("octalin", "system", "relaxation", "low", {}),
+    "unknown key in zero relaxation": preset_with("octalin", "system", "relaxation", "zero",
+                                                  "T_1", 9.0),
+    "unknown key in high relaxation": preset_with("octalin", "system", "relaxation", "high",
+                                                  "T_2", 9.0),
+    "unknown key in time_grid": preset_with("octalin", "time_grid", "stop", 20.0),
+    "unknown key in postprocess": preset_with("octalin", "postprocess", "tauf", 1.2),
+    "unknown key in hardware": preset_with("octalin", "hardware", {"T1us": 100.0}),
 }
 
 
@@ -282,6 +296,35 @@ class TestCli:
                             r"\([^)]+\) below floor 1e-06\n", r.stderr), r.stderr
         assert not out.exists()
 
+    def test_echo_synthetic_near_the_correction_floor(self, tmp_path):
+        # 1 - 4 T+' = 1.2e-6 passes the floor; the corrected T+- of the damped run grow
+        # like <Z1 + Z2>/(4 g_u), yet S is the target channel on the evolved pair
+        doc = echo_with("hardware", {"T1_us": 0.1, "T2_us": 0.2, "u_circuit_ns": 680})
+        cfgfile, sim, ratio = tmp_path / "floor.yaml", tmp_path / "s.csv", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(sim)) == (0, [])
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(ratio)) == (0, [])
+        config = load_config_file(str(cfgfile))
+        hw, times = config.hardware, time_grid(*config.time_grid)
+        want = {}
+        for regime in ("zero", "high"):
+            spec = config.spin_spec(regime)
+            elapsed, T1, T2 = times, spec.T1, spec.T2
+            if math.isfinite(spec.T1):  # the echo-delay runs on the hardware qubit
+                elapsed = hw.identity_ns * delay_gate_count(
+                    times, (hw.T1_ns + hw.T2_ns) / 2, effective_decay_constant(T1, T2),
+                    hw.identity_ns)
+                T1, T2 = hw.T1_ns, hw.T2_ns
+            traj = one_group_pair_trace(spec, regime, times).trajectory
+            want[regime] = singlet_values(relax_pair_trajectory(traj, elapsed, T1, T2))
+        for path, column, regime in ((sim, "singlet_probability", "zero"),
+                                     (ratio, "S_0", "zero"), (ratio, "S_B", "high")):
+            header, values = csv_columns(path)
+            got = dict(zip(header, values.T))
+            assert np.all((got[column] >= 0) & (got[column] <= 1)), column
+            mask = np.isin(times, got["time_ns"])
+            assert np.abs(got[column] - want[regime][mask]).max() <= 1e-12, column
+
     @pytest.mark.parametrize("case", sorted(TRMFE_BAD_GRIDS))
     def test_trmfe_bad_grid_exits_1_before_simulating(self, tmp_path, monkeypatch, case):
         from qbeats import cli
@@ -341,7 +384,7 @@ class TestCli:
         from qbeats import cli, pipeline
 
         monkeypatch.setattr(pipeline, "relaxed_singlet",
-                            lambda spectrum, times, T1, T2: np.full(len(times), bad))
+                            lambda spectrum, times, *channel: np.full(len(times), bad))
         cfgfile = tmp_path / "tiny.yaml"
         cfgfile.write_text(yaml.safe_dump(dict(
             preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),

@@ -6,13 +6,13 @@ from qbeats.dynamics import (
     DensityMatrix,
     NumericalError,
     TimeSeries,
+    _density_spectrum,
     clip_probabilities,
-    initial_sector_state,
+    evaluate_spectrum,
     maximally_mixed_nuclear_state,
     one_group_weights,
     pair_probabilities,
-    pair_trajectory_density,
-    pair_trajectory_pure,
+    pair_spectrum,
     reassemble_two_group,
     sector_statevector,
     singlet_probability,
@@ -32,6 +32,17 @@ from qbeats.spinalg import HalfInt
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
 
 
+def sector_state(index, nuclear_dim):
+    """Pure |index><index| on the nuclear register, singlet on the electrons."""
+    psi = sector_statevector(index, nuclear_dim)
+    return DensityMatrix(np.outer(psi, psi.conj()), (2, nuclear_dim, 2), ("e2", "nuc", "e1"))
+
+
+def density_trajectory(H, rho0, times):
+    """Reduced electron-pair trajectory (T, 4, 4) of a density-matrix evolution."""
+    return evaluate_spectrum(_density_spectrum(H, rho0), times)
+
+
 def bare_pair_hamiltonian(b1=0.0, b2=0.0):
     z = np.array([1.0, -1.0])
     diag = (-b1 * np.kron(np.ones(2), z) - b2 * np.kron(z, np.ones(2)))
@@ -44,14 +55,14 @@ class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
         H = BlockHamiltonian(np.zeros((8, 8), dtype=complex), (2, 2, 2),
                              ("e2", "nuc", "e1"))
-        rho0 = initial_sector_state(0, 2)
-        traj = pair_trajectory_density(H, rho0.matrix, np.array([0.0, 3.0, 11.0]))
+        rho0 = sector_state(0, 2)
+        traj = density_trajectory(H, rho0.matrix, np.array([0.0, 3.0, 11.0]))
         for pair in traj:
             assert np.abs(pair - np.outer(SINGLET, SINGLET)).max() < 1e-14
 
     def test_equal_g_singlet_is_stationary(self):
         H = bare_pair_hamiltonian(b1=7.3, b2=7.3)
-        rho0 = initial_sector_state(0, 1)
+        rho0 = sector_state(0, 1)
         for value in singlet_trace(H, rho0, time_grid(0, 5, 1.0)).values:
             assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -63,26 +74,26 @@ class TestEvolve:
 
     def test_trace_and_hermiticity_preserved(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
-        rho0 = initial_sector_state(3, 32)
-        for pair in pair_trajectory_density(H, rho0.matrix, np.array([0.0, 17.0, 83.0])):
+        rho0 = sector_state(3, 32)
+        for pair in density_trajectory(H, rho0.matrix, np.array([0.0, 17.0, 83.0])):
             assert abs(np.trace(pair) - 1) <= 1e-12
             assert np.abs(pair - pair.conj().T).max() <= 1e-12
 
     def test_linearity(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = np.array([0.0, 9.0, 31.0])
-        rho_a = initial_sector_state(0, 32)
-        rho_b = initial_sector_state(5, 32)
+        rho_a = sector_state(0, 32)
+        rho_b = sector_state(5, 32)
         mix = 0.3 * rho_a.matrix + 0.7 * rho_b.matrix
-        ev_mix = pair_trajectory_density(H, mix, times)
-        ev_a = pair_trajectory_density(H, rho_a.matrix, times)
-        ev_b = pair_trajectory_density(H, rho_b.matrix, times)
+        ev_mix = density_trajectory(H, mix, times)
+        ev_a = density_trajectory(H, rho_a.matrix, times)
+        ev_b = density_trajectory(H, rho_b.matrix, times)
         assert np.abs(ev_mix - 0.3 * ev_a - 0.7 * ev_b).max() <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         with pytest.raises(ValueError):
-            singlet_trace(H, initial_sector_state(0, 2), np.array([0.0]))
+            singlet_trace(H, sector_state(0, 2), np.array([0.0]))
 
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
@@ -93,7 +104,7 @@ class TestEvolve:
 
 class TestSingletProbability:
     def test_product_with_singlet(self):
-        rho = initial_sector_state(2, 8)
+        rho = sector_state(2, 8)
         assert singlet_probability(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed_electrons(self):
@@ -109,7 +120,7 @@ class TestSingletProbability:
         assert singlet_probability(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_invalid_sites_rejected(self):
-        rho = initial_sector_state(0, 2)
+        rho = sector_state(0, 2)
         with pytest.raises(ValueError, match="electron sites"):
             singlet_probability(rho, electron_sites=("e1", "nuc"))
 
@@ -118,7 +129,7 @@ class TestInitialStates:
     def test_sector_index_examples(self):
         # |4,2> sits at slot 2 in both orderings
         assert one_group_reduced_index(8, HalfInt(8), HalfInt(4)) == 2
-        rho = initial_sector_state(2, 32)
+        rho = sector_state(2, 32)
         diag = np.real(np.diag(rho.matrix))
         hot = np.nonzero(diag > 1e-14)[0]
         assert len(hot) == 2  # two singlet components
@@ -126,7 +137,7 @@ class TestInitialStates:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            initial_sector_state(32, 32)
+            sector_state(32, 32)
 
     def test_maximally_mixed_partial_trace(self):
         rho = maximally_mixed_nuclear_state(2)
@@ -150,13 +161,14 @@ class TestPairTrajectories:
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = time_grid(0, 30, 3.0)
         psi = sector_statevector(4, 32)
-        t_pure = pair_trajectory_pure(H, psi, times)
-        t_dens = pair_trajectory_density(H, np.outer(psi, psi.conj()), times)
+        t_pure = evaluate_spectrum(pair_spectrum(H, psi, [1.0]), times)
+        t_dens = density_trajectory(H, np.outer(psi, psi.conj()), times)
         assert np.abs(t_pure - t_dens).max() <= 1e-11
 
     def test_probabilities_sum_to_one(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
-        traj = pair_trajectory_pure(H, sector_statevector(1, 32), time_grid(0, 50, 5.0))
+        traj = evaluate_spectrum(pair_spectrum(H, sector_statevector(1, 32), [1.0]),
+                                 time_grid(0, 50, 5.0))
         probs = pair_probabilities(traj)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 

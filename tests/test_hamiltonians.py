@@ -21,9 +21,9 @@ from qbeats.hamiltonians import (
     one_group_reduced_index,
     partitioned_params,
     pauli_decompose_partitioned,
-    pauli_string_matrix,
 )
 from qbeats.spinalg import HalfInt
+from support import pauli_matrix
 
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
 OCTALIN_HIGH = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3)
@@ -201,7 +201,7 @@ class TestPauliDecomposition:
     def test_reconstruction(self, tI, spec):
         I = HalfInt(tI)
         H = build_partitioned(I, spec)
-        rebuilt = sum(c * pauli_string_matrix(s)
+        rebuilt = sum(c * pauli_matrix(s)
                       for c, s in pauli_decompose_partitioned(I, spec))
         assert np.abs(rebuilt - H.matrix).max() <= 1e-13
 

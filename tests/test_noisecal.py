@@ -1,30 +1,31 @@
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
+import yaml
 
-from qbeats.config import HardwareModel
+from qbeats.config import ConfigError, HardwareModel, parse_config
 from qbeats.dynamics import pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
 from qbeats.library import effective_decay_constant
 from qbeats.noisecal import (
     MeasurementStats,
     UnrecoverableNoiseError,
-    channel_target_stats,
     correct_stats,
     damp_stats,
     inject_singlet,
 )
 from qbeats.noisemethods import (
-    echo_synthetic_values,
-    echo_targets,
+    echo_channel,
     kraus_singlet_values,
     per_gate_singlet_values,
     rz_encoded_correlators,
 )
 from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
-from qbeats.relaxation import SINGLET_CORRELATORS, RelaxationParams, pair_correlators
+from qbeats.relaxation import RelaxationParams, relaxed_bell_probabilities, relaxed_singlet
 from qbeats.spinalg import HalfInt
+from support import channel_target_stats
 
 REF_CLEAN = MeasurementStats(1.0, 0.0, 0.0, 0.0)
 
@@ -132,8 +133,8 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel()
         I = HalfInt(8)
-        correlators = pair_correlators(one_group_sector_spectra(spec)[I], times)
-        echo = echo_synthetic_values(correlators, echo_targets(times, 9.0, 9.0, hw), hw)
+        echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
+                               *echo_channel(times, 9.0, 9.0, hw))
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
@@ -145,8 +146,8 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
-        correlators = pair_correlators(one_group_sector_spectra(spec)[I], times)
-        echo = echo_synthetic_values(correlators, echo_targets(times, math.inf, 9.0, hw), hw)
+        echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
+                               *echo_channel(times, math.inf, 9.0, hw))
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9
@@ -155,8 +156,8 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 30, 3.0)
         coherent = 0.5 + 0.5 * np.cos(0.45 * times)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)
-        got = echo_synthetic_values(rz_encoded_correlators(coherent),
-                                    echo_targets(times, math.inf, 20.0, hw), hw)
+        got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
+                                         *echo_channel(times, math.inf, 20.0, hw))[..., 0]
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
@@ -167,19 +168,22 @@ class TestEchoSyntheticPipelines:
         assert np.abs(got - expected).max() <= 1e-9
 
     def test_readout_uses_the_hardware_T1_and_T2(self):
-        # step (c) undoes (a) and (b), so the hardware constants reach the result
-        # only through the correction denominators: at u = 680 ns, T1 = 100 and
-        # T2 = 200 leave 1 - 4 T+' = 1.2e-6 and S'^2 - T0'^2 = 5.6e-4 above the
-        # 1e-6 floor; swapping them leaves 6.2e-7, and u = 700 ns leaves 8.3e-7
-        times = time_grid(0, 20, 4.0)
-        correlators = SINGLET_CORRELATORS[:, None]
-        target = echo_targets(times, 9.0, 9.0, HardwareModel())
-        hw = HardwareModel(T1_ns=100.0, T2_ns=200.0, u_circuit_ns=680.0)
-        assert np.all(np.isfinite(echo_synthetic_values(correlators, target, hw)))
-        for T1, T2, u in ((200.0, 100.0, 680.0), (100.0, 200.0, 700.0)):
-            hw = HardwareModel(T1_ns=T1, T2_ns=T2, u_circuit_ns=u)
-            with pytest.raises(UnrecoverableNoiseError):
-                echo_synthetic_values(correlators, target, hw)
+        # the correction undoes the damping of the damped and reference runs, so their
+        # hardware constants meet only the correction floor, at parse time: at u = 680 ns,
+        # T1 = 100 and T2 = 200 leave 1 - 4 T+' = 1.2e-6 and S'^2 - T0'^2 = 5.6e-4 above
+        # the 1e-6 floor; swapping them leaves 6.2e-7, and u = 700 ns leaves 8.3e-7
+        doc = yaml.safe_load(files("qbeats.data").joinpath("octalin.yaml").read_text())
+        doc["noise_method"] = "echo-synthetic"
+
+        def parsed(T1_us, T2_us, u_circuit_ns):
+            hw = {"T1_us": T1_us, "T2_us": T2_us, "u_circuit_ns": u_circuit_ns}
+            return parse_config(dict(doc, hardware=hw), name="echo")
+
+        assert parsed(0.1, 0.2, 680.0).hardware == HardwareModel(100.0, 200.0,
+                                                                 u_circuit_ns=680.0)
+        for T1_us, T2_us, u in ((0.2, 0.1, 680.0), (0.1, 0.2, 700.0)):
+            with pytest.raises(ConfigError, match=r"^echo\.hardware: unrecoverable noise level"):
+                parsed(T1_us, T2_us, u)
 
     def test_per_gate_equals_kraus(self):
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,

@@ -24,6 +24,7 @@ from qbeats.dynamics import (
     SINGLET_TRIU,
     SQRT_HALF,
     PairSpectrum,
+    _density_spectrum,
     cation_spectrum,
     evaluate_rows,
     evaluate_spectrum,
@@ -31,8 +32,6 @@ from qbeats.dynamics import (
     one_group_weights,
     pair_slice_indices,
     pair_spectrum,
-    pair_trajectory_density,
-    pair_trajectory_pure,
     sector_statevector,
     singlet_trace,
     singlet_trace_pure,
@@ -51,7 +50,6 @@ from qbeats.hamiltonians import (
     one_group_reduced_index,
 )
 from qbeats.pipeline import (
-    _class_average,
     one_group_pair_trace,
     one_group_sector_spectra,
     one_group_spectrum,
@@ -62,14 +60,13 @@ from qbeats.pipeline import (
 )
 from qbeats.relaxation import (
     CORRELATOR_TRIU,
-    pair_correlators,
     relax_pair_trajectory,
     relaxed_bell_probabilities,
     relaxed_pair_probabilities,
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import cation_register
+from support import cation_register, class_average, pair_correlators
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -163,7 +160,8 @@ def test_pure_states_of_the_reduced_basis(regime):
     for I in distinct_spins(8):
         for tm in range(-I.twice_value, I.twice_value + 1, 2):
             psi = sector_statevector(one_group_reduced_index(8, I, HalfInt(tm)), H.dims[1])
-            assert dev(pair_trajectory_pure(H, psi, TIMES), oracle_pure(H, psi, TIMES)) <= TOL
+            assert dev(evaluate_spectrum(pair_spectrum(H, psi, [1.0]), TIMES),
+                       oracle_pure(H, psi, TIMES)) <= TOL
             assert dev(singlet_trace_pure(H, psi, TIMES).values,
                        oracle_singlet_pure(H, psi, TIMES)) <= TOL
 
@@ -192,7 +190,7 @@ def test_density_matrices(regime):
     g = rng.normal(size=(H.dim, 3)) + 1j * rng.normal(size=(H.dim, 3))
     random = g @ g.conj().T
     for rho0 in (maximally_mixed_nuclear_state(32).matrix, random / np.trace(random)):
-        traj = pair_trajectory_density(H, rho0, times)
+        traj = evaluate_spectrum(_density_spectrum(H, rho0), times)
         assert dev(traj, oracle_density(H, rho0, times)) <= TOL
     mixed = maximally_mixed_nuclear_state(32)
     assert dev(singlet_trace(H, mixed, times).values,
@@ -208,7 +206,7 @@ def test_full_oracle_hamiltonian(regime):
     for psi in states:
         assert dev(singlet_trace_pure(H, psi, TIMES).values,
                    oracle_singlet_pure(H, psi, TIMES)) <= TOL
-        assert dev(pair_trajectory_pure(H, psi, TIMES[::10]),
+        assert dev(evaluate_spectrum(pair_spectrum(H, psi, [1.0]), TIMES[::10]),
                    oracle_pure(H, psi, TIMES[::10])) <= TOL
     # an ensemble in the same blocks, so in shared degenerate eigenspaces
     ensemble = [singlet_vector(full_nuclear_sector_vector(8, HalfInt(tI), HalfInt(0)), H.dims)
@@ -474,7 +472,7 @@ def test_correlator_readout_matches_the_relaxed_trajectory(name, regime, relaxat
     T2 = math.inf if relaxation == "T1=T2=inf" else s.T2
     traj = evaluate_spectrum(spectrum, TIMES)
     oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
-    assert dev(relaxed_singlet(spectrum, TIMES, T1, T2), oracle) <= TOL
+    assert dev(relaxed_singlet(spectrum, TIMES, TIMES, T1, T2), oracle) <= TOL
     bell = relaxed_bell_probabilities(pair_correlators(spectrum, TIMES), TIMES, T1, T2)
     assert dev(bell, relaxed_pair_probabilities(traj, TIMES, T1, T2)) <= TOL
 
@@ -515,7 +513,7 @@ def test_a_reached_block_without_an_m_minus_1_block():
 @pytest.mark.parametrize("regime", REGIMES)
 def test_one_group_summed_weights_equal_the_class_average(regime):
     s = spec("octalin", regime)
-    oracle = _class_average(8, regime, one_group_sector_spectra(s))
+    oracle = class_average(8, regime, one_group_sector_spectra(s))
     spectrum = one_group_spectrum(s, regime)
     assert dev(evaluate_spectrum(spectrum, TIMES), evaluate_spectrum(oracle, TIMES)) <= TOL
     assert len(spectrum.freqs) <= len(oracle.freqs)
