@@ -1,4 +1,4 @@
-"""Statevector and density-matrix circuit backends.
+"""Statevector and density-matrix circuit backends: the gate-level oracle.
 
 Probabilistic gates are expanded exactly: the statevector backend evolves a
 weighted ensemble over the 2^k present/absent configurations, the density
@@ -9,11 +9,7 @@ relaxes for that duration with its own (T1, T2), and delay gates additionally
 accumulate a deterministic drift phase.  That one mechanism is the
 gate-level oracle of the noisy-identity-gate method and of the echo-delay
 runs of the delay-based inherent-noise method, whose closed forms the
-pipeline reads instead.
-
-The density backend runs one template circuit over a leading batch axis:
-the initial state may be a (B, d, d) stack and a DELAY duration or an RZ
-angle a length-B array, so a whole time grid goes through a single call.
+pipeline reads instead; ``simulate`` and ``trmfe`` never load this module.
 """
 
 from __future__ import annotations
@@ -80,10 +76,8 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         return np.array([[math.cos(th), -1j * math.sin(th)],
                          [-1j * math.sin(th), math.cos(th)]], dtype=complex)
     if k == "RZ":
-        th = np.asarray(gate.params[0]) / 2
-        out = np.zeros(th.shape + (2, 2), dtype=complex)
-        out[..., 0, 0], out[..., 1, 1] = np.exp(-1j * th), np.exp(1j * th)
-        return out
+        th = gate.params[0] / 2
+        return np.diag([np.exp(-1j * th), np.exp(1j * th)])
     if k == "U3":
         th, phi, lam = gate.params
         c, s = math.cos(th / 2), math.sin(th / 2)
@@ -111,56 +105,39 @@ def apply_unitary_to_state(psi: np.ndarray, U: np.ndarray, sites: tuple[int, ...
 
 def apply_unitary_to_density(rho: np.ndarray, U: np.ndarray, sites: tuple[int, ...],
                              n: int) -> np.ndarray:
-    """U rho U^dagger on the given sites; rho and U may carry a leading batch axis."""
-    lead = rho.shape[:-2]
-    b, k = len(lead), len(sites)
-    work = rho.reshape(lead + (2,) * (2 * n))
-    for axes, op in (([b + s for s in sites], U), ([b + n + s for s in sites], U.conj())):
-        work = np.moveaxis(work, axes, range(b, b + k))
-        shape = work.shape
-        work = (op @ work.reshape(lead + (2**k, -1))).reshape(shape)
-        work = np.moveaxis(work, range(b, b + k), axes)
-    return work.reshape(rho.shape)
+    """U rho U^dagger on the given sites: U on the ket indices, conj(U) on the bra ones."""
+    work = apply_unitary_to_state(rho.reshape(-1), U, sites, 2 * n)
+    bra = tuple(n + s for s in sites)
+    return apply_unitary_to_state(work, U.conj(), bra, 2 * n).reshape(rho.shape)
 
 
 def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
                  n: int) -> np.ndarray:
-    """Per-site thermal map for the gate's duration, in place on a (B, d, d) stack.
+    """Per-site thermal map for the gate's duration, in place on a (d, d) state.
 
     Populations mix toward 1/2 with exp(-dt/T1), coherences scale by
     exp(-dt/T2) and, during delays, pick up the drift phase exp(-i rate dt):
     the closed form of ``infinite_temperature_thermal_channel`` followed by
-    the drift RZ.  Rows with dt <= 0 are left as they are.
+    the drift RZ.  A gate with dt <= 0 leaves the state as it is.
     """
-    dt = np.maximum(noise.duration_of(gate), 0.0)
-    if not np.any(dt > 0.0):
+    dt = noise.duration_of(gate)
+    if dt <= 0.0:
         return rho
-    work = rho.reshape((len(rho),) + (2,) * (2 * n))
-    dt = np.reshape(dt, (-1,) + (1,) * (2 * n - 2))
+    work = rho.reshape((2,) * (2 * n))
     for s in gate.sites:
         T1, T2 = noise.site_T1(s), noise.site_T2(s)
         RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
-        site = np.moveaxis(work, (1 + s, 1 + n + s), (1, 2))  # view: (row, ket, bra, ...)
+        site = np.moveaxis(work, (s, n + s), (0, 1))  # view: (ket, bra, ...)
         with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
             damping, coherence = np.exp(-dt / T1), np.exp(-dt / T2)
-        delta = 0.5 * (1.0 - damping) * (site[:, 0, 0] - site[:, 1, 1])
-        site[:, 0, 0] -= delta
-        site[:, 1, 1] += delta
+        delta = 0.5 * (1.0 - damping) * (site[0, 0] - site[1, 1])
+        site[0, 0] -= delta
+        site[1, 1] += delta
         if gate.kind == "DELAY":
             coherence = coherence * np.exp(-1j * noise.site_drift(s) * dt)
-        site[:, 0, 1] *= coherence
-        site[:, 1, 0] *= np.conj(coherence)
+        site[0, 1] *= coherence
+        site[1, 0] *= np.conj(coherence)
     return work.reshape(rho.shape)
-
-
-def _batch_size(circuit: Circuit, rho0) -> int | None:
-    """Common length of the batched gate parameters and initial states."""
-    sizes = {len(p) for g in circuit.gates for p in g.params if np.ndim(p)}
-    if rho0 is not None and np.ndim(rho0) == 3:
-        sizes.add(len(rho0))
-    if len(sizes) > 1:
-        raise ValueError(f"mismatched batch lengths {sorted(sizes)}")
-    return sizes.pop() if sizes else None
 
 
 def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
@@ -215,9 +192,7 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
 
     With a noise model attached, each gate is followed by per-site thermal
     relaxation for the gate duration; delay gates also accumulate the model's
-    deterministic drift phase.  Batched parameters or a (B, d, d) ``rho0``
-    run the circuit once per row and return a (B, d, d) matrix; a (d, d)
-    ``rho0`` is shared by all rows.
+    deterministic drift phase.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:
@@ -225,12 +200,11 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
     if noise is None and n > STATEVECTOR_MAX_SITES // 2:
         raise ValueError("density backend capped at "
                          f"{STATEVECTOR_MAX_SITES // 2} sites without noise")
-    dim = 2**n
-    batch = _batch_size(circuit, rho0)
     if rho0 is None:
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[0, 0] = 1.0
-    rho = np.array(np.broadcast_to(rho0, (batch or 1, dim, dim)), dtype=complex)
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = np.array(rho0, dtype=complex)
 
     for g in circuit.gates:
         if g.kind != "DELAY":
@@ -238,24 +212,17 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
             rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied
         if noise is not None:
             rho = _relax_sites(rho, g, noise, n)
-    return DensityMatrix(rho if batch else rho[0], (2,) * n, tuple(f"q{i}" for i in range(n)))
+    return DensityMatrix(rho, (2,) * n, tuple(f"q{i}" for i in range(n)))
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """Trace out all sites except ``keep`` (result ordered as ``keep``).
-
-    Leading batch axes of ``rho`` are kept.
-    """
-    lead = rho.shape[:-2]
-    b = len(lead)
-    work = rho.reshape(lead + (2,) * (2 * n))
+    """Trace out all sites except ``keep`` (result ordered as ``keep``)."""
+    work = rho.reshape((2,) * (2 * n))
     m = n
     for s in sorted((s for s in range(n) if s not in keep), reverse=True):
         # descending order keeps lower site axes in place
-        work = np.trace(work, axis1=b + s, axis2=b + s + m)
+        work = np.trace(work, axis1=s, axis2=s + m)
         m -= 1
     k = len(keep)
     rank = list(np.argsort(np.argsort(keep)))
-    perm = list(range(b)) + [b + r for r in rank] + [b + k + r for r in rank]
-    work = work.reshape(lead + (2,) * (2 * k))
-    return np.transpose(work, perm).reshape(lead + (2**k, 2**k))
+    return np.transpose(work, rank + [k + r for r in rank]).reshape(2**k, 2**k)

@@ -1,9 +1,10 @@
 """Gate-level circuit representation and its line-oriented text format.
 
-Sites are qubit indices; site 0 is the leftmost (most significant) tensor
-factor.  Probabilistic gates carry an insertion probability and are expanded
-exactly by the backends, never sampled.  For a batched density run a
-parameter may be a length-B array.
+Circuits are the oracle of the noise methods' closed forms: the tests and
+``validate`` build them, ``simulate`` and ``trmfe`` never do.  Sites are qubit
+indices; site 0 is the leftmost (most significant) tensor factor.
+Probabilistic gates carry an insertion probability and are expanded exactly
+by the backends, never sampled.
 
 Text dump format (one item per line), compared against golden files:
 
@@ -18,6 +19,8 @@ elements.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +59,8 @@ class Gate:
             raise ValueError("gate probability must be in [0, 1]")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("gate sites must be distinct")
-        if not all(np.all(np.isfinite(p)) for p in self.params):
-            raise ValueError("gate parameters must be finite")
+        if not all(isinstance(p, numbers.Real) and math.isfinite(p) for p in self.params):
+            raise ValueError("gate parameters must be finite real numbers")
 
     @property
     def duration(self) -> float:

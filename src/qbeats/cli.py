@@ -164,7 +164,7 @@ def cmd_trmfe(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .validate import run_suite  # the oracle builders load only for this command
+    from .validate import run_suite  # the gate-level oracle loads only for this command
     try:
         results = run_suite(args.suite)
     except ValueError as exc:

@@ -20,7 +20,6 @@ import yaml
 
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
-from .library import delay_gate_count, effective_decay_constant
 from .noisecal import MeasurementStats, UnrecoverableNoiseError, correction_denominators
 from .postprocess import FluorescenceParams
 from .relaxation import SINGLET_CORRELATORS, relaxed_bell_probabilities
@@ -50,11 +49,27 @@ class HardwareModel:
     u_circuit_ns: float = 300.0  # nominal on-device duration of the evolution block
     drift_phase_rate: tuple[float, float] = (0.0, 0.0)
 
-    def delay_counts(self, t, T1: float, T2: float):
-        """Identity-gate counts of the echo-delay runs that match, at each time t, the
-        decay of a radical pair with relaxation times (T1, T2)."""
-        return delay_gate_count(t, (self.T1_ns + self.T2_ns) / 2,
-                                effective_decay_constant(T1, T2), self.identity_ns)
+    def echo_channel(self, times, T1: float, T2: float):
+        """The both-site channel (elapsed, T1, T2) of the echo-delay target runs on a grid.
+
+        At time t a singlet pair idles for N = (T_qubit / (T_RP t_identity)) t
+        identity gates, rounded down to a multiple of 8, with echo pulses
+        interleaved and under the synthetic qubit noise.  T_qubit and T_RP are
+        the means of the hardware and of the radical-pair T1 and T2, so the
+        pair's decay at the end of the run matches the radical-pair decay at
+        simulated time t.  The per-site thermal map commutes with X and the
+        delay segments N/8, N/4, N/4, N/4, N/8 between the four X pulses sum
+        the drift phase to zero, so the run is the both-site channel of
+        duration N t_identity at the hardware (T1, T2).  With infinite T1 the
+        hardware cannot switch off amplitude damping, so the dephasing-only
+        channel of duration t, the Kraus channel, supplies the target instead.
+        """
+        t = np.asarray(times, dtype=float)
+        if math.isinf(T1):
+            return t, T1, T2
+        # np.divide: a denominator that underflows to 0 gives inf, rejected at parse time
+        rate = np.divide((self.T1_ns + self.T2_ns) / 2, (T1 + T2) / 2 * self.identity_ns)
+        return (rate * t) // 8 * 8 * self.identity_ns, self.T1_ns, self.T2_ns
 
 
 @dataclass
@@ -135,6 +150,8 @@ def _mapping(raw, where: str, known: tuple[str, ...],
 
 
 def _float(raw, where: str) -> float:
+    # a YAML boolean (true, yes, on) is no number, although float() reads it as 1.0
+    _require(not isinstance(raw, bool), where, f"expected a number, got {raw!r}")
     if isinstance(raw, str) and raw.strip() in (".inf", "inf", "infinity"):
         return math.inf
     try:
@@ -176,7 +193,9 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
         spot = f"{where}[{i}]"
         _mapping(g, spot, ("count", "hfc_mT", "hfc_G"))
         count = g.get("count")
-        _require(isinstance(count, int) and count >= 1, spot, "count must be an integer >= 1")
+        _require(isinstance(count, int) and not isinstance(count, bool) and count >= 1, spot,
+                 "count must be an integer >= 1")
+        _require(not {"hfc_mT", "hfc_G"} <= g.keys(), spot, "give hfc_mT or hfc_G, not both")
         if "hfc_mT" in g:
             hfc = _finite(g["hfc_mT"], spot + ".hfc_mT")
         elif "hfc_G" in g:
@@ -305,8 +324,8 @@ def _check_frequencies(config: ExperimentConfig, where: str) -> None:
 def _check_echo_hardware(config: ExperimentConfig, where: str) -> None:
     """The hardware of an echo-synthetic run must leave the statistics correction
     solvable on its delay-only reference run, and the longest echo-delay target run of
-    each finite-T1 regime must have a finite identity-gate count and total delay.  The
-    echo pulses cancel the drift phase, so no route reads it."""
+    each regime must have a finite total delay.  The echo pulses cancel the drift
+    phase, so no route reads it."""
     if config.noise_method != "echo-synthetic":
         return
     hw = config.hardware
@@ -317,14 +336,11 @@ def _check_echo_hardware(config: ExperimentConfig, where: str) -> None:
     except UnrecoverableNoiseError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     for regime, (T1, T2) in config.relaxation.items():
-        if math.isinf(T1):
-            continue  # targets of duration t itself: no delay counts
         with np.errstate(all="ignore"):
-            N = hw.delay_counts(config.time_grid[1], T1, T2)
-            delay = N * hw.identity_ns
+            delay = hw.echo_channel(config.time_grid[1], T1, T2)[0]
         _require(math.isfinite(delay), where,
                  f"the {regime}-field echo-delay run to t = {config.time_grid[1]:.3g} ns "
-                 f"overflows ({N:.3g} identity gates, {delay:.3g} ns)")
+                 f"overflows ({delay:.3g} ns of identity gates)")
 
 
 def load_config_file(path: str) -> ExperimentConfig:

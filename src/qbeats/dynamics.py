@@ -40,10 +40,7 @@ PROBABILITY_EPS = 1e-9
 
 @dataclass
 class DensityMatrix:
-    """Positive semidefinite unit-trace matrix over a labeled register.
-
-    The batched density backend returns a (B, d, d) stack in ``matrix``.
-    """
+    """Positive semidefinite unit-trace (d, d) matrix over a labeled register."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -52,7 +49,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         self.dims = tuple(int(d) for d in self.dims)
-        if self.matrix.shape[-2:] != (self.dim, self.dim) or self.matrix.ndim > 3:
+        if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("matrix shape does not match register dims")
 
     @property

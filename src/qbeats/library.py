@@ -86,13 +86,11 @@ def echo_pulse_circuit(N: int, t_identity: float, sites: tuple[int, ...],
 
     N identity gates in total, required divisible by 8; each delay segment is
     one DELAY gate of the aggregate duration.  The four X pulses cancel the
-    deterministic drift phase accumulated during the delays.  An array of
-    counts gives one template whose delays are batched over the counts.
+    deterministic drift phase accumulated during the delays.
     """
-    N = np.asarray(N)
-    if np.any(N % 8 != 0):
+    if N % 8 != 0:
         raise ValueError(f"delay count must be divisible by 8, got {N}")
-    if np.any(N < 0):
+    if N < 0:
         raise ValueError("delay count must be nonnegative")
     c = Circuit(site_count)
     segments = [N // 8, N // 4, N // 4, N // 4, N // 8]
@@ -103,27 +101,6 @@ def echo_pulse_circuit(N: int, t_identity: float, sites: tuple[int, ...],
             for s in sites:
                 c.add("X", s)
     return c
-
-
-def effective_decay_constant(T1: float, T2: float) -> float:
-    """Radical-pair decay constant for delay-count matching (mean of finite values)."""
-    finite = [T for T in (T1, T2) if math.isfinite(T)]
-    if not finite:
-        raise ValueError("echo-based noise requires at least one finite relaxation time")
-    return sum(finite) / len(finite)
-
-
-def delay_gate_count(t: float, T_qubit: float, T_RP: float, t_identity: float) -> int:
-    """N = (T_qubit / (T_RP t_identity)) t, rounded down to a multiple of 8.
-
-    Waiting N identity gates on hardware with decay constant T_qubit matches
-    the radical-pair decay constant T_RP at simulated time t.  Elementwise
-    for an array of times; the counts are whole numbers held as floats.
-    """
-    if min(T_qubit, T_RP, t_identity) <= 0:
-        raise ValueError("time constants must be positive")
-    raw = np.divide(T_qubit, T_RP * t_identity) * np.asarray(t, dtype=float)  # 0 divides to inf
-    return raw // 8 * 8
 
 
 # ---------------------------------------------------------------------------

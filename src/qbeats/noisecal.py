@@ -39,8 +39,8 @@ DENOMINATOR_FLOOR = 1e-6
 class MeasurementStats:
     """Bell-basis outcome probabilities (singlet, T0, T+, T-).
 
-    Each field is a float, or an array with one entry per time point of a
-    batched run; every check and formula below acts elementwise.
+    Each field is a float, or an array with one entry per time point; every
+    check and formula below acts elementwise.
     """
 
     s: float

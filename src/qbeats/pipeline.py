@@ -38,8 +38,8 @@ from .hamiltonians import (
     distinct_spins,
     one_group_reduced_index,
 )
-from .noisemethods import echo_channel, rz_encoded_correlators
-from .relaxation import relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet
+from .relaxation import (relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet,
+                         rz_encoded_correlators)
 from .spinalg import HalfInt, spin_addition_counts
 
 
@@ -151,13 +151,15 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     Every noise method is one both-site channel (elapsed, T1, T2), picked once
     per regime: of duration t at T1 = T2 = inf for ``none``, at the regime's
     (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay of
-    duration t is that channel), and ``noisemethods.echo_channel`` for
+    duration t is that channel), and ``config.hardware.echo_channel`` for
     ``echo-synthetic`` (the correction undoes the hardware damping, so the
     procedure leaves its target channel).  S(t) is read from the correlators
     of the system's beat spectrum after the channel; a two-group
     ``echo-synthetic`` run reads it from the coherent S(t) encoded in an Rz
-    rotation instead.  No route runs a circuit or builds a (T, 4, 4) pair
-    trajectory.  With ``sectors`` the result also carries one column per
+    rotation instead.  No route builds a (T, 4, 4) pair trajectory, runs a
+    circuit or loads the gate-level modules (``circuits``, ``backends``,
+    ``library``, ``noisemethods``): they are the oracle of the tests and of
+    ``validate``.  With ``sectors`` the result also carries one column per
     sector: the noisy |I, m=I> traces of a mixed one-group run, or the
     coherent padded-register trace of each I2 sector of a two-group run.
     """
@@ -165,7 +167,7 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     times = time_grid(*config.time_grid)
     method = config.noise_method
     if method == "echo-synthetic":
-        channel = echo_channel(times, spec.T1, spec.T2, config.hardware)
+        channel = config.hardware.echo_channel(times, spec.T1, spec.T2)
     elif method == "none":
         channel = (times, math.inf, math.inf)
     else:

@@ -1,9 +1,8 @@
-"""Batched density backend against a per-row operator-sum oracle.
+"""Density backend against a gate-by-gate operator-sum oracle.
 
-``run_rows`` below is the gate-by-gate backend kept as the oracle: it runs a
-template circuit one batch row at a time, applies unitaries with
-``apply_unitary_to_density`` and the thermal noise with
-``relaxation.apply_channel`` of ``infinite_temperature_thermal_channel``
+``run_oracle`` below is the gate-by-gate backend kept as the oracle: it
+applies unitaries with ``apply_unitary_to_density`` and the thermal noise
+with ``relaxation.apply_channel`` of ``infinite_temperature_thermal_channel``
 followed by the drift RZ.  The noise routes are checked against per-point
 versions of their formulas built on the same oracle.
 """
@@ -27,15 +26,9 @@ from qbeats.circuits import Circuit, Gate
 from qbeats.config import HardwareModel, load_preset
 from qbeats.dynamics import SINGLET, DensityMatrix, pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
-from qbeats.library import (
-    add_singlet_prep,
-    delay_gate_count,
-    echo_pulse_circuit,
-    effective_decay_constant,
-    rz_encode_angle,
-)
+from qbeats.library import add_singlet_prep, echo_pulse_circuit, rz_encode_angle
 from qbeats.noisecal import MeasurementStats, correct_stats, inject_singlet
-from qbeats.noisemethods import echo_channel, per_gate_singlet_values, rz_encoded_correlators
+from qbeats.noisemethods import per_gate_singlet_values
 from qbeats.pipeline import one_group_sector_trajectories
 from qbeats.relaxation import (
     SINGLET_CORRELATORS,
@@ -43,6 +36,7 @@ from qbeats.relaxation import (
     apply_channel,
     infinite_temperature_thermal_channel,
     relaxed_bell_probabilities,
+    rz_encoded_correlators,
 )
 from qbeats.spinalg import HalfInt
 from support import channel_target_stats
@@ -50,21 +44,16 @@ from support import channel_target_stats
 TOL = 1e-12
 
 
-def row_gate(g: Gate, i: int) -> Gate:
-    params = tuple(p[i] if np.ndim(p) else p for p in g.params)
-    return Gate(g.kind, g.sites, params, g.prob, g.matrix)
-
-
-def run_row(circuit: Circuit, rho0, noise, i: int) -> np.ndarray:
-    """Row i of a template circuit, gate by gate, with Kraus-channel noise."""
+def run_oracle(circuit: Circuit, rho0, noise) -> np.ndarray:
+    """A circuit gate by gate, with Kraus-channel noise."""
     n = circuit.site_count
     labels = tuple(f"q{k}" for k in range(n))
     if rho0 is None:
         rho = np.zeros((2**n, 2**n), dtype=complex)
         rho[0, 0] = 1.0
     else:
-        rho = np.array(rho0[i] if np.ndim(rho0) == 3 else rho0, dtype=complex)
-    for g in (row_gate(g, i) for g in circuit.gates):
+        rho = np.array(rho0, dtype=complex)
+    for g in circuit.gates:
         applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
         rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied
         dt = 0.0 if noise is None else noise.duration_of(g)
@@ -80,10 +69,6 @@ def run_row(circuit: Circuit, rho0, noise, i: int) -> np.ndarray:
     return rho
 
 
-def run_rows(circuit: Circuit, rho0, noise, rows: int) -> np.ndarray:
-    return np.array([run_row(circuit, rho0, noise, i) for i in range(rows)])
-
-
 def random_states(rng, rows: int, dim: int) -> np.ndarray:
     z = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
     rho = z @ z.conj().transpose(0, 2, 1)
@@ -97,22 +82,18 @@ def random_unitaries(rng, rows: int, dim: int) -> np.ndarray:
         :, None, :]
 
 
-ROWS = 6
-DURATIONS = np.array([0.0, 0.7, 3.0, 0.0, 11.5, 40.0])  # zero-duration rows included
-
-
-def template(rng) -> Circuit:
+def template(rng, duration: float) -> Circuit:
     c = Circuit(3)
     c.add("H", 0)
     c.add("CNOT", (0, 1))
     c.add("X", 2, prob=0.3)
-    c.add("RZ", 1, (rng.uniform(-4.0, 4.0, ROWS),))
+    c.add("RZ", 1, (rng.uniform(-4.0, 4.0),))
     c.add("UNITARY", (0, 1, 2), matrix=random_unitaries(rng, 1, 8)[0])
-    c.add("DELAY", 0, (DURATIONS,))
+    c.add("DELAY", 0, (duration,))
     c.add("DELAY", 2, (2.5,))
     c.add("Z", 1, prob=0.6)
     c.add("UNITARY", (2, 0), matrix=random_unitaries(rng, 1, 4)[0])
-    c.add("DELAY", 1, (DURATIONS[::-1].copy(),))
+    c.add("DELAY", 1, (40.0 - duration,))
     return c
 
 
@@ -126,58 +107,17 @@ NOISES = {
 }
 
 
-class TestBatchedRunDensity:
+class TestRunDensity:
     @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
-    @pytest.mark.parametrize("shared_start", [False, True])
-    def test_template_matches_per_row_oracle(self, noise, shared_start):
+    @pytest.mark.parametrize("start", ["default", "given"])
+    def test_template_matches_the_gate_by_gate_oracle(self, start, noise):
         rng = np.random.default_rng(5)
-        c = template(rng)
-        states = random_states(rng, ROWS, 8)
-        rho0 = states[0] if shared_start else states
-        got = run_density(c, rho0, NOISES[noise]).matrix
-        assert got.shape == (ROWS, 8, 8)
-        want = run_rows(c, rho0, NOISES[noise], ROWS)
-        assert np.abs(got - want).max() <= TOL
-
-    @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
-    @pytest.mark.parametrize("start", ["default", "shared", "stacked"])
-    def test_shared_prefix_equals_eager_rows(self, start, noise):
-        # every row of a batched run, from a shared or a stacked start, must come
-        # out bit for bit as if it ran alone
-        rng = np.random.default_rng(5)
-        c = template(rng)
-        states = random_states(rng, ROWS, 8)
-        rho0 = {"default": None, "shared": states[0], "stacked": states}[start]
-        got = run_density(c, rho0, NOISES[noise]).matrix
-        for i in range(ROWS):
-            alone = Circuit(3, [row_gate(g, i) for g in c.gates])
-            start_i = None if rho0 is None else rho0[i] if rho0.ndim == 3 else rho0
-            assert np.abs(got[i] - run_density(alone, start_i, NOISES[noise]).matrix).max() == 0.0
-        if NOISES[noise] is None or NOISES[noise].T1 == NOISES[noise].T2 == math.inf:
-            assert np.abs(got - run_rows(c, rho0, NOISES[noise], ROWS)).max() == 0.0
-
-    def test_default_start_and_single_batched_parameter(self):
-        noise = SyntheticQubitNoise(T1=9.0, T2=9.0, drift_phase_rate=(0.03, 0.0))
-        c = Circuit(2)
-        add_singlet_prep(c, 0, 1)
-        c.add("DELAY", 0, (DURATIONS,))
-        c.add("X", 1)
-        got = run_density(c, noise=noise).matrix
-        assert np.abs(got - run_rows(c, None, noise, ROWS)).max() <= TOL
-
-    def test_unbatched_call_is_the_single_row_case(self):
-        noise = NOISES["finite T1, drift, gate durations"]
-        rng = np.random.default_rng(8)
-        c = Circuit(3)
-        c.add("H", 1)
-        c.add("CNOT", (1, 2))
-        c.add("RZ", 2, (0.4,))
-        c.add("DELAY", 2, (4.0,))
-        rho0 = random_states(rng, 1, 8)
-        single = run_density(c, rho0[0], noise).matrix
-        assert single.shape == (8, 8)
-        assert np.abs(single - run_density(c, rho0, noise).matrix[0]).max() == 0.0
-        assert np.abs(single - run_row(c, rho0, noise, 0)).max() <= TOL
+        for duration in (0.0, 0.7, 11.5, 40.0):  # zero-duration delays included
+            c = template(rng, duration)
+            rho0 = None if start == "default" else random_states(rng, 1, 8)[0]
+            got = run_density(c, rho0, NOISES[noise]).matrix
+            assert got.shape == (8, 8)
+            assert np.abs(got - run_oracle(c, rho0, NOISES[noise])).max() <= TOL
 
     def test_closed_form_map_matches_the_channel_on_one_site(self):
         # the population/coherence/drift factors of the map, directly
@@ -190,28 +130,22 @@ class TestBatchedRunDensity:
         assert got[0, 0] == pytest.approx(0.5 + g * (rho[0, 0] - 0.5), abs=TOL)
         assert got[0, 1] == pytest.approx(f * np.exp(-1j * rate * dt) * rho[0, 1], abs=TOL)
 
-    @pytest.mark.parametrize("case", ["params", "rho0"])
-    def test_mismatched_batch_lengths_raise(self, case):
-        rng = np.random.default_rng(1)
-        c = Circuit(2)
-        c.add("DELAY", 0, (np.ones(3),))
-        rho0 = None
-        if case == "params":
-            c.add("RZ", 1, (np.ones(4),))
-        else:
-            rho0 = random_states(rng, 5, 4)
-        with pytest.raises(ValueError, match="mismatched batch lengths"):
-            run_density(c, rho0, SyntheticQubitNoise())
+    def test_non_finite_or_array_parameter_rejected(self):
+        for bad in (np.nan, np.inf, np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match="finite real"):
+                Circuit(1).add("DELAY", 0, (bad,))
+            with pytest.raises(ValueError, match="finite real"):
+                Circuit(1).add("RZ", 0, (bad,))
 
-    def test_non_finite_batched_parameter_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Circuit(1).add("DELAY", 0, (np.array([1.0, np.nan, 2.0]),))
-        with pytest.raises(ValueError, match="finite"):
-            Circuit(1).add("RZ", 0, (np.array([0.0, np.inf]),))
+    def test_stacked_start_rejected(self):
+        stack = random_states(np.random.default_rng(4), 3, 4)
+        for c in (Circuit(2), Circuit(2).add("H", 0), Circuit(2).add("DELAY", 1, (2.0,))):
+            with pytest.raises(ValueError):
+                run_density(c, stack, SyntheticQubitNoise())
 
     def test_unphysical_site_times_rejected(self):
         c = Circuit(1)
-        c.add("DELAY", 0, (np.array([0.0, 1.0]),))
+        c.add("DELAY", 0, (1.0,))
         with pytest.raises(ValueError, match="unphysical"):
             run_density(c, noise=SyntheticQubitNoise(T1=4.0, T2=9.0))
 
@@ -221,12 +155,6 @@ class TestBatchedRunDensity:
         stack = random_unitaries(np.random.default_rng(1), 2, 4)  # of right-sized ones
         with pytest.raises(ValueError, match="UNITARY"):
             Circuit(2).add("UNITARY", (0, 1), matrix=stack)
-
-    def test_batched_partial_trace(self):
-        rho = random_states(np.random.default_rng(4), 3, 8)
-        got = partial_trace(rho, (2, 0), 3)
-        for i in range(3):
-            assert np.abs(got[i] - partial_trace(rho[i], (2, 0), 3)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +169,12 @@ def bell_stats(rho, e1, e2, n) -> MeasurementStats:
 def target_at(t: float, T1: float, T2: float, hw: HardwareModel) -> MeasurementStats:
     if math.isinf(T1):
         return channel_target_stats(RelaxationParams(t, T1, T2), sites="both")
-    N = delay_gate_count(t, (hw.T1_ns + hw.T2_ns) / 2, effective_decay_constant(T1, T2),
-                        hw.identity_ns)
+    N = round(float(hw.echo_channel(t, T1, T2)[0]) / hw.identity_ns)
     c = Circuit(2)
     add_singlet_prep(c, 0, 1)
-    c.extend(echo_pulse_circuit(int(N), hw.identity_ns, (0, 1), 2))
+    c.extend(echo_pulse_circuit(N, hw.identity_ns, (0, 1), 2))
     noise = SyntheticQubitNoise(T1=hw.T1_ns, T2=hw.T2_ns, drift_phase_rate=hw.drift_phase_rate)
-    return bell_stats(run_row(c, None, noise, 0), 0, 1, 2)
+    return bell_stats(run_oracle(c, None, noise), 0, 1, 2)
 
 
 def corrected_at(prep_and_evolve, n, e1, e2, hw, target) -> float:
@@ -260,7 +187,7 @@ def corrected_at(prep_and_evolve, n, e1, e2, hw, target) -> float:
             prep_and_evolve(c)
         for s in (e2, e1):  # delays on different sites commute: the other order
             c.add("DELAY", s, (hw.u_circuit_ns,))
-        stats.append(bell_stats(run_row(c, None, noise, 0), e1, e2, n))
+        stats.append(bell_stats(run_oracle(c, None, noise), e1, e2, n))
     return inject_singlet(correct_stats(stats[0], stats[1]), target)
 
 
@@ -286,7 +213,7 @@ class TestNoiseRoutes:
             if t > 0:
                 c.add("DELAY", 0, (float(t),))
                 c.add("DELAY", 1, (float(t),))
-            rho = run_row(c, traj[i], noise, 0)
+            rho = run_oracle(c, traj[i], noise)
             want.append(float(np.real(SINGLET.conj() @ rho @ SINGLET)))
         assert np.abs(per_gate_singlet_values(traj, times, T1, T2) - want).max() <= TOL
 
@@ -294,7 +221,7 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("T1,T2", list(RELAXATION.values()), ids=list(RELAXATION))
     def test_echo_targets_match_per_point_runs(self, T1, T2, hw):
         got = relaxed_bell_probabilities(SINGLET_CORRELATORS,
-                                         *echo_channel(TIMES, T1, T2, HARDWARE[hw]))
+                                         *HARDWARE[hw].echo_channel(TIMES, T1, T2))
         for i, t in enumerate(TIMES):
             want = target_at(float(t), T1, T2, HARDWARE[hw])
             assert np.abs(got[i] - want.as_array()).max() <= TOL
@@ -326,7 +253,7 @@ class TestNoiseRoutes:
     def test_encoded_route_matches_per_point_runs(self, T1, T2, hw):
         coherent = 0.5 + 0.5 * np.cos(0.45 * TIMES)
         got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
-                                         *echo_channel(TIMES, T1, T2, HARDWARE[hw]))[..., 0]
+                                         *HARDWARE[hw].echo_channel(TIMES, T1, T2))[..., 0]
         for i, t in enumerate(TIMES):
             theta = rz_encode_angle(float(coherent[i]))
             want = corrected_at(lambda c: c.add("RZ", 1, (theta,)), 2, 0, 1, HARDWARE[hw],

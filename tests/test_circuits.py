@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -13,6 +14,7 @@ from qbeats.backends import (
     run_statevector_ensemble,
 )
 from qbeats.circuits import Circuit, Gate
+from qbeats.config import HardwareModel
 from qbeats.dynamics import DensityMatrix, sector_statevector, singlet_trace_pure
 from qbeats.hamiltonians import (
     NuclearGroup,
@@ -24,7 +26,6 @@ from qbeats.hamiltonians import (
 from qbeats.library import (
     add_singlet_prep,
     add_singlet_unprep,
-    delay_gate_count,
     echo_pulse_circuit,
     kraus_circuit,
     purification_circuit,
@@ -168,17 +169,20 @@ class TestProbabilisticExpansion:
         c.add("Z", 0, prob=0.6)
         ensemble = run_statevector_ensemble(c)
         p_exact = sum(w * np.abs(psi[3]) ** 2 for w, psi in ensemble)
+        p_hit = {}  # outcome probability of each sampled (X, Z) configuration
+        for x, z in itertools.product((False, True), repeat=2):
+            cfg = Circuit(2)
+            add_singlet_prep(cfg, 0, 1)
+            if x:
+                cfg.add("X", 1)
+            if z:
+                cfg.add("Z", 0)
+            p_hit[x, z] = np.abs(run_statevector(cfg)[3]) ** 2
         shots = 100_000
         hits = 0
         for _ in range(shots):
-            cfg = Circuit(2)
-            add_singlet_prep(cfg, 0, 1)
-            if rng.random() < 0.3:
-                cfg.add("X", 1)
-            if rng.random() < 0.6:
-                cfg.add("Z", 0)
-            psi = run_statevector(cfg)
-            hits += rng.random() < np.abs(psi[3]) ** 2
+            x, z = bool(rng.random() < 0.3), bool(rng.random() < 0.6)
+            hits += rng.random() < p_hit[x, z]
         p_mc = hits / shots
         sigma = math.sqrt(p_exact * (1 - p_exact) / shots)
         assert abs(p_mc - p_exact) <= 3 * sigma
@@ -246,8 +250,8 @@ class TestEchoCircuit:
 
     def test_delay_count_formula(self):
         # N = (T_qubit / (T_RP t_identity)) t, floored to a multiple of 8
-        N1 = delay_gate_count(10.0, 100_000.0, 9.0, 35.5)
-        N2 = delay_gate_count(20.0, 100_000.0, 9.0, 35.5)
+        hw = HardwareModel(T1_ns=100_000.0, T2_ns=100_000.0, identity_ns=35.5)
+        N1, N2 = (round(float(hw.echo_channel(t, 9.0, 9.0)[0]) / 35.5) for t in (10.0, 20.0))
         assert N1 % 8 == 0 and N2 % 8 == 0
         assert abs(N2 - 2 * N1) <= 8  # linear in t up to rounding
         raw = 100_000.0 / (9.0 * 35.5) * 10.0

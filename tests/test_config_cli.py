@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import re
 import subprocess
@@ -21,7 +22,6 @@ from qbeats.config import (
     parse_config,
 )
 from qbeats.dynamics import singlet_values, time_grid
-from qbeats.library import delay_gate_count, effective_decay_constant
 from qbeats.pipeline import one_group_pair_trace, simulate
 from qbeats.postprocess import observed_intensity, observed_ratio
 from qbeats.relaxation import relax_pair_trajectory
@@ -188,6 +188,12 @@ BAD_CONFIGS = {
     "unknown key in time_grid": preset_with("octalin", "time_grid", "stop", 20.0),
     "unknown key in postprocess": preset_with("octalin", "postprocess", "tauf", 1.2),
     "unknown key in hardware": preset_with("octalin", "hardware", {"T1us": 100.0}),
+    # a number given twice, or as a YAML boolean, is refused, not silently picked or read as 1
+    "hfc_mT and hfc_G": preset_with("octalin", "system", "groups", 0, "hfc_mT", 2.49),
+    "count true": preset_with("octalin", "system", "groups", 0, "count", True),
+    "hfc_mT true": preset_with("octalin", "system", "groups", 0, {"count": 8, "hfc_mT": True}),
+    "g1 true": preset_with("octalin", "system", "g1", True),
+    "grid step true": preset_with("octalin", "time_grid", "step", True),
 }
 
 
@@ -311,10 +317,8 @@ class TestCli:
             spec = config.spin_spec(regime)
             elapsed, T1, T2 = times, spec.T1, spec.T2
             if math.isfinite(spec.T1):  # the echo-delay runs on the hardware qubit
-                elapsed = hw.identity_ns * delay_gate_count(
-                    times, (hw.T1_ns + hw.T2_ns) / 2, effective_decay_constant(T1, T2),
-                    hw.identity_ns)
-                T1, T2 = hw.T1_ns, hw.T2_ns
+                rate = (hw.T1_ns + hw.T2_ns) / 2 / ((T1 + T2) / 2 * hw.identity_ns)
+                elapsed, T1, T2 = rate * times // 8 * 8 * hw.identity_ns, hw.T1_ns, hw.T2_ns
             traj = one_group_pair_trace(spec, regime, times).trajectory
             want[regime] = singlet_values(relax_pair_trajectory(traj, elapsed, T1, T2))
         for path, column, regime in ((sim, "singlet_probability", "zero"),
@@ -469,6 +473,35 @@ class TestCli:
         assert r.returncode == 0
         header = [l for l in out.read_text().splitlines() if l.startswith("time_ns")]
         assert header[0] == "time_ns,ratio,I_B,I_0,S_B,S_0"
+
+
+ORACLE_MODULES = {"backends", "circuits", "library", "kak", "noisemethods", "validate"}
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from qbeats import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_simulate_and_trmfe_never_load_the_gate_level_oracle(tmp_path):
+    # every noise method reads one both-site channel: the circuit layer, the density
+    # backend and the validation suites load only for the tests and ``validate``
+    commands = []
+    for name in ("octalin", "dmb"):
+        for method in ("none", "kraus", "per-gate", "echo-synthetic"):
+            cfgfile, out = tmp_path / f"{name}-{method}.yaml", str(tmp_path / "out.csv")
+            cfgfile.write_text(yaml.safe_dump(preset_with(name, "noise_method", method)))
+            commands.append(["trmfe", "--config", str(cfgfile), "--out", out])
+            commands += [["simulate", "--sectors", "--field", field, "--config", str(cfgfile),
+                          "--out", out] for field in ("zero", "high")]
+    r = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(commands)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = {k.split(".", 1)[1] for k in json.loads(r.stdout) if k.startswith("qbeats.")}
+    assert "pipeline" in loaded and not loaded & ORACLE_MODULES, sorted(loaded)
 
 
 def run_main(*argv):

@@ -8,7 +8,6 @@ import yaml
 from qbeats.config import ConfigError, HardwareModel, parse_config
 from qbeats.dynamics import pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
-from qbeats.library import effective_decay_constant
 from qbeats.noisecal import (
     MeasurementStats,
     UnrecoverableNoiseError,
@@ -16,14 +15,14 @@ from qbeats.noisecal import (
     damp_stats,
     inject_singlet,
 )
-from qbeats.noisemethods import (
-    echo_channel,
-    kraus_singlet_values,
-    per_gate_singlet_values,
+from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
+from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
+from qbeats.relaxation import (
+    RelaxationParams,
+    relaxed_bell_probabilities,
+    relaxed_singlet,
     rz_encoded_correlators,
 )
-from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
-from qbeats.relaxation import RelaxationParams, relaxed_bell_probabilities, relaxed_singlet
 from qbeats.spinalg import HalfInt
 from support import channel_target_stats
 
@@ -120,10 +119,15 @@ class TestChannelTargets:
 
 class TestEffectiveDecayConstant:
     def test_mean_of_finite(self):
-        assert effective_decay_constant(9.0, 9.0) == 9.0
-        assert effective_decay_constant(math.inf, 20.0) == 20.0
-        with pytest.raises(ValueError):
-            effective_decay_constant(math.inf, math.inf)
+        # the echo delay matches the mean of a finite T1 and T2; with T1 = inf the
+        # target is the Kraus channel of duration t itself
+        hw, times = HardwareModel(), np.array([0.0, 3.0, 40.0])
+        elapsed, T1, T2 = hw.echo_channel(times, 9.0, 9.0)
+        assert (T1, T2) == (hw.T1_ns, hw.T2_ns)
+        assert np.array_equal(elapsed, hw.echo_channel(times, 6.0, 12.0)[0])
+        assert not np.array_equal(elapsed, hw.echo_channel(times, 9.0, 12.0)[0])
+        elapsed, T1, T2 = hw.echo_channel(times, math.inf, 20.0)
+        assert np.array_equal(elapsed, times) and (T1, T2) == (math.inf, 20.0)
 
 
 class TestEchoSyntheticPipelines:
@@ -134,7 +138,7 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel()
         I = HalfInt(8)
         echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
-                               *echo_channel(times, 9.0, 9.0, hw))
+                               *hw.echo_channel(times, 9.0, 9.0))
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
@@ -147,7 +151,7 @@ class TestEchoSyntheticPipelines:
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
         echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
-                               *echo_channel(times, math.inf, 9.0, hw))
+                               *hw.echo_channel(times, math.inf, 9.0))
         trajs = one_group_sector_trajectories(spec, times)
         kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9
@@ -157,7 +161,7 @@ class TestEchoSyntheticPipelines:
         coherent = 0.5 + 0.5 * np.cos(0.45 * times)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)
         got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
-                                         *echo_channel(times, math.inf, 20.0, hw))[..., 0]
+                                         *hw.echo_channel(times, math.inf, 20.0))[..., 0]
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
