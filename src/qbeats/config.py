@@ -27,6 +27,10 @@ from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
 MAX_TIME_POINTS = 1_000_000  # a trmfe CSV of about 106 MB; no route builds a (T, 4, 4) trajectory
+# nuclei in the last group, by number of groups: the dense cation blocks grow as count^3, and
+# trmfe at the cap takes about 1 s and 0.43 GB (one group), 2.4 s and 0.50 GB (two groups)
+# on a 2-core host with one BLAS thread
+MAX_COUNT = (400, 100)
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
 FIELD_REGIMES = ("zero", "high")
 
@@ -205,6 +209,10 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
         out.append(NuclearGroup(count, hfc))
     _require(len(out) == 1 or out[0].count == 2, f"{where}[0].count",
              "the small group of a two-group system must contain exactly 2 nuclei")
+    cap = MAX_COUNT[len(out) - 1]
+    _require(out[-1].count <= cap, f"{where}[{len(out) - 1}].count",
+             f"{out[-1].count} nuclei; at most {cap} allowed in a "
+             f"{('one', 'two')[len(out) - 1]}-group system")
     return tuple(out)
 
 

@@ -4,10 +4,14 @@ Several representations of the same physics:
 
 * full tensor-product Hamiltonian on one site per spin-1/2 (brute-force
   oracle),
-* degeneracy-reduced total-spin basis for one nuclear group,
+* real cation blocks (nuclei and e1), one per total spin I of one nuclear
+  group and one per I2 of the large group of two, each written from spin
+  ladder operators, I.S1 = Iz S1z + (I+ S1- + I- S1+)/2 (``coupling_block``),
+* the degeneracy-reduced total-spin register of one group, exact or secular,
+  and the fixed-I2 sector registers of two groups, both zero-padded to a
+  power of 2 and assembled from those blocks,
 * the 8-dimensional partitioned form for initial states |I, m=I>,
-* its Pauli-string decomposition,
-* fixed-I2 sector blocks for two nuclear groups.
+* its Pauli-string decomposition.
 
 Tensor factor order everywhere: anion electron (e2) first, nuclear register
 in the middle, cation electron (e1) last.  Within a parent spin I the nuclear
@@ -25,14 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
-from .spinalg import (
-    HALF,
-    HalfInt,
-    cg_block_matrix,
-    coupled_hfc_eigenvalues,
-    multiplicity,
-    spin_addition_counts,
-)
+from .spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -203,7 +200,7 @@ def _collective_spin(n: int, axis: np.ndarray) -> np.ndarray:
 
 def distinct_spins(n: int) -> list[HalfInt]:
     """Distinct total spins of n coupled spin-1/2s, descending."""
-    return sorted(spin_addition_counts(n), reverse=True)
+    return list(spin_addition_counts(n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +281,59 @@ def _total_spin_eigh(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Reduced (degeneracy-free) one-group Hamiltonian
+# Cation blocks and the reduced (degeneracy-free) one-group Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _pair_register(h: np.ndarray, reg: int, b2: float, e1_zeeman=0.0) -> np.ndarray:
-    """The (e2, nuc, e1) register matrix 1_e2 x h - b2 Z_e2 x 1 over ``reg`` nuclear slots.
+@functools.lru_cache(maxsize=32)  # both presets need 9; a large count keeps its 32 smallest
+def coupling_block(two_I: int) -> tuple[np.ndarray, np.ndarray]:
+    """I.S1 of a spin I = two_I / 2 and the cation electron (a = 1), and 2M per index.
+
+    Over |I, m> x |e1> with index 2k + e1, m = I - k descending and e1 up (0)
+    then down (1): Iz S1z is the diagonal m s / 2 (s = +-1), and
+    (I+ S1- + I- S1+) / 2 links |m, up> and |m + 1, down> with
+    sqrt((I - m)(I + m + 1)) / 2.  Real, read-only, and cached per 2I for the
+    most recent spins only: the blocks of every spin up to n/2 would hold
+    O(n^3) floats.
+    """
+    s = np.tile([1, -1], two_I + 1)
+    twice_m = np.repeat(np.arange(two_I, -two_I - 1, -2), 2) + s
+    h = np.diag((twice_m - s) * s / 4)
+    k = np.arange(1, two_I + 1)  # |m, up> with m = I - k is index 2k, |m + 1, down> 2k - 1
+    h[2 * k - 1, 2 * k] = h[2 * k, 2 * k - 1] = np.sqrt(k * (two_I + 1 - k)) / 2
+    h.setflags(write=False)
+    twice_m.setflags(write=False)
+    return h, twice_m
+
+
+def _direct_sum(blocks) -> np.ndarray:
+    """Block-diagonal matrix of square ``blocks``, in order."""
+    size = sum(len(b) for b in blocks)
+    out, at = np.zeros((size, size)), 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def _pair_register(h: np.ndarray, reg: int, b2: float) -> np.ndarray:
+    """The (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 over ``reg`` nuclear slots.
 
     ``h`` covers the populated slots; the padding slots beyond it stay exactly
-    zero, the Zeeman terms included.  ``e1_zeeman``, a cation Zeeman diagonal
-    kept out of ``h``, is summed with the anion term before it is added.
+    zero, the Zeeman terms included.
     """
     n, pair_dim = len(h), 2 * reg
     H = np.zeros((2 * pair_dim, 2 * pair_dim), dtype=complex)
-    zeeman = np.zeros(2 * pair_dim)
     for start, z2 in ((0, -b2), (pair_dim, b2)):
-        H[start:start + n, start:start + n] = h
-        zeeman[start:start + n] = e1_zeeman + z2
-    return H + np.diag(zeeman.astype(complex))
+        H[start:start + n, start:start + n] = h + z2 * np.eye(n)
+    return H
 
 
-def _reduced_one_group_parts(spec: SpinSystemSpec):
-    """Hyperfine block, e1 Zeeman diagonal, 2M per index, slot labels and
-    degeneracies of the populated slots of the reduced basis, and its padded
-    register size.
+def build_cation_one_group(spec: SpinSystemSpec) -> dict[HalfInt, tuple[np.ndarray, np.ndarray]]:
+    """Real cation block h = a I.S1 - b1 Z_e1 of each distinct total spin I of a one-group
+    system, descending, with 2M = 2(m + m_e1) per index (``coupling_block`` order).
 
-    The (nuclear x e1) hyperfine block is U Lambda U with U the
-    block-diagonal stack of CG blocks (one per distinct I, descending).
+    h conserves I and M: the reduced basis is the direct sum of these blocks,
+    and each is exactly zero between indices of different M.
     """
     if len(spec.groups) != 1:
         raise ValueError("the reduced one-group basis requires a one-group spec")
@@ -317,63 +341,39 @@ def _reduced_one_group_parts(spec: SpinSystemSpec):
     if n < 1:
         raise ValueError("need at least one nucleus")
     a = spec.hyperfine_rad_ns[0]
-
-    spins = distinct_spins(n)
-    slots = sum(multiplicity(I) for I in spins)
-    nuc_dim = _next_pow2(slots)
-    pair_real = 2 * slots
-    pair_dim = 2 * nuc_dim
-
-    counts = spin_addition_counts(n)
-    U = np.zeros((pair_dim, pair_dim))
-    lam = np.zeros(pair_dim)
-    pos = 0
-    basis_labels: list[tuple[HalfInt, HalfInt]] = []
-    degeneracy: list[int] = []
-    for I in spins:
-        blk = cg_block_matrix(I)
-        size = blk.shape[0]
-        U[pos:pos + size, pos:pos + size] = blk
-        lam[pos:pos + size] = coupled_hfc_eigenvalues(I)
-        basis_labels.extend(
-            (I, HalfInt(tm)) for tm in range(I.twice_value, -I.twice_value - 2, -2)
-        )
-        degeneracy.extend([counts[I]] * multiplicity(I))
-        pos += size
-
-    h_hfc = a * (U @ np.diag(lam) @ U)
-    z1 = np.tile(np.array([-spec.b1, spec.b1]), slots)
-    twice_m = np.array([m.twice_value + s for _, m in basis_labels for s in (1, -1)])
-    return h_hfc[:pair_real, :pair_real], z1, twice_m, basis_labels, degeneracy, nuc_dim
+    blocks = {}
+    for I in distinct_spins(n):
+        unit, twice_m = coupling_block(I.twice_value)
+        h = a * unit
+        h[np.diag_indices(len(h))] -= spec.b1 * np.tile([1.0, -1.0], multiplicity(I))
+        blocks[I] = h, twice_m
+    return blocks
 
 
-def build_cation_one_group(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Real cation block h (nuclei and e1, hyperfine plus e1 Zeeman) of the reduced
-    basis on its populated slots (index 2 * slot + e1), and 2M = 2(m + m_e1) per index.
-
-    h conserves M, so it is exactly zero between indices of different M.
-    """
-    h_hfc, z1, twice_m, *_ = _reduced_one_group_parts(spec)
-    return h_hfc + np.diag(z1), twice_m
+def _one_group_register(spec: SpinSystemSpec, secular: bool) -> BlockHamiltonian:
+    """The cation blocks of ``build_cation_one_group`` (with ``secular`` their diagonals
+    alone) on both e2 sublevels with the anion Zeeman term, zero-padded to a power of 2."""
+    blocks = build_cation_one_group(spec)
+    h = _direct_sum([np.diag(np.diag(h)) if secular else h for h, _ in blocks.values()])
+    nuc_dim = _next_pow2(len(h) // 2)
+    basis_labels: list[tuple[HalfInt, HalfInt] | None] = [
+        (I, HalfInt(tm)) for I in blocks for tm in range(I.twice_value, -I.twice_value - 2, -2)]
+    counts = spin_addition_counts(spec.groups[0].count)
+    pad = nuc_dim - len(basis_labels)
+    return BlockHamiltonian(_pair_register(h, nuc_dim, spec.b2), (2, nuc_dim, 2),
+                            ("e2", "nuc", "e1"), basis_labels=basis_labels + [None] * pad,
+                            padded_rows=4 * pad,
+                            degeneracy=[counts[I] for I, _ in basis_labels] + [0] * pad)
 
 
 def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     """Degeneracy-free H over distinct |I,m> states, zero-padded to a power of 2.
 
-    The cation block of ``build_cation_one_group`` on both e2 sublevels, with
+    The cation blocks of ``build_cation_one_group`` on both e2 sublevels, with
     the anion Zeeman term.  Padded slots stay exactly zero, including the
     Zeeman terms.
     """
-    h_hfc, z1, _, basis_labels, degeneracy, nuc_dim = _reduced_one_group_parts(spec)
-    pad = nuc_dim - len(basis_labels)
-    return BlockHamiltonian(
-        _pair_register(h_hfc, nuc_dim, spec.b2, z1),
-        (2, nuc_dim, 2),
-        ("e2", "nuc", "e1"),
-        basis_labels=basis_labels + [None] * pad,
-        padded_rows=4 * pad,
-        degeneracy=degeneracy + [0] * pad,
-    )
+    return _one_group_register(spec, secular=False)
 
 
 def build_secular_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
@@ -384,33 +384,7 @@ def build_secular_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     dynamics of |I,m> depends on |m| alone (the statement behind the
     high-field 25-to-5 state reduction).
     """
-    if len(spec.groups) != 1:
-        raise ValueError("build_secular_one_group requires a one-group spec")
-    n = spec.groups[0].count
-    a = spec.hyperfine_rad_ns[0]
-    spins = distinct_spins(n)
-    slots = sum(multiplicity(I) for I in spins)
-    nuc_dim = _next_pow2(slots)
-    pair_dim = 2 * nuc_dim
-
-    diag = np.zeros(2 * pair_dim)
-    basis_labels: list[tuple[HalfInt, HalfInt] | None] = []
-    pos = 0
-    for I in spins:
-        for tm in range(I.twice_value, -I.twice_value - 2, -2):
-            basis_labels.append((I, HalfInt(tm)))
-            for e2 in (0, 1):
-                for e1 in (0, 1):
-                    idx = e2 * pair_dim + pos * 2 + e1
-                    z1 = 1.0 if e1 == 0 else -1.0
-                    z2 = 1.0 if e2 == 0 else -1.0
-                    diag[idx] = (a * (tm / 2) * (z1 / 2)
-                                 - spec.b1 * z1 - spec.b2 * z2)
-            pos += 1
-    basis_labels.extend([None] * (nuc_dim - slots))
-    return BlockHamiltonian(np.diag(diag.astype(complex)), (2, nuc_dim, 2),
-                            ("e2", "nuc", "e1"), basis_labels=basis_labels,
-                            padded_rows=2 * (pair_dim - 2 * slots))
+    return _one_group_register(spec, secular=True)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +513,10 @@ def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarra
     (index 2 * slot + e1), and 2M = 2(m2 + m1 + m_e1) per index.
 
     Slots run over (m2 descending) x (|1,1>,|1,0>,|1,-1>,|0,0>); the small
-    group must contain exactly two nuclei.  The group-1 coupling is CG1/CG0
-    block-diagonal per m2; the group-2 coupling embeds CG_{I2} on the
-    (m2, e1) pair with the group-1 label as spectator (index-offset
-    embedding); the e1 Zeeman term completes h.
+    group must contain exactly two nuclei.  Both couplings are the
+    ``coupling_block`` of their spin: the group-1 term is spin 1 (+) spin 0 on
+    every m2, the group-2 term acts on (m2, e1) with the group-1 slot as a
+    spectator; the e1 Zeeman term completes h.
     """
     if len(spec.groups) != 2:
         raise ValueError("build_two_group_block requires a two-group spec")
@@ -552,29 +526,14 @@ def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarra
     if not (n2 >= 1 and 0 <= I2.twice_value <= n2 and (n2 - I2.twice_value) % 2 == 0):
         raise ValueError(f"I2={I2} is not a valid total spin for {n2} nuclei")
     w1, w2 = spec.hyperfine_rad_ns
-
     n_m2 = multiplicity(I2)
-    real_reg = 4 * n_m2
-    pair_real = 2 * real_reg
+    size = 8 * n_m2
 
-    # Group-1 coupling: CG1 (+) CG0 within each m2 block.
-    blk1 = np.zeros((8, 8))
-    blk1[:6, :6] = cg_block_matrix(HalfInt(2))
-    blk1[6:, 6:] = cg_block_matrix(HalfInt(0))
-    lam1 = np.concatenate([coupled_hfc_eigenvalues(HalfInt(2)),
-                           coupled_hfc_eigenvalues(HalfInt(0))])
-
-    # Group-2 coupling: CG_{I2} on the (m2, e1) pair, group-1 slot k as spectator.
-    cg2 = cg_block_matrix(I2)
-    U2 = np.zeros((pair_real, pair_real))
-    lam2 = np.zeros(pair_real)
-    emb = lambda i: i + (i // 2) * 6 + 2 * np.arange(4)[:, None]  # (m2, e1) index -> slot k
-    rows, cols = np.nonzero(cg2)
-    U2[emb(rows), emb(cols)] = cg2[rows, cols]
-    lam2[emb(np.arange(len(cg2)))] = coupled_hfc_eigenvalues(I2)
-
-    h = w1 * np.kron(np.eye(n_m2), (blk1 * lam1) @ blk1) + w2 * ((U2 * lam2) @ U2)
-    h[np.diag_indices(pair_real)] -= spec.b1 * np.tile([1.0, -1.0], real_reg)  # e1 Zeeman
+    group1 = _direct_sum([coupling_block(2)[0], coupling_block(0)[0]])
+    group2 = coupling_block(I2.twice_value)[0].reshape(n_m2, 2, n_m2, 2)
+    h = (w1 * np.kron(np.eye(n_m2), group1)
+         + w2 * np.einsum("aebf,jk->ajebkf", group2, np.eye(4)).reshape(size, size))
+    h[np.diag_indices(size)] -= spec.b1 * np.tile([1.0, -1.0], 4 * n_m2)  # e1 Zeeman
     twice_m = np.array([tm2 + m1.twice_value + s
                         for tm2 in range(I2.twice_value, -I2.twice_value - 2, -2)
                         for _, m1 in I1_STATES for s in (1, -1)])

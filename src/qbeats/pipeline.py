@@ -1,11 +1,12 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
-Each regime is one beat spectrum.  A one-group system is its reduced cation
-block with every |I, m=I> representative carrying the count of its class
-(zero field weights over I, high field weights over |m|); a two-group system
-is every fixed-I2 cation block at once, each weighted by its I2 degeneracy,
-which keeps the classical reassembly exact also in the presence of
-relaxation.  Per-sector spectra are built only for sector columns.
+Each regime is one beat spectrum.  A one-group system is its cation blocks,
+one per total spin I, with every |I, m=I> representative carrying the count
+of its class (zero field weights over I, high field weights over |m|); a
+two-group system is every fixed-I2 cation block at once, each weighted by
+its I2 degeneracy, which keeps the classical reassembly exact also in the
+presence of relaxation.  Per-sector spectra are built only for sector
+columns.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
 it picks the state preparation and owns the noise-method dispatch, which is
@@ -36,11 +37,10 @@ from .hamiltonians import (
     build_cation_one_group,
     build_two_group_block,
     distinct_spins,
-    one_group_reduced_index,
 )
 from .relaxation import (relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet,
                          rz_encoded_correlators)
-from .spinalg import HalfInt, spin_addition_counts
+from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 
 @dataclass
@@ -73,14 +73,15 @@ class SimulationResult:
 
 def _one_group_ensembles(spec: SpinSystemSpec, ensembles) -> list[PairSpectrum]:
     """Beat spectrum of sum weights[I, m] |I, m><I, m| x |S><S| for each ``weights`` dict of
-    ``ensembles``, on one reduced cation block."""
-    n, (h, twice_m) = spec.groups[0].count, build_cation_one_group(spec)
+    ``ensembles``, on the cation blocks of the I it reaches (one owner each)."""
+    blocks = build_cation_one_group(spec)
     spectra = []
     for weights in ensembles:
-        slot_weights = np.zeros(len(h) // 2)
+        slot_weights: dict[HalfInt, np.ndarray] = {}
         for (I, m), w in weights.items():
-            slot_weights[one_group_reduced_index(n, I, m)] = w
-        spectra.append(cation_spectrum([(h, twice_m, slot_weights)], spec.b2))
+            slot_weights.setdefault(I, np.zeros(multiplicity(I)))[(I - m).twice_value // 2] = w
+        spectra.append(cation_spectrum([(*blocks[I], slot_weights[I])
+                                        for I in blocks if I in slot_weights], spec.b2))
     return spectra
 
 

@@ -22,15 +22,19 @@ from qbeats.dynamics import (
     evaluate_spectrum,
     pair_slice_indices,
     sector_statevector,
+    singlet_values,
     singlet_vector,
 )
 from qbeats.hamiltonians import (
     BlockHamiltonian,
+    NuclearGroup,
     build_cation_two_group,
     build_full_one_group,
+    build_full_two_group,
     build_partitioned,
     build_reduced_one_group,
     build_two_group_block,
+    full_nuclear_sector_vector,
     one_group_reduced_index,
 )
 from qbeats.pipeline import (
@@ -38,14 +42,8 @@ from qbeats.pipeline import (
     simulate,
     two_group_sector_spectrum,
 )
-from qbeats.spinalg import (
-    HalfInt,
-    cg_block_matrix,
-    coupled_hfc_eigenvalues,
-    multiplicity,
-    spin_addition_counts,
-)
-from support import cation_register
+from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
+from support import cation_register, cg_block_matrix, coupled_hfc_eigenvalues
 
 REGIMES = ("zero", "high")
 GRID = (0.0, 100.0, 1.0)
@@ -229,3 +227,50 @@ def test_cation_two_group_matches_the_elementwise_assembly(regime):
         oracle = elementwise_cation_two_group(I2, s)
         assert np.abs(h - oracle).max() <= 1e-14 * np.abs(oracle).max(), I2
         assert len(twice_m) == len(h) == 8 * multiplicity(I2)
+
+
+# ---------------------------------------------------------------------------
+# g1 != g2: the e1 and e2 Zeeman terms no longer cancel in the singlet-T0 mixing
+# ---------------------------------------------------------------------------
+#
+# Tolerance, fixed before running: every Bohr frequency is a difference of two
+# eigenvalues of H, so max|omega| <= 2 ||H|| with
+# ||H|| <= sum_groups a_g (n_g / 2 + 1) / 2 + |b1| + |b2| (a I.S1 has eigenvalues
+# I / 2 and -(I + 1) / 2).  The dense ``eigh`` resolves each frequency to a few
+# eps ||H||; ``cation_spectrum`` to its merge width 64 eps (lambda_max + |b2|),
+# which is below 64 eps max|omega|.  The singlet beats' amplitudes sum to 1 in
+# magnitude, so a frequency off by d omega moves S(t) by at most d omega t_max,
+# and the two sides agree to 128 eps max|omega| t_max.  (A 1e-12 bound is too
+# tight: a high-field run differs from the dense oracle by about 1.3e-12.)
+
+G2_SHIFTED = 2.01  # against g1 = 2.0028
+
+
+def shifted_g2(name, groups, field_B=0.3, **changes):
+    return dataclasses.replace(load_preset(name), groups=groups, g2=G2_SHIFTED,
+                               field_B=field_B, noise_method="none", time_grid=GRID, **changes)
+
+
+def frequency_tolerance(spec):
+    norm = sum(a * (g.count / 2 + 1) / 2 for a, g in zip(spec.hyperfine_rad_ns, spec.groups))
+    return 128 * np.finfo(float).eps * 2 * (norm + abs(spec.b1) + abs(spec.b2)) * TIMES.max()
+
+
+def test_one_group_pure_state_with_unequal_g_matches_the_full_product_space():
+    config = shifted_g2("octalin", (NuclearGroup(4, 2.49),), initial_state="1, 0")
+    s = config.spin_spec("high")
+    assert s.b1 != s.b2
+    H = build_full_one_group(s)
+    psi = singlet_vector(full_nuclear_sector_vector(4, HalfInt(2), HalfInt(0)), H.dims)
+    dense = singlet_values(dense_pair_trajectory(H, psi, TIMES))
+    assert np.abs(simulate(config, "high").trace.values - dense).max() <= frequency_tolerance(s)
+
+
+def test_two_group_toy_with_unequal_g_matches_the_full_product_space():
+    config = shifted_g2("dmb", (NuclearGroup(2, 0.65), NuclearGroup(2, 1.66)))
+    s = config.spin_spec("high")
+    assert s.b1 != s.b2
+    H = build_full_two_group(s)
+    spectrum = dense_pair_spectrum(H, singlet_vector(np.eye(16), H.dims), np.full(16, 1 / 16))
+    dense = evaluate_spectrum(spectrum, TIMES, singlet=True)
+    assert np.abs(simulate(config, "high").trace.values - dense).max() <= frequency_tolerance(s)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qbeats import __version__
 from qbeats.cli import CSV_BLOCK_ROWS, write_csv
 from qbeats.config import (
+    MAX_COUNT,
     YAML_LOADER,
     ConfigError,
     load_config_file,
@@ -255,6 +256,20 @@ class TestCli:
         r = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 1
         assert "hfc" in r.stderr
+
+    @pytest.mark.parametrize("preset, group, system", [("octalin", 0, "one"), ("dmb", 1, "two")])
+    def test_count_above_the_cap_exits_1_on_one_line(self, tmp_path, preset, group, system):
+        cap = MAX_COUNT[group]
+        at_cap = preset_with(preset, "system", "groups", group, "count", cap)
+        assert parse_config(at_cap).groups[group].count == cap
+        cfgfile = tmp_path / "big.yaml"
+        cfgfile.write_text(yaml.safe_dump(
+            preset_with(preset, "system", "groups", group, "count", cap + 1)))
+        out = tmp_path / "x.csv"
+        r = run_cli("trmfe", "--config", str(cfgfile), "--out", str(out))
+        assert r.returncode == 1 and not out.exists()
+        assert r.stderr == (f"configuration error: {cfgfile}.system.groups[{group}].count: "
+                            f"{cap + 1} nuclei; at most {cap} allowed in a {system}-group system\n")
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exits_1_without_traceback(self, tmp_path, case):

@@ -41,7 +41,6 @@ from qbeats.dynamics import (
 )
 from qbeats import pipeline
 from qbeats.hamiltonians import (
-    build_cation_one_group,
     build_full_one_group,
     build_reduced_one_group,
     build_two_group_block,
@@ -66,7 +65,7 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import cation_register, class_average, pair_correlators
+from support import cation_register, class_average, pair_correlators, reduced_cation_block
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -365,7 +364,7 @@ def test_cation_spectra_of_every_dmb_sector(regime):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_cation_spectrum_of_the_mixed_octalin_ensemble(regime):
     s = spec("octalin", regime)
-    h, twice_m = build_cation_one_group(s)
+    h, twice_m = reduced_cation_block(s)
     weights = class_weights(regime)
     H = reduced(regime)
     reached = np.flatnonzero(weights)
@@ -409,7 +408,7 @@ def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
     assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), times),
                evaluate_spectrum(oracle, times)) <= TOL
     s = spec("octalin", "high")
-    h, twice_m = build_cation_one_group(s)
+    h, twice_m = reduced_cation_block(s)
     H, weights = reduced("high"), class_weights("high")
     reached = np.flatnonzero(weights)
     oracle = pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
@@ -422,7 +421,7 @@ def cation_blocks():
     """(name, h, twice_m, builder matrix, b2) of every cation block of both presets."""
     for regime in REGIMES:
         s = spec("octalin", regime)
-        yield (f"octalin-{regime}", *build_cation_one_group(s), reduced(regime).matrix, s.b2)
+        yield (f"octalin-{regime}", *reduced_cation_block(s), reduced(regime).matrix, s.b2)
         for I2 in spin_addition_counts(12):
             sector = dmb_sector(regime, I2)
             yield (f"dmb-I2={I2}-{regime}", sector.cation, sector.twice_m,
@@ -443,15 +442,7 @@ def test_cation_blocks_conserve_m_and_assemble_the_builders_matrices():
     for name, h, twice_m, matrix, b2 in cation_blocks():
         assert h.dtype == float and h.shape == (len(twice_m),) * 2, name
         assert np.all(h[np.not_equal.outer(twice_m, twice_m)] == 0.0), name
-        assembled = kron_assembly(h, b2, matrix.shape[0] // 4)
-        if name.startswith("dmb") or b2 == 0.0:
-            assert np.array_equal(assembled, matrix), name
-        else:
-            # the reduced builder sums each diagonal entry as hyperfine + (e1 Zeeman -+ b2),
-            # so the assembly from h (e1 Zeeman already in) can move its last bits
-            off = ~np.eye(len(matrix), dtype=bool)
-            assert np.array_equal(assembled[off], matrix[off]), name
-            assert dev(assembled, matrix) <= 4 * np.spacing(np.abs(matrix).max()), name
+        assert np.array_equal(kron_assembly(h, b2, matrix.shape[0] // 4), matrix), name
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +492,7 @@ def test_a_reached_block_without_an_m_minus_1_block():
     # |I=4, m=-4> reaches the lowest block M = -9/2, which has no M - 1 partner; a
     # second copy of the block adds a sector whose M labels overlap the first one's
     s = spec("octalin", "high")
-    h, twice_m = build_cation_one_group(s)
+    h, twice_m = reduced_cation_block(s)
     lowest = np.zeros(len(h) // 2)
     lowest[one_group_reduced_index(8, HalfInt(8), HalfInt(-8))] = 0.7
     both = [(h, twice_m, lowest), (h, twice_m, class_weights("high"))]

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qbeats.spinalg import (
-    HALF,
-    HalfInt,
-    cg_block_matrix,
-    coupled_hfc_eigenvalues,
-    multiplicity,
-    spin_addition_counts,
-)
+from qbeats.hamiltonians import coupling_block
+from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
+from support import (cg_block_matrix, coupled_hfc_eigenvalues, product_basis_labels,
+                     spin_addition_counts_by_recurrence)
 
 
 def as_twice(counts):
@@ -36,6 +32,15 @@ class TestSpinAdditionCounts:
     def test_state_count_identity(self, n):
         counts = spin_addition_counts(n)
         assert sum(c * multiplicity(I) for I, c in counts.items()) == 2**n
+
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_closed_form_equals_the_recurrence(self, n):
+        assert dict(spin_addition_counts(n)) == spin_addition_counts_by_recurrence(n)
+
+    def test_large_row_is_exact(self):
+        counts = spin_addition_counts(2000)
+        assert sum(c * multiplicity(I) for I, c in counts.items()) == 2**2000
+        assert counts[HalfInt(2000)] == 1 and counts[HalfInt(1998)] == 1999
 
     def test_recurrence_row9_from_row8(self):
         row8 = spin_addition_counts(8)
@@ -109,6 +114,25 @@ class TestClebschGordanBlocks:
         assert cg_block_matrix(HalfInt(5)) is first and not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 2.0
+
+
+class TestLadderBlocks:
+    """``coupling_block`` against the Clebsch-Gordan tables: U Lambda U is I.S1."""
+
+    @given(st.integers(min_value=0, max_value=25))
+    def test_equals_the_clebsch_gordan_assembly(self, twice_I):
+        h, twice_m = coupling_block(twice_I)
+        I = HalfInt(twice_I)
+        U = cg_block_matrix(I)
+        oracle = U @ np.diag(coupled_hfc_eigenvalues(I)) @ U
+        assert np.abs(h - oracle).max() <= 1e-14 * (1 + twice_I)
+        assert list(twice_m) == [m.twice_value + (1 if e1 == 0 else -1)
+                                 for m, e1 in product_basis_labels(I)]
+
+    def test_cached_read_only(self):
+        h, twice_m = coupling_block(7)
+        assert coupling_block(7)[0] is h
+        assert not h.flags.writeable and not twice_m.flags.writeable
 
 
 class TestCoupledEigenvalues:
