@@ -39,7 +39,7 @@ from .hamiltonians import (
     distinct_spins,
 )
 from .relaxation import (relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet,
-                         rz_encoded_correlators)
+                         rz_encoded_correlators, werner_correlators)
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 
@@ -155,9 +155,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     duration t is that channel), and ``config.hardware.echo_channel`` for
     ``echo-synthetic`` (the correction undoes the hardware damping, so the
     procedure leaves its target channel).  S(t) is read from the correlators
-    of the system's beat spectrum after the channel; a two-group
+    of the system's beat spectrum after the channel.  A two-group
     ``echo-synthetic`` run reads it from the coherent S(t) encoded in an Rz
-    rotation instead.  No route builds a (T, 4, 4) pair trajectory, runs a
+    rotation instead, and a mixed one-group run at zero field from its
+    coherent S(t) in the rotation-invariant pair state.  No route builds a (T, 4, 4) pair trajectory, runs a
     circuit or loads the gate-level modules (``circuits``, ``backends``,
     ``library``, ``noisemethods``): they are the oracle of the tests and of
     ``validate``.  With ``sectors`` the result also carries one column per
@@ -194,7 +195,14 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
         values = relaxed_singlet(spectrum, times, *channel)
     else:
-        values = relaxed_singlet(one_group_spectrum(spec, regime), times, *channel)
+        spectrum = one_group_spectrum(spec, regime)
+        if regime == "zero":
+            # the mixed pair state is rotation invariant at zero field, but each |I, m=I>
+            # representative is not: it carries the right S(t) and the wrong <ZZ> : <XX + YY>
+            coherent = relaxed_singlet(spectrum, times, times, math.inf, math.inf)
+            values = relaxed_bell_probabilities(werner_correlators(coherent), *channel)[..., 0]
+        else:
+            values = relaxed_singlet(spectrum, times, *channel)
         for I, s in one_group_sector_spectra(spec).items() if sectors else ():
             label = _sector_label(I)
             columns[label] = clip_probabilities(relaxed_singlet(s, times, *channel), label)

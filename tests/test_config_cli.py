@@ -22,10 +22,17 @@ from qbeats.config import (
     load_preset,
     parse_config,
 )
-from qbeats.dynamics import singlet_values, time_grid
+from qbeats.dynamics import SINGLET, singlet_values, time_grid
 from qbeats.pipeline import one_group_pair_trace, simulate
 from qbeats.postprocess import observed_intensity, observed_ratio
 from qbeats.relaxation import relax_pair_trajectory
+
+def werner_trajectory(singlet):
+    """Pair states S |S><S| + (1 - S) / 3 (1 - |S><S|), one per S(t)."""
+    s = np.asarray(singlet)[:, None, None]
+    projector = np.outer(SINGLET, SINGLET)
+    return s * projector + (1 - s) / 3 * (np.eye(4) - projector)
+
 
 MINIMAL = {
     "system": {
@@ -335,6 +342,8 @@ class TestCli:
                 rate = (hw.T1_ns + hw.T2_ns) / 2 / ((T1 + T2) / 2 * hw.identity_ns)
                 elapsed, T1, T2 = rate * times // 8 * 8 * hw.identity_ns, hw.T1_ns, hw.T2_ns
             traj = one_group_pair_trace(spec, regime, times).trajectory
+            if regime == "zero":  # the mixed state's pair state is rotation invariant
+                traj = werner_trajectory(singlet_values(traj))
             want[regime] = singlet_values(relax_pair_trajectory(traj, elapsed, T1, T2))
         for path, column, regime in ((sim, "singlet_probability", "zero"),
                                      (ratio, "S_0", "zero"), (ratio, "S_B", "high")):

@@ -1,0 +1,119 @@
+"""``simulate`` against the dense full-register evolution, on drawn systems.
+
+Every example is a configuration that ``parse_config`` accepts: one group of
+n <= 8 nuclei or two groups (2, n2 <= 4), each with an hfc of 0.1-3 mT; g1
+and g2 drawn independently in 1.99-2.02; a field of 0-1 T; and (T1, T2)
+drawn with T2 <= 2 T1, either possibly infinite.  The initial state is a pure
+|I, m> of one group at the drawn field, or the mixed nuclear state: at zero
+field for one group (where the average over the |I, m=I> representatives is
+exact) and at the drawn field for two groups (whose every nuclear state is
+weighted).  ``simulate`` runs with ``none`` and with ``kraus``; the oracle is
+one ``eigh`` of the whole 2^(N+2)-square matrix (``dense_pair_trajectory``,
+or its mixed-state sum below) followed by the closed-form both-site channel
+``relax_pair_trajectory`` at the same (T1, T2).
+
+A mixed one-group example draws n <= 6: the mixed-state oracle costs
+D^2 T per pair element, which at n = 8 (D = 1024) alone would take seconds.
+
+Tolerance, fixed before running: every Bohr frequency is a difference of two
+eigenvalues of H, so max|omega| <= 2 ||H|| with
+||H|| <= sum_groups a_g (n_g / 2 + 1) / 2 + |b1| + |b2|.  Both sides resolve
+each frequency to the merge width of ``cation_spectrum``, 64 eps
+(lambda_max + |b2|) < 64 eps max|omega|, or to a few eps ||H|| for the dense
+``eigh``.  The singlet beats' amplitudes sum to 1 in magnitude, and the
+channel only scales them, so a frequency off by d omega moves S(t) by at
+most d omega t_max: the two sides agree to 128 eps max|omega| t_max.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qbeats.config import parse_config
+from qbeats.dynamics import pair_slice_indices, singlet_values, singlet_vector, time_grid
+from qbeats.hamiltonians import (build_full_one_group, build_full_two_group,
+                                 full_nuclear_sector_vector)
+from qbeats.pipeline import simulate
+from qbeats.relaxation import relax_pair_trajectory
+from qbeats.spinalg import HalfInt
+from test_blocks import dense_eig, dense_pair_trajectory
+
+GRID = (0.0, 100.0, 2.0)
+TIMES = time_grid(*GRID)
+EPS = np.finfo(float).eps
+
+
+def dense_mixed_pair_trajectory(H, times):
+    """Pair trajectory of |S><S| x 1/K over the K nuclear basis states, from one dense
+    eigendecomposition: rho_ab(t) = sum_jl R_jl Q_jl exp(-i (w_j - w_l) t), with R the
+    initial state in the eigenbasis and Q_jl = sum_n <a n|j> <l|b n>."""
+    w, v = dense_eig(H)
+    idx = pair_slice_indices(H.dims)
+    c = singlet_vector(np.eye(idx.shape[1]), H.dims) @ v.conj()  # c[k, j] = <j|psi_k>
+    R = c.T @ c.conj() / len(c)
+    phases = np.exp(-1j * np.outer(w, times))
+    out = np.empty((len(times), 4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(a, 4):
+            M = R * (v[idx[a]].T @ v[idx[b]].conj())
+            out[:, a, b] = np.einsum("jt,jt->t", phases, M @ phases.conj())
+            out[:, b, a] = out[:, a, b].conj()
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(config, regime) of a drawn system and initial state."""
+    kind = draw(st.sampled_from(["pure", "mixed", "two groups"]))
+    two, pure = kind == "two groups", kind == "pure"
+    counts = [2, draw(st.integers(1, 4))] if two else [draw(st.integers(1, 8 if pure else 6))]
+    groups = [{"count": n, "hfc_mT": draw(st.floats(0.1, 3.0))} for n in counts]
+    regime = "high" if two or pure else "zero"
+    T1 = draw(st.one_of(st.just(np.inf), st.floats(1.0, 1e4)))
+    T2 = draw(st.one_of(st.just(np.inf), st.floats(0.5, 1e4)) if T1 == np.inf
+              else st.floats(0.5, 2 * T1))
+    initial = "mixed"
+    if pure:
+        I = draw(st.sampled_from(range(counts[0] % 2, counts[0] + 1, 2)))
+        initial = f"{I / 2}, {draw(st.sampled_from(range(-I, I + 1, 2))) / 2}"
+    config = parse_config({
+        "system": {"groups": groups, "g1": draw(st.floats(1.99, 2.02)),
+                   "g2": draw(st.floats(1.99, 2.02)), "field_B": draw(st.floats(0.0, 1.0)),
+                   "relaxation": {regime: {"T1": T1, "T2": T2}}},
+        "initial_state": initial,
+        "time_grid": dict(zip(("start", "end", "step"), GRID)),
+    })
+    return config, regime
+
+
+def dense_singlet_trajectory(config, regime):
+    """The pair trajectory of the configuration's initial state, from the dense oracle."""
+    spec = config.spin_spec(regime)
+    if len(spec.groups) == 2:
+        return dense_mixed_pair_trajectory(build_full_two_group(spec), TIMES)
+    H = build_full_one_group(spec)
+    if config.initial_state == "mixed":
+        return dense_mixed_pair_trajectory(H, TIMES)
+    I, m = (HalfInt.from_float(float(x)) for x in config.initial_state.split(","))
+    nuclear = full_nuclear_sector_vector(spec.groups[0].count, I, m)
+    return dense_pair_trajectory(H, singlet_vector(nuclear, H.dims), TIMES)
+
+
+def frequency_tolerance(spec):
+    norm = sum(a * (g.count / 2 + 1) / 2 for a, g in zip(spec.hyperfine_rad_ns, spec.groups))
+    return 128 * EPS * 2 * (norm + abs(spec.b1) + abs(spec.b2)) * TIMES.max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_simulate_matches_the_dense_register_and_the_closed_form_channel(drawn):
+    config, regime = drawn
+    spec = config.spin_spec(regime)
+    traj = dense_singlet_trajectory(config, regime)
+    tol = frequency_tolerance(spec)
+    for method, (T1, T2) in (("none", (np.inf, np.inf)), ("kraus", (spec.T1, spec.T2))):
+        values = simulate(dataclasses.replace(config, noise_method=method), regime).trace.values
+        oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
+        assert np.abs(values - oracle).max() <= tol, (method, config.canonical())
