@@ -27,10 +27,10 @@ from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
 MAX_TIME_POINTS = 1_000_000  # a trmfe CSV of about 106 MB; no route builds a (T, 4, 4) trajectory
-# nuclei in the last group, by number of groups: the dense cation blocks grow as count^3, and
-# trmfe at the cap takes about 1 s and 0.43 GB (one group), 2.4 s and 0.50 GB (two groups)
-# on a 2-core host with one BLAS thread
-MAX_COUNT = (400, 100)
+# nuclei in the last group, by number of groups: default-grid trmfe at the cap takes about
+# 1.8 s and 0.39 GB (one group, mostly the exact spin multiplicities) and 1.9 s and 0.13 GB
+# (two groups) on a 2-core host with one BLAS thread
+MAX_COUNT = (60_000, 200)
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
 FIELD_REGIMES = ("zero", "high")
 

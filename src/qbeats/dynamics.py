@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import BlockHamiltonian
+from .hamiltonians import BlockHamiltonian, CationBlocks
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 log = logging.getLogger(__name__)
@@ -303,61 +303,54 @@ def pair_spectrum(H: BlockHamiltonian, states, weights) -> PairSpectrum:
     return _merged(freqs, amps, tol)
 
 
-def cation_spectrum(blocks, b2: float) -> PairSpectrum:
-    """Beat spectrum of the sum over ``blocks`` (h, twice_m, weights) of
-    |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1, each block on its own slots.
+def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
+    """Beat spectrum of |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1, from
+    the blocks of h that the ensemble reaches (``hamiltonians.build_cation_blocks``).
 
-    Every ``h`` is a real cation block (nuclei and e1, index 2 * slot + e1) and
-    conserves M, given as ``twice_m`` per index; the anion electron only adds
-    the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r],
+    h is the real cation Hamiltonian (nuclei and e1) and conserves M; the anion
+    electron only adds the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r],
     p_s(t) = sum_r weights[r] sum_n |<n s|exp(-iht)|r s>|^2 and
     c(t) = sum_r weights[r] sum_n <n up|exp(-iht)|r up> <n down|exp(-iht)|r down>^*,
     the five live pair elements are rho_11 = p_up / 2, rho_22 = p_down / 2,
     rho_00 = (w - p_down) / 2, rho_33 = (w - p_up) / 2 and
-    rho_12 = -c(t) exp(-2i b2 t) / 2.  The M blocks the weights reach, and their
-    M - 1 partners, are diagonalized by one stacked ``eigh`` per block size;
-    p_s beats within a block, c between the up rows of block M and the down
-    rows of block M - 1.  Terms at the roundoff level of the largest amplitude
-    are dropped, and all are merged once.
+    rho_12 = -c(t) exp(-2i b2 t) / 2.  The blocks are diagonalized by one stacked
+    ``eigh`` per block size; p_s beats within a block, c between the up rows of
+    block M and the down rows of block M - 1, which hold the same slots in the
+    same rows, so no product is wider than a block.  Terms at the roundoff level
+    of the largest amplitude are dropped, and all are merged once.
     """
-    hs, ms, ws = zip(*blocks)
-    sizes = np.array([len(h) for h in hs])
-    offset, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(hs)), sizes)
-    twice_m, weights = np.concatenate(ms), np.concatenate(ws).astype(float)  # weights per slot
-    key = owner * (np.ptp(twice_m) + 3) + twice_m  # one key per (block, M), in that order
-    block_of = np.unique(key, return_inverse=True)[1]
-    members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
-    hit = np.unique(block_of[np.repeat(weights, 2) != 0])  # the M blocks the ensemble reaches
-    need = np.union1d(hit, hit[hit > 0] - 1)  # and their M - 1 partners
-    n, own = np.array([len(members[k]) for k in need]), owner[[members[k][0] for k in need]]
-    lam, X = np.zeros((len(need), n.max())), np.zeros((len(need), sizes.max(), n.max()))
-    for size in np.unique(n):  # eigenvector j of block b at its index in the owner: X[b, :, j]
-        sel = np.flatnonzero(n == size)
-        idx = np.stack([members[k] for k in need[sel]]) - offset[own[sel], None]
-        lam[sel, :size], X[sel[:, None], idx, :size] = np.linalg.eigh(
-            np.stack([hs[o][np.ix_(i, i)] for o, i in zip(own[sel], idx)]))
-    w = np.zeros((len(hs), sizes.max() // 2))  # each owner's slot weights
-    w[owner[::2], np.arange(len(weights)) - offset[owner[::2]] // 2] = weights
-    # block M has up rows only when its owner has a block M - 1, which comes right before it
-    pair, below = np.searchsorted(need, hit[hit > 0]), np.searchsorted(need, hit[hit > 0] - 1)
+    live, weights, (above, below) = blocks.live, blocks.weights, blocks.pairs
+    P = live.shape[1] // 2
+    lam, X = np.zeros(live.shape), np.zeros(blocks.h.shape)  # X[b, :, j]: eigenvector j
+    sizes = live.sum(axis=1)
+    for size in np.unique(sizes):
+        sel = np.flatnonzero(sizes == size)
+        rows = np.nonzero(live[sel])[1].reshape(-1, size)  # each block's live rows, ascending
+        lam[sel, :size], X[sel[:, None, None], rows[:, :, None], np.arange(size)] = (
+            np.linalg.eigh(blocks.h[sel[:, None, None], rows[:, :, None], rows[:, None, :]]))
 
-    def beats(rows, cols, b):  # sum_r weights[r] <j|r s><r s'|l> sum_n <j|n s><n s'|l>
+    def beats(rows, cols, w):  # sum_q w_q <j|q><q|l> * sum_q <j|q><q|l>
         rows = rows.transpose(0, 2, 1)
-        return ((rows * w[own[b], None, :]) @ cols) * (rows @ cols)
+        return ((rows * w[:, None, :]) @ cols) * (rows @ cols)
 
-    up, down, every = X[:, 0::2], X[:, 1::2], np.arange(len(need))
-    p_up, p_down = beats(up, up, every), beats(down, down, every)
-    c = beats(up[pair], down[below], pair)
-    amps = np.zeros((1 + p_up.size + c.size, 10))
-    amps[0, [0, 9]] = weights.sum() / 2  # the constant parts of rho_00 and rho_33
-    amps[1:1 + p_up.size, [4, 9, 7, 0]] = 0.5 * np.stack(
-        [p_up, -p_up, p_down, -p_down], axis=-1).reshape(-1, 4)
-    amps[1 + p_up.size:, 5] = -0.5 * c.ravel()
-    freqs = np.concatenate([[0.0], (lam[:, :, None] - lam[:, None, :]).ravel(),
-                            (lam[pair, :, None] - lam[below, None, :] + 2 * b2).ravel()])
-    keep = np.abs(amps).max(axis=1) > 8 * np.finfo(float).eps * np.abs(amps).max()
-    lam_max = max(np.abs(h).sum(axis=1).max() for h in hs)  # bounds every eigenvalue
-    return _merged([freqs[keep]], [amps[keep]], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
+    up, down = X[:, :P], X[:, P:]
+    p_up, p_down = beats(up, up, weights[:, :P]), beats(down, down, weights[:, P:])
+    c = beats(up[above], down[below], weights[above, :P])
+    total = weights[:, :P].sum()  # every weighted slot has one up row
+    # a term stays above 8 eps of the largest amplitude; every amplitude is half of one of these
+    floor = 8 * np.finfo(float).eps * max(
+        total, np.abs(p_up).max(), np.abs(p_down).max(), np.abs(c).max(initial=0.0))
+    p_keep = np.maximum(np.abs(p_up), np.abs(p_down)) > floor
+    c_keep = np.abs(c) > floor
+    amps = np.zeros((1 + p_keep.sum() + c_keep.sum(), 10))
+    amps[0, [0, 9]] = total / 2  # the constant parts of rho_00 and rho_33
+    p_up, p_down = p_up[p_keep], p_down[p_keep]
+    amps[1:1 + len(p_up), [4, 9, 7, 0]] = 0.5 * np.stack([p_up, -p_up, p_down, -p_down], axis=-1)
+    amps[1 + len(p_up):, 5] = -0.5 * c[c_keep]
+    freqs = np.concatenate([[0.0], (lam[:, :, None] - lam[:, None, :])[p_keep],
+                            (lam[above, :, None] - lam[below, None, :] + 2 * b2)[c_keep]])
+    lam_max = np.abs(blocks.h).sum(axis=2).max(initial=0.0)  # bounds every eigenvalue
+    return _merged([freqs], [amps], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
 
 
 def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
@@ -457,13 +450,12 @@ def one_group_weights(n: int, field_regime: str) -> dict[HalfInt, int]:
     counts = spin_addition_counts(n)
     if field_regime == "zero":
         return {I: c * multiplicity(I) for I, c in counts.items()}
-    if field_regime == "high":
-        out: dict[HalfInt, int] = {}
-        for I, c in counts.items():
-            for tm in range(I.twice_value % 2, I.twice_value + 1, 2):
-                m = HalfInt(tm)
-                out[m] = out.get(m, 0) + c * (1 if tm == 0 else 2)
-        return out
+    if field_regime == "high":  # class |m| = k holds m = +-k of every I >= k
+        out, above = {}, 0
+        for I, c in counts.items():  # I descending
+            above += c
+            out[I] = above * (1 if I.twice_value == 0 else 2)
+        return dict(reversed(out.items()))
     raise ValueError(f"unknown field regime {field_regime!r}")
 
 

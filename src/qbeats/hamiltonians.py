@@ -4,9 +4,9 @@ Several representations of the same physics:
 
 * full tensor-product Hamiltonian on one site per spin-1/2 (brute-force
   oracle),
-* real cation blocks (nuclei and e1), one per total spin I of one nuclear
-  group and one per I2 of the large group of two, each written from spin
-  ladder operators, I.S1 = Iz S1z + (I+ S1- + I- S1+)/2 (``coupling_block``),
+* real cation blocks (nuclei and e1) of conserved (I..., M), written from
+  spin ladder operators, I.S1 = Iz S1z + (I+ S1- + I- S1+)/2, for the
+  states an ensemble reaches (``build_cation_blocks``),
 * the degeneracy-reduced total-spin register of one group, exact or secular,
   and the fixed-I2 sector registers of two groups, both zero-padded to a
   power of 2 and assembled from those blocks,
@@ -284,35 +284,122 @@ def _total_spin_eigh(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
 # Cation blocks and the reduced (degeneracy-free) one-group Hamiltonian
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)  # both presets need 9; a large count keeps its 32 smallest
-def coupling_block(two_I: int) -> tuple[np.ndarray, np.ndarray]:
-    """I.S1 of a spin I = two_I / 2 and the cation electron (a = 1), and 2M per index.
+def spin_states(twice_I) -> tuple[np.ndarray, np.ndarray]:
+    """(2I, 2m) of every |I, m> of the spins ``twice_I`` (2I each), in order, m descending."""
+    twice_I = np.asarray(twice_I, dtype=int)
+    two_I = np.repeat(twice_I, twice_I + 1)
+    first = np.repeat(np.cumsum(twice_I + 1) - (twice_I + 1), twice_I + 1)
+    return two_I, two_I - 2 * (np.arange(len(two_I)) - first)
 
-    Over |I, m> x |e1> with index 2k + e1, m = I - k descending and e1 up (0)
-    then down (1): Iz S1z is the diagonal m s / 2 (s = +-1), and
-    (I+ S1- + I- S1+) / 2 links |m, up> and |m + 1, down> with
-    sqrt((I - m)(I + m + 1)) / 2.  Real, read-only, and cached per 2I for the
-    most recent spins only: the blocks of every spin up to n/2 would hold
-    O(n^3) floats.
+
+def nuclear_states(spec: SpinSystemSpec, twice_I_last) -> tuple[np.ndarray, np.ndarray]:
+    """(G, R) arrays of 2I and 2m per group of every nuclear state whose last group has a
+    spin of ``twice_I_last``: for two groups, every state of the small group on each
+    |I2, m2>, m2 descending, the small group's states in descending (I1, m1)."""
+    last = spin_states(twice_I_last)
+    if len(spec.groups) == 1:
+        return last[0][None], last[1][None]
+    first = spin_states([I.twice_value for I in distinct_spins(spec.groups[0].count)])
+    return tuple(np.stack([np.tile(f, len(l)), np.repeat(l, len(f))])
+                 for f, l in zip(first, last))
+
+
+@dataclass(frozen=True)
+class CationBlocks:
+    """Conserved blocks of a cation Hamiltonian h = sum_g a_g I_g.S1 - b1 Z_e1.
+
+    h conserves every group's I_g and M = sum_g m_g + m_e1.  Block b holds one
+    family of spins ``two_I[b]`` (2I per group) and one level mu = M - 1/2 of
+    the nuclear m = sum_g m_g: row q < P is |slot q at level mu, e1 up> and
+    row P + q is |slot q at level mu + 1, e1 down>, where a slot of a level is
+    fixed by the first group's m1 = I1 - q (P = n1 + 1 for two groups, and
+    P = 1 with q = 0 for one).  So the up rows of block mu and the down rows of
+    block mu - 1 hold the same slots, row for row.  Rows a block lacks are
+    ``live`` False and zero throughout.  ``two_m[b, row]`` is 2m per group of
+    the row's slot, ``weights[b, row]`` the ensemble weight of that slot, and
+    ``pairs`` the (block mu, block mu - 1) of every weighted level.
     """
-    s = np.tile([1, -1], two_I + 1)
-    twice_m = np.repeat(np.arange(two_I, -two_I - 1, -2), 2) + s
-    h = np.diag((twice_m - s) * s / 4)
-    k = np.arange(1, two_I + 1)  # |m, up> with m = I - k is index 2k, |m + 1, down> 2k - 1
-    h[2 * k - 1, 2 * k] = h[2 * k, 2 * k - 1] = np.sqrt(k * (two_I + 1 - k)) / 2
-    h.setflags(write=False)
-    twice_m.setflags(write=False)
-    return h, twice_m
+
+    h: np.ndarray        # (B, 2P, 2P), real
+    live: np.ndarray     # (B, 2P)
+    weights: np.ndarray  # (B, 2P)
+    two_I: np.ndarray    # (B, G)
+    two_m: np.ndarray    # (B, 2P, G)
+    pairs: np.ndarray    # (2, C)
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h as one matrix over the slots the blocks hold, index 2 * slot + e1 (up, then
+        down), and each slot's (2I, 2m) per group, last group first, and weight.  Slots run
+        in descending (I, m) of the last group, then of the first; the row of a slot that no
+        block holds stays zero."""
+        b, i = np.nonzero(self.live)
+        P = self.live.shape[1] // 2
+        key = np.column_stack([-x for g in reversed(range(self.two_I.shape[1]))
+                               for x in (self.two_I[b, g], self.two_m[b, i, g])])
+        slots, slot = np.unique(key, axis=0, return_inverse=True)
+        index = np.zeros(self.live.shape, dtype=int)
+        index[b, i] = 2 * slot.ravel() + i // P
+        bb, ii, jj = np.nonzero(self.live[:, :, None] & self.live[:, None, :])
+        h = np.zeros((2 * len(slots),) * 2)
+        h[index[bb, ii], index[bb, jj]] = self.h[bb, ii, jj]
+        weights = np.zeros(len(slots))
+        weights[index[b, i] // 2] = self.weights[b, i]
+        return h, -slots, weights
 
 
-def _direct_sum(blocks) -> np.ndarray:
-    """Block-diagonal matrix of square ``blocks``, in order."""
-    size = sum(len(b) for b in blocks)
-    out, at = np.zeros((size, size)), 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    return out
+def _ladder(two_I: np.ndarray, two_m: np.ndarray) -> np.ndarray:
+    """<m + 1| I+ |m> / 2 = sqrt((I - m)(I + m + 1)) / 2, zero where m is out of range."""
+    k = (two_I - two_m) // 2
+    return np.sqrt(np.maximum(k * (two_I + 1 - k), 0)) / 2
+
+
+def build_cation_blocks(spec: SpinSystemSpec, two_I, two_m, weights) -> CationBlocks:
+    """The blocks of h = sum_g a_g I_g.S1 - b1 Z_e1 that an ensemble of nuclear states
+    reaches, written from the ladder matrix elements.
+
+    The ensemble is sum_r weights[r] |r><r| over the states r given by (G, R) arrays of
+    2I and 2m per group (``nuclear_states``).  Built are the block of |r, up> and the
+    block of |r, down> of every r of nonzero weight, which includes every M - 1 partner
+    its c beats need.  In the blocks, Iz S1z is the diagonal m s / 2 (s = +-1 for e1 up,
+    down), (I+ S1- + I- S1+) / 2 links |m, up> with |m + 1, down> by ``_ladder``, and the
+    e1 Zeeman term is -b1 s.
+    """
+    hit = np.asarray(weights) != 0
+    two_I, two_m = np.asarray(two_I)[:, hit], np.asarray(two_m)[:, hit]
+    weights = np.asarray(weights, dtype=float)[hit]
+    G, R = two_I.shape
+    P = spec.groups[0].count + 1 if G == 2 else 1
+    q = (two_I[0] - two_m[0]) // 2 if G == 2 else np.zeros(R, dtype=int)
+    level = two_m.sum(axis=0)  # 2 mu of the block of |r, up>; |r, down> is in mu - 1
+    keys = np.vstack([np.hstack([two_I, two_I]), np.hstack([level, level - 2])])
+    low = keys.min(axis=1, keepdims=True)  # one integer code per key, in the keys' order
+    dims = tuple(keys.max(axis=1) - low[:, 0] + 1)
+    codes, block = np.unique(np.ravel_multi_index(tuple(keys - low), dims), return_inverse=True)
+    families = np.array(np.unravel_index(codes, dims)) + low
+    fam, block = families[:G].T, block.ravel()
+    row_level = families[G][:, None] + 2 * (np.arange(2 * P) >= P)
+    if G == 2:  # 2 m1 = 2 I1 - 2 q, and the last group takes the rest of the level
+        m1 = fam[:, :1] - 2 * np.tile(np.arange(P), 2)
+        row_m = np.stack([m1, row_level - m1], axis=-1)
+    else:
+        row_m = row_level[..., None]
+    live = (np.abs(row_m) <= fam[:, None, :]).all(axis=-1)
+    a = np.array(spec.hyperfine_rad_ns)
+    s = np.where(np.arange(2 * P) < P, 1, -1)
+    up, down, q_up = live[:, :P], live[:, P:], np.arange(P)
+    h = np.zeros((len(fam), 2 * P, 2 * P))
+    h[:, q_up, q_up + P] = a[-1] * _ladder(fam[:, -1:], row_m[:, :P, -1]) * (up & down)
+    if G == 2:  # raising m1 moves to the slot one to the left
+        h[:, q_up[1:], q_up[:-1] + P] = (a[0] * _ladder(fam[:, :1], row_m[:, 1:P, 0])
+                                         * (up[:, 1:] & down[:, :-1]))
+    h += h.transpose(0, 2, 1)
+    diag = sum(a[g] * (row_m[..., g] * s / 4) for g in range(G)) - spec.b1 * s
+    h[:, np.arange(2 * P), np.arange(2 * P)] = np.where(live, diag, 0.0)
+    slot_weights = np.zeros(live.shape)
+    slot_weights[block[:R], q] = weights
+    slot_weights[block[R:], P + q] = weights
+    pairs = np.array(np.divmod(np.unique(block[:R] * len(fam) + block[R:]), len(fam)))
+    return CationBlocks(h, live, slot_weights, fam, row_m, pairs)
 
 
 def _pair_register(h: np.ndarray, reg: int, b2: float) -> np.ndarray:
@@ -328,37 +415,18 @@ def _pair_register(h: np.ndarray, reg: int, b2: float) -> np.ndarray:
     return H
 
 
-def build_cation_one_group(spec: SpinSystemSpec) -> dict[HalfInt, tuple[np.ndarray, np.ndarray]]:
-    """Real cation block h = a I.S1 - b1 Z_e1 of each distinct total spin I of a one-group
-    system, descending, with 2M = 2(m + m_e1) per index (``coupling_block`` order).
-
-    h conserves I and M: the reduced basis is the direct sum of these blocks,
-    and each is exactly zero between indices of different M.
-    """
-    if len(spec.groups) != 1:
-        raise ValueError("the reduced one-group basis requires a one-group spec")
-    n = spec.groups[0].count
-    if n < 1:
-        raise ValueError("need at least one nucleus")
-    a = spec.hyperfine_rad_ns[0]
-    blocks = {}
-    for I in distinct_spins(n):
-        unit, twice_m = coupling_block(I.twice_value)
-        h = a * unit
-        h[np.diag_indices(len(h))] -= spec.b1 * np.tile([1.0, -1.0], multiplicity(I))
-        blocks[I] = h, twice_m
-    return blocks
-
-
 def _one_group_register(spec: SpinSystemSpec, secular: bool) -> BlockHamiltonian:
-    """The cation blocks of ``build_cation_one_group`` (with ``secular`` their diagonals
-    alone) on both e2 sublevels with the anion Zeeman term, zero-padded to a power of 2."""
-    blocks = build_cation_one_group(spec)
-    h = _direct_sum([np.diag(np.diag(h)) if secular else h for h, _ in blocks.values()])
+    """h = a I.S1 - b1 Z_e1 over every |I, m> (with ``secular`` its diagonal alone) on both
+    e2 sublevels with the anion Zeeman term, zero-padded to a power of 2."""
+    n = spec.groups[0].count
+    two_I, two_m = nuclear_states(spec, [I.twice_value for I in distinct_spins(n)])
+    h, labels, _ = build_cation_blocks(spec, two_I, two_m, np.ones(two_I.shape[1])).dense()
+    if secular:
+        h = np.diag(np.diag(h))
     nuc_dim = _next_pow2(len(h) // 2)
-    basis_labels: list[tuple[HalfInt, HalfInt] | None] = [
-        (I, HalfInt(tm)) for I in blocks for tm in range(I.twice_value, -I.twice_value - 2, -2)]
-    counts = spin_addition_counts(spec.groups[0].count)
+    basis_labels: list[tuple[HalfInt, HalfInt] | None] = [tuple(map(HalfInt, row))
+                                                          for row in labels]
+    counts = spin_addition_counts(n)
     pad = nuc_dim - len(basis_labels)
     return BlockHamiltonian(_pair_register(h, nuc_dim, spec.b2), (2, nuc_dim, 2),
                             ("e2", "nuc", "e1"), basis_labels=basis_labels + [None] * pad,
@@ -369,8 +437,8 @@ def _one_group_register(spec: SpinSystemSpec, secular: bool) -> BlockHamiltonian
 def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     """Degeneracy-free H over distinct |I,m> states, zero-padded to a power of 2.
 
-    The cation blocks of ``build_cation_one_group`` on both e2 sublevels, with
-    the anion Zeeman term.  Padded slots stay exactly zero, including the
+    The cation blocks of every |I, m> (``build_cation_blocks``) on both e2 sublevels,
+    with the anion Zeeman term.  Padded slots stay exactly zero, including the
     Zeeman terms.
     """
     return _one_group_register(spec, secular=False)
@@ -461,27 +529,18 @@ def pauli_decompose_partitioned(I: HalfInt, spec: SpinSystemSpec) -> list[tuple[
 # Two-group sector blocks
 # ---------------------------------------------------------------------------
 
-I1_STATES: tuple[tuple[HalfInt, HalfInt], ...] = (
-    (HalfInt(2), HalfInt(2)),
-    (HalfInt(2), HalfInt(0)),
-    (HalfInt(2), HalfInt(-2)),
-    (HalfInt(0), HalfInt(0)),
-)
-
-
 @dataclass
 class TwoGroupSector:
     """One fixed-I2 block of a two-group system, with padding bookkeeping.
 
-    ``cation`` is the real cation block h on the populated slots (index
-    2 * slot + e1) and ``twice_m`` its 2M per index.  ``hamiltonian``, the
-    padded (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1, is assembled from
-    it on first use.
+    ``blocks`` are its cation blocks (``build_cation_blocks``), every populated
+    slot weighted 1 / register_size.  ``hamiltonian``, the padded (e2, nuc, e1)
+    register 1_e2 x h - b2 Z_e2 x 1 of their matrix h (``CationBlocks.dense``),
+    is scattered from them on first use.
     """
 
     I2: HalfInt
-    cation: np.ndarray
-    twice_m: np.ndarray
+    blocks: CationBlocks
     b2: float
     register_size: int      # padded nuclear register (power of 2)
     real_register: int      # populated nuclear slots: 4 * (2*I2 + 1)
@@ -494,12 +553,10 @@ class TwoGroupSector:
     @functools.cached_property
     def hamiltonian(self) -> BlockHamiltonian:
         reg, real = self.register_size, self.real_register
-        basis_labels: list[tuple | None] = [
-            (self.I2, HalfInt(tm2), I1, m1)
-            for tm2 in range(self.I2.twice_value, -self.I2.twice_value - 2, -2)
-            for I1, m1 in I1_STATES]
+        h, labels, _ = self.blocks.dense()
+        basis_labels: list[tuple | None] = [tuple(map(HalfInt, row)) for row in labels]
         return BlockHamiltonian(
-            _pair_register(self.cation, reg, self.b2),
+            _pair_register(h, reg, self.b2),
             (2, reg, 2),
             ("e2", "nuc", "e1"),
             basis_labels=basis_labels + [None] * (reg - real),
@@ -508,15 +565,13 @@ class TwoGroupSector:
         )
 
 
-def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Real cation block h of the fixed-I2 sector on its populated slots
-    (index 2 * slot + e1), and 2M = 2(m2 + m1 + m_e1) per index.
+def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
+    """Sector for fixed total spin I2 of the large nuclear group.
 
-    Slots run over (m2 descending) x (|1,1>,|1,0>,|1,-1>,|0,0>); the small
-    group must contain exactly two nuclei.  Both couplings are the
-    ``coupling_block`` of their spin: the group-1 term is spin 1 (+) spin 0 on
-    every m2, the group-2 term acts on (m2, e1) with the group-1 slot as a
-    spectator; the e1 Zeeman term completes h.
+    Its slots run over (m2 descending) x (|1,1>,|1,0>,|1,-1>,|0,0>) of the
+    small group, which must contain exactly two nuclei; its register is
+    zero-padded to a power of 2 and the anion Zeeman term is appended, zero
+    on padding.
     """
     if len(spec.groups) != 2:
         raise ValueError("build_two_group_block requires a two-group spec")
@@ -525,38 +580,16 @@ def build_cation_two_group(I2: HalfInt, spec: SpinSystemSpec) -> tuple[np.ndarra
         raise ValueError("the small group must contain exactly 2 nuclei")
     if not (n2 >= 1 and 0 <= I2.twice_value <= n2 and (n2 - I2.twice_value) % 2 == 0):
         raise ValueError(f"I2={I2} is not a valid total spin for {n2} nuclei")
-    w1, w2 = spec.hyperfine_rad_ns
-    n_m2 = multiplicity(I2)
-    size = 8 * n_m2
-
-    group1 = _direct_sum([coupling_block(2)[0], coupling_block(0)[0]])
-    group2 = coupling_block(I2.twice_value)[0].reshape(n_m2, 2, n_m2, 2)
-    h = (w1 * np.kron(np.eye(n_m2), group1)
-         + w2 * np.einsum("aebf,jk->ajebkf", group2, np.eye(4)).reshape(size, size))
-    h[np.diag_indices(size)] -= spec.b1 * np.tile([1.0, -1.0], 4 * n_m2)  # e1 Zeeman
-    twice_m = np.array([tm2 + m1.twice_value + s
-                        for tm2 in range(I2.twice_value, -I2.twice_value - 2, -2)
-                        for _, m1 in I1_STATES for s in (1, -1)])
-    return h, twice_m
-
-
-def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
-    """Sector for fixed total spin I2 of the large nuclear group.
-
-    Holds the cation block of ``build_cation_two_group``; its register is
-    zero-padded to a power of 2 and the anion Zeeman term is appended, zero
-    on padding.
-    """
-    h, twice_m = build_cation_two_group(I2, spec)
-    real_reg = len(h) // 2
+    real_reg = 4 * multiplicity(I2)
+    reg = _next_pow2(real_reg)
+    two_I, two_m = nuclear_states(spec, [I2.twice_value])
     return TwoGroupSector(
         I2=I2,
-        cation=h,
-        twice_m=twice_m,
+        blocks=build_cation_blocks(spec, two_I, two_m, np.full(real_reg, 1.0 / reg)),
         b2=spec.b2,
-        register_size=_next_pow2(real_reg),
+        register_size=reg,
         real_register=real_reg,
-        degeneracy=spin_addition_counts(spec.groups[1].count)[I2],
+        degeneracy=spin_addition_counts(n2)[I2],
     )
 
 

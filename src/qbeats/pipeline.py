@@ -1,11 +1,11 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
-Each regime is one beat spectrum.  A one-group system is its cation blocks,
-one per total spin I, with every |I, m=I> representative carrying the count
-of its class (zero field weights over I, high field weights over |m|); a
-two-group system is every fixed-I2 cation block at once, each weighted by
-its I2 degeneracy, which keeps the classical reassembly exact also in the
-presence of relaxation.  Per-sector spectra are built only for sector
+Each regime is one beat spectrum, read from the cation blocks its ensemble
+reaches (``build_cation_blocks``).  In a one-group system every |I, m=I>
+representative carries the count of its class (zero field weights over I,
+high field weights over |m|); in a two-group system every nuclear state of
+every I2 sector is weighted by its I2 degeneracy, which keeps the classical
+reassembly exact also in the presence of relaxation.  Per-sector spectra are built only for sector
 columns.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
@@ -34,13 +34,14 @@ from .dynamics import (
 from .hamiltonians import (
     SpinSystemSpec,
     TwoGroupSector,
-    build_cation_one_group,
+    build_cation_blocks,
     build_two_group_block,
     distinct_spins,
+    nuclear_states,
 )
 from .relaxation import (relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet,
-                         rz_encoded_correlators, werner_correlators)
-from .spinalg import HalfInt, multiplicity, spin_addition_counts
+                         rz_encoded_correlators)
+from .spinalg import HalfInt, spin_addition_counts
 
 
 @dataclass
@@ -73,15 +74,12 @@ class SimulationResult:
 
 def _one_group_ensembles(spec: SpinSystemSpec, ensembles) -> list[PairSpectrum]:
     """Beat spectrum of sum weights[I, m] |I, m><I, m| x |S><S| for each ``weights`` dict of
-    ``ensembles``, on the cation blocks of the I it reaches (one owner each)."""
-    blocks = build_cation_one_group(spec)
+    ``ensembles``, on the cation blocks it reaches."""
     spectra = []
     for weights in ensembles:
-        slot_weights: dict[HalfInt, np.ndarray] = {}
-        for (I, m), w in weights.items():
-            slot_weights.setdefault(I, np.zeros(multiplicity(I)))[(I - m).twice_value // 2] = w
-        spectra.append(cation_spectrum([(*blocks[I], slot_weights[I])
-                                        for I in blocks if I in slot_weights], spec.b2))
+        two_I, two_m = np.array([[I.twice_value, m.twice_value] for I, m in weights]).T
+        blocks = build_cation_blocks(spec, two_I[None], two_m[None], list(weights.values()))
+        spectra.append(cation_spectrum(blocks, spec.b2))
     return spectra
 
 
@@ -122,18 +120,19 @@ def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
     1/register_size, exactly what a padded purification run leaves behind
     once the frozen padding-state contribution is subtracted.
     """
-    weights = np.full(sector.real_register, 1.0 / sector.register_size)
-    return cation_spectrum([(sector.cation, sector.twice_m, weights)], sector.b2)
+    return cation_spectrum(sector.blocks, sector.b2)
 
 
 def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
-    """Beat spectrum of the fully mixed nuclear state of a two-group system: every I2
-    sector's cation block at once, each slot weighted by its I2 degeneracy / 2^N."""
+    """Beat spectrum of the fully mixed nuclear state of a two-group system: the cation
+    blocks of every I2 sector at once, each slot weighted by its I2 degeneracy / 2^N."""
     n1, n2 = spec.groups[0].count, spec.groups[1].count
-    sectors = [build_two_group_block(I2, spec) for I2 in spin_addition_counts(n2)]
-    total = 2 ** (n1 + n2)
-    return cation_spectrum([(s.cation, s.twice_m, np.full(s.real_register, s.degeneracy / total))
-                            for s in sectors], spec.b2)
+    counts = spin_addition_counts(n2)
+    weight = np.zeros(n2 + 1)  # by 2 I2
+    for I2, count in counts.items():
+        weight[I2.twice_value] = count / 2 ** (n1 + n2)
+    two_I, two_m = nuclear_states(spec, [I2.twice_value for I2 in counts])
+    return cation_spectrum(build_cation_blocks(spec, two_I, two_m, weight[two_I[1]]), spec.b2)
 
 
 def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray) -> PairTrace:
@@ -158,10 +157,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     of the system's beat spectrum after the channel.  A two-group
     ``echo-synthetic`` run reads it from the coherent S(t) encoded in an Rz
     rotation instead, and a mixed one-group run at zero field from its
-    coherent S(t) in the rotation-invariant pair state.  No route builds a (T, 4, 4) pair trajectory, runs a
-    circuit or loads the gate-level modules (``circuits``, ``backends``,
-    ``library``, ``noisemethods``): they are the oracle of the tests and of
-    ``validate``.  With ``sectors`` the result also carries one column per
+    coherent S(t) in the rotation-invariant pair state.  No route builds a
+    (T, 4, 4) pair trajectory, runs a circuit or loads the gate-level modules
+    (``circuits``, ``backends``, ``library``, ``noisemethods``): they are the
+    oracle of the tests and of ``validate``.  With ``sectors`` the result also carries one column per
     sector: the noisy |I, m=I> traces of a mixed one-group run, or the
     coherent padded-register trace of each I2 sector of a two-group run.
     """
@@ -197,10 +196,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     else:
         spectrum = one_group_spectrum(spec, regime)
         if regime == "zero":
-            # the mixed pair state is rotation invariant at zero field, but each |I, m=I>
-            # representative is not: it carries the right S(t) and the wrong <ZZ> : <XX + YY>
-            coherent = relaxed_singlet(spectrum, times, times, math.inf, math.inf)
-            values = relaxed_bell_probabilities(werner_correlators(coherent), *channel)[..., 0]
+            # the mixed pair state is rotation invariant at zero field, but no |I, m=I>
+            # representative is: they carry S(t), not its <ZZ> = <XX> = <YY> = (1 - 4 S) / 3
+            zz = (1 - 4 * relaxed_singlet(spectrum, times, times, math.inf, math.inf)) / 3
+            values = relaxed_bell_probabilities((1.0, zz, 2 * zz, 0.0), *channel)[..., 0]
         else:
             values = relaxed_singlet(spectrum, times, *channel)
         for I, s in one_group_sector_spectra(spec).items() if sectors else ():

@@ -187,13 +187,6 @@ def rz_encoded_correlators(singlet: np.ndarray) -> np.ndarray:
     return np.stack(np.broadcast_arrays(1.0, -1.0, 2 * (1 - 2 * s), 0.0))
 
 
-def werner_correlators(singlet: np.ndarray) -> np.ndarray:
-    """(4, T) correlators of the rotation-invariant pair state with singlet probability S:
-    S |S><S| + (1 - S) / 3 on the triplets, whose <ZZ> = <XX> = <YY> = (1 - 4 S) / 3."""
-    c = (1 - 4 * np.asarray(singlet, dtype=float)) / 3
-    return np.stack(np.broadcast_arrays(1.0, c, 2 * c, 0.0))
-
-
 def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarray:
     """(..., 4) Bell-outcome probabilities (S, T0, T+, T-) after the both-site channel of
     duration ``t``, read from (4, ...) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>).

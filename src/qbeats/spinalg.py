@@ -3,7 +3,7 @@
 Quantum numbers stored as doubled integers, so sector arithmetic stays
 exact, and the multiplicity of each total spin among n coupled spin-1/2
 particles.  The cation blocks themselves are written from ladder operators
-in ``hamiltonians.coupling_block``.
+in ``hamiltonians.build_cation_blocks``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 
 
@@ -75,5 +74,8 @@ def spin_addition_counts(n: int) -> Mapping[HalfInt, int]:
     """
     if n <= 0:
         raise ValueError(f"particle count must be >= 1, got {n}")
-    return MappingProxyType({HalfInt(n - 2 * k): comb(n, k) - (comb(n, k - 1) if k else 0)
+    row = [1]  # C(n, k) = C(n, k - 1) (n - k + 1) / k, exact in integers
+    for k in range(1, n // 2 + 1):
+        row.append(row[-1] * (n - k + 1) // k)
+    return MappingProxyType({HalfInt(n - 2 * k): row[k] - (row[k - 1] if k else 0)
                              for k in range(n // 2 + 1)})

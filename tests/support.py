@@ -8,8 +8,8 @@ import numpy as np
 
 from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spectrum,
                              one_group_weights, pair_probabilities)
-from qbeats.hamiltonians import (PAULI, BlockHamiltonian, SpinSystemSpec, _direct_sum,
-                                 build_cation_one_group, build_two_group_block)
+from qbeats.hamiltonians import (PAULI, BlockHamiltonian, SpinSystemSpec, build_two_group_block,
+                                 build_cation_blocks, distinct_spins, nuclear_states)
 from qbeats.noisecal import MeasurementStats
 from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
 from qbeats.relaxation import (CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory,
@@ -173,9 +173,22 @@ def coupled_hfc_eigenvalues(I: HalfInt) -> np.ndarray:
     )
 
 
+def one_group_blocks(spec: SpinSystemSpec, weights):
+    """The cation blocks that sum_r weights[r] |r><r| reaches, the |I, m> of a one-group
+    system in ``one_group_reduced_index`` order."""
+    two_I, two_m = nuclear_states(
+        spec, [I.twice_value for I in distinct_spins(spec.groups[0].count)])
+    return build_cation_blocks(spec, two_I, two_m, weights)
+
+
+def cation_matrix(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The cation blocks' matrix h (``CationBlocks.dense``) and 2M per index."""
+    h, labels, _ = blocks.dense()
+    return h, np.repeat(labels[:, 1::2].sum(axis=1), 2) + np.tile([1, -1], len(labels))
+
+
 def reduced_cation_block(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The per-I cation blocks of a one-group system as one block over the reduced
+    """The cation blocks of every |I, m> of a one-group system as one block over the reduced
     basis (index 2 * ``one_group_reduced_index`` + e1), with 2M per index."""
-    blocks = build_cation_one_group(spec).values()
-    return (_direct_sum([h for h, _ in blocks]),
-            np.concatenate([twice_m for _, twice_m in blocks]))
+    n_slots = sum(multiplicity(I) for I in distinct_spins(spec.groups[0].count))
+    return cation_matrix(one_group_blocks(spec, np.ones(n_slots)))

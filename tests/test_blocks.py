@@ -9,7 +9,6 @@ sits at the dense oracle's own roundoff floor (about 1e-12).
 
 import dataclasses
 import functools
-import operator
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from qbeats.dynamics import (
 from qbeats.hamiltonians import (
     BlockHamiltonian,
     NuclearGroup,
-    build_cation_two_group,
     build_full_one_group,
     build_full_two_group,
     build_partitioned,
@@ -43,7 +41,7 @@ from qbeats.pipeline import (
     two_group_sector_spectrum,
 )
 from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
-from support import cation_register, cg_block_matrix, coupled_hfc_eigenvalues
+from support import cation_matrix, cation_register, cg_block_matrix, coupled_hfc_eigenvalues
 
 REGIMES = ("zero", "high")
 GRID = (0.0, 100.0, 1.0)
@@ -76,12 +74,11 @@ def dense_pair_spectrum(H, states, weights):
 
 
 def dense_cation_spectrum(blocks, b2):
-    """Sum of ``dense_pair_spectrum`` over the registers 1_e2 x h - b2 Z_e2 x 1 of cation
-    blocks."""
-    def one(h, twice_m, weights):
-        H = cation_register(h, b2)
-        return dense_pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
-    return functools.reduce(operator.add, (one(*block) for block in blocks))
+    """``dense_pair_spectrum`` of the ensemble on the register 1_e2 x h - b2 Z_e2 x 1 of the
+    cation blocks' matrix h."""
+    h, _, weights = blocks.dense()
+    H = cation_register(h, b2)
+    return dense_pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
 
 
 def spec(name, regime):
@@ -223,7 +220,7 @@ def elementwise_cation_two_group(I2, s):
 def test_cation_two_group_matches_the_elementwise_assembly(regime):
     s = spec("dmb", regime)
     for I2 in spin_addition_counts(12):
-        h, twice_m = build_cation_two_group(I2, s)
+        h, twice_m = cation_matrix(build_two_group_block(I2, s).blocks)
         oracle = elementwise_cation_two_group(I2, s)
         assert np.abs(h - oracle).max() <= 1e-14 * np.abs(oracle).max(), I2
         assert len(twice_m) == len(h) == 8 * multiplicity(I2)

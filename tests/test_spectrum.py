@@ -65,7 +65,8 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import cation_register, class_average, pair_correlators, reduced_cation_block
+from support import (cation_matrix, cation_register, class_average, one_group_blocks,
+                     pair_correlators, reduced_cation_block)
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -330,12 +331,11 @@ def test_stacked_eig_equals_block_by_block_eigh(name):
 # ---------------------------------------------------------------------------
 
 def full_register_spectrum(blocks, b2):
-    """Sum over cation blocks (h, twice_m, weights) of the ``pair_spectrum`` of
-    |S><S| x sum_r weights[r] |r><r| on 1_e2 x h - b2 Z_e2 x 1."""
-    def one(h, twice_m, weights):
-        H = cation_register(h, b2)
-        return pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
-    return functools.reduce(operator.add, (one(*block) for block in blocks))
+    """The ``pair_spectrum`` of |S><S| x sum_r weights[r] |r><r| on 1_e2 x h - b2 Z_e2 x 1,
+    h the matrix of the cation blocks."""
+    h, _, weights = blocks.dense()
+    H = cation_register(h, b2)
+    return pair_spectrum(H, singlet_vector(np.eye(H.dims[1]), H.dims), weights)
 
 
 def full_register_sector_spectrum(sector):
@@ -364,14 +364,13 @@ def test_cation_spectra_of_every_dmb_sector(regime):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_cation_spectrum_of_the_mixed_octalin_ensemble(regime):
     s = spec("octalin", regime)
-    h, twice_m = reduced_cation_block(s)
     weights = class_weights(regime)
     H = reduced(regime)
     reached = np.flatnonzero(weights)
     oracle = evaluate_spectrum(
         pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
                       weights[reached]), TIMES)
-    assert dev(evaluate_spectrum(cation_spectrum([(h, twice_m, weights)], s.b2), TIMES),
+    assert dev(evaluate_spectrum(cation_spectrum(one_group_blocks(s, weights), s.b2), TIMES),
                oracle) <= TOL
     assert dev(one_group_pair_trace(s, regime, TIMES).trajectory, oracle) <= TOL
 
@@ -408,12 +407,11 @@ def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
     assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), times),
                evaluate_spectrum(oracle, times)) <= TOL
     s = spec("octalin", "high")
-    h, twice_m = reduced_cation_block(s)
     H, weights = reduced("high"), class_weights("high")
     reached = np.flatnonzero(weights)
     oracle = pair_spectrum(H, np.stack([sector_statevector(r, H.dims[1]) for r in reached]),
                            weights[reached])
-    assert dev(evaluate_spectrum(cation_spectrum([(h, twice_m, weights)], s.b2), times),
+    assert dev(evaluate_spectrum(cation_spectrum(one_group_blocks(s, weights), s.b2), times),
                evaluate_spectrum(oracle, times)) <= TOL
 
 
@@ -424,7 +422,7 @@ def cation_blocks():
         yield (f"octalin-{regime}", *reduced_cation_block(s), reduced(regime).matrix, s.b2)
         for I2 in spin_addition_counts(12):
             sector = dmb_sector(regime, I2)
-            yield (f"dmb-I2={I2}-{regime}", sector.cation, sector.twice_m,
+            yield (f"dmb-I2={I2}-{regime}", *cation_matrix(sector.blocks),
                    sector.hamiltonian.matrix, sector.b2)
 
 
@@ -489,14 +487,13 @@ def test_all_dmb_sectors_at_once_equal_the_per_sector_sum(regime):
 
 
 def test_a_reached_block_without_an_m_minus_1_block():
-    # |I=4, m=-4> reaches the lowest block M = -9/2, which has no M - 1 partner; a
-    # second copy of the block adds a sector whose M labels overlap the first one's
+    # |I=4, m=-4> reaches the lowest block M = -9/2, whose up rows are empty and which has
+    # no M - 1 partner; with the class weights it shares a spectrum with blocks that have
     s = spec("octalin", "high")
-    h, twice_m = reduced_cation_block(s)
-    lowest = np.zeros(len(h) // 2)
+    lowest = np.zeros(25)
     lowest[one_group_reduced_index(8, HalfInt(8), HalfInt(-8))] = 0.7
-    both = [(h, twice_m, lowest), (h, twice_m, class_weights("high"))]
-    for blocks in (both[:1], both):
+    for weights in (lowest, lowest + class_weights("high")):
+        blocks = one_group_blocks(s, weights)
         assert dev(evaluate_spectrum(cation_spectrum(blocks, s.b2), TIMES),
                    evaluate_spectrum(full_register_spectrum(blocks, s.b2), TIMES)) <= TOL
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qbeats.hamiltonians import coupling_block
+from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_cation_blocks, spin_states
 from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
-from support import (cg_block_matrix, coupled_hfc_eigenvalues, product_basis_labels,
-                     spin_addition_counts_by_recurrence)
+from support import (cation_matrix, cg_block_matrix, coupled_hfc_eigenvalues,
+                     product_basis_labels, spin_addition_counts_by_recurrence)
 
 
 def as_twice(counts):
@@ -117,22 +117,21 @@ class TestClebschGordanBlocks:
 
 
 class TestLadderBlocks:
-    """``coupling_block`` against the Clebsch-Gordan tables: U Lambda U is I.S1."""
+    """``build_cation_blocks`` against the Clebsch-Gordan tables: U Lambda U is I.S1."""
 
     @given(st.integers(min_value=0, max_value=25))
     def test_equals_the_clebsch_gordan_assembly(self, twice_I):
-        h, twice_m = coupling_block(twice_I)
+        spec = SpinSystemSpec(groups=(NuclearGroup(1, 1.0),))  # zero field: h = a I.S1
+        two_I, two_m = spin_states([twice_I])
+        blocks = build_cation_blocks(spec, two_I[None], two_m[None], np.ones(len(two_I)))
+        h, twice_m = cation_matrix(blocks)
         I = HalfInt(twice_I)
         U = cg_block_matrix(I)
         oracle = U @ np.diag(coupled_hfc_eigenvalues(I)) @ U
-        assert np.abs(h - oracle).max() <= 1e-14 * (1 + twice_I)
+        assert np.abs(h / spec.hyperfine_rad_ns[0] - oracle).max() <= 1e-14 * (1 + twice_I)
         assert list(twice_m) == [m.twice_value + (1 if e1 == 0 else -1)
                                  for m, e1 in product_basis_labels(I)]
-
-    def test_cached_read_only(self):
-        h, twice_m = coupling_block(7)
-        assert coupling_block(7)[0] is h
-        assert not h.flags.writeable and not twice_m.flags.writeable
+        assert blocks.live.sum(axis=1).max() <= 2
 
 
 class TestCoupledEigenvalues:
