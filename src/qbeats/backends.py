@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .dynamics import DensityMatrix
-from .relaxation import RelaxationParams
+from .relaxation import RelaxationParams, thermal_map
 
 STATEVECTOR_MAX_SITES = 12
 DENSITY_NOISE_MAX_SITES = 6
@@ -115,10 +115,10 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
                  n: int) -> np.ndarray:
     """Per-site thermal map for the gate's duration, in place on a (d, d) state.
 
-    Populations mix toward 1/2 with exp(-dt/T1), coherences scale by
-    exp(-dt/T2) and, during delays, pick up the drift phase exp(-i rate dt):
-    the closed form of ``infinite_temperature_thermal_channel`` followed by
-    the drift RZ.  A gate with dt <= 0 leaves the state as it is.
+    ``relaxation.thermal_map`` on each of the gate's sites, its coherence factor
+    exp(-dt/T2) times, during delays, the drift phase exp(-i rate dt): the
+    thermal channel followed by the drift RZ.  A gate with dt <= 0 leaves the
+    state as it is.
     """
     dt = noise.duration_of(gate)
     if dt <= 0.0:
@@ -127,16 +127,11 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
     for s in gate.sites:
         T1, T2 = noise.site_T1(s), noise.site_T2(s)
         RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
-        site = np.moveaxis(work, (s, n + s), (0, 1))  # view: (ket, bra, ...)
         with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
             damping, coherence = np.exp(-dt / T1), np.exp(-dt / T2)
-        delta = 0.5 * (1.0 - damping) * (site[0, 0] - site[1, 1])
-        site[0, 0] -= delta
-        site[1, 1] += delta
         if gate.kind == "DELAY":
             coherence = coherence * np.exp(-1j * noise.site_drift(s) * dt)
-        site[0, 1] *= coherence
-        site[1, 0] *= np.conj(coherence)
+        thermal_map(np.moveaxis(work, (s, n + s), (0, 1)), damping, coherence)  # in place
     return work.reshape(rho.shape)
 
 

@@ -24,6 +24,7 @@ from .pipeline import simulate
 from .postprocess import intensity_ratio, kernel_step, observed_intensity
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
+FLOAT_WORDS = ("nan", "inf", "infinity")  # the spellings of float() that start with a letter
 
 
 def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
@@ -42,9 +43,9 @@ def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
 def read_reference(path: str) -> np.ndarray:
     """Time-sorted (time_ns, value) rows of a reference CSV.
 
-    '#' starts a comment, a line starting with a letter is a header, and ';'
-    separates like ','.  A row that is not two finite numbers is an error
-    naming its line.
+    '#' starts a comment, a line starting with a letter is a header unless its
+    first field spells a float ('nan', 'inf'), and ';' separates like ','.  A row
+    that is not two finite numbers is an error naming its line.
     """
     try:
         with open(path) as fh:
@@ -56,10 +57,11 @@ def read_reference(path: str) -> np.ndarray:
     rows = []
     for number, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line or line[0].isalpha():
+        fields = line.replace(";", ",").split(",")
+        if not line or line[0].isalpha() and fields[0].strip().lower() not in FLOAT_WORDS:
             continue
         try:
-            time_ns, value = map(float, line.replace(";", ",").split(",")[:2])
+            time_ns, value = map(float, fields[:2])
         except ValueError:
             raise ConfigError(f"{path}: line {number}: expected 'time, value', "
                               f"got {line!r}") from None

@@ -91,13 +91,11 @@ class BlockHamiltonian:
 
     ``dims``/``labels`` describe the tensor factors (e.g. (2, 32, 2) with
     labels ("e2", "nuc", "e1")).  ``basis_labels`` annotates the nuclear
-    register slots (``None`` marks padding) and ``degeneracy`` carries the
-    omitted multiplicity of each slot.  The exact invariant blocks and the
-    eigendecomposition are computed once and cached.
+    register slots (``None`` marks padding).  The exact invariant blocks and
+    the eigendecomposition are computed once and cached.
     """
 
-    def __init__(self, matrix, dims, labels, basis_labels=None, padded_rows=0,
-                 degeneracy=None):
+    def __init__(self, matrix, dims, labels, basis_labels=None, padded_rows=0):
         matrix = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
@@ -113,7 +111,6 @@ class BlockHamiltonian:
         self.labels = tuple(labels)
         self.basis_labels = basis_labels
         self.padded_rows = padded_rows
-        self.degeneracy = degeneracy
         self._block_of: np.ndarray | None = None
         self._blocks: list[np.ndarray] | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -220,36 +217,36 @@ def one_group_reduced_index(n: int, I: HalfInt, m: HalfInt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Full tensor-product oracle (one group)
+# Full tensor-product oracle
 # ---------------------------------------------------------------------------
 
-def build_full_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
-    """Brute-force H on the full 2^(N+2) product space.
+def _full_product_space(spec: SpinSystemSpec, labels: tuple[str, ...]) -> BlockHamiltonian:
+    """Brute-force H = sum_g a_g I_g.S1 - b1 Z_e1 - b2 Z_e2 on the full product space: e2,
+    one 2^n_g factor per group (``labels``), then e1.  Each hyperfine term is assembled
+    directly from per-axis collective nuclear operators.  Oracle only; the nuclei are
+    capped to keep the dense matrix tractable."""
+    counts = [g.count for g in spec.groups]
+    if sum(counts) > FULL_ORACLE_MAX_NUCLEI:
+        raise ValueError(f"full oracle capped at {FULL_ORACLE_MAX_NUCLEI} nuclei, "
+                         f"got {sum(counts)}")
+    eye, eye2 = [np.eye(2**n) for n in counts], np.eye(2)
+    H = 0.0
+    for axis in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        for g, a in enumerate(spec.hyperfine_rad_ns):
+            nuclear = eye[:g] + [_collective_spin(counts[g], axis)] + eye[g + 1:]
+            H = H + a * _kron_chain([eye2, *nuclear, axis / 2])
+    H -= spec.b1 * _kron_chain([eye2, *eye, SIGMA_Z])
+    H -= spec.b2 * _kron_chain([SIGMA_Z, *eye, eye2])
+    dims = (2, *(len(e) for e in eye), 2)
+    return BlockHamiltonian(H.real, dims, ("e2", *labels, "e1"))  # Jy x sigma_y is real, so H is
 
-    H = a I_total.S1 - b1 Z_e1 - b2 Z_e2, the hyperfine term assembled
-    directly from per-axis collective nuclear operators.  Oracle only; N is
-    capped to keep the dense matrix tractable.
-    """
+
+def build_full_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
+    """Brute-force H = a I_total.S1 - b1 Z_e1 - b2 Z_e2 on the full 2^(N+2) product space,
+    factors (e2, nuc, e1).  Oracle only; N is capped."""
     if len(spec.groups) != 1:
         raise ValueError("build_full_one_group requires a one-group spec")
-    n = spec.groups[0].count
-    if n > FULL_ORACLE_MAX_NUCLEI:
-        raise ValueError(f"full oracle capped at {FULL_ORACLE_MAX_NUCLEI} nuclei, got {n}")
-    a = spec.hyperfine_rad_ns[0]
-    nuc_dim = 2**n
-    eye_nuc = np.eye(nuc_dim, dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-
-    dim = 2 * nuc_dim * 2
-    H = np.zeros((dim, dim), dtype=complex)
-    for axis in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        J = _collective_spin(n, axis) if n else np.zeros((1, 1), dtype=complex)
-        H += a * _kron_chain([eye2, J, axis / 2])
-    H -= spec.b1 * _kron_chain([eye2, eye_nuc, SIGMA_Z])
-    H -= spec.b2 * _kron_chain([SIGMA_Z, eye_nuc, eye2])
-
-    labels = ("e2", "nuc", "e1")
-    return BlockHamiltonian(H.real, (2, nuc_dim, 2), labels)  # Jy x sigma_y is real, so H is
+    return _full_product_space(spec, ("nuc",))
 
 
 def full_nuclear_sector_vector(n: int, I: HalfInt, m: HalfInt) -> np.ndarray:
@@ -402,36 +399,29 @@ def build_cation_blocks(spec: SpinSystemSpec, two_I, two_m, weights) -> CationBl
     return CationBlocks(h, live, slot_weights, fam, row_m, pairs)
 
 
-def _pair_register(h: np.ndarray, reg: int, b2: float) -> np.ndarray:
-    """The (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 over ``reg`` nuclear slots.
-
-    ``h`` covers the populated slots; the padding slots beyond it stay exactly
-    zero, the Zeeman terms included.
-    """
-    n, pair_dim = len(h), 2 * reg
-    H = np.zeros((2 * pair_dim, 2 * pair_dim), dtype=complex)
-    for start, z2 in ((0, -b2), (pair_dim, b2)):
-        H[start:start + n, start:start + n] = h + z2 * np.eye(n)
-    return H
-
-
-def _one_group_register(spec: SpinSystemSpec, secular: bool) -> BlockHamiltonian:
-    """h = a I.S1 - b1 Z_e1 over every |I, m> (with ``secular`` its diagonal alone) on both
-    e2 sublevels with the anion Zeeman term, zero-padded to a power of 2."""
-    n = spec.groups[0].count
-    two_I, two_m = nuclear_states(spec, [I.twice_value for I in distinct_spins(n)])
-    h, labels, _ = build_cation_blocks(spec, two_I, two_m, np.ones(two_I.shape[1])).dense()
+def _padded_register(blocks: CationBlocks, b2: float, secular: bool = False) -> BlockHamiltonian:
+    """The (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 of the blocks' matrix h
+    (``CationBlocks.dense``; with ``secular`` its diagonal alone), the nuclear slots
+    zero-padded to a power of 2.  Padding slots stay exactly zero, the Zeeman terms
+    included, and are labeled ``None``."""
+    h, labels, _ = blocks.dense()
     if secular:
         h = np.diag(np.diag(h))
-    nuc_dim = _next_pow2(len(h) // 2)
-    basis_labels: list[tuple[HalfInt, HalfInt] | None] = [tuple(map(HalfInt, row))
-                                                          for row in labels]
-    counts = spin_addition_counts(n)
-    pad = nuc_dim - len(basis_labels)
-    return BlockHamiltonian(_pair_register(h, nuc_dim, spec.b2), (2, nuc_dim, 2),
-                            ("e2", "nuc", "e1"), basis_labels=basis_labels + [None] * pad,
-                            padded_rows=4 * pad,
-                            degeneracy=[counts[I] for I, _ in basis_labels] + [0] * pad)
+    n, reg = len(h), _next_pow2(len(labels))
+    H = np.zeros((4 * reg, 4 * reg), dtype=complex)
+    for start, z2 in ((0, -b2), (2 * reg, b2)):
+        H[start:start + n, start:start + n] = h + z2 * np.eye(n)
+    pad = reg - len(labels)
+    basis_labels = [tuple(map(HalfInt, row)) for row in labels] + [None] * pad
+    return BlockHamiltonian(H, (2, reg, 2), ("e2", "nuc", "e1"), basis_labels=basis_labels,
+                            padded_rows=4 * pad)
+
+
+def _one_group_blocks(spec: SpinSystemSpec) -> CationBlocks:
+    """The cation blocks of every |I, m> of a one-group system."""
+    spins = [I.twice_value for I in distinct_spins(spec.groups[0].count)]
+    two_I, two_m = nuclear_states(spec, spins)
+    return build_cation_blocks(spec, two_I, two_m, np.ones(two_I.shape[1]))
 
 
 def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
@@ -441,7 +431,7 @@ def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     with the anion Zeeman term.  Padded slots stay exactly zero, including the
     Zeeman terms.
     """
-    return _one_group_register(spec, secular=False)
+    return _padded_register(_one_group_blocks(spec), spec.b2)
 
 
 def build_secular_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
@@ -452,7 +442,7 @@ def build_secular_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     dynamics of |I,m> depends on |m| alone (the statement behind the
     high-field 25-to-5 state reduction).
     """
-    return _one_group_register(spec, secular=True)
+    return _padded_register(_one_group_blocks(spec), spec.b2, secular=True)
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +542,7 @@ class TwoGroupSector:
 
     @functools.cached_property
     def hamiltonian(self) -> BlockHamiltonian:
-        reg, real = self.register_size, self.real_register
-        h, labels, _ = self.blocks.dense()
-        basis_labels: list[tuple | None] = [tuple(map(HalfInt, row)) for row in labels]
-        return BlockHamiltonian(
-            _pair_register(h, reg, self.b2),
-            (2, reg, 2),
-            ("e2", "nuc", "e1"),
-            basis_labels=basis_labels + [None] * (reg - real),
-            padded_rows=4 * (reg - real),
-            degeneracy=[self.degeneracy] * real + [0] * (reg - real),
-        )
+        return _padded_register(self.blocks, self.b2)
 
 
 def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
@@ -594,24 +574,8 @@ def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
 
 
 def build_full_two_group(spec: SpinSystemSpec) -> BlockHamiltonian:
-    """Brute-force two-group H on the full product space (toy-size oracle)."""
+    """Brute-force two-group H on the full product space, factors (e2, nuc1, nuc2, e1)
+    (toy-size oracle)."""
     if len(spec.groups) != 2:
         raise ValueError("build_full_two_group requires a two-group spec")
-    n1, n2 = spec.groups[0].count, spec.groups[1].count
-    if n1 + n2 > FULL_ORACLE_MAX_NUCLEI:
-        raise ValueError("two-group oracle capped at "
-                         f"{FULL_ORACLE_MAX_NUCLEI} total nuclei, got {n1 + n2}")
-    w1, w2 = spec.hyperfine_rad_ns
-    d1, d2 = 2**n1, 2**n2
-    eye1, eye2q, eyee = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex), np.eye(2, dtype=complex)
-
-    dim = 2 * d1 * d2 * 2
-    H = np.zeros((dim, dim), dtype=complex)
-    for axis in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        J1 = _collective_spin(n1, axis)
-        J2 = _collective_spin(n2, axis)
-        H += w1 * _kron_chain([eyee, J1, eye2q, axis / 2])
-        H += w2 * _kron_chain([eyee, eye1, J2, axis / 2])
-    H -= spec.b1 * _kron_chain([eyee, eye1, eye2q, SIGMA_Z])
-    H -= spec.b2 * _kron_chain([SIGMA_Z, eye1, eye2q, eyee])
-    return BlockHamiltonian(H, (2, d1, d2, 2), ("e2", "nuc1", "nuc2", "e1"))
+    return _full_product_space(spec, ("nuc1", "nuc2"))

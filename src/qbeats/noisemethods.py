@@ -34,13 +34,13 @@ import numpy as np
 from .backends import SyntheticQubitNoise, run_density
 from .circuits import Circuit
 from .dynamics import singlet_values
-from .relaxation import relaxed_singlet_values
+from .relaxation import relax_pair_trajectory
 
 
 def kraus_singlet_values(traj: np.ndarray, times: np.ndarray,
                          T1: float, T2: float) -> np.ndarray:
     """Closed-form channel on both electron sites at each measurement time."""
-    return relaxed_singlet_values(traj, times, T1, T2, sites="both")
+    return singlet_values(relax_pair_trajectory(traj, times, T1, T2, "both"))
 
 
 def per_gate_singlet_values(traj: np.ndarray, times: np.ndarray,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import (
+    SINGLET,
     PairSpectrum,
     TimeSeries,
     cation_spectrum,
@@ -108,9 +109,20 @@ def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
 
 def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str,
                          times: np.ndarray) -> PairTrace:
-    """Mixed-state pair trajectory of a one-group system."""
-    return PairTrace(times, evaluate_spectrum(one_group_spectrum(spec, field_regime), times),
-                     {"system": "one_group", "field_regime": field_regime})
+    """Mixed-state pair trajectory of a one-group system.
+
+    At zero field the mixed pair state is rotation invariant, but no |I, m=I>
+    representative of ``one_group_spectrum`` is: they carry its S(t) alone, so the
+    trajectory is S |S><S| + (1 - S) / 3 (1 - |S><S|).
+    """
+    spectrum = one_group_spectrum(spec, field_regime)
+    if field_regime == "zero":
+        s = evaluate_spectrum(spectrum, times, singlet=True)[:, None, None]
+        singlet = np.outer(SINGLET, SINGLET)
+        trajectory = s * singlet + (1 - s) / 3 * (np.eye(4) - singlet)
+    else:
+        trajectory = evaluate_spectrum(spectrum, times)
+    return PairTrace(times, trajectory, {"system": "one_group", "field_regime": field_regime})
 
 
 def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:

@@ -21,11 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, PairSpectrum, evaluate_rows, pair_probabilities,
-                       singlet_values)
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+from .dynamics import DensityMatrix, PairSpectrum, evaluate_rows
+from .hamiltonians import SIGMA_X, SIGMA_Z
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,12 @@ def infinite_temperature_thermal_channel(params: RelaxationParams,
     if px > 0:
         k0 = np.array([[math.sqrt(1 - px), 0.0], [0.0, 1.0]], dtype=complex)
         k1 = np.array([[0.0, 0.0], [math.sqrt(px), 0.0]], dtype=complex)
-        damping = [k / math.sqrt(2) for k in (k0, k1, _X @ k0 @ _X, _X @ k1 @ _X)]
+        damping = [k / math.sqrt(2)
+                   for k in (k0, k1, SIGMA_X @ k0 @ SIGMA_X, SIGMA_X @ k1 @ SIGMA_X)]
     else:
         damping = [np.eye(2, dtype=complex)]
     if pz > 0:
-        dephasing = [math.sqrt(1 - pz) * np.eye(2, dtype=complex), math.sqrt(pz) * _Z]
+        dephasing = [math.sqrt(1 - pz) * np.eye(2, dtype=complex), math.sqrt(pz) * SIGMA_Z]
     else:
         dephasing = [np.eye(2, dtype=complex)]
     ops = tuple(d @ k for d in dephasing for k in damping)
@@ -124,29 +122,18 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 # Electron-pair trajectory relaxation (closed form)
 # ---------------------------------------------------------------------------
 
-def _apply_qubit_thermal_axis(traj: np.ndarray, axis_pair: tuple[int, int],
-                              g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Thermal-channel action on one qubit of a (T,2,2,2,2) trajectory stack.
-
-    g = exp(-t/T1) population factor, f = exp(-t/T2) coherence factor.
-    """
-    i, j = axis_pair
-    sl = [slice(None)] * traj.ndim
-
-    def pick(bi, bj):
-        s = list(sl)
-        s[i], s[j] = bi, bj
-        return tuple(s)
-
-    out = np.empty_like(traj)
-    g_ = g.reshape((-1,) + (1,) * (traj.ndim - 3))
-    f_ = f.reshape((-1,) + (1,) * (traj.ndim - 3))
-    d00, d11 = traj[pick(0, 0)], traj[pick(1, 1)]
-    out[pick(0, 0)] = 0.5 * (d00 + d11) + 0.5 * g_ * (d00 - d11)
-    out[pick(1, 1)] = 0.5 * (d00 + d11) - 0.5 * g_ * (d00 - d11)
-    out[pick(0, 1)] = f_ * traj[pick(0, 1)]
-    out[pick(1, 0)] = f_ * traj[pick(1, 0)]
-    return out
+def thermal_map(site: np.ndarray, g, f) -> None:
+    """The thermal channel on one qubit, in place on an array whose first two axes are
+    that qubit's ket and bra: populations move toward 1/2 by the factor g =
+    exp(-t/T1), and the coherence is scaled by f = exp(-t/T2), possibly times a
+    phase (the bra-ket one by its conjugate).  g and f broadcast against
+    ``site[0, 0]``.  This is the closed form of
+    ``infinite_temperature_thermal_channel``."""
+    delta = 0.5 * (1.0 - g) * (site[0, 0] - site[1, 1])
+    site[0, 0] -= delta
+    site[1, 1] += delta
+    site[0, 1] *= f
+    site[1, 0] *= np.conj(f)
 
 
 def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
@@ -157,17 +144,16 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
     ``sites`` selects 'both', 'e1' or 'e2'.  Matches the operator-sum channel
     exactly (closed-form population/coherence factors).
     """
+    axes = {"both": ((1, 3), (2, 4)), "e1": ((1, 3),), "e2": ((2, 4),)}
+    if sites not in axes:
+        raise ValueError(f"unknown site selector {sites!r}")
     t = np.asarray(times, dtype=float)
     RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
     g = np.exp(-t / T1) if math.isfinite(T1) else np.ones_like(t)
     f = np.exp(-t / T2) if math.isfinite(T2) else np.ones_like(t)
-    work = traj.reshape(len(t), 2, 2, 2, 2)  # (t, e1, e2, e1', e2')
-    if sites in ("both", "e1"):
-        work = _apply_qubit_thermal_axis(work, (1, 3), g, f)
-    if sites in ("both", "e2"):
-        work = _apply_qubit_thermal_axis(work, (2, 4), g, f)
-    if sites not in ("both", "e1", "e2"):
-        raise ValueError(f"unknown site selector {sites!r}")
+    work = traj.reshape(len(t), 2, 2, 2, 2).copy()  # (t, e1, e2, e1', e2')
+    for pair in axes[sites]:  # the site's view is (ket, bra, t, other ket, other bra)
+        thermal_map(np.moveaxis(work, pair, (0, 1)), g[:, None, None], f[:, None, None])
     return work.reshape(len(t), 4, 4)
 
 
@@ -206,18 +192,7 @@ def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, elapsed, T1: floa
                     T2: float) -> np.ndarray:
     """S(t) of a beat spectrum at ``times`` after the both-site channel of duration
     ``elapsed`` (``times`` itself for the Kraus channel), read from its correlators;
-    equal to ``relaxed_singlet_values`` of the evaluated trajectory.  S does not read
-    <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
+    equal to the S(t) of ``relax_pair_trajectory`` of the evaluated trajectory.  S does not
+    read <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
     w, zz, xy = evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU[:3]).real
     return relaxed_bell_probabilities((w, zz, xy, 0.0), elapsed, T1, T2)[..., 0]
-
-
-def relaxed_singlet_values(traj: np.ndarray, times: np.ndarray,
-                           T1: float, T2: float, sites: str = "both") -> np.ndarray:
-    return singlet_values(relax_pair_trajectory(traj, times, T1, T2, sites))
-
-
-def relaxed_pair_probabilities(traj: np.ndarray, times: np.ndarray,
-                               T1: float, T2: float, sites: str = "both") -> np.ndarray:
-    """Bell-outcome probabilities (T, 4) after per-time relaxation."""
-    return pair_probabilities(relax_pair_trajectory(traj, times, T1, T2, sites))

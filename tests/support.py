@@ -7,13 +7,12 @@ from math import sqrt
 import numpy as np
 
 from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spectrum,
-                             one_group_weights, pair_probabilities)
+                             one_group_weights, pair_probabilities, singlet_values)
 from qbeats.hamiltonians import (PAULI, BlockHamiltonian, SpinSystemSpec, build_two_group_block,
                                  build_cation_blocks, distinct_spins, nuclear_states)
 from qbeats.noisecal import MeasurementStats
 from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
-from qbeats.relaxation import (CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory,
-                               relaxed_singlet_values)
+from qbeats.relaxation import CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory
 from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
 
 
@@ -31,8 +30,8 @@ def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
         I2_max = max(spin_addition_counts(spec.groups[1].count))
         traj = evaluate_spectrum(two_group_sector_spectrum(build_two_group_block(I2_max, spec)),
                                  times)
-    both = relaxed_singlet_values(traj, times, spec.T1, spec.T2, sites="both")
-    single = relaxed_singlet_values(traj, times, spec.T1 / 2, spec.T2 / 2, sites="e1")
+    both = singlet_values(relax_pair_trajectory(traj, times, spec.T1, spec.T2, "both"))
+    single = singlet_values(relax_pair_trajectory(traj, times, spec.T1 / 2, spec.T2 / 2, "e1"))
     return bool(np.abs(both - single).max() <= tol)
 
 
@@ -65,6 +64,14 @@ def channel_target_stats(params: RelaxationParams, sites: str = "both") -> Measu
     rho = np.outer(SINGLET, SINGLET.conj())[None, :, :]
     relaxed = relax_pair_trajectory(rho, np.array([params.t]), params.T1, params.T2, sites)
     return MeasurementStats.from_array(pair_probabilities(relaxed)[0])
+
+
+def werner_trajectory(singlet):
+    """Pair states S |S><S| + (1 - S) / 3 (1 - |S><S|), one per S(t): the rotation-invariant
+    pair state of that singlet probability."""
+    s = np.asarray(singlet)[:, None, None]
+    projector = np.outer(SINGLET, SINGLET)
+    return s * projector + (1 - s) / 3 * (np.eye(4) - projector)
 
 
 def pair_correlators(spectrum: PairSpectrum, times: np.ndarray) -> np.ndarray:

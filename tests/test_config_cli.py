@@ -22,16 +22,11 @@ from qbeats.config import (
     load_preset,
     parse_config,
 )
-from qbeats.dynamics import SINGLET, singlet_values, time_grid
+from qbeats.dynamics import singlet_values, time_grid
 from qbeats.pipeline import one_group_pair_trace, simulate
 from qbeats.postprocess import observed_intensity, observed_ratio
 from qbeats.relaxation import relax_pair_trajectory
-
-def werner_trajectory(singlet):
-    """Pair states S |S><S| + (1 - S) / 3 (1 - |S><S|), one per S(t)."""
-    s = np.asarray(singlet)[:, None, None]
-    projector = np.outer(SINGLET, SINGLET)
-    return s * projector + (1 - s) / 3 * (np.eye(4) - projector)
+from support import werner_trajectory
 
 
 MINIMAL = {
@@ -117,6 +112,8 @@ BAD_REFERENCES = {
     "one column": ("time_ns,value\n0,1.0\n1\n", "line 3: expected 'time, value', got '1'"),
     "not a number": ("0,1.0\n1,one\n", "line 2: expected 'time, value', got '1,one'"),
     "nan": ("0,1.0\n1,nan\n2,1.0\n", "line 2: non-finite value in '1,nan'"),
+    "nan time": ("0,1.0\nnan,0.5\n2,1.0\n", "line 2: non-finite value in 'nan,0.5'"),
+    "inf time": ("0,1.0\n1,0.5\ninf,0.2\n", "line 3: non-finite value in 'inf,0.2'"),
 }
 
 

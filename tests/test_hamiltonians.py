@@ -116,13 +116,6 @@ class TestReducedOneGroup:
         assert H.basis_labels[24] == (HalfInt(0), HalfInt(0))
         assert H.basis_labels[25] is None
 
-    def test_degeneracy_metadata(self):
-        H = build_reduced_one_group(OCTALIN_ZERO)
-        assert H.degeneracy[:9] == [1] * 9        # I=4 slots
-        assert H.degeneracy[24] == 14             # |0,0>
-        assert H.degeneracy[25] == 0              # padding
-        assert sum(H.degeneracy[i] for i in range(25)) == 256
-
     def test_evolution_matches_full_oracle(self):
         times = time_grid(0, 40, 0.5)
         Hfull = build_full_one_group(OCTALIN_HIGH)

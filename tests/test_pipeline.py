@@ -22,6 +22,7 @@ from qbeats.pipeline import (
     two_group_pair_trace,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
+from support import werner_trajectory
 
 GRID = (0.0, 20.0, 0.5)
 
@@ -95,13 +96,16 @@ def noisy_singlet(method, traj, times, spec):
 @pytest.mark.parametrize("regime", ["zero", "high"])
 def test_summed_spectrum_matches_the_average_of_sector_trajectories(regime):
     """The one-group mixed trajectory, evaluated once from the summed spectra, against the
-    count-weighted average of the five evaluated |I, m=I> trajectories."""
+    count-weighted average of the five evaluated |I, m=I> trajectories; at zero field,
+    against the rotation-invariant pair state of that average's S(t)."""
     spec = load_preset("octalin").spin_spec(regime)
     times = time_grid(0.0, 100.0, 0.1)
     trajs = one_group_sector_trajectories(spec, times)
     weights = one_group_weights(8, regime)
     total = sum(weights.values())
     oracle = sum((w / total) * trajs[abs(k)].trajectory for k, w in weights.items())
+    if regime == "zero":
+        oracle = werner_trajectory(singlet_values(oracle))
     assert np.abs(one_group_pair_trace(spec, regime, times).trajectory - oracle).max() <= 1e-12
 
 

@@ -102,23 +102,24 @@ class TestApplyChannel:
         assert abs(np.trace(out.matrix) - 1) < 1e-12
         assert np.linalg.eigvalsh(out.matrix).min() > -1e-12
 
-    def test_closed_form_matches_kraus_on_pairs(self):
+    @pytest.mark.parametrize("T1,T2", [(9.0, 13.0), (math.inf, 5.0)])
+    @pytest.mark.parametrize("sites", ["both", "e1", "e2"])
+    def test_closed_form_matches_kraus_on_pairs(self, sites, T1, T2):
+        """Each site selector on a grid of times, one random pair state per time, against
+        the operator sum on the same site or sites."""
         rng = np.random.default_rng(4)
-        t, T1, T2 = 3.0, 9.0, 13.0
-        par = RelaxationParams(t, T1, T2)
-        for _ in range(10):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            rho = np.outer(v, v.conj())
-            dm = DensityMatrix(rho, (2, 1, 2), ("e2", "nuc", "e1"))
-            via_kraus = apply_channel(
-                apply_channel(dm, infinite_temperature_thermal_channel(par, "e1")),
-                infinite_temperature_thermal_channel(par, "e2")).matrix
-            # pair basis: reorder (e2, e1) -> p = 2 e1 + e2
-            perm = [0, 2, 1, 3]
-            via_closed = relax_pair_trajectory(
-                rho[np.ix_(perm, perm)][None], np.array([t]), T1, T2)[0]
-            assert np.abs(via_closed - via_kraus[np.ix_(perm, perm)]).max() <= 1e-13
+        times = np.repeat([0.0, 0.5, 3.0, 9.0, 40.0], 2)
+        v = rng.normal(size=(len(times), 4)) + 1j * rng.normal(size=(len(times), 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        traj = np.einsum("ta,tb->tab", v, v.conj())
+        via_closed = relax_pair_trajectory(traj, times, T1, T2, sites)
+        perm = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])  # pair basis p = 2 e1 + e2 <-> (e2, e1)
+        for rho, t, closed in zip(traj, times, via_closed):
+            dm = DensityMatrix(rho[perm], (2, 1, 2), ("e2", "nuc", "e1"))
+            for site in ("e1", "e2") if sites == "both" else (sites,):
+                dm = apply_channel(
+                    dm, infinite_temperature_thermal_channel(RelaxationParams(t, T1, T2), site))
+            assert np.abs(closed - dm.matrix[perm]).max() <= 1e-13
 
     def test_missing_site_rejected(self):
         chan = infinite_temperature_thermal_channel(RelaxationParams(1.0, 9.0, 9.0), "nope")
