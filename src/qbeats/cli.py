@@ -4,7 +4,7 @@
     qbeats trmfe    --preset dmb --out ratio.csv
     qbeats validate --suite tables
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-validation failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical-validation failure.
 Output is deterministic for a given configuration; CSV files carry a
 '#'-prefixed metadata header including the resolved-config hash.
 """
@@ -111,6 +111,9 @@ def _finish(args, reference, times, values, columns: dict[str, np.ndarray], meta
 
 def cmd_simulate(args) -> int:
     config, reference = _inputs(args)
+    if args.sectors and config.initial_sector():
+        raise ConfigError(f"{args.config or config.name}.initial_state: --sectors splits the "
+                          f"mixed nuclear state; {config.initial_state!r} is one pure state")
     regime = args.field or config.field_regime
     result = simulate(config, regime, sectors=args.sectors)
     trace = result.trace
@@ -179,8 +182,14 @@ def cmd_validate(args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit 1, as argparse's 2 is taken
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbeats",
         description="Quantum-beat simulator for spin-correlated radical pairs",
     )
@@ -188,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="path to a YAML experiment configuration")
-        p.add_argument("--preset", choices=("octalin", "dmb"),
-                       help="built-in experiment preset (default: octalin)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a YAML experiment configuration")
+        source.add_argument("--preset", choices=("octalin", "dmb"),
+                            help="built-in experiment preset (default: octalin)")
         p.add_argument("--out", default="qbeats_out.csv", help="output CSV path")
         p.add_argument("--compare", metavar="CSV",
                        help="report the RMS deviation from a (time_ns, value) "

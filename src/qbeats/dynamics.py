@@ -353,6 +353,22 @@ def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
     return _merged([freqs], [amps], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
 
 
+def singlet_only(spectrum: PairSpectrum, rest: np.ndarray) -> PairSpectrum:
+    """Beat spectrum of S(t) |S><S| + (w - S(t)) rest, from the singlet probability S(t) and
+    trace w of ``spectrum``; ``rest`` is a unit-trace pair state with diagonal (r, q, q, r).
+    S(t) = Re sum_f c_f exp(-i freqs[f] t) is kept as c_f / 2 at freqs[f] and its conjugate at
+    -freqs[f], so the pair state is real, and |S><S| - rest gets the diagonal (-a, a, a, -a)
+    exactly, so the trace is the terms of w alone."""
+    shape = np.outer(SINGLET, SINGLET) - rest
+    shape[[0, 3], [0, 3]] = -shape[1, 1]
+    half = spectrum.amplitudes @ SINGLET_TRIU / 2
+    trace = spectrum.amplitudes[:, PAIR_TRIU[0] == PAIR_TRIU[1]].sum(axis=1)
+    f = spectrum.freqs
+    return _merged([f, -f, f], [np.outer(half, shape[PAIR_TRIU]),
+                                np.outer(half.conj(), shape[PAIR_TRIU]),
+                                np.outer(trace, rest[PAIR_TRIU])], spectrum.tol)
+
+
 def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
     """Beat spectrum of a density matrix, as the eigen-ensemble of its own blocks."""
     lam, u = BlockHamiltonian(rho0, H.dims, H.labels).eig()

@@ -23,12 +23,14 @@ import numpy as np
 from .config import ExperimentConfig
 from .dynamics import (
     SINGLET,
+    TRIPLET_0,
     PairSpectrum,
     TimeSeries,
     cation_spectrum,
     clip_probabilities,
     evaluate_spectrum,
     one_group_weights,
+    singlet_only,
     singlet_values,
     time_grid,
 )
@@ -40,29 +42,26 @@ from .hamiltonians import (
     distinct_spins,
     nuclear_states,
 )
-from .relaxation import (relax_pair_trajectory, relaxed_bell_probabilities, relaxed_singlet,
-                         rz_encoded_correlators)
+from .relaxation import relax_pair_trajectory, relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
 
 @dataclass
 class PairTrace:
-    """Electron-pair trajectory (T,4,4) on a grid, with provenance metadata."""
+    """Electron-pair trajectory (T,4,4) on a grid."""
 
     times: np.ndarray
     trajectory: np.ndarray
-    meta: dict
 
     def singlet(self, label: str = "") -> TimeSeries:
         vals = singlet_values(self.trajectory)
-        return TimeSeries(self.times, clip_probabilities(vals, label), label, dict(self.meta))
+        return TimeSeries(self.times, clip_probabilities(vals, label), label)
 
     def relaxed(self, T1: float, T2: float, sites: str = "both") -> "PairTrace":
         if math.isinf(T1) and math.isinf(T2):
             return self
-        relaxed = relax_pair_trajectory(self.trajectory, self.times, T1, T2, sites)
-        meta = dict(self.meta, T1=T1, T2=T2)
-        return PairTrace(self.times, relaxed, meta)
+        return PairTrace(self.times, relax_pair_trajectory(self.trajectory, self.times, T1, T2,
+                                                           sites))
 
 
 @dataclass
@@ -73,56 +72,45 @@ class SimulationResult:
     sectors: dict[str, np.ndarray]
 
 
-def _one_group_ensembles(spec: SpinSystemSpec, ensembles) -> list[PairSpectrum]:
-    """Beat spectrum of sum weights[I, m] |I, m><I, m| x |S><S| for each ``weights`` dict of
-    ``ensembles``, on the cation blocks it reaches."""
-    spectra = []
-    for weights in ensembles:
-        two_I, two_m = np.array([[I.twice_value, m.twice_value] for I, m in weights]).T
-        blocks = build_cation_blocks(spec, two_I[None], two_m[None], list(weights.values()))
-        spectra.append(cation_spectrum(blocks, spec.b2))
-    return spectra
+def _ensemble_spectrum(spec: SpinSystemSpec, two_I, two_m, weights) -> PairSpectrum:
+    """Beat spectrum of sum_r weights[r] |r><r| x |S><S| over the nuclear states r of (group,
+    state) arrays ``two_I``, ``two_m`` of 2 I and 2 m, on the cation blocks it reaches."""
+    return cation_spectrum(build_cation_blocks(spec, two_I, two_m, weights), spec.b2)
 
 
 def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt, PairSpectrum]:
     """Beat spectra of |I, m> x |S> by I, for each (I, m) of ``states`` (default: |I, m=I>
     for every distinct I)."""
     states = states or [(I, I) for I in distinct_spins(spec.groups[0].count)]
-    spectra = _one_group_ensembles(spec, [{(I, m): 1.0} for I, m in states])
-    return {I: spectrum for (I, _), spectrum in zip(states, spectra)}
+    return {I: _ensemble_spectrum(spec, [[I.twice_value]], [[m.twice_value]], [1.0])
+            for I, m in states}
 
 
 def one_group_sector_trajectories(spec: SpinSystemSpec,
                                   times: np.ndarray) -> dict[HalfInt, PairTrace]:
     """Pair trajectories of |I, m=I> x |S> for every distinct I (reduced basis)."""
-    return {I: PairTrace(times, evaluate_spectrum(s, times), {"I": I, "m": I})
+    return {I: PairTrace(times, evaluate_spectrum(s, times))
             for I, s in one_group_sector_spectra(spec).items()}
 
 
 def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
     """Beat spectrum of the mixed nuclear state of a one-group system: one ensemble in
-    which every |I, m=I> representative carries the weight of its class."""
+    which every |I, m=I> representative carries the weight of its class.  At zero field
+    the mixed pair state is rotation invariant, but no representative is: they carry its
+    S(t) alone, so the spectrum is that of S |S><S| + (1 - S) / 3 (1 - |S><S|)."""
     counts = one_group_weights(spec.groups[0].count, field_regime)
     total = sum(counts.values())
-    return _one_group_ensembles(spec, [{(k, k): c / total for k, c in counts.items()}])[0]
+    two_k = [[k.twice_value for k in counts]]
+    spectrum = _ensemble_spectrum(spec, two_k, two_k, [c / total for c in counts.values()])
+    if field_regime == "zero":
+        spectrum = singlet_only(spectrum, (np.eye(4) - np.outer(SINGLET, SINGLET)) / 3)
+    return spectrum
 
 
 def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str,
                          times: np.ndarray) -> PairTrace:
-    """Mixed-state pair trajectory of a one-group system.
-
-    At zero field the mixed pair state is rotation invariant, but no |I, m=I>
-    representative of ``one_group_spectrum`` is: they carry its S(t) alone, so the
-    trajectory is S |S><S| + (1 - S) / 3 (1 - |S><S|).
-    """
-    spectrum = one_group_spectrum(spec, field_regime)
-    if field_regime == "zero":
-        s = evaluate_spectrum(spectrum, times, singlet=True)[:, None, None]
-        singlet = np.outer(SINGLET, SINGLET)
-        trajectory = s * singlet + (1 - s) / 3 * (np.eye(4) - singlet)
-    else:
-        trajectory = evaluate_spectrum(spectrum, times)
-    return PairTrace(times, trajectory, {"system": "one_group", "field_regime": field_regime})
+    """Mixed-state pair trajectory of a one-group system (``one_group_spectrum``)."""
+    return PairTrace(times, evaluate_spectrum(one_group_spectrum(spec, field_regime), times))
 
 
 def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
@@ -144,13 +132,12 @@ def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
     for I2, count in counts.items():
         weight[I2.twice_value] = count / 2 ** (n1 + n2)
     two_I, two_m = nuclear_states(spec, [I2.twice_value for I2 in counts])
-    return cation_spectrum(build_cation_blocks(spec, two_I, two_m, weight[two_I[1]]), spec.b2)
+    return _ensemble_spectrum(spec, two_I, two_m, weight[two_I[1]])
 
 
 def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray) -> PairTrace:
     """Fully mixed nuclear-state pair trajectory via I2 sector decomposition."""
-    return PairTrace(times, evaluate_spectrum(two_group_spectrum(spec), times),
-                     {"system": "two_group"})
+    return PairTrace(times, evaluate_spectrum(two_group_spectrum(spec), times))
 
 
 def _sector_label(I: HalfInt) -> str:
@@ -165,15 +152,14 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay of
     duration t is that channel), and ``config.hardware.echo_channel`` for
     ``echo-synthetic`` (the correction undoes the hardware damping, so the
-    procedure leaves its target channel).  S(t) is read from the correlators
-    of the system's beat spectrum after the channel.  A two-group
-    ``echo-synthetic`` run reads it from the coherent S(t) encoded in an Rz
-    rotation instead, and a mixed one-group run at zero field from its
-    coherent S(t) in the rotation-invariant pair state.  No route builds a
-    (T, 4, 4) pair trajectory, runs a circuit or loads the gate-level modules
-    (``circuits``, ``backends``, ``library``, ``noisemethods``): they are the
-    oracle of the tests and of ``validate``.  With ``sectors`` the result also carries one column per
-    sector: the noisy |I, m=I> traces of a mixed one-group run, or the
+    procedure leaves its target channel).  ``relaxed_singlet`` reads S(t) from
+    the prepared pair state's spectrum after the channel; a two-group
+    ``echo-synthetic`` run prepares its coherent S(t) encoded in an Rz rotation,
+    S |S><S| + (1 - S) |T0><T0| (``singlet_only``).  No route builds a (T, 4, 4)
+    pair trajectory, runs a circuit or loads the gate-level modules (``circuits``,
+    ``backends``, ``library``, ``noisemethods``): they are the oracle of the
+    tests and of ``validate``.  With ``sectors`` the result also carries one
+    column per sector: the noisy |I, m=I> traces of a mixed one-group run, or the
     coherent padded-register trace of each I2 sector of a two-group run.
     """
     spec = config.spin_spec(regime)
@@ -191,11 +177,7 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     if len(spec.groups) == 2:
         spectrum = two_group_spectrum(spec)
         if method == "echo-synthetic":
-            coherent = clip_probabilities(relaxed_singlet(spectrum, times, times, math.inf,
-                                                          math.inf), "S_coherent")
-            values = relaxed_bell_probabilities(rz_encoded_correlators(coherent), *channel)[..., 0]
-        else:
-            values = relaxed_singlet(spectrum, times, *channel)
+            spectrum = singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0))
         for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
             # the coherent padded-register run, in which the frozen padding slots count as 1
             sector, label = build_two_group_block(I2, spec), f"I2={I2}"
@@ -204,19 +186,12 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
                 padded + sector.pad_register / sector.register_size, label)
     elif pure:
         spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
-        values = relaxed_singlet(spectrum, times, *channel)
     else:
         spectrum = one_group_spectrum(spec, regime)
-        if regime == "zero":
-            # the mixed pair state is rotation invariant at zero field, but no |I, m=I>
-            # representative is: they carry S(t), not its <ZZ> = <XX> = <YY> = (1 - 4 S) / 3
-            zz = (1 - 4 * relaxed_singlet(spectrum, times, times, math.inf, math.inf)) / 3
-            values = relaxed_bell_probabilities((1.0, zz, 2 * zz, 0.0), *channel)[..., 0]
-        else:
-            values = relaxed_singlet(spectrum, times, *channel)
         for I, s in one_group_sector_spectra(spec).items() if sectors else ():
             label = _sector_label(I)
             columns[label] = clip_probabilities(relaxed_singlet(s, times, *channel), label)
 
     label = f"S_{regime}"
+    values = relaxed_singlet(spectrum, times, *channel)
     return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)

@@ -165,14 +165,6 @@ CORRELATOR_TRIU = np.array([[1, 0, 0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 0, -1, 0, 
 SINGLET_CORRELATORS = np.array([1.0, -1.0, -2.0, 0.0])
 
 
-def rz_encoded_correlators(singlet: np.ndarray) -> np.ndarray:
-    """(4, T) correlators of a singlet pair after the Rz rotation that encodes S(t) in
-    its singlet outcome, the hardware treatment of a pair too large for the device:
-    only <XX + YY> = 2 (1 - 2 S) moves."""
-    s = np.asarray(singlet, dtype=float)
-    return np.stack(np.broadcast_arrays(1.0, -1.0, 2 * (1 - 2 * s), 0.0))
-
-
 def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarray:
     """(..., 4) Bell-outcome probabilities (S, T0, T+, T-) after the both-site channel of
     duration ``t``, read from (4, ...) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>).

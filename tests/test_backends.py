@@ -24,7 +24,8 @@ from qbeats.backends import (
 )
 from qbeats.circuits import Circuit, Gate
 from qbeats.config import HardwareModel, load_preset
-from qbeats.dynamics import SINGLET, DensityMatrix, pair_probabilities, time_grid
+from qbeats.dynamics import (SINGLET, TRIPLET_0, DensityMatrix, evaluate_spectrum,
+                             pair_probabilities, singlet_only, time_grid)
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
 from qbeats.library import add_singlet_prep, echo_pulse_circuit, rz_encode_angle
 from qbeats.noisecal import MeasurementStats, correct_stats, inject_singlet
@@ -36,7 +37,7 @@ from qbeats.relaxation import (
     apply_channel,
     infinite_temperature_thermal_channel,
     relaxed_bell_probabilities,
-    rz_encoded_correlators,
+    relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt
 from support import channel_target_stats
@@ -251,9 +252,11 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("hw", list(HARDWARE), ids=list(HARDWARE))
     @pytest.mark.parametrize("T1,T2", [(20.0, 20.0), (2000.0, 20.0)])
     def test_encoded_route_matches_per_point_runs(self, T1, T2, hw):
-        coherent = 0.5 + 0.5 * np.cos(0.45 * TIMES)
-        got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
-                                         *HARDWARE[hw].echo_channel(TIMES, T1, T2))[..., 0]
+        # the coherent S(t) of the dmb pair encoded in an Rz rotation, read in closed form
+        spectrum = pipeline.two_group_spectrum(load_preset("dmb").spin_spec("high"))
+        coherent = evaluate_spectrum(spectrum, TIMES, singlet=True)
+        got = relaxed_singlet(singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0)), TIMES,
+                              *HARDWARE[hw].echo_channel(TIMES, T1, T2))
         for i, t in enumerate(TIMES):
             theta = rz_encode_angle(float(coherent[i]))
             want = corrected_at(lambda c: c.add("RZ", 1, (theta,)), 2, 0, 1, HARDWARE[hw],

@@ -261,6 +261,39 @@ class TestCli:
         assert r.returncode == 1
         assert "hfc" in r.stderr
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["simulate", "--preset", "nope"], 1, "argument --preset: invalid choice: 'nope'"),
+        (["trmfe", "--bogus"], 1, "unrecognized arguments: --bogus"),
+        ([], 1, "the following arguments are required: command"),
+        (["simulate", "--config", "dmb.yaml", "--preset", "octalin"], 1,
+         "argument --preset: not allowed with argument --config"),
+        (["--help"], 0, None),
+        (["--version"], 0, None),
+        (["trmfe", "--help"], 0, None),
+    ])
+    def test_usage_errors_exit_1(self, capsys, monkeypatch, argv, code, message):
+        # exit 2 is kept for numerical failures, so argparse's usage errors exit 1
+        from qbeats import cli
+
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == code
+        assert f"error: {message}" in err if message else err == ""
+
+    def test_sectors_of_a_pure_state_exit_1(self, tmp_path, monkeypatch):
+        from qbeats import cli
+
+        cfgfile, out = tmp_path / "pure.yaml", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(preset_with("octalin", "initial_state", "2, 1")))
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
+        assert run_main("simulate", "--sectors", "--config", str(cfgfile),
+                        "--out", str(out)) == (1, [
+            f"configuration error: {cfgfile}.initial_state: --sectors splits the mixed "
+            "nuclear state; '2, 1' is one pure state"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset, group, system", [("octalin", 0, "one"), ("dmb", 1, "two")])
     def test_count_above_the_cap_exits_1_on_one_line(self, tmp_path, preset, group, system):
         cap = MAX_COUNT[group]

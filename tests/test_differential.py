@@ -8,7 +8,8 @@ drawn with T2 <= 2 T1, either possibly infinite.  The initial state is a pure
 field for one group (where the average over the |I, m=I> representatives is
 exact) and at the drawn field for two groups (whose every nuclear state is
 weighted).  ``simulate`` runs with ``none`` and with ``kraus``, and a mixed
-one-group example also relaxes ``one_group_pair_trace`` at (T1, T2); the oracle
+one-group example also reads ``relaxed_singlet`` of ``one_group_spectrum`` and
+relaxes ``one_group_pair_trace`` at (T1, T2); the oracle
 is one ``eigh`` of the whole 2^(N+2)-square matrix (``dense_pair_trajectory``,
 or its mixed-state sum below) followed by the closed-form both-site channel
 ``relax_pair_trajectory`` at the same (T1, T2).
@@ -35,8 +36,8 @@ from qbeats.config import parse_config
 from qbeats.dynamics import pair_slice_indices, singlet_values, singlet_vector, time_grid
 from qbeats.hamiltonians import (build_full_one_group, build_full_two_group,
                                  full_nuclear_sector_vector)
-from qbeats.pipeline import one_group_pair_trace, simulate
-from qbeats.relaxation import relax_pair_trajectory
+from qbeats.pipeline import one_group_pair_trace, one_group_spectrum, simulate
+from qbeats.relaxation import relax_pair_trajectory, relaxed_singlet
 from qbeats.spinalg import HalfInt
 from test_blocks import dense_eig, dense_pair_trajectory
 
@@ -119,5 +120,7 @@ def test_simulate_matches_the_dense_register_and_the_closed_form_channel(drawn):
         oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
         assert np.abs(values - oracle).max() <= tol, (method, config.canonical())
     if config.initial_state == "mixed" and len(spec.groups) == 1:  # oracle: the kraus one
+        values = relaxed_singlet(one_group_spectrum(spec, regime), TIMES, TIMES, spec.T1, spec.T2)
+        assert np.abs(values - oracle).max() <= tol, config.canonical()
         relaxed = one_group_pair_trace(spec, regime, TIMES).relaxed(spec.T1, spec.T2)
         assert np.abs(singlet_values(relaxed.trajectory) - oracle).max() <= tol, config.canonical()

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
-from qbeats.config import ConfigError, HardwareModel, parse_config
-from qbeats.dynamics import pair_probabilities, time_grid
+from qbeats.config import ConfigError, HardwareModel, load_preset, parse_config
+from qbeats.dynamics import (TRIPLET_0, evaluate_spectrum, pair_probabilities, singlet_only,
+                             time_grid)
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
 from qbeats.noisecal import (
     MeasurementStats,
@@ -16,13 +17,9 @@ from qbeats.noisecal import (
     inject_singlet,
 )
 from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
-from qbeats.pipeline import one_group_sector_spectra, one_group_sector_trajectories
-from qbeats.relaxation import (
-    RelaxationParams,
-    relaxed_bell_probabilities,
-    relaxed_singlet,
-    rz_encoded_correlators,
-)
+from qbeats.pipeline import (one_group_sector_spectra, one_group_sector_trajectories,
+                             two_group_spectrum)
+from qbeats.relaxation import RelaxationParams, relaxed_singlet
 from qbeats.spinalg import HalfInt
 from support import channel_target_stats
 
@@ -158,10 +155,11 @@ class TestEchoSyntheticPipelines:
 
     def test_encoded_route_matches_on_high_field(self):
         times = time_grid(0, 30, 3.0)
-        coherent = 0.5 + 0.5 * np.cos(0.45 * times)
+        spectrum = two_group_spectrum(load_preset("dmb").spin_spec("high"))
+        coherent = evaluate_spectrum(spectrum, times, singlet=True)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)
-        got = relaxed_bell_probabilities(rz_encoded_correlators(coherent),
-                                         *hw.echo_channel(times, math.inf, 20.0))[..., 0]
+        got = relaxed_singlet(singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0)), times,
+                              *hw.echo_channel(times, math.inf, 20.0))
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
