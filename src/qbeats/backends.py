@@ -22,21 +22,19 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .dynamics import DensityMatrix
-from .relaxation import RelaxationParams, thermal_map
+from .hamiltonians import check_relaxation_times
+from .relaxation import thermal_map
 
 STATEVECTOR_MAX_SITES = 12
 DENSITY_NOISE_MAX_SITES = 6
-
-DEFAULT_QUBIT_T1_NS = 100_000.0  # 100 us
-DEFAULT_QUBIT_T2_NS = 100_000.0
 
 
 @dataclass(frozen=True)
 class SyntheticQubitNoise:
     """Per-site thermal relaxation standing in for inherent hardware noise."""
 
-    T1: tuple[float, ...] | float = DEFAULT_QUBIT_T1_NS
-    T2: tuple[float, ...] | float = DEFAULT_QUBIT_T2_NS
+    T1: tuple[float, ...] | float  # ns, per site or for all
+    T2: tuple[float, ...] | float
     gate_durations: dict = field(default_factory=dict)  # kind -> ns (DELAY uses its param)
     # deterministic per-site Z-phase accumulated during delays, rad/ns;
     # a common-mode rate is invisible to the singlet subspace
@@ -126,7 +124,7 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
     work = rho.reshape((2,) * (2 * n))
     for s in gate.sites:
         T1, T2 = noise.site_T1(s), noise.site_T2(s)
-        RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+        check_relaxation_times(T1, T2)
         with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
             damping, coherence = np.exp(-dt / T1), np.exp(-dt / T2)
         if gate.kind == "DELAY":

@@ -13,12 +13,11 @@ import hashlib
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
 
-from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
 from .noisecal import MeasurementStats, UnrecoverableNoiseError, correction_denominators
 from .postprocess import FluorescenceParams
@@ -33,6 +32,7 @@ MAX_TIME_POINTS = 1_000_000  # a trmfe CSV of about 106 MB; no route builds a (T
 MAX_COUNT = (60_000, 200)
 NOISE_METHODS = ("none", "kraus", "per-gate", "echo-synthetic")
 FIELD_REGIMES = ("zero", "high")
+HFC_MT_PER_UNIT = {"hfc_mT": 1.0, "hfc_G": 0.1}  # the keys of a hyperfine constant: mT per unit
 
 
 # libyaml's parser where it is built; both resolve scalars with the same SafeConstructor
@@ -93,19 +93,10 @@ class ExperimentConfig:
     postprocess: FluorescenceParams | None = None
     hardware: HardwareModel = field(default_factory=HardwareModel)
 
-    def spin_spec(self, regime: str | None = None) -> SpinSystemSpec:
-        regime = regime or self.field_regime
-        if regime not in FIELD_REGIMES:
-            raise ConfigError(f"unknown field regime {regime!r}")
+    def spin_spec(self, regime: str) -> SpinSystemSpec:
         T1, T2 = self.relaxation[regime]
-        return SpinSystemSpec(
-            groups=self.groups,
-            g1=self.g1,
-            g2=self.g2,
-            field_B=self.field_B if regime == "high" else 0.0,
-            T1=T1,
-            T2=T2,
-        )
+        field_B = self.field_B if regime == "high" else 0.0
+        return SpinSystemSpec(self.groups, self.g1, self.g2, field_B, T1, T2)
 
     def initial_sector(self) -> tuple[HalfInt, HalfInt] | None:
         """(I, m) of a pure one-group initial state; None for the mixed state."""
@@ -114,25 +105,12 @@ class ExperimentConfig:
         return _parse_sector(self.initial_state)
 
     def canonical(self) -> dict:
-        return {
-            "name": self.name,
-            "groups": [{"count": g.count, "hfc_mT": g.hfc_mT} for g in self.groups],
-            "g1": self.g1,
-            "g2": self.g2,
-            "field_B": self.field_B,
-            "relaxation": {k: list(v) for k, v in sorted(self.relaxation.items())},
-            "field_regime": self.field_regime,
-            "initial_state": self.initial_state,
-            "noise_method": self.noise_method,
-            "time_grid": list(self.time_grid),
-            "postprocess": None if self.postprocess is None else [
-                self.postprocess.theta, self.postprocess.tau_f,
-                self.postprocess.t0, self.postprocess.t_g,
-            ],
-            "hardware": [self.hardware.T1_ns, self.hardware.T2_ns,
-                         self.hardware.identity_ns, self.hardware.u_circuit_ns,
-                         list(self.hardware.drift_phase_rate)],
-        }
+        """Every field, with ``postprocess`` and ``hardware`` as value lists."""
+        out = asdict(self)
+        out["hardware"] = list(out["hardware"].values())
+        if self.postprocess is not None:
+            out["postprocess"] = list(out["postprocess"].values())
+        return out
 
     def digest(self) -> str:
         payload = json.dumps(self.canonical(), sort_keys=True).encode()
@@ -144,13 +122,19 @@ def _require(cond: bool, where: str, message: str):
         raise ConfigError(f"{where}: {message}")
 
 
-def _mapping(raw, where: str, known: tuple[str, ...],
-             message: str = "expected a mapping") -> dict:
+def _mapping(raw, where: str, known, message: str = "expected a mapping") -> dict:
     """``raw`` checked to be a mapping whose every key is one of ``known``."""
     _require(isinstance(raw, dict), where, message)
     for key in raw:
         _require(key in known, f"{where}.{key}", "unknown key")
     return raw
+
+
+def _section(raw, where: str, defaults: dict, read) -> dict:
+    """Each key of ``defaults`` read from the mapping ``raw`` (or its default) by ``read``."""
+    _mapping(raw, where, defaults)
+    return {key: read(raw.get(key, default), f"{where}.{key}")
+            for key, default in defaults.items()}
 
 
 def _float(raw, where: str) -> float:
@@ -195,17 +179,14 @@ def _parse_groups(raw, where: str) -> tuple[NuclearGroup, ...]:
     out = []
     for i, g in enumerate(raw):
         spot = f"{where}[{i}]"
-        _mapping(g, spot, ("count", "hfc_mT", "hfc_G"))
+        _mapping(g, spot, ("count", *HFC_MT_PER_UNIT))
         count = g.get("count")
         _require(isinstance(count, int) and not isinstance(count, bool) and count >= 1, spot,
                  "count must be an integer >= 1")
-        _require(not {"hfc_mT", "hfc_G"} <= g.keys(), spot, "give hfc_mT or hfc_G, not both")
-        if "hfc_mT" in g:
-            hfc = _finite(g["hfc_mT"], spot + ".hfc_mT")
-        elif "hfc_G" in g:
-            hfc = _finite(g["hfc_G"], spot + ".hfc_G") * 0.1
-        else:
-            raise ConfigError(f"{spot}: missing hfc_mT (or hfc_G)")
+        given = [key for key in HFC_MT_PER_UNIT if key in g]
+        _require(len(given) < 2, spot, "give hfc_mT or hfc_G, not both")
+        _require(len(given) == 1, spot, "missing hfc_mT (or hfc_G)")
+        hfc = _finite(g[given[0]], f"{spot}.{given[0]}") * HFC_MT_PER_UNIT[given[0]]
         out.append(NuclearGroup(count, hfc))
     _require(len(out) == 1 or out[0].count == 2, f"{where}[0].count",
              "the small group of a two-group system must contain exactly 2 nuclei")
@@ -224,18 +205,16 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
                       ("groups", "g1", "g2", "field_B", "relaxation"), "missing system mapping")
 
     groups = _parse_groups(system.get("groups"), f"{name}.system.groups")
-    g1 = _finite(system.get("g1", 2.0028), f"{name}.system.g1")
-    g2 = _finite(system.get("g2", 2.0028), f"{name}.system.g2")
-    field_B = _finite(system.get("field_B", 0.0), f"{name}.system.field_B")
+    g1, g2, field_B = (_finite(system.get(key, getattr(SpinSystemSpec, key)),
+                               f"{name}.system.{key}") for key in ("g1", "g2", "field_B"))
 
     relax_raw = _mapping(system.get("relaxation", {}), f"{name}.system.relaxation",
                          FIELD_REGIMES)
     relaxation = {}
     for regime in FIELD_REGIMES:
         where = f"{name}.system.relaxation.{regime}"
-        block = _mapping(relax_raw.get(regime, {}), where, ("T1", "T2"))
-        T1 = _float(block.get("T1", math.inf), f"{where}.T1")
-        T2 = _float(block.get("T2", math.inf), f"{where}.T2")
+        T1, T2 = _section(relax_raw.get(regime, {}), where,
+                          {"T1": SpinSystemSpec.T1, "T2": SpinSystemSpec.T2}, _float).values()
         # both regimes are checked: --field and trmfe run the unconfigured one too
         try:
             SpinSystemSpec(groups=groups, T1=T1, T2=T2)
@@ -244,21 +223,18 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
         _require(not (math.isnan(T1) or math.isnan(T2)), where, "relaxation times must not be NaN")
         relaxation[regime] = (T1, T2)
 
-    regime = data.get("field_regime", "zero")
+    regime = data.get("field_regime", ExperimentConfig.field_regime)
     _require(regime in FIELD_REGIMES, f"{name}.field_regime",
              f"must be one of {FIELD_REGIMES}")
-    noise = data.get("noise_method", "kraus")
+    noise = data.get("noise_method", ExperimentConfig.noise_method)
     _require(noise in NOISE_METHODS, f"{name}.noise_method",
              f"must be one of {NOISE_METHODS}")
-    initial = str(data.get("initial_state", "mixed"))
+    initial = str(data.get("initial_state", ExperimentConfig.initial_state))
     _check_initial_state(initial, groups, noise, f"{name}.initial_state")
 
-    grid_raw = _mapping(data.get("time_grid", {}), f"{name}.time_grid", ("start", "end", "step"))
-    grid = (
-        _finite(grid_raw.get("start", 0.0), f"{name}.time_grid.start"),
-        _finite(grid_raw.get("end", 100.0), f"{name}.time_grid.end"),
-        _finite(grid_raw.get("step", 0.1), f"{name}.time_grid.step"),
-    )
+    grid = tuple(_section(data.get("time_grid", {}), f"{name}.time_grid",
+                          dict(zip(("start", "end", "step"), ExperimentConfig.time_grid)),
+                          _finite).values())
     _require(grid[2] > 0, f"{name}.time_grid.step", "step must be positive")
     _require(grid[1] >= grid[0], f"{name}.time_grid.end", "end must be >= start")
     _require(noise == "none" or grid[0] >= 0, f"{name}.time_grid.start",
@@ -269,14 +245,11 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
 
     post = None
     if data.get("postprocess") is not None:
-        p = _mapping(data["postprocess"], f"{name}.postprocess", ("theta", "tau_f", "t0", "t_g"))
+        # read outside the try: a ConfigError is a ValueError, and its path is already whole
+        params = _section(data["postprocess"], f"{name}.postprocess",
+                          {"theta": 0.0, "tau_f": 1.2, "t0": 1.0, "t_g": 1.0}, _float)
         try:
-            post = FluorescenceParams(
-                theta=_float(p.get("theta", 0.0), f"{name}.postprocess.theta"),
-                tau_f=_float(p.get("tau_f", 1.2), f"{name}.postprocess.tau_f"),
-                t0=_float(p.get("t0", 1.0), f"{name}.postprocess.t0"),
-                t_g=_float(p.get("t_g", 1.0), f"{name}.postprocess.t_g"),
-            )
+            post = FluorescenceParams(**params)
         except ValueError as exc:
             raise ConfigError(f"{name}.postprocess: {exc}") from None
 
@@ -292,37 +265,40 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     return config
 
 
+def _hardware_value(raw, where: str):
+    """A finite number; ``drift_phase_rate`` is one rate, or one per electron site."""
+    if not where.endswith(".drift_phase_rate"):
+        return _finite(raw, where)
+    rates = list(raw) if isinstance(raw, (list, tuple)) else [raw]
+    _require(1 <= len(rates) <= 2, where, "expected one rate, or one per electron site")
+    return tuple(_finite(rate, where) for rate in (rates[0], rates[-1]))
+
+
 def _parse_hardware(raw, where: str) -> HardwareModel:
     """Positive finite qubit T1/T2 with T2 <= 2 T1, positive identity duration,
     finite circuit duration >= 0 and one or two finite drift rates."""
-    _mapping(raw, where, ("T1_us", "T2_us", "identity_ns", "u_circuit_ns", "drift_phase_rate"))
-    T1_us, T2_us, identity_ns, u_circuit_ns = (
-        _finite(raw.get(key, default), f"{where}.{key}")
-        for key, default in (("T1_us", 100.0), ("T2_us", 100.0), ("identity_ns", 35.5),
-                             ("u_circuit_ns", 300.0)))
-    for key, value in (("T1_us", T1_us), ("T2_us", T2_us), ("identity_ns", identity_ns)):
-        _require(value > 0, f"{where}.{key}", "must be positive")
-    _require(u_circuit_ns >= 0, f"{where}.u_circuit_ns", "must be >= 0")
+    hw = _section(raw, where, {
+        "T1_us": HardwareModel.T1_ns / 1000.0, "T2_us": HardwareModel.T2_ns / 1000.0,
+        "identity_ns": HardwareModel.identity_ns, "u_circuit_ns": HardwareModel.u_circuit_ns,
+        "drift_phase_rate": HardwareModel.drift_phase_rate}, _hardware_value)
+    for key in ("T1_us", "T2_us", "identity_ns"):
+        _require(hw[key] > 0, f"{where}.{key}", "must be positive")
+    _require(hw["u_circuit_ns"] >= 0, f"{where}.u_circuit_ns", "must be >= 0")
+    T1_us, T2_us = hw.pop("T1_us"), hw.pop("T2_us")
     _require(T2_us <= 2 * T1_us, f"{where}.T2_us", f"{T2_us} exceeds 2 * T1_us = {2 * T1_us}")
-    _require(math.isfinite(T1_us * 1000.0) and math.isfinite(T2_us * 1000.0), where,
+    model = HardwareModel(T1_ns=T1_us * 1000.0, T2_ns=T2_us * 1000.0, **hw)
+    _require(math.isfinite(model.T1_ns) and math.isfinite(model.T2_ns), where,
              "T1_us or T2_us is too large")
-    drift = raw.get("drift_phase_rate", 0.0)
-    drift = list(drift) if isinstance(drift, (list, tuple)) else [drift]
-    _require(1 <= len(drift) <= 2, f"{where}.drift_phase_rate",
-             "expected one rate, or one per electron site")
-    drift = [_finite(d, f"{where}.drift_phase_rate") for d in drift]
-    return HardwareModel(T1_ns=T1_us * 1000.0, T2_ns=T2_us * 1000.0, identity_ns=identity_ns,
-                         u_circuit_ns=u_circuit_ns, drift_phase_rate=(drift[0], drift[-1]))
+    return model
 
 
 def _check_frequencies(config: ExperimentConfig, where: str) -> None:
     """Derived angular frequencies, and their phases over the grid, must be finite."""
     t_max = max(abs(config.time_grid[0]), abs(config.time_grid[1]))
-    rates = {f"hyperfine[{i}]": hyperfine_angular_frequency(g.hfc_mT, config.g1)
-             for i, g in enumerate(config.groups)}
-    for field_B in (0.0, config.field_B):
-        rates[f"b1 at {field_B} T"] = zeeman_half_angular_frequency(field_B, config.g1)
-        rates[f"b2 at {field_B} T"] = zeeman_half_angular_frequency(field_B, config.g2)
+    zero, high = (config.spin_spec(regime) for regime in FIELD_REGIMES)
+    rates = {f"hyperfine[{i}]": rate for i, rate in enumerate(zero.hyperfine_rad_ns)}
+    for spec in (zero, high):
+        rates[f"b1 at {spec.field_B} T"], rates[f"b2 at {spec.field_B} T"] = spec.b1, spec.b2
     for label, rate in rates.items():
         _require(math.isfinite(rate * t_max), where,
                  f"angular frequency {label} = {rate:.3g} rad/ns is too large "

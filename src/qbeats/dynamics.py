@@ -84,9 +84,8 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
 
 
-def time_grid(t_start: float = 0.0, t_end: float = 100.0, step: float = 0.1) -> np.ndarray:
-    """Uniform grid from ``t_start`` that reaches ``t_end`` (to roundoff) but never passes it
-    (default 0..100 ns at 0.1 ns, both endpoints included)."""
+def time_grid(t_start: float, t_end: float, step: float) -> np.ndarray:
+    """Uniform grid from ``t_start`` that reaches ``t_end`` (to roundoff) but never passes it."""
     n = math.floor((t_end - t_start) / step + 1e-9) if t_end > t_start else 0
     return t_start + step * np.arange(n + 1)
 
@@ -203,8 +202,15 @@ def pair_probabilities(rho4: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 PAIR_TRIU = np.triu_indices(4)  # the 10 elements a <= b of a Hermitian pair state
-# <S|rho|S> = Re sum_k SINGLET_TRIU[k] rho[PAIR_TRIU][k]: off-diagonal ones count twice
-SINGLET_TRIU = (np.outer(SINGLET, SINGLET) * (2 - np.eye(4)))[PAIR_TRIU]
+PAIR_SLOT = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(*PAIR_TRIU))}  # (a, b) -> k
+
+
+def triu_row(op: np.ndarray) -> np.ndarray:
+    """The row w of a Hermitian pair operator: <op> = Re sum_k w[k] rho[PAIR_TRIU][k]."""
+    return (op.T * (2 - np.eye(4)))[PAIR_TRIU]  # an off-diagonal element counts twice
+
+
+SINGLET_TRIU = triu_row(np.outer(SINGLET, SINGLET))
 EXP_TABLE_ENTRIES = 1 << 16  # complex entries of an evaluation's exp tables, roughly
 MIN_CHUNK = 16               # time points per chunk, at least
 
@@ -343,10 +349,11 @@ def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
     p_keep = np.maximum(np.abs(p_up), np.abs(p_down)) > floor
     c_keep = np.abs(c) > floor
     amps = np.zeros((1 + p_keep.sum() + c_keep.sum(), 10))
-    amps[0, [0, 9]] = total / 2  # the constant parts of rho_00 and rho_33
+    amps[0, [PAIR_SLOT[0, 0], PAIR_SLOT[3, 3]]] = total / 2  # the constant parts of rho_00, rho_33
     p_up, p_down = p_up[p_keep], p_down[p_keep]
-    amps[1:1 + len(p_up), [4, 9, 7, 0]] = 0.5 * np.stack([p_up, -p_up, p_down, -p_down], axis=-1)
-    amps[1 + len(p_up):, 5] = -0.5 * c[c_keep]
+    beating = [PAIR_SLOT[a, a] for a in (1, 3, 2, 0)]  # rho_11, rho_33, rho_22, rho_00
+    amps[1:1 + len(p_up), beating] = 0.5 * np.stack([p_up, -p_up, p_down, -p_down], axis=-1)
+    amps[1 + len(p_up):, PAIR_SLOT[1, 2]] = -0.5 * c[c_keep]
     freqs = np.concatenate([[0.0], (lam[:, :, None] - lam[:, None, :])[p_keep],
                             (lam[above, :, None] - lam[below, None, :] + 2 * b2)[c_keep]])
     lam_max = np.abs(blocks.h).sum(axis=2).max(initial=0.0)  # bounds every eigenvalue

@@ -53,6 +53,12 @@ class NuclearGroup:
             raise ValueError("hfc must be finite")
 
 
+def check_relaxation_times(T1: float, T2: float) -> None:
+    """Refuse T2 > 2 T1, whose pure-dephasing rate 1/T2 - 1/(2 T1) is negative."""
+    if math.isfinite(T1) and T2 > 2 * T1:
+        raise ValueError(f"T2={T2} exceeds 2*T1={2 * T1} (unphysical dephasing rate)")
+
+
 @dataclass(frozen=True)
 class SpinSystemSpec:
     """Declarative description of a radical pair."""
@@ -67,8 +73,7 @@ class SpinSystemSpec:
     def __post_init__(self):
         if not 1 <= len(self.groups) <= 2:
             raise ValueError("only one- and two-group systems are supported")
-        if math.isfinite(self.T1) and self.T2 > 2 * self.T1:
-            raise ValueError(f"T2={self.T2} exceeds 2*T1={2 * self.T1} (unphysical dephasing rate)")
+        check_relaxation_times(self.T1, self.T2)
         if self.T1 <= 0 or self.T2 <= 0:
             raise ValueError("relaxation times must be positive")
 

@@ -159,8 +159,10 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     pair trajectory, runs a circuit or loads the gate-level modules (``circuits``,
     ``backends``, ``library``, ``noisemethods``): they are the oracle of the
     tests and of ``validate``.  With ``sectors`` the result also carries one
-    column per sector: the noisy |I, m=I> traces of a mixed one-group run, or the
-    coherent padded-register trace of each I2 sector of a two-group run.
+    column per sector: the noisy traces of the |I, m=I> representatives of a mixed
+    one-group run, which average to S(t) by their class counts at high field but at
+    zero field only when T1 = T2, or the coherent padded-register trace of each I2
+    sector of a two-group run.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)

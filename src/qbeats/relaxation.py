@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, PairSpectrum, evaluate_rows
-from .hamiltonians import SIGMA_X, SIGMA_Z
+from .dynamics import DensityMatrix, PairSpectrum, evaluate_rows, triu_row
+from .hamiltonians import SIGMA_X, SIGMA_Y, SIGMA_Z, check_relaxation_times
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,17 @@ class RelaxationParams:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("elapsed time must be >= 0")
-        rate = self.dephasing_rate
-        if rate < -1e-15:
-            raise ValueError(
-                f"unphysical parameters: 1/T2 - 1/(2 T1) = {rate} < 0 (requires T2 <= 2 T1)"
-            )
-
-    @property
-    def dephasing_rate(self) -> float:
-        r1 = 0.0 if math.isinf(self.T1) else 1.0 / self.T1
-        r2 = 0.0 if math.isinf(self.T2) else 1.0 / self.T2
-        return r2 - r1 / 2
+        check_relaxation_times(self.T1, self.T2)
 
     @property
     def p_x(self) -> float:
         return 0.0 if math.isinf(self.T1) else 1.0 - math.exp(-self.t / self.T1)
 
     @property
-    def p_z(self) -> float:
-        return 0.5 * (1.0 - math.exp(-self.t * self.dephasing_rate))
+    def p_z(self) -> float:  # from the pure-dephasing rate 1/T2 - 1/(2 T1)
+        r1 = 0.0 if math.isinf(self.T1) else 1.0 / self.T1
+        r2 = 0.0 if math.isinf(self.T2) else 1.0 / self.T2
+        return 0.5 * (1.0 - math.exp(-self.t * (r2 - r1 / 2)))
 
     @property
     def phi_x(self) -> float:
@@ -148,7 +140,7 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
     if sites not in axes:
         raise ValueError(f"unknown site selector {sites!r}")
     t = np.asarray(times, dtype=float)
-    RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+    check_relaxation_times(T1, T2)
     g = np.exp(-t / T1) if math.isfinite(T1) else np.ones_like(t)
     f = np.exp(-t / T2) if math.isfinite(T2) else np.ones_like(t)
     work = traj.reshape(len(t), 2, 2, 2, 2).copy()  # (t, e1, e2, e1', e2')
@@ -157,11 +149,11 @@ def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
     return work.reshape(len(t), 4, 4)
 
 
-# the trace, <ZZ>, <XX + YY> = 4 Re rho_12 and <Z1 + Z2> as rows over the PAIR_TRIU elements
-# (real parts); a singlet pair has the correlators SINGLET_CORRELATORS
-CORRELATOR_TRIU = np.array([[1, 0, 0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 0, -1, 0, 0, -1, 0, 1],
-                            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0, 0, -2]],
-                           dtype=float)
+# the trace, <ZZ>, <XX + YY> = 4 Re rho_12 and <Z1 + Z2> (e1 the first factor) as rows over
+# the PAIR_TRIU elements (real parts); a singlet pair has the correlators SINGLET_CORRELATORS
+CORRELATOR_TRIU = np.stack([triu_row(op.real) for op in (
+    np.eye(4), np.kron(SIGMA_Z, SIGMA_Z), np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y),
+    np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z))])
 SINGLET_CORRELATORS = np.array([1.0, -1.0, -2.0, 0.0])
 
 
@@ -173,7 +165,7 @@ def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarr
     f^2 = exp(-2t/T2): S, T0 = (w - g^2 <ZZ> -+ f^2 <XX + YY>) / 4 and
     T+- = (w + g^2 <ZZ> +- g <Z1 + Z2>) / 4.
     """
-    RelaxationParams(0.0, T1, T2)  # physicality check: 1/T2 >= 1/(2 T1)
+    check_relaxation_times(T1, T2)
     w, zz, xy, z = correlators
     zz, xy, z = np.exp(-2 * t / T1) * zz, np.exp(-2 * t / T2) * xy, np.exp(-t / T1) * z
     return np.stack(np.broadcast_arrays(w - zz - xy, w - zz + xy, w + zz + z, w + zz - z),

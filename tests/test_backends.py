@@ -142,7 +142,7 @@ class TestRunDensity:
         stack = random_states(np.random.default_rng(4), 3, 4)
         for c in (Circuit(2), Circuit(2).add("H", 0), Circuit(2).add("DELAY", 1, (2.0,))):
             with pytest.raises(ValueError):
-                run_density(c, stack, SyntheticQubitNoise())
+                run_density(c, stack, SyntheticQubitNoise(1e5, 1e5))
 
     def test_unphysical_site_times_rejected(self):
         c = Circuit(1)

@@ -138,7 +138,7 @@ class TestBackends:
         with pytest.raises(ValueError):
             run_statevector(Circuit(13))
         with pytest.raises(ValueError):
-            run_density(Circuit(7), noise=SyntheticQubitNoise())
+            run_density(Circuit(7), noise=SyntheticQubitNoise(1e5, 1e5))
 
     def test_partial_trace_ordering(self):
         a = np.diag([1.0, 0.0]).astype(complex)

@@ -47,6 +47,12 @@ class TestConfigParsing:
         assert math.isinf(spec.T1)
         assert cfg.spin_spec("zero").field_B == 0.0
 
+    @pytest.mark.parametrize("preset, digest", [("octalin", "a6ed9451e4dc158c"),
+                                                ("dmb", "7ef3bd1a1d3ff9d5")])
+    def test_preset_digest_is_pinned(self, preset, digest):
+        # the config_sha256 header line of every CSV the preset produces
+        assert load_preset(preset).digest() == digest
+
     def test_gauss_conversion(self):
         data = {"system": {"groups": [{"count": 8, "hfc_G": 24.9}]}}
         cfg = parse_config(data)
@@ -142,63 +148,84 @@ def echo_with(key, value):
 
 UNRECOVERABLE_HARDWARE = {"T1_us": 0.001, "T2_us": 0.001, "u_circuit_ns": 1000}
 
+# refused configurations: (the dotted path that the error names, document)
 BAD_CONFIGS = {
-    "count 0": preset_with("octalin", "system", "groups", 0, "count", 0),
-    "small group of 3": preset_with("dmb", "system", "groups", 0, "count", 3),
-    "no such I": preset_with("octalin", "initial_state", "5,5"),
-    "not a state": preset_with("octalin", "initial_state", "up"),
-    "two-group pure state": preset_with("dmb", "initial_state", "1,1"),
-    "echo with m != I": dict(preset_with("octalin", "initial_state", "2,1"),
-                             noise_method="echo-synthetic"),
-    "field_B nan": preset_with("octalin", "system", "field_B", math.nan),
-    "g1 nan": preset_with("octalin", "system", "g1", math.nan),
-    "g2 inf": preset_with("octalin", "system", "g2", math.inf),
-    "hfc nan": preset_with("octalin", "system", "groups", 0, "hfc_G", math.nan),
-    "grid end inf": preset_with("octalin", "time_grid", "end", math.inf),
-    "grid step 1e-300": preset_with("octalin", "time_grid", "step", 1e-300),
-    "field_B 1e300": preset_with("octalin", "system", "field_B", 1e300),
-    "g1 1e300": preset_with("octalin", "system", "g1", 1e300),
+    "count 0": ("system.groups[0]", preset_with("octalin", "system", "groups", 0, "count", 0)),
+    "small group of 3": ("system.groups[0].count",
+                         preset_with("dmb", "system", "groups", 0, "count", 3)),
+    "no such I": ("initial_state", preset_with("octalin", "initial_state", "5,5")),
+    "not a state": ("initial_state", preset_with("octalin", "initial_state", "up")),
+    "two-group pure state": ("initial_state", preset_with("dmb", "initial_state", "1,1")),
+    "echo with m != I": ("initial_state", dict(preset_with("octalin", "initial_state", "2,1"),
+                                               noise_method="echo-synthetic")),
+    "field_B nan": ("system.field_B", preset_with("octalin", "system", "field_B", math.nan)),
+    "g1 nan": ("system.g1", preset_with("octalin", "system", "g1", math.nan)),
+    "g2 inf": ("system.g2", preset_with("octalin", "system", "g2", math.inf)),
+    "hfc nan": ("system.groups[0].hfc_G",
+                preset_with("octalin", "system", "groups", 0, "hfc_G", math.nan)),
+    "grid end inf": ("time_grid.end", preset_with("octalin", "time_grid", "end", math.inf)),
+    "grid step 1e-300": ("time_grid.step", preset_with("octalin", "time_grid", "step", 1e-300)),
+    "field_B 1e300": ("system", preset_with("octalin", "system", "field_B", 1e300)),
+    "g1 1e300": ("system", preset_with("octalin", "system", "g1", 1e300)),
     # the unconfigured regime is validated too: --field high runs it
-    "high T2 > 2 T1, zero configured": preset_with(
-        "octalin", "system", "relaxation", "high", {"T1": 4.0, "T2": 9.0}),
-    "zero T1 nan": preset_with("octalin", "system", "relaxation", "zero", "T1", math.nan),
-    "finite T1, T2 inf": preset_with("octalin", "system", "relaxation", "high",
-                                     {"T1": 5.0, "T2": ".inf"}),
-    "echo start < 0": echo_with("time_grid", {"start": -1.0, "end": 1.0, "step": 0.5}),
+    "high T2 > 2 T1, zero configured": ("system.relaxation.high", preset_with(
+        "octalin", "system", "relaxation", "high", {"T1": 4.0, "T2": 9.0})),
+    "zero T1 nan": ("system.relaxation.zero",
+                    preset_with("octalin", "system", "relaxation", "zero", "T1", math.nan)),
+    "finite T1, T2 inf": ("system.relaxation.high", preset_with(
+        "octalin", "system", "relaxation", "high", {"T1": 5.0, "T2": ".inf"})),
+    "echo start < 0": ("time_grid.start",
+                       echo_with("time_grid", {"start": -1.0, "end": 1.0, "step": 0.5})),
     # relaxing over a negative elapsed time would amplify coherences
-    "kraus start < 0": dict(preset_with("octalin", "noise_method", "kraus"),
-                            time_grid={"start": -3.0, "end": 1.0, "step": 1.0}),
-    "per-gate start < 0": dict(preset_with("octalin", "noise_method", "per-gate"),
-                               time_grid={"start": -3.0, "end": 1.0, "step": 1.0}),
-    "hardware T1_us -5": echo_with("hardware", {"T1_us": -5}),
-    "hardware identity_ns 0": echo_with("hardware", {"identity_ns": 0}),
-    "hardware T2_us > 2 T1_us": echo_with("hardware", {"T1_us": 10, "T2_us": 30}),
-    "hardware drift nan": echo_with("hardware", {"drift_phase_rate": math.nan}),
-    "hardware three drifts": echo_with("hardware", {"drift_phase_rate": [0.1, 0.2, 0.3]}),
-    "hardware u_circuit_ns inf": echo_with("hardware", {"u_circuit_ns": math.inf}),
+    "kraus start < 0": ("time_grid.start", dict(preset_with("octalin", "noise_method", "kraus"),
+                                                time_grid={"start": -3.0, "end": 1.0,
+                                                           "step": 1.0})),
+    "per-gate start < 0": ("time_grid.start",
+                           dict(preset_with("octalin", "noise_method", "per-gate"),
+                                time_grid={"start": -3.0, "end": 1.0, "step": 1.0})),
+    "hardware T1_us -5": ("hardware.T1_us", echo_with("hardware", {"T1_us": -5})),
+    "hardware identity_ns 0": ("hardware.identity_ns", echo_with("hardware", {"identity_ns": 0})),
+    "hardware T2_us > 2 T1_us": ("hardware.T2_us",
+                                 echo_with("hardware", {"T1_us": 10, "T2_us": 30})),
+    "hardware drift nan": ("hardware.drift_phase_rate",
+                           echo_with("hardware", {"drift_phase_rate": math.nan})),
+    "hardware three drifts": ("hardware.drift_phase_rate",
+                              echo_with("hardware", {"drift_phase_rate": [0.1, 0.2, 0.3]})),
+    "hardware u_circuit_ns inf": ("hardware.u_circuit_ns",
+                                  echo_with("hardware", {"u_circuit_ns": math.inf})),
     # the reference run decays fully: the statistics correction has no solution
-    "hardware noise unrecoverable": echo_with("hardware", UNRECOVERABLE_HARDWARE),
+    "hardware noise unrecoverable": ("hardware", echo_with("hardware", UNRECOVERABLE_HARDWARE)),
     # (T1_ns + T2_ns) / 2 overflows, and so does the identity-gate count of the longest echo run
-    "hardware T1_us + T2_us overflow": echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e305}),
+    "hardware T1_us + T2_us overflow": ("hardware",
+                                        echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e305})),
     # a finite identity-gate count whose total delay overflows
-    "hardware delay overflow": echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e304}),
+    "hardware delay overflow": ("hardware",
+                                echo_with("hardware", {"T1_us": 1e305, "T2_us": 1e304})),
     # a misspelt key of any mapping is refused, not replaced by its default
-    "unknown key in system": preset_with("octalin", "system", "field", 0.3),
-    "unknown key in a group": preset_with("octalin", "system", "groups", 0, "hfc", 2.49),
-    "unknown key in relaxation": preset_with("octalin", "system", "relaxation", "low", {}),
-    "unknown key in zero relaxation": preset_with("octalin", "system", "relaxation", "zero",
-                                                  "T_1", 9.0),
-    "unknown key in high relaxation": preset_with("octalin", "system", "relaxation", "high",
-                                                  "T_2", 9.0),
-    "unknown key in time_grid": preset_with("octalin", "time_grid", "stop", 20.0),
-    "unknown key in postprocess": preset_with("octalin", "postprocess", "tauf", 1.2),
-    "unknown key in hardware": preset_with("octalin", "hardware", {"T1us": 100.0}),
+    "unknown key in system": ("system.field", preset_with("octalin", "system", "field", 0.3)),
+    "unknown key in a group": ("system.groups[0].hfc",
+                               preset_with("octalin", "system", "groups", 0, "hfc", 2.49)),
+    "unknown key in relaxation": ("system.relaxation.low",
+                                  preset_with("octalin", "system", "relaxation", "low", {})),
+    "unknown key in zero relaxation": ("system.relaxation.zero.T_1", preset_with(
+        "octalin", "system", "relaxation", "zero", "T_1", 9.0)),
+    "unknown key in high relaxation": ("system.relaxation.high.T_2", preset_with(
+        "octalin", "system", "relaxation", "high", "T_2", 9.0)),
+    "unknown key in time_grid": ("time_grid.stop",
+                                 preset_with("octalin", "time_grid", "stop", 20.0)),
+    "unknown key in postprocess": ("postprocess.tauf",
+                                   preset_with("octalin", "postprocess", "tauf", 1.2)),
+    "unknown key in hardware": ("hardware.T1us",
+                                preset_with("octalin", "hardware", {"T1us": 100.0})),
     # a number given twice, or as a YAML boolean, is refused, not silently picked or read as 1
-    "hfc_mT and hfc_G": preset_with("octalin", "system", "groups", 0, "hfc_mT", 2.49),
-    "count true": preset_with("octalin", "system", "groups", 0, "count", True),
-    "hfc_mT true": preset_with("octalin", "system", "groups", 0, {"count": 8, "hfc_mT": True}),
-    "g1 true": preset_with("octalin", "system", "g1", True),
-    "grid step true": preset_with("octalin", "time_grid", "step", True),
+    "hfc_mT and hfc_G": ("system.groups[0]",
+                         preset_with("octalin", "system", "groups", 0, "hfc_mT", 2.49)),
+    "count true": ("system.groups[0]",
+                   preset_with("octalin", "system", "groups", 0, "count", True)),
+    "hfc_mT true": ("system.groups[0].hfc_mT", preset_with(
+        "octalin", "system", "groups", 0, {"count": 8, "hfc_mT": True})),
+    "g1 true": ("system.g1", preset_with("octalin", "system", "g1", True)),
+    "grid step true": ("time_grid.step", preset_with("octalin", "time_grid", "step", True)),
 }
 
 
@@ -311,11 +338,13 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exits_1_without_traceback(self, tmp_path, case):
         cfgfile = tmp_path / "bad.yaml"
-        cfgfile.write_text(yaml.safe_dump(BAD_CONFIGS[case]))
+        path, doc = BAD_CONFIGS[case]
+        cfgfile.write_text(yaml.safe_dump(doc))
         out = tmp_path / "x.csv"
         r = run_cli("simulate", "--config", str(cfgfile), "--field", "high", "--out", str(out))
         assert r.returncode == 1
-        assert r.stderr.startswith(f"configuration error: {cfgfile}")
+        # the path once: a ConfigError re-raised under its mapping would repeat it
+        assert r.stderr.startswith(f"configuration error: {cfgfile}.{path}: "), r.stderr
         assert "Traceback" not in r.stderr
         assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
         assert not out.exists()

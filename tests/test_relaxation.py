@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qbeats.backends import SyntheticQubitNoise, run_density
+from qbeats.circuits import Circuit
 from qbeats.dynamics import DensityMatrix, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
-from qbeats.pipeline import one_group_pair_trace
+from qbeats.pipeline import one_group_pair_trace, one_group_spectrum
 from qbeats.relaxation import (
     KrausChannel,
     RelaxationParams,
     apply_channel,
     infinite_temperature_thermal_channel,
     relax_pair_trajectory,
+    relaxed_singlet,
 )
 from support import half_rate_equivalence_check
 
@@ -36,6 +39,21 @@ class TestRelaxationParams:
     def test_unphysical_rates_rejected(self):
         with pytest.raises(ValueError):
             RelaxationParams(t=1.0, T1=4.0, T2=9.0)
+
+    # T2 = 3 T1 at T1 = 1e20 ns: a dephasing rate of -1.7e-21 /ns, which an absolute
+    # tolerance on the rate lets through; every consumer of (T1, T2) applies T2 <= 2 T1
+    @pytest.mark.parametrize("consumer", [
+        lambda T1, T2: SpinSystemSpec(OCTALIN_RELAXED.groups, T1=T1, T2=T2),
+        lambda T1, T2: RelaxationParams(0.0, T1, T2),
+        lambda T1, T2: relaxed_singlet(one_group_spectrum(OCTALIN_RELAXED, "zero"),
+                                       np.ones(1), np.ones(1), T1, T2),
+        lambda T1, T2: run_density(Circuit(1).add("DELAY", 0, (1.0,)),
+                                   noise=SyntheticQubitNoise(T1, T2)),
+    ], ids=["SpinSystemSpec", "RelaxationParams", "relaxed_singlet", "run_density"])
+    def test_one_physicality_rule(self, consumer):
+        with pytest.raises(ValueError, match="unphysical"):
+            consumer(1e20, 3e20)
+        consumer(1e20, 2e20)  # the boundary T2 = 2 T1 is physical
 
     def test_infinite_T1(self):
         p = RelaxationParams(t=5.0, T1=math.inf, T2=9.0)
