@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config_file, load_preset
+from .config import (FIELD_REGIMES, PRESETS, ConfigError, ExperimentConfig, load_config_file,
+                     load_preset)
 from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
 from .postprocess import intensity_ratio, kernel_step, observed_intensity
@@ -77,7 +78,7 @@ def _inputs(args) -> tuple[ExperimentConfig, np.ndarray | None]:
     """The configuration and the ``--compare`` reference, with ``--out`` checked: every
     file error surfaces before anything is simulated."""
     config = (load_config_file(args.config) if args.config
-              else load_preset(args.preset or "octalin"))
+              else load_preset(args.preset or PRESETS[0]))
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"{args.out}: directory {folder!r} does not exist")
@@ -144,7 +145,7 @@ def cmd_trmfe(args) -> int:
         raise ConfigError("trmfe requires a postprocess block in the configuration")
     source = args.config or config.name  # the prefix parse_config gives its errors
     _grid_checked(source, kernel_step, time_grid(*config.time_grid), pp)  # before simulating
-    s_high, s_zero = (simulate(config, regime).trace for regime in ("high", "zero"))
+    s_zero, s_high = (simulate(config, regime).trace for regime in FIELD_REGIMES)
     i_b, i_0 = observed_intensity(s_high, pp), observed_intensity(s_zero, pp)
     ratio = _grid_checked(source, intensity_ratio, i_b, i_0)
     mask = np.isin(s_high.times, ratio.times)
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="path to a YAML experiment configuration")
-        source.add_argument("--preset", choices=("octalin", "dmb"),
-                            help="built-in experiment preset (default: octalin)")
+        source.add_argument("--preset", choices=PRESETS,
+                            help=f"built-in experiment preset (default: {PRESETS[0]})")
         p.add_argument("--out", default="qbeats_out.csv", help="output CSV path")
         p.add_argument("--compare", metavar="CSV",
                        help="report the RMS deviation from a (time_ns, value) "
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="singlet-probability trace S(t)")
     common(p_sim)
-    p_sim.add_argument("--field", choices=("zero", "high"),
+    p_sim.add_argument("--field", choices=FIELD_REGIMES,
                        help="override the configured field regime")
     p_sim.add_argument("--sectors", action="store_true",
                        help="include per-sector trace columns")

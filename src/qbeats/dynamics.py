@@ -6,7 +6,8 @@ electron-pair basis used throughout is p = 2*e1 + e2, i.e.
 (up,up), (up,down), (down,up), (down,down) with the first arrow = e1.
 
 Nothing materializes rho(t).  A pair trajectory is a merged sum over Bohr
-frequencies; ``evaluate_rows`` sums any linear read-out of it on a grid.
+frequencies; ``evaluate_rows`` sums the real part of any linear read-out of it
+on a grid.
 ``pair_spectrum`` builds it for any initial state from the exact invariant
 blocks it touches (``BlockHamiltonian.blocks``); ``cation_spectrum`` builds it
 for the singlet-born ensembles of the pipeline from their cation blocks alone,
@@ -383,48 +384,67 @@ def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
 
 
 def _phase_powers(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
-    """(F, n) table exp(-i freqs k step), k < n, by doubling: each entry is a product of
+    """(n, F) table exp(-i freqs k step), k < n, by doubling: each entry is a product of
     at most log2(n) + 1 directly computed exponentials."""
-    table = np.ones((len(freqs), 1), dtype=complex)
-    while table.shape[1] < n:
-        table = np.hstack([table, table * np.exp(-1j * freqs * (table.shape[1] * step))[:, None]])
-    return table[:, :n]
+    table = np.empty((n, len(freqs)), dtype=complex)
+    table[0] = 1.0
+    m = 1
+    while m < n:
+        table[m:2 * m] = table[:min(m, n - m)] * np.exp(-1j * freqs * (m * step))
+        m *= 2
+    return table
+
+
+def _folded_rows(spectrum: PairSpectrum, rows: np.ndarray):
+    """Terms (freqs, coefs) of every row r, laid end to end in slices bounds[r]:bounds[r + 1],
+    with Re sum coefs exp(-i freqs t) the row's real read-out: a term c at f < 0 moves to
+    |f| as conj(c), since Re c exp(-i f t) = Re conj(c) exp(i f t); runs within ``tol`` merge."""
+    coef = np.asarray(rows) @ spectrum.amplitudes.T
+    r, k = np.nonzero(coef)
+    f, c = spectrum.freqs[k], coef[r, k]
+    c, f = np.where(f < 0, c.conj(), c), np.abs(f)
+    order = np.lexsort((f, r))
+    r, f, c = r[order], f[order], c[order]
+    starts = np.flatnonzero((np.diff(f, prepend=-np.inf) > spectrum.tol)
+                            | (np.diff(r, prepend=-1) != 0))
+    bounds = np.searchsorted(r[starts], np.arange(len(coef) + 1))
+    return (np.add.reduceat(f, starts) / np.diff(starts, append=len(f)),
+            np.add.reduceat(c, starts), bounds)
 
 
 def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(R, T) sums sum_f (rows[r] . amplitudes[f]) exp(-i freqs[f] t) of coefficient rows
-    over the 10 ``PAIR_TRIU`` elements, each over its own nonzero frequencies only.
+    """(R, T) real parts Re sum_f (rows[r] . amplitudes[f]) exp(-i freqs[f] t) of coefficient
+    rows over the 10 ``PAIR_TRIU`` elements, each over its own folded terms (``_folded_rows``).
 
     Two-level exp table: the grid is cut in chunks of K points, t = s + d with s a
     chunk start.  On a uniform grid (to the roundoff of the times) every chunk shares
-    the offsets d, and both exp(-i w d) and exp(-i w s) over a run of J chunks are
-    built by ``_phase_powers``; a row is one (J x F_r) @ (F_r x K) product per run.
+    the offsets d, and both exp(i w d) and exp(-i w s) over a run of J chunks are
+    built by ``_phase_powers`` once for the terms of all rows; a row is one real
+    (J x 2F_r) @ (2F_r x K) product per run of its column slices, viewed as floats.
     On any other grid each chunk gets its own directly computed table.  The tables
     hold about ``EXP_TABLE_ENTRIES`` entries, never F x T.
     """
     times = np.asarray(times, dtype=float)
-    coef = np.asarray(rows) @ spectrum.amplitudes.T
-    used = coef.any(axis=0)
-    f, coef, T = spectrum.freqs[used], coef[:, used], len(times)
-    out = np.zeros((len(coef), T), dtype=complex)
+    f, c, bounds = _folded_rows(spectrum, rows)
+    T = len(times)
+    out = np.zeros((len(bounds) - 1, T))
     if T == 0 or len(f) == 0:
         return out
     step = (times[-1] - times[0]) / max(T - 1, 1)
     uniform = T > 1 and (np.abs(times - times[0] - step * np.arange(T)).max()
                          <= 4 * np.spacing(np.abs(times).max()))
-    budget = max(2, EXP_TABLE_ENTRIES // len(f))  # table columns
+    budget = max(2, EXP_TABLE_ENTRIES // len(f))  # table rows
     K = max(MIN_CHUNK, min(math.isqrt(T - 1) + 1, budget // 2))
     J = max(1, min(-(-T // K), budget - K)) if uniform else 1
-    fine = _phase_powers(f, step, K) if uniform else None
+    fine = _phase_powers(-f, step, K).view(float) if uniform else None  # the conjugate
     run = _phase_powers(f, K * step, J)
-    live = [np.flatnonzero(row) for row in coef]
     for start in range(0, T, J * K):
         t = times[start:start + J * K]
         if not uniform:
-            fine = np.exp(np.multiply.outer(-1j * f, t - t[0]))
-        coarse = np.exp(-1j * f * t[0])[:, None] * run
-        for r, k in enumerate(live):
-            out[r, start:start + len(t)] = ((coef[r, k] * coarse[k].T) @ fine[k]).ravel()[:len(t)]
+            fine = np.exp(1j * np.multiply.outer(t - t[0], f)).view(float)
+        coarse = (run * (c * np.exp(-1j * f * t[0]))).view(float)
+        for r, (lo, hi) in enumerate(zip(2 * bounds[:-1], 2 * bounds[1:])):
+            out[r, start:start + len(t)] = (coarse[:, lo:hi] @ fine[:, lo:hi].T).ravel()[:len(t)]
     return out
 
 
@@ -432,9 +452,11 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
                       singlet: bool = False) -> np.ndarray:
     """Pair trajectory (T, 4, 4) of a spectrum on ``times``, or with ``singlet`` S(t)."""
     if singlet:
-        return evaluate_rows(spectrum, times, SINGLET_TRIU[None])[0].real
-    out = evaluate_rows(spectrum, times, np.eye(10))
-    out[PAIR_TRIU[0] == PAIR_TRIU[1]] = out[PAIR_TRIU[0] == PAIR_TRIU[1]].real
+        return evaluate_rows(spectrum, times, SINGLET_TRIU[None])[0]
+    off = PAIR_TRIU[0] != PAIR_TRIU[1]  # Im x = Re(-i x)
+    parts = evaluate_rows(spectrum, times, np.vstack([np.eye(10), -1j * np.eye(10)[off]]))
+    out = parts[:10].astype(complex)
+    out[off] += 1j * parts[10:]
     traj = np.empty((4, 4, len(times)), dtype=complex)  # time-fastest, seen (T, 4, 4)
     traj[PAIR_TRIU[1], PAIR_TRIU[0]] = out.conj()
     traj[PAIR_TRIU] = out

@@ -1,8 +1,8 @@
 """Builders for the experiment-level circuits.
 
 Singlet preparation, the ancilla Kraus realization of the thermal channel,
-nuclear-register purification, echo-pulse delay runs, Rz-encoded singlet
-traces, and first-order product-formula evolution over Pauli strings.
+nuclear-register purification, echo-pulse delay runs, the Rz-encoding angle
+of a singlet trace, and first-order product-formula evolution over Pauli strings.
 """
 
 from __future__ import annotations
@@ -114,21 +114,6 @@ def rz_encode_angle(s_value):
     if np.any(outside):
         raise ValueError(f"singlet probability {s_value[outside].flat[0]} outside [0, 1]")
     return 2.0 * np.arccos(np.sqrt(np.clip(s_value, 0.0, 1.0)))
-
-
-def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Circuit:
-    """Two-site trace-encoding circuit: prep, Rz(theta) on site 1, un-prep.
-
-    The noiseless singlet outcome equals the encoded probability exactly.
-    """
-    c = Circuit(2)
-    add_singlet_prep(c, 0, 1)
-    c.add("RZ", 1, (rz_encode_angle(s_value),))
-    if noise_block is not None:
-        c.extend(noise_block)
-    add_singlet_unprep(c, 0, 1)
-    c.measured_sites = (0, 1)
-    return c
 
 
 # ---------------------------------------------------------------------------

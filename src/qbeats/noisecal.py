@@ -121,9 +121,3 @@ def damp_stats(undamped: MeasurementStats, reference: MeasurementStats) -> Measu
     t0 = (undamped.t0 * reference.s + undamped.s * reference.t0
           + undamped.tp * reference.tp + undamped.tm * reference.tm)
     return MeasurementStats(s, t0, tp, tm)
-
-
-def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> float:
-    """Noisy singlet probability with the target channel's statistics folded in."""
-    return (undamped.s * target.s + undamped.t0 * target.t0
-            + undamped.tp * target.tp + undamped.tm * target.tm)

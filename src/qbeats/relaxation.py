@@ -167,6 +167,7 @@ def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarr
     """
     check_relaxation_times(T1, T2)
     w, zz, xy, z = correlators
+    t = np.asarray(t, dtype=float)
     zz, xy, z = np.exp(-2 * t / T1) * zz, np.exp(-2 * t / T2) * xy, np.exp(-t / T1) * z
     return np.stack(np.broadcast_arrays(w - zz - xy, w - zz + xy, w + zz + z, w + zz - z),
                     axis=-1) / 4
@@ -178,5 +179,5 @@ def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, elapsed, T1: floa
     ``elapsed`` (``times`` itself for the Kraus channel), read from its correlators;
     equal to the S(t) of ``relax_pair_trajectory`` of the evaluated trajectory.  S does not
     read <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
-    w, zz, xy = evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU[:3]).real
+    w, zz, xy = evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU[:3])
     return relaxed_bell_probabilities((w, zz, xy, 0.0), elapsed, T1, T2)[..., 0]

@@ -6,10 +6,13 @@ from math import sqrt
 
 import numpy as np
 
+from qbeats.circuits import Circuit
 from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spectrum,
                              one_group_weights, pair_probabilities, singlet_values)
-from qbeats.hamiltonians import (PAULI, BlockHamiltonian, SpinSystemSpec, build_two_group_block,
-                                 build_cation_blocks, distinct_spins, nuclear_states)
+from qbeats.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, BlockHamiltonian, SpinSystemSpec,
+                                 build_two_group_block, build_cation_blocks, distinct_spins,
+                                 nuclear_states)
+from qbeats.library import add_singlet_prep, add_singlet_unprep, rz_encode_angle
 from qbeats.noisecal import MeasurementStats
 from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
 from qbeats.relaxation import CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory
@@ -42,6 +45,9 @@ def cation_register(h: np.ndarray, b2: float) -> BlockHamiltonian:
     return BlockHamiltonian(matrix, (2, K, 2), ("e2", "nuc", "e1"))
 
 
+PAULI = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
 def pauli_matrix(s: str) -> np.ndarray:
     """Matrix of a Pauli string such as 'IZX', its first letter the leftmost factor."""
     return functools.reduce(np.kron, [PAULI[c] for c in s])
@@ -66,6 +72,27 @@ def channel_target_stats(params: RelaxationParams, sites: str = "both") -> Measu
     return MeasurementStats.from_array(pair_probabilities(relaxed)[0])
 
 
+def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> float:
+    """Noisy singlet probability with the target channel's statistics folded in."""
+    return (undamped.s * target.s + undamped.t0 * target.t0
+            + undamped.tp * target.tp + undamped.tm * target.tm)
+
+
+def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Circuit:
+    """Two-site trace-encoding circuit: prep, Rz(theta) on site 1, un-prep.
+
+    The noiseless singlet outcome equals the encoded probability exactly.
+    """
+    c = Circuit(2)
+    add_singlet_prep(c, 0, 1)
+    c.add("RZ", 1, (rz_encode_angle(s_value),))
+    if noise_block is not None:
+        c.extend(noise_block)
+    add_singlet_unprep(c, 0, 1)
+    c.measured_sites = (0, 1)
+    return c
+
+
 def werner_trajectory(singlet):
     """Pair states S |S><S| + (1 - S) / 3 (1 - |S><S|), one per S(t): the rotation-invariant
     pair state of that singlet probability."""
@@ -76,7 +103,7 @@ def werner_trajectory(singlet):
 
 def pair_correlators(spectrum: PairSpectrum, times: np.ndarray) -> np.ndarray:
     """(4, T) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>) of a beat spectrum; w is the trace."""
-    return evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU).real
+    return evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from qbeats.dynamics import (SINGLET, TRIPLET_0, DensityMatrix, evaluate_spectru
                              pair_probabilities, singlet_only, time_grid)
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
 from qbeats.library import add_singlet_prep, echo_pulse_circuit, rz_encode_angle
-from qbeats.noisecal import MeasurementStats, correct_stats, inject_singlet
+from qbeats.noisecal import MeasurementStats, correct_stats
 from qbeats.noisemethods import per_gate_singlet_values
 from qbeats.pipeline import one_group_sector_trajectories
 from qbeats.relaxation import (
@@ -40,7 +40,7 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt
-from support import channel_target_stats
+from support import channel_target_stats, inject_singlet
 
 TOL = 1e-12
 
@@ -282,10 +282,10 @@ class TestNoiseRoutes:
     @pytest.mark.parametrize("regime", ["zero", "high"])
     @pytest.mark.parametrize("method", ["none", "kraus", "per-gate", "echo-synthetic"])
     def test_simulate_runs_no_circuit(self, monkeypatch, method, regime):
-        # the per-gate delay, the echo-synthetic runs and its correction and injection
-        # are all read out as one both-site channel
+        # the per-gate delay, the echo-synthetic runs and its correction are all read out
+        # as one both-site channel
         calls = []
-        for original in (run_density, noisecal.correct_stats, noisecal.inject_singlet):
+        for original in (run_density, noisecal.correct_stats):
             def counted(*args, _original=original, **kwargs):
                 calls.append(_original.__name__)
                 return _original(*args, **kwargs)

@@ -30,7 +30,6 @@ from qbeats.library import (
     kraus_circuit,
     purification_circuit,
     rz_encode_angle,
-    rz_encode_circuit,
     trotterized_pauli_evolution,
 )
 from qbeats.relaxation import (
@@ -39,7 +38,7 @@ from qbeats.relaxation import (
     infinite_temperature_thermal_channel,
 )
 from qbeats.spinalg import HalfInt
-from support import pauli_matrix
+from support import pauli_matrix, rz_encode_circuit
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
 

@@ -14,14 +14,13 @@ from qbeats.noisecal import (
     UnrecoverableNoiseError,
     correct_stats,
     damp_stats,
-    inject_singlet,
 )
 from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
 from qbeats.pipeline import (one_group_sector_spectra, one_group_sector_trajectories,
                              two_group_spectrum)
 from qbeats.relaxation import RelaxationParams, relaxed_singlet
 from qbeats.spinalg import HalfInt
-from support import channel_target_stats
+from support import channel_target_stats, inject_singlet
 
 REF_CLEAN = MeasurementStats(1.0, 0.0, 0.0, 0.0)
 

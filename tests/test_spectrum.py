@@ -467,6 +467,15 @@ def test_correlator_readout_matches_the_relaxed_trajectory(name, regime, relaxat
     assert dev(bell, pair_probabilities(relaxed)) <= TOL
 
 
+def test_relaxed_singlet_takes_a_list_of_elapsed_times():
+    s, spectrum = regime_spectrum("octalin", "high")
+    times = TIMES[:5]
+    assert dev(relaxed_singlet(spectrum, times, list(times), s.T1, s.T2),
+               relaxed_singlet(spectrum, times, times, s.T1, s.T2)) == 0.0
+    assert dev(relaxed_singlet(spectrum, np.ones(1), [1.0], s.T1, s.T2),
+               relaxed_singlet(spectrum, np.ones(1), np.ones(1), s.T1, s.T2)) == 0.0
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("name", ["octalin", "dmb"])
 def test_the_trace_is_one_constant_term(name, regime):
@@ -523,7 +532,7 @@ def test_row_kernel_on_a_non_uniform_grid():
     _, spectrum = sector_case()
     rng = np.random.default_rng(11)
     times = np.sort(rng.uniform(0.0, 100.0, 700))
-    assert dev(evaluate_rows(spectrum, times, ROWS), direct_rows(spectrum, times, ROWS)) <= TOL
+    assert dev(evaluate_rows(spectrum, times, ROWS), direct_rows(spectrum, times, ROWS).real) <= TOL
 
 
 def test_row_kernel_on_a_long_grid_allocates_no_frequency_by_time_table():
@@ -539,4 +548,35 @@ def test_row_kernel_on_a_long_grid_allocates_no_frequency_by_time_table():
         tracemalloc.stop()
     assert peak < F * T * 16 / 10, "an (F x T) table was allocated"
     sample = np.arange(0, T, 997)
-    assert dev(rows[:, sample], direct_rows(spectrum, times[sample], CORRELATOR_TRIU)) <= TOL
+    assert dev(rows[:, sample], direct_rows(spectrum, times[sample], CORRELATOR_TRIU).real) <= TOL
+
+
+def folding_case():
+    """Complex rows, one of them zero and one reaching only the f = 0 term (element 9), over
+    a spectrum with an exactly negated +-0.4 pair and a +-1.2 pair within ``tol``, the
+    eigenvalue roundoff of ``pair_spectrum``."""
+    tol = 64 * np.finfo(float).eps * 3.1
+    freqs = np.array([-2.5, -1.2 - tol / 2, -0.4, 0.0, 0.4, 1.2, 3.1])
+    rng = np.random.default_rng(5)
+    amplitudes = rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10))
+    amplitudes[:, 9] = 0.0
+    amplitudes[3, 9] = 0.7 - 0.2j
+    rows = rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10))
+    rows[:, 9] = 0.0
+    return PairSpectrum(freqs, amplitudes, tol), np.vstack([rows, np.zeros(10), np.eye(10)[9]])
+
+
+@pytest.mark.parametrize("times", [
+    np.empty(0), np.array([0.3]), np.array([0.0, 0.1]), time_grid(0.0, 10.0, 0.01),
+    np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 300)),
+], ids=["T=0", "T=1", "T=2", "uniform", "non-uniform"])
+def test_row_kernel_folds_conjugate_beats(times):
+    spectrum, rows = folding_case()
+    freqs, _, bounds = dynamics._folded_rows(spectrum, rows)
+    assert np.diff(bounds).tolist() == [5, 5, 5, 5, 0, 1]  # the +- pairs fold onto |f|
+    assert (freqs >= 0).all()
+    got, expected = evaluate_rows(spectrum, times, rows), direct_rows(spectrum, times, rows).real
+    assert got.shape == (len(rows), len(times)) and got.dtype == float
+    assert np.abs(got - expected).max(initial=0.0) <= TOL * np.abs(expected).max(initial=1.0)
+    assert not got[4].any()
+    assert np.allclose(got[5], 0.7)
