@@ -22,7 +22,8 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .dynamics import DensityMatrix
-from .hamiltonians import check_relaxation_times
+from .hamiltonians import SIGMA_X, SIGMA_Z, check_relaxation_times
+from .kak import CNOT_01, u3_matrix
 from .relaxation import thermal_map
 
 STATEVECTOR_MAX_SITES = 12
@@ -62,11 +63,11 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if k == "UNITARY":
         return gate.matrix
     if k == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+        return SIGMA_X
     if k == "H":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if k == "Z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
+        return SIGMA_Z
     if k == "DELAY":
         return np.eye(2, dtype=complex)
     if k == "RX":
@@ -77,13 +78,9 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         th = gate.params[0] / 2
         return np.diag([np.exp(-1j * th), np.exp(1j * th)])
     if k == "U3":
-        th, phi, lam = gate.params
-        c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array([[c, -np.exp(1j * lam) * s],
-                         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]], dtype=complex)
+        return u3_matrix(*gate.params)
     if k == "CNOT":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                        dtype=complex)
+        return CNOT_01
     if k == "CRX":
         rx = _gate_matrix(Gate("RX", (0,), (gate.params[0],)))
         out = np.eye(4, dtype=complex)

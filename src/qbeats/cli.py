@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import (FIELD_REGIMES, PRESETS, ConfigError, ExperimentConfig, load_config_file,
-                     load_preset)
+                     load_preset, read_text)
 from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
 from .postprocess import intensity_ratio, kernel_step, observed_intensity
@@ -48,15 +48,9 @@ def read_reference(path: str) -> np.ndarray:
     first field spells a float ('nan', 'inf'), and ';' separates like ','.  A row
     that is not two finite numbers is an error naming its line.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not a text file") from None
     rows = []
-    for number, raw in enumerate(lines, 1):
+    # lines split at "\n" alone: splitlines() would also split at a form feed
+    for number, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         fields = line.replace(";", ",").split(",")
         if not line or line[0].isalpha() and fields[0].strip().lower() not in FLOAT_WORDS:

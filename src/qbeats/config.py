@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -327,14 +328,22 @@ def _check_echo_hardware(config: ExperimentConfig, where: str) -> None:
                  f"overflows ({delay:.3g} ns of identity gates)")
 
 
-def load_config_file(path: str) -> ExperimentConfig:
+def read_text(path: str) -> str:
+    """The text of an input file; one that cannot be read as text is a ConfigError naming it."""
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=YAML_LOADER)
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not a text file") from None
+
+
+def load_config_file(path: str) -> ExperimentConfig:
+    stream = io.StringIO(read_text(path))
+    stream.name = path  # a YAML reader error names the file, not '<unicode string>'
+    try:
+        data = yaml.load(stream, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {_yaml_problem(exc)}") from None
     return parse_config(data, name=path)

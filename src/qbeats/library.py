@@ -1,21 +1,19 @@
 """Builders for the experiment-level circuits.
 
 Singlet preparation, the ancilla Kraus realization of the thermal channel,
-nuclear-register purification, echo-pulse delay runs, the Rz-encoding angle
-of a singlet trace, and first-order product-formula evolution over Pauli strings.
+nuclear-register purification, echo-pulse delay runs, and first-order
+product-formula evolution over Pauli strings.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .circuits import Circuit
 from .relaxation import RelaxationParams
 
 # ---------------------------------------------------------------------------
-# Singlet preparation / un-preparation (X, H, CNOT pattern)
+# Singlet preparation (X, H, CNOT pattern)
 # ---------------------------------------------------------------------------
 
 def add_singlet_prep(circuit: Circuit, e1: int, e2: int) -> Circuit:
@@ -24,13 +22,6 @@ def add_singlet_prep(circuit: Circuit, e1: int, e2: int) -> Circuit:
     circuit.add("X", e2)
     circuit.add("H", e1)
     circuit.add("CNOT", (e1, e2))
-    return circuit
-
-
-def add_singlet_unprep(circuit: Circuit, e1: int, e2: int) -> Circuit:
-    """Inverse basis change: the singlet maps to |11> before measurement."""
-    circuit.add("CNOT", (e1, e2))
-    circuit.add("H", e1)
     return circuit
 
 
@@ -101,19 +92,6 @@ def echo_pulse_circuit(N: int, t_identity: float, sites: tuple[int, ...],
             for s in sites:
                 c.add("X", s)
     return c
-
-
-# ---------------------------------------------------------------------------
-# Rz-encoded singlet probability
-# ---------------------------------------------------------------------------
-
-def rz_encode_angle(s_value):
-    """theta(t) = 2 acos(sqrt(S(t))), elementwise for an array of values."""
-    s_value = np.asarray(s_value, dtype=float)
-    outside = ~((s_value >= -1e-12) & (s_value <= 1 + 1e-12))
-    if np.any(outside):
-        raise ValueError(f"singlet probability {s_value[outside].flat[0]} outside [0, 1]")
-    return 2.0 * np.arccos(np.sqrt(np.clip(s_value, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spec
 from qbeats.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, BlockHamiltonian, SpinSystemSpec,
                                  build_two_group_block, build_cation_blocks, distinct_spins,
                                  nuclear_states)
-from qbeats.library import add_singlet_prep, add_singlet_unprep, rz_encode_angle
+from qbeats.library import add_singlet_prep
 from qbeats.noisecal import MeasurementStats
 from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
 from qbeats.relaxation import CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory
@@ -76,6 +76,22 @@ def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> floa
     """Noisy singlet probability with the target channel's statistics folded in."""
     return (undamped.s * target.s + undamped.t0 * target.t0
             + undamped.tp * target.tp + undamped.tm * target.tm)
+
+
+def add_singlet_unprep(circuit: Circuit, e1: int, e2: int) -> Circuit:
+    """Inverse basis change: the singlet maps to |11> before measurement."""
+    circuit.add("CNOT", (e1, e2))
+    circuit.add("H", e1)
+    return circuit
+
+
+def rz_encode_angle(s_value):
+    """theta(t) = 2 acos(sqrt(S(t))), elementwise for an array of values."""
+    s_value = np.asarray(s_value, dtype=float)
+    outside = ~((s_value >= -1e-12) & (s_value <= 1 + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"singlet probability {s_value[outside].flat[0]} outside [0, 1]")
+    return 2.0 * np.arccos(np.sqrt(np.clip(s_value, 0.0, 1.0)))
 
 
 def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Circuit:

@@ -27,7 +27,7 @@ from qbeats.config import HardwareModel, load_preset
 from qbeats.dynamics import (SINGLET, TRIPLET_0, DensityMatrix, evaluate_spectrum,
                              pair_probabilities, singlet_only, time_grid)
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned, distinct_spins
-from qbeats.library import add_singlet_prep, echo_pulse_circuit, rz_encode_angle
+from qbeats.library import add_singlet_prep, echo_pulse_circuit
 from qbeats.noisecal import MeasurementStats, correct_stats
 from qbeats.noisemethods import per_gate_singlet_values
 from qbeats.pipeline import one_group_sector_trajectories
@@ -40,7 +40,7 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt
-from support import channel_target_stats, inject_singlet
+from support import channel_target_stats, inject_singlet, rz_encode_angle
 
 TOL = 1e-12
 

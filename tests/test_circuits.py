@@ -25,11 +25,9 @@ from qbeats.hamiltonians import (
 )
 from qbeats.library import (
     add_singlet_prep,
-    add_singlet_unprep,
     echo_pulse_circuit,
     kraus_circuit,
     purification_circuit,
-    rz_encode_angle,
     trotterized_pauli_evolution,
 )
 from qbeats.relaxation import (
@@ -38,7 +36,7 @@ from qbeats.relaxation import (
     infinite_temperature_thermal_channel,
 )
 from qbeats.spinalg import HalfInt
-from support import pauli_matrix, rz_encode_circuit
+from support import add_singlet_unprep, pauli_matrix, rz_encode_angle, rz_encode_circuit
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -112,20 +113,35 @@ class TestPresets:
             assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
 
 
-# --compare files that must be refused: (file text or None for no file, reason printed)
-BAD_REFERENCES = {
+DIRECTORY = object()  # an input path that names a directory
+
+
+def make_input(path, content):
+    """Put ``content`` at ``path``: text, bytes or a directory; ``None`` leaves no file."""
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+
+
+# input files that cannot be read as text: (content, reason printed)
+UNREADABLE_FILES = {
     "missing": (None, "No such file or directory"),
+    "directory": (DIRECTORY, "Is a directory"),
+    "not UTF-8": (b"0,1.0\n1,\xff\n", "not a text file"),
+}
+
+# --compare files that must be refused: (content, reason printed)
+BAD_REFERENCES = {
+    **UNREADABLE_FILES,
     "one column": ("time_ns,value\n0,1.0\n1\n", "line 3: expected 'time, value', got '1'"),
     "not a number": ("0,1.0\n1,one\n", "line 2: expected 'time, value', got '1,one'"),
     "nan": ("0,1.0\n1,nan\n2,1.0\n", "line 2: non-finite value in '1,nan'"),
     "nan time": ("0,1.0\nnan,0.5\n2,1.0\n", "line 2: non-finite value in 'nan,0.5'"),
     "inf time": ("0,1.0\n1,0.5\ninf,0.2\n", "line 3: non-finite value in 'inf,0.2'"),
 }
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "qbeats.cli", *args],
-                          capture_output=True, text=True)
 
 
 def preset_with(name, *path_and_value):
@@ -242,11 +258,10 @@ TRMFE_BAD_GRIDS = {
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        r1 = run_cli("simulate", "--preset", "octalin", "--field", "zero",
-                     "--out", str(out1))
-        r2 = run_cli("simulate", "--preset", "octalin", "--field", "zero",
-                     "--out", str(out2))
-        assert r1.returncode == 0 and r2.returncode == 0
+        assert run_main("simulate", "--preset", "octalin", "--field", "zero",
+                        "--out", str(out1))[:2] == (0, [])
+        assert run_main("simulate", "--preset", "octalin", "--field", "zero",
+                        "--out", str(out2))[:2] == (0, [])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_simulate_single_row_grid(self, tmp_path):
@@ -258,8 +273,7 @@ class TestCli:
             "noise_method": "none",
         }))
         out = tmp_path / "one.csv"
-        r = run_cli("simulate", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 0
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 2  # header + single data row
         t, s = rows[1].split(",")
@@ -275,8 +289,7 @@ class TestCli:
             "noise_method": "none",
         }))
         out = tmp_path / "sector.csv"
-        r = run_cli("simulate", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 0
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         vals = [float(row.split(",")[1]) for row in rows[1:]]
         assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)  # I=0 sector is flat
@@ -284,9 +297,8 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("system: {groups: [{count: 8}]}\n")
-        r = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"))
-        assert r.returncode == 1
-        assert "hfc" in r.stderr
+        code, err, _ = run_main("simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and len(err) == 1 and "hfc" in err[0], err
 
     @pytest.mark.parametrize("argv, code, message", [
         (["simulate", "--preset", "nope"], 1, "argument --preset: invalid choice: 'nope'"),
@@ -298,16 +310,14 @@ class TestCli:
         (["--version"], 0, None),
         (["trmfe", "--help"], 0, None),
     ])
-    def test_usage_errors_exit_1(self, capsys, monkeypatch, argv, code, message):
+    def test_usage_errors_exit_1(self, monkeypatch, argv, code, message):
         # exit 2 is kept for numerical failures, so argparse's usage errors exit 1
         from qbeats import cli
 
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        err = capsys.readouterr().err
-        assert exc.value.code == code
-        assert f"error: {message}" in err if message else err == ""
+        got, err, _ = run_main(*argv)
+        assert got == code
+        assert f"error: {message}" in err[-1] if message else err == [], err
 
     def test_sectors_of_a_pure_state_exit_1(self, tmp_path, monkeypatch):
         from qbeats import cli
@@ -316,7 +326,7 @@ class TestCli:
         cfgfile.write_text(yaml.safe_dump(preset_with("octalin", "initial_state", "2, 1")))
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
         assert run_main("simulate", "--sectors", "--config", str(cfgfile),
-                        "--out", str(out)) == (1, [
+                        "--out", str(out))[:2] == (1, [
             f"configuration error: {cfgfile}.initial_state: --sectors splits the mixed "
             "nuclear state; '2, 1' is one pure state"])
         assert not out.exists()
@@ -330,10 +340,10 @@ class TestCli:
         cfgfile.write_text(yaml.safe_dump(
             preset_with(preset, "system", "groups", group, "count", cap + 1)))
         out = tmp_path / "x.csv"
-        r = run_cli("trmfe", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 1 and not out.exists()
-        assert r.stderr == (f"configuration error: {cfgfile}.system.groups[{group}].count: "
-                            f"{cap + 1} nuclei; at most {cap} allowed in a {system}-group system\n")
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (1, [
+            f"configuration error: {cfgfile}.system.groups[{group}].count: "
+            f"{cap + 1} nuclei; at most {cap} allowed in a {system}-group system"])
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exits_1_without_traceback(self, tmp_path, case):
@@ -341,12 +351,11 @@ class TestCli:
         path, doc = BAD_CONFIGS[case]
         cfgfile.write_text(yaml.safe_dump(doc))
         out = tmp_path / "x.csv"
-        r = run_cli("simulate", "--config", str(cfgfile), "--field", "high", "--out", str(out))
-        assert r.returncode == 1
+        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--field", "high",
+                                "--out", str(out))
+        assert code == 1 and len(err) == 1, err
         # the path once: a ConfigError re-raised under its mapping would repeat it
-        assert r.stderr.startswith(f"configuration error: {cfgfile}.{path}: "), r.stderr
-        assert "Traceback" not in r.stderr
-        assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
+        assert err[0].startswith(f"configuration error: {cfgfile}.{path}: "), err
         assert not out.exists()
 
     def test_drift_phase_rate_changes_only_the_config_hash(self, tmp_path):
@@ -355,7 +364,7 @@ class TestCli:
         for rate in (1e306, 0.0):
             cfgfile, out = tmp_path / f"{rate}.yaml", tmp_path / f"{rate}.csv"
             cfgfile.write_text(yaml.safe_dump(echo_with("hardware", {"drift_phase_rate": rate})))
-            assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out)) == (0, [])
+            assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
             lines[rate] = out.read_text().splitlines()
         changed = [a for a, b in zip(*lines.values()) if a != b]
         assert len(lines[0.0]) == len(lines[1e306]) and len(changed) == 1
@@ -364,10 +373,30 @@ class TestCli:
     def test_malformed_yaml_exits_1_on_one_line(self, tmp_path):
         cfgfile, out = tmp_path / "bad.yaml", tmp_path / "x.csv"
         cfgfile.write_text("system: [1, 2\n")
-        r = run_cli("simulate", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 1
+        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
+        assert code == 1 and len(err) == 1, err
         assert re.fullmatch(f"configuration error: {re.escape(str(cfgfile))}: "
-                            r"line 2, column 1: [^\n]+\n", r.stderr), r.stderr
+                            r"line 2, column 1: .+", err[0]), err
+        assert not out.exists()
+
+    def test_yaml_reader_error_names_the_config_file(self, tmp_path):
+        cfgfile, out = tmp_path / "bell.yaml", tmp_path / "x.csv"
+        cfgfile.write_text("system: \a\n")
+        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
+        assert code == 1 and len(err) == 1, err
+        path = re.escape(str(cfgfile))
+        assert re.fullmatch(f"configuration error: {path}: unacceptable character #x0007: "
+                            f'[a-z]+ characters are not allowed in "{path}", position 8',
+                            err[0]), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+    def test_unreadable_config_file_exits_1(self, tmp_path, case):
+        content, reason = UNREADABLE_FILES[case]
+        cfgfile, out = tmp_path / "c.yaml", tmp_path / "x.csv"
+        make_input(cfgfile, content)
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out))[:2] == (1, [
+            f"configuration error: {cfgfile}: {reason}"])
         assert not out.exists()
 
     def test_unrecoverable_hardware_noise_exits_1(self, tmp_path):
@@ -376,11 +405,11 @@ class TestCli:
                    hardware=UNRECOVERABLE_HARDWARE)
         cfgfile, out = tmp_path / "strong.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
-        r = run_cli("trmfe", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 1
+        code, err, _ = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
+        assert code == 1 and len(err) == 1, err
         assert re.fullmatch(f"configuration error: {re.escape(str(cfgfile))}.hardware: "
                             r"unrecoverable noise level: correction denominators "
-                            r"\([^)]+\) below floor 1e-06\n", r.stderr), r.stderr
+                            r"\([^)]+\) below floor 1e-06", err[0]), err
         assert not out.exists()
 
     def test_echo_synthetic_near_the_correction_floor(self, tmp_path):
@@ -389,8 +418,8 @@ class TestCli:
         doc = echo_with("hardware", {"T1_us": 0.1, "T2_us": 0.2, "u_circuit_ns": 680})
         cfgfile, sim, ratio = tmp_path / "floor.yaml", tmp_path / "s.csv", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
-        assert run_main("simulate", "--config", str(cfgfile), "--out", str(sim)) == (0, [])
-        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(ratio)) == (0, [])
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(sim))[:2] == (0, [])
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(ratio))[:2] == (0, [])
         config = load_config_file(str(cfgfile))
         hw, times = config.hardware, time_grid(*config.time_grid)
         want = {}
@@ -418,10 +447,10 @@ class TestCli:
 
         cfgfile, out = tmp_path / "grid.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(TRMFE_BAD_GRIDS[case]))
-        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out)) == (0, [])
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
         out.unlink()
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
-        code, err = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
+        code, err, _ = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith(f"configuration error: {cfgfile}.time_grid: ")
         assert not out.exists()
@@ -433,25 +462,28 @@ class TestCli:
                    postprocess={"theta": 0.35, "tau_f": 1e300, "t0": 1.0, "t_g": 1e300})
         cfgfile, out = tmp_path / "far.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
-        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out)) == (1, [
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (1, [
             f"configuration error: {cfgfile}.time_grid: denominator underflow across the "
             "whole grid"])
         assert not out.exists()
 
     def test_trmfe_intensity_overflow_exits_2(self, tmp_path):
+        # the one run of exit 2 through the real process and its -m entry point
         doc = dict(preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.1}),
                    postprocess={"theta": 0.35, "tau_f": 1.2, "t0": 1e-300, "t_g": 1.0})
         cfgfile, out = tmp_path / "t0.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
-        code, err = run_main("trmfe", "--config", str(cfgfile), "--out", str(out))
-        assert code == 2 and len(err) == 1 and err[0].startswith("numerical error: ")
+        r = subprocess.run([sys.executable, "-m", "qbeats.cli", "trmfe", "--config", str(cfgfile),
+                            "--out", str(out)], capture_output=True, text=True)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("numerical error: ") and r.stderr.count("\n") == 1, r.stderr
         assert not out.exists()
 
     def test_trmfe_columns_are_the_separate_postprocess_calls(self, tmp_path):
         doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 30.0, "step": 0.05})
         cfgfile, out = tmp_path / "r.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
-        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out)) == (0, [])
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
         header, values = csv_columns(out)
         got = dict(zip(header, values.T))
         config = load_config_file(str(cfgfile))
@@ -467,8 +499,8 @@ class TestCli:
             assert np.array_equal(got[name], column), name  # '%.17g' round-trips exactly
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5])
-    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch, bad):
-        from qbeats import cli, pipeline
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, bad):
+        from qbeats import pipeline
 
         monkeypatch.setattr(pipeline, "relaxed_singlet",
                             lambda spectrum, times, *channel: np.full(len(times), bad))
@@ -477,20 +509,33 @@ class TestCli:
             preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),
             noise_method="none")))
         out = tmp_path / "x.csv"
-        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
+        assert code == 2 and len(err) == 1 and err[0].startswith("numerical error: "), err
         assert not out.exists()
 
+    def test_clipping_warning_is_the_one_stderr_line(self, tmp_path, monkeypatch):
+        # roundoff above 1 + 1e-12 is clipped with a logged warning, which the command prints
+        from qbeats import pipeline
+
+        monkeypatch.setattr(pipeline, "relaxed_singlet",
+                            lambda spectrum, times, *channel: np.full(len(times), 1 + 1e-10))
+        cfgfile, out = tmp_path / "tiny.yaml", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(dict(
+            preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),
+            noise_method="none")))
+        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
+        assert code == 0 and len(err) == 1, err
+        assert err[0].startswith("clipping probability roundoff in 'S_zero' "), err
+        assert csv_columns(out)[1][:, 1].tolist() == [1.0, 1.0, 1.0]
+
     def test_validate_unknown_suite(self):
-        r = run_cli("validate", "--suite", "nonsense")
-        assert r.returncode == 1
-        assert "available" in r.stderr
+        code, err, _ = run_main("validate", "--suite", "nonsense")
+        assert code == 1 and len(err) == 1 and "available" in err[0], err
 
     def test_validate_tables_suite(self):
-        r = run_cli("validate", "--suite", "tables")
-        assert r.returncode == 0
-        assert "[PASS]" in r.stdout and "[FAIL]" not in r.stdout
+        code, err, out = run_main("validate", "--suite", "tables")
+        assert code == 0 and err == []
+        assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_compare_reports_rms(self, tmp_path):
         ref = tmp_path / "ref.csv"
@@ -504,19 +549,22 @@ class TestCli:
             "noise_method": "none",
         }))
         out = tmp_path / "cmp.csv"
-        r = run_cli("simulate", "--config", str(cfgfile), "--out", str(out),
-                    "--compare", str(ref))
-        assert r.returncode == 0
-        assert "RMS deviation" in r.stdout
+        code, err, stdout = run_main("simulate", "--config", str(cfgfile), "--out", str(out),
+                                     "--compare", str(ref))
+        assert code == 0 and err == []
+        assert "RMS deviation" in stdout
         rms_line = [l for l in out.read_text().splitlines()
                     if l.startswith("# rms_vs_reference")][0]
         assert float(rms_line.split(":")[1].split("(")[0]) < 1e-9
 
     def test_missing_config_file_exits_1(self, tmp_path):
-        missing = tmp_path / "missing.yaml"
-        r = run_cli("simulate", "--config", str(missing), "--out", str(tmp_path / "x.csv"))
-        assert r.returncode == 1
+        # the one run of exit 1 through the real process and its -m entry point
+        missing, out = tmp_path / "missing.yaml", tmp_path / "x.csv"
+        r = subprocess.run([sys.executable, "-m", "qbeats.cli", "simulate", "--config",
+                            str(missing), "--out", str(out)], capture_output=True, text=True)
+        assert r.returncode == 1 and r.stdout == ""
         assert r.stderr == f"configuration error: {missing}: No such file or directory\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "trmfe"])
     def test_out_in_missing_directory_exits_1_before_simulating(self, tmp_path, monkeypatch,
@@ -525,23 +573,23 @@ class TestCli:
 
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
         out = tmp_path / "nowhere" / "x.csv"
-        assert run_main(command, "--preset", "octalin", "--out", str(out)) == (1, [
+        assert run_main(command, "--preset", "octalin", "--out", str(out))[:2] == (1, [
             f"configuration error: {out}: directory '{out.parent}' does not exist"])
 
     @pytest.mark.parametrize("case", sorted(BAD_REFERENCES))
     def test_bad_compare_file_exits_1_before_simulating(self, tmp_path, monkeypatch, case):
         from qbeats import cli
 
-        text, reason = BAD_REFERENCES[case]
+        content, reason = BAD_REFERENCES[case]
         ref, out = tmp_path / "ref.csv", tmp_path / "x.csv"
-        if text is not None:
-            ref.write_text(text)
+        make_input(ref, content)
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated first"))
-        assert run_main("simulate", "--preset", "octalin", "--out", str(out),
-                        "--compare", str(ref)) == (1, [f"configuration error: {ref}: {reason}"])
+        assert run_main("simulate", "--preset", "octalin", "--out", str(out), "--compare",
+                        str(ref))[:2] == (1, [f"configuration error: {ref}: {reason}"])
         assert not out.exists()
 
     def test_trmfe_smoke(self, tmp_path):
+        # the one run of exit 0 through the real process and its -m entry point
         cfgfile = tmp_path / "small.yaml"
         cfgfile.write_text(yaml.safe_dump({
             "system": {"groups": [{"count": 8, "hfc_mT": 2.49}],
@@ -552,8 +600,10 @@ class TestCli:
             "postprocess": {"theta": 0.35, "tau_f": 1.2, "t0": 1.0, "t_g": 1.0},
         }))
         out = tmp_path / "ratio.csv"
-        r = run_cli("trmfe", "--config", str(cfgfile), "--out", str(out))
-        assert r.returncode == 0
+        r = subprocess.run([sys.executable, "-m", "qbeats.cli", "trmfe", "--config", str(cfgfile),
+                            "--out", str(out)], capture_output=True, text=True)
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert r.stdout == f"wrote {out} (301 rows)\n"
         header = [l for l in out.read_text().splitlines() if l.startswith("time_ns")]
         assert header[0] == "time_ns,ratio,I_B,I_0,S_B,S_0"
 
@@ -588,18 +638,33 @@ def test_simulate_and_trmfe_never_load_the_gate_level_oracle(tmp_path):
 
 
 def run_main(*argv):
-    """``cli.main`` in-process: (exit code, stderr lines).
+    """``cli.main`` in the test process: (exit code, stderr lines, stdout).
 
-    A warning counts as the stderr line it would print from the command line.
+    An exception escaping ``main`` fails the test, as a traceback fails the command
+    line; argparse's ``SystemExit`` gives the exit code.  A warning, and a ``qbeats``
+    log record at WARNING or above, count as the stderr line the command line prints
+    for them: under pytest neither reaches the redirected stderr.
     """
     from qbeats import cli
 
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = cli.main(list(argv))
-    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+    err, out, records = io.StringIO(), io.StringIO(), []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("qbeats")
+    logger.addHandler(handler)
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(out):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        logger.removeHandler(handler)
+    lines = [*err.getvalue().splitlines(), *(str(w.message) for w in caught),
+             *(r.getMessage() for r in records)]
+    return code, lines, out.getvalue()
 
 
 def csv_columns(path):
@@ -663,7 +728,7 @@ class TestCliContract:
         cfgfile, out = tmp / "c.yaml", tmp / "out.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
         extra = ["--field", field] if command == "simulate" else []
-        code, err = run_main(command, "--config", str(cfgfile), "--out", str(out), *extra)
+        code, err, _ = run_main(command, "--config", str(cfgfile), "--out", str(out), *extra)
         assert code in (0, 1, 2)
         assert len(err) <= 1 and not any("Traceback" in line for line in err), err
         assert out.exists() == (code == 0)
@@ -676,7 +741,7 @@ class TestCliContract:
             cfgfile.write_text(yaml.safe_dump(dict(doc, noise_method=other)))
             out2 = tmp / "other.csv"
             assert run_main(command, "--config", str(cfgfile), "--out", str(out2),
-                            *extra) == (0, [])
+                            *extra)[:2] == (0, [])
             header2, values2 = csv_columns(out2)
             probability = [i for i, name in enumerate(header)
                            if name in ("singlet_probability", "S_B", "S_0")]
