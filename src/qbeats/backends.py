@@ -3,19 +3,19 @@
 Probabilistic gates are expanded exactly: the statevector backend evolves a
 weighted ensemble over the 2^k present/absent configurations, the density
 backend applies the equivalent mixture map gate by gate (identical result by
-linearity).  The density backend optionally attaches a synthetic per-site
-thermal noise model: after every gate of nonzero duration each involved site
-relaxes for that duration with its own (T1, T2), and delay gates additionally
-accumulate a deterministic drift phase.  That one mechanism is the
-gate-level oracle of the noisy-identity-gate method and of the echo-delay
-runs of the delay-based inherent-noise method, whose closed forms the
-pipeline reads instead; ``simulate`` and ``trmfe`` never load this module.
+linearity).  The density backend optionally attaches a synthetic thermal
+noise model: during every delay each of its sites relaxes at one (T1, T2)
+shared by all sites and accumulates its own deterministic drift phase.  That
+one mechanism is the gate-level oracle of the noisy-identity-gate method and
+of the echo-delay runs of the delay-based inherent-noise method, whose closed
+forms the pipeline reads instead; ``simulate`` and ``trmfe`` never load this
+module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -32,30 +32,18 @@ DENSITY_NOISE_MAX_SITES = 6
 
 @dataclass(frozen=True)
 class SyntheticQubitNoise:
-    """Per-site thermal relaxation standing in for inherent hardware noise."""
+    """Thermal relaxation during delays standing in for inherent hardware noise."""
 
-    T1: tuple[float, ...] | float  # ns, per site or for all
-    T2: tuple[float, ...] | float
-    gate_durations: dict = field(default_factory=dict)  # kind -> ns (DELAY uses its param)
+    T1: float  # ns, for every site
+    T2: float
     # deterministic per-site Z-phase accumulated during delays, rad/ns;
     # a common-mode rate is invisible to the singlet subspace
     drift_phase_rate: tuple[float, ...] | float = 0.0
-
-    def site_T1(self, site: int) -> float:
-        return self.T1[site] if isinstance(self.T1, tuple) else self.T1
-
-    def site_T2(self, site: int) -> float:
-        return self.T2[site] if isinstance(self.T2, tuple) else self.T2
 
     def site_drift(self, site: int) -> float:
         if isinstance(self.drift_phase_rate, tuple):
             return self.drift_phase_rate[site]
         return self.drift_phase_rate
-
-    def duration_of(self, gate: Gate) -> float:
-        if gate.kind == "DELAY":
-            return gate.duration
-        return float(self.gate_durations.get(gate.kind, 0.0))
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
@@ -111,21 +99,19 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
     """Per-site thermal map for the gate's duration, in place on a (d, d) state.
 
     ``relaxation.thermal_map`` on each of the gate's sites, its coherence factor
-    exp(-dt/T2) times, during delays, the drift phase exp(-i rate dt): the
-    thermal channel followed by the drift RZ.  A gate with dt <= 0 leaves the
-    state as it is.
+    exp(-dt/T2) times the drift phase exp(-i rate dt): the thermal channel
+    followed by the drift RZ.  Only a delay lasts; a gate with dt <= 0 leaves
+    the state as it is.
     """
-    dt = noise.duration_of(gate)
+    dt = gate.duration
     if dt <= 0.0:
         return rho
+    check_relaxation_times(noise.T1, noise.T2)
+    with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
+        damping, decay = np.exp(-dt / noise.T1), np.exp(-dt / noise.T2)
     work = rho.reshape((2,) * (2 * n))
     for s in gate.sites:
-        T1, T2 = noise.site_T1(s), noise.site_T2(s)
-        check_relaxation_times(T1, T2)
-        with np.errstate(over="ignore"):  # dt/T past the float range: exp(-inf) = 0 exactly
-            damping, coherence = np.exp(-dt / T1), np.exp(-dt / T2)
-        if gate.kind == "DELAY":
-            coherence = coherence * np.exp(-1j * noise.site_drift(s) * dt)
+        coherence = decay * np.exp(-1j * noise.site_drift(s) * dt)
         thermal_map(np.moveaxis(work, (s, n + s), (0, 1)), damping, coherence)  # in place
     return work.reshape(rho.shape)
 
@@ -180,9 +166,8 @@ def run_density(circuit: Circuit, rho0: np.ndarray | None = None,
                 noise: SyntheticQubitNoise | None = None) -> DensityMatrix:
     """Density-matrix simulation with exact probabilistic-gate mixtures.
 
-    With a noise model attached, each gate is followed by per-site thermal
-    relaxation for the gate duration; delay gates also accumulate the model's
-    deterministic drift phase.
+    With a noise model attached, each delay relaxes its sites for its duration
+    and accumulates the model's deterministic drift phase.
     """
     n = circuit.site_count
     if noise is not None and n > DENSITY_NOISE_MAX_SITES:

@@ -135,9 +135,9 @@ def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid
 def cmd_trmfe(args) -> int:
     config, reference = _inputs(args)
     pp = config.postprocess
-    if pp is None:
-        raise ConfigError("trmfe requires a postprocess block in the configuration")
     source = args.config or config.name  # the prefix parse_config gives its errors
+    if pp is None:
+        raise ConfigError(f"{source}.postprocess: trmfe requires a postprocess block")
     _grid_checked(source, kernel_step, time_grid(*config.time_grid), pp)  # before simulating
     s_zero, s_high = (simulate(config, regime).trace for regime in FIELD_REGIMES)
     i_b, i_0 = observed_intensity(s_high, pp), observed_intensity(s_zero, pp)

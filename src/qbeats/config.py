@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -251,8 +250,8 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
                           {"theta": 0.0, "tau_f": 1.2, "t0": 1.0, "t_g": 1.0}, _float)
         try:
             post = FluorescenceParams(**params)
-        except ValueError as exc:
-            raise ConfigError(f"{name}.postprocess: {exc}") from None
+        except ValueError as exc:  # its message starts with the offending key
+            raise ConfigError(f"{name}.postprocess.{exc}") from None
 
     config = ExperimentConfig(
         name=str(data.get("name", name)),
@@ -340,17 +339,21 @@ def read_text(path: str) -> str:
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    stream = io.StringIO(read_text(path))
-    stream.name = path  # a YAML reader error names the file, not '<unicode string>'
+    text = read_text(path)
     try:
-        data = yaml.load(stream, Loader=YAML_LOADER)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {_yaml_problem(exc)}") from None
+        raise ConfigError(f"{path}: {_yaml_problem(exc, text)}") from None
     return parse_config(data, name=path)
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
-    """A YAML error on one line: 'line L, column C: <problem>' where the parser marks it."""
+def _yaml_problem(exc: yaml.YAMLError, text: str) -> str:
+    """A YAML error on one line: 'line L, column C: <problem>' where the parser marks it,
+    or where the reader stops at an unacceptable character of ``text``."""
+    if isinstance(exc, yaml.reader.ReaderError):  # libyaml counts the position in UTF-8 bytes
+        before = (text[:exc.position] if YAML_LOADER is yaml.SafeLoader
+                  else text.encode()[:exc.position].decode()).split("\n")
+        return f"line {len(before)}, column {len(before[-1]) + 1}: {exc.reason}"
     mark = getattr(exc, "problem_mark", None)
     if mark is None or exc.problem is None:
         return " ".join(str(exc).split())

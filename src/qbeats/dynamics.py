@@ -57,12 +57,12 @@ class DensityMatrix:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def validate(self, tol_trace=1e-12, tol_herm=1e-13, tol_pos=1e-10) -> "DensityMatrix":
-        if abs(np.trace(self.matrix) - 1) > tol_trace:
+    def validate(self) -> "DensityMatrix":
+        if abs(np.trace(self.matrix) - 1) > 1e-12:
             raise ValueError(f"trace = {np.trace(self.matrix)} is not 1")
-        if np.abs(self.matrix - self.matrix.conj().T).max() > tol_herm:
+        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-13:
             raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.matrix).min() < -tol_pos:
+        if np.linalg.eigvalsh(self.matrix).min() < -1e-10:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         return self
 
@@ -170,13 +170,8 @@ def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
 # Evolution
 # ---------------------------------------------------------------------------
 
-def singlet_probability(rho: DensityMatrix,
-                        electron_sites: tuple[str, str] = ("e1", "e2")) -> float:
+def singlet_probability(rho: DensityMatrix) -> float:
     """Tr(rho |S><S| x 1_nuclear) over the (e2, nuclear, e1) register."""
-    if rho.labels and set(electron_sites) != {rho.labels[-1], rho.labels[0]}:
-        raise ValueError(
-            f"electron sites {electron_sites} do not match the register's outer "
-            f"factors {rho.labels[0]!r}, {rho.labels[-1]!r}")
     idx = pair_slice_indices(rho.dims)
     m = rho.matrix
     val = 0.5 * (
@@ -379,7 +374,7 @@ def singlet_only(spectrum: PairSpectrum, rest: np.ndarray) -> PairSpectrum:
 
 def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
     """Beat spectrum of a density matrix, as the eigen-ensemble of its own blocks."""
-    lam, u = BlockHamiltonian(rho0, H.dims, H.labels).eig()
+    lam, u = BlockHamiltonian(rho0, H.dims).eig()
     return pair_spectrum(H, u.T[lam != 0], lam[lam != 0])
 
 
@@ -463,19 +458,14 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
     return traj.transpose(2, 0, 1)
 
 
-def singlet_trace_pure(H: BlockHamiltonian, psi0: np.ndarray, times: np.ndarray,
-                       label: str = "") -> TimeSeries:
-    """S(t) for a pure initial state, without forming pair density matrices."""
-    return singlet_trace(H, psi0, times, label)
-
-
-def singlet_trace(H: BlockHamiltonian, initial, times: np.ndarray,
-                  label: str = "") -> TimeSeries:
+def singlet_trace(H: BlockHamiltonian, initial, times: np.ndarray) -> TimeSeries:
     """S(t) for a pure statevector or a DensityMatrix initial condition."""
     spectrum = (_density_spectrum(H, initial.matrix) if isinstance(initial, DensityMatrix)
                 else pair_spectrum(H, initial, [1.0]))
-    vals = evaluate_spectrum(spectrum, times, singlet=True)
-    return TimeSeries(times, clip_probabilities(vals, label), label)
+    return TimeSeries(times, clip_probabilities(evaluate_spectrum(spectrum, times, singlet=True)))
+
+
+singlet_trace_pure = singlet_trace  # the name of its pure-state callers
 
 
 # ---------------------------------------------------------------------------

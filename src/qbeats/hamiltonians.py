@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
-from .spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
+from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -91,15 +91,12 @@ class SpinSystemSpec:
 
 
 class BlockHamiltonian:
-    """Hermitian matrix over a labeled register with padding metadata.
-
-    ``dims``/``labels`` describe the tensor factors (e.g. (2, 32, 2) with
-    labels ("e2", "nuc", "e1")).  ``basis_labels`` annotates the nuclear
-    register slots (``None`` marks padding).  The exact invariant blocks and
-    the eigendecomposition are computed once and cached.
+    """Hermitian matrix over a register of tensor factors ``dims``, e.g. (2, 32, 2)
+    for (e2, nuc, e1).  The exact invariant blocks and the eigendecomposition are
+    computed once and cached.
     """
 
-    def __init__(self, matrix, dims, labels, basis_labels=None, padded_rows=0):
+    def __init__(self, matrix, dims):
         matrix = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
@@ -112,9 +109,6 @@ class BlockHamiltonian:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm:.2e})")
         self.matrix = matrix
         self.dims = tuple(int(d) for d in dims)
-        self.labels = tuple(labels)
-        self.basis_labels = basis_labels
-        self.padded_rows = padded_rows
         self._block_of: np.ndarray | None = None
         self._blocks: list[np.ndarray] | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -123,22 +117,18 @@ class BlockHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def blocks(self, touching: np.ndarray | None = None) -> list[np.ndarray]:
+    def blocks(self) -> list[np.ndarray]:
         """Basis indices of the exact invariant blocks, ordered by first index (cached).
 
         A block is a connected component of the nonzero pattern of
         ``matrix``: every entry between two blocks is exactly zero, so each
-        block evolves on its own.  With ``touching``, a vector over the
-        basis, only the blocks on which it has a nonzero entry are returned.
+        block evolves on its own.
         """
         if self._blocks is None:
             self._block_of = _connected_components(self.matrix != 0)
             order = np.argsort(self._block_of, kind="stable")
             self._blocks = np.split(order, np.cumsum(np.bincount(self._block_of))[:-1])
-        if touching is None:
-            return self._blocks
-        hit = np.unique(self._block_of[np.flatnonzero(touching)])
-        return [self._blocks[k] for k in hit]
+        return self._blocks
 
     @property
     def block_of(self) -> np.ndarray:
@@ -224,9 +214,9 @@ def one_group_reduced_index(n: int, I: HalfInt, m: HalfInt) -> int:
 # Full tensor-product oracle
 # ---------------------------------------------------------------------------
 
-def _full_product_space(spec: SpinSystemSpec, labels: tuple[str, ...]) -> BlockHamiltonian:
+def _full_product_space(spec: SpinSystemSpec) -> BlockHamiltonian:
     """Brute-force H = sum_g a_g I_g.S1 - b1 Z_e1 - b2 Z_e2 on the full product space: e2,
-    one 2^n_g factor per group (``labels``), then e1.  Each hyperfine term is assembled
+    one 2^n_g factor per group, then e1.  Each hyperfine term is assembled
     directly from per-axis collective nuclear operators.  Oracle only; the nuclei are
     capped to keep the dense matrix tractable."""
     counts = [g.count for g in spec.groups]
@@ -242,7 +232,7 @@ def _full_product_space(spec: SpinSystemSpec, labels: tuple[str, ...]) -> BlockH
     H -= spec.b1 * _kron_chain([eye2, *eye, SIGMA_Z])
     H -= spec.b2 * _kron_chain([SIGMA_Z, *eye, eye2])
     dims = (2, *(len(e) for e in eye), 2)
-    return BlockHamiltonian(H.real, dims, ("e2", *labels, "e1"))  # Jy x sigma_y is real, so H is
+    return BlockHamiltonian(H.real, dims)  # Jy x sigma_y is real, so H is
 
 
 def build_full_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
@@ -250,7 +240,7 @@ def build_full_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     factors (e2, nuc, e1).  Oracle only; N is capped."""
     if len(spec.groups) != 1:
         raise ValueError("build_full_one_group requires a one-group spec")
-    return _full_product_space(spec, ("nuc",))
+    return _full_product_space(spec)
 
 
 def full_nuclear_sector_vector(n: int, I: HalfInt, m: HalfInt) -> np.ndarray:
@@ -407,18 +397,15 @@ def _padded_register(blocks: CationBlocks, b2: float, secular: bool = False) -> 
     """The (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 of the blocks' matrix h
     (``CationBlocks.dense``; with ``secular`` its diagonal alone), the nuclear slots
     zero-padded to a power of 2.  Padding slots stay exactly zero, the Zeeman terms
-    included, and are labeled ``None``."""
-    h, labels, _ = blocks.dense()
+    included."""
+    h = blocks.dense()[0]
     if secular:
         h = np.diag(np.diag(h))
-    n, reg = len(h), _next_pow2(len(labels))
+    n, reg = len(h), _next_pow2(len(h) // 2)
     H = np.zeros((4 * reg, 4 * reg), dtype=complex)
     for start, z2 in ((0, -b2), (2 * reg, b2)):
         H[start:start + n, start:start + n] = h + z2 * np.eye(n)
-    pad = reg - len(labels)
-    basis_labels = [tuple(map(HalfInt, row)) for row in labels] + [None] * pad
-    return BlockHamiltonian(H, (2, reg, 2), ("e2", "nuc", "e1"), basis_labels=basis_labels,
-                            padded_rows=4 * pad)
+    return BlockHamiltonian(H, (2, reg, 2))
 
 
 def _one_group_blocks(spec: SpinSystemSpec) -> CationBlocks:
@@ -491,8 +478,7 @@ def build_partitioned(I: HalfInt, spec: SpinSystemSpec) -> BlockHamiltonian:
     h4 -= spec.b1 * np.kron(np.eye(2), SIGMA_Z)
 
     H = np.kron(np.eye(2, dtype=complex), h4) - spec.b2 * np.kron(SIGMA_Z, np.eye(4, dtype=complex))
-    basis_labels = [(I, I), (I, I - HALF) if I.twice_value > 0 else None]
-    return BlockHamiltonian(H, (2, 2, 2), ("e2", "nuc", "e1"), basis_labels=basis_labels)
+    return BlockHamiltonian(H, (2, 2, 2))
 
 
 def pauli_decompose_partitioned(I: HalfInt, spec: SpinSystemSpec) -> list[tuple[float, str]]:
@@ -582,4 +568,4 @@ def build_full_two_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     (toy-size oracle)."""
     if len(spec.groups) != 2:
         raise ValueError("build_full_two_group requires a two-group spec")
-    return _full_product_space(spec, ("nuc1", "nuc2"))
+    return _full_product_space(spec)

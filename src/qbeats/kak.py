@@ -30,6 +30,7 @@ MAGIC_DAG = MAGIC.conj().T
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 CNOT_01 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT_10 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
+CNOTS = ((1, 0), (0, 1), (1, 0))  # (control, target) of the template's three CNOTs
 
 # Deterministic (real, imag) mixing weights for the eigh-based simultaneous
 # diagonalization; later entries only engage on degenerate spectra.
@@ -86,7 +87,6 @@ class KakDecomposition:
     """3-CNOT/8-U3 realization of a two-qubit unitary, up to global phase."""
 
     u3_layers: tuple  # 4 layers x 2 sites of (theta, phi, lam)
-    cnots: tuple = ((1, 0), (0, 1), (1, 0))
     global_phase: complex = 1.0 + 0j
 
     def local_layer_matrix(self, layer: int) -> np.ndarray:
@@ -97,7 +97,7 @@ class KakDecomposition:
     def reconstruct(self) -> np.ndarray:
         cnot = {(0, 1): CNOT_01, (1, 0): CNOT_10}
         out = self.local_layer_matrix(0)
-        for i, placement in enumerate(self.cnots):
+        for i, placement in enumerate(CNOTS):
             out = cnot[placement] @ out
             out = self.local_layer_matrix(i + 1) @ out
         return self.global_phase * out
@@ -109,12 +109,12 @@ class KakDecomposition:
                 theta, phi, lam = self.u3_layers[layer][q]
                 c.add("U3", sites[q], (theta, phi, lam))
             if layer < 3:
-                ctrl, targ = self.cnots[layer]
+                ctrl, targ = CNOTS[layer]
                 c.add("CNOT", (sites[ctrl], sites[targ]))
         return c
 
 
-def kak_decompose(U: np.ndarray, atol: float = 1e-12) -> KakDecomposition:
+def kak_decompose(U: np.ndarray) -> KakDecomposition:
     """Decompose a 4x4 unitary into the fixed 3-CNOT/8-U3 template.
 
     Raises for non-unitary input; reconstruction agrees with U up to global
@@ -123,7 +123,7 @@ def kak_decompose(U: np.ndarray, atol: float = 1e-12) -> KakDecomposition:
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if np.abs(U @ U.conj().T - np.eye(4)).max() > max(atol, 1e-12) * 10:
+    if np.abs(U @ U.conj().T - np.eye(4)).max() > 1e-11:
         raise ValueError("input matrix is not unitary")
 
     det = np.linalg.det(U)

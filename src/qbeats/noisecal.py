@@ -61,8 +61,8 @@ class MeasurementStats:
         if min(np.min(p) for p in (self.s, self.t0, self.tp, self.tm)) < -tol_neg:
             raise ValueError(message)
 
-    def validate(self, tol: float = 1e-12) -> "MeasurementStats":
-        self._check(tol, tol, "negative outcome probability")
+    def validate(self) -> "MeasurementStats":
+        self._check(1e-12, 1e-12, "negative outcome probability")
         return self
 
     @staticmethod
@@ -80,29 +80,27 @@ class UnrecoverableNoiseError(ValueError):
     """The reference run is too damped for the statistics correction to be solved."""
 
 
-def correction_denominators(reference: MeasurementStats,
-                            floor: float = DENOMINATOR_FLOOR) -> tuple:
+def correction_denominators(reference: MeasurementStats) -> tuple:
     """The correction denominators 1 - 4 T+', 1 - 4 T-' and S'^2 - T0'^2 of a reference.
 
     Raises ``UnrecoverableNoiseError`` when a denominator's smallest magnitude
-    over the rows falls below ``floor``; the message reports those magnitudes.
+    over the rows falls below ``DENOMINATOR_FLOOR``; the message reports those magnitudes.
     """
     den_p = 1.0 - 4.0 * reference.tp
     den_m = 1.0 - 4.0 * reference.tm
     den_s = reference.s**2 - reference.t0**2
     smallest = [np.min(np.abs(den)) for den in (den_p, den_m, den_s)]
-    if min(smallest) < floor:
+    if min(smallest) < DENOMINATOR_FLOOR:
         raise UnrecoverableNoiseError(
             "unrecoverable noise level: correction denominators "
-            "({:.3e}, {:.3e}, {:.3e}) below floor {:g}".format(*smallest, floor))
+            "({:.3e}, {:.3e}, {:.3e}) below floor {:g}".format(*smallest, DENOMINATOR_FLOOR))
     return den_p, den_m, den_s
 
 
-def correct_stats(measured: MeasurementStats, reference: MeasurementStats,
-                  floor: float = DENOMINATOR_FLOOR) -> MeasurementStats:
+def correct_stats(measured: MeasurementStats, reference: MeasurementStats) -> MeasurementStats:
     """Recover undamped statistics from a damped run and its delay-only reference
-    (``correction_denominators`` raises for a reference below the ``floor``)."""
-    den_p, den_m, den_s = correction_denominators(reference, floor)
+    (``correction_denominators`` raises for a reference below the floor)."""
+    den_p, den_m, den_s = correction_denominators(reference)
     tp = (measured.tp - reference.tp) / den_p
     tm = (measured.tm - reference.tm) / den_m
     a = measured.s - tp * reference.tp - tm * reference.tm

@@ -53,15 +53,13 @@ class PairTrace:
     times: np.ndarray
     trajectory: np.ndarray
 
-    def singlet(self, label: str = "") -> TimeSeries:
-        vals = singlet_values(self.trajectory)
-        return TimeSeries(self.times, clip_probabilities(vals, label), label)
+    def singlet(self) -> TimeSeries:
+        return TimeSeries(self.times, clip_probabilities(singlet_values(self.trajectory)))
 
-    def relaxed(self, T1: float, T2: float, sites: str = "both") -> "PairTrace":
+    def relaxed(self, T1: float, T2: float) -> "PairTrace":
         if math.isinf(T1) and math.isinf(T2):
             return self
-        return PairTrace(self.times, relax_pair_trajectory(self.trajectory, self.times, T1, T2,
-                                                           sites))
+        return PairTrace(self.times, relax_pair_trajectory(self.trajectory, self.times, T1, T2))
 
 
 @dataclass

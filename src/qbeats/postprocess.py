@@ -30,9 +30,10 @@ class FluorescenceParams:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        if not all(0 < x < math.inf for x in (self.tau_f, self.t0, self.t_g)):
-            raise ValueError("tau_f, t0 and t_g must be positive and finite")
+            raise ValueError(f"theta: must lie in [0, 1], got {self.theta}")
+        for key in ("tau_f", "t0", "t_g"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key}: must be positive and finite, got {getattr(self, key)}")
 
 
 def kernel_step(times: np.ndarray, params: FluorescenceParams) -> float:

@@ -64,9 +64,9 @@ class KrausChannel:
         acc = sum(k.conj().T @ k for k in self.operators)
         return float(np.abs(acc - np.eye(acc.shape[0])).max())
 
-    def validate(self, tol: float = 1e-13) -> "KrausChannel":
+    def validate(self) -> "KrausChannel":
         defect = self.completeness_defect()
-        if defect > tol:
+        if defect > 1e-13:
             raise ValueError(f"Kraus completeness violated by {defect:.2e}")
         return self
 

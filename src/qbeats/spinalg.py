@@ -41,9 +41,6 @@ class HalfInt:
     def __sub__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice_value - other.twice_value)
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
-
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice_value))
 

@@ -18,7 +18,7 @@ from .dynamics import (
     pair_probabilities,
     pair_spectrum,
     sector_statevector,
-    singlet_trace_pure,
+    singlet_trace,
     singlet_vector,
     time_grid,
 )
@@ -60,8 +60,8 @@ def _check(name: str, dev: float, tol: float) -> CheckResult:
     return CheckResult(name, dev <= tol, f"max_dev={dev:.3e} (tol={tol:g})")
 
 
-def _check_exact(name: str, ok: bool, detail: str = "exact") -> CheckResult:
-    return CheckResult(name, ok, detail)
+def _check_exact(name: str, ok: bool) -> CheckResult:
+    return CheckResult(name, ok, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +120,9 @@ def suite_tables() -> list[CheckResult]:
     return results
 
 
-def suite_oracle(step: float = 0.1, t_end: float = 100.0) -> list[CheckResult]:
+def suite_oracle() -> list[CheckResult]:
     results = []
-    times = time_grid(0.0, t_end, step)
+    times = time_grid(0.0, 100.0, 0.1)
     for B in (0.0, 0.3):
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=B)
         Hfull = build_full_one_group(spec)
@@ -133,13 +133,13 @@ def suite_oracle(step: float = 0.1, t_end: float = 100.0) -> list[CheckResult]:
             for tm in range(-I.twice_value, I.twice_value + 2, 2):
                 m = HalfInt(tm)
                 nuc = full_nuclear_sector_vector(8, I, m)
-                ref = singlet_trace_pure(Hfull, singlet_vector(nuc, Hfull.dims), times)
-                red = singlet_trace_pure(
+                ref = singlet_trace(Hfull, singlet_vector(nuc, Hfull.dims), times)
+                red = singlet_trace(
                     Hred, sector_statevector(one_group_reduced_index(8, I, m), Hred.dims[1]),
                     times)
                 worst_red = max(worst_red, np.abs(ref.values - red.values).max())
                 if m == I:
-                    part = singlet_trace_pure(
+                    part = singlet_trace(
                         build_partitioned(I, spec), sector_statevector(0, 2), times)
                     worst_part = max(worst_part, np.abs(ref.values - part.values).max())
         results.append(_check(f"reduced vs full oracle, 25 states, B={B}", worst_red, 1e-9))

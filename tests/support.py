@@ -8,7 +8,8 @@ import numpy as np
 
 from qbeats.circuits import Circuit
 from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spectrum,
-                             one_group_weights, pair_probabilities, singlet_values)
+                             one_group_weights, pair_probabilities, pair_slice_indices,
+                             singlet_values)
 from qbeats.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, BlockHamiltonian, SpinSystemSpec,
                                  build_two_group_block, build_cation_blocks, distinct_spins,
                                  nuclear_states)
@@ -42,7 +43,39 @@ def cation_register(h: np.ndarray, b2: float) -> BlockHamiltonian:
     """The unpadded (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 of a cation block."""
     K = len(h) // 2
     matrix = np.kron(np.eye(2), h) - b2 * np.kron(np.diag([1.0, -1.0]), np.eye(2 * K))
-    return BlockHamiltonian(matrix, (2, K, 2), ("e2", "nuc", "e1"))
+    return BlockHamiltonian(matrix, (2, K, 2))
+
+
+@functools.lru_cache(maxsize=4)
+def dense_eig(H):
+    """One ``np.linalg.eigh`` of the whole matrix, blocks ignored."""
+    return np.linalg.eigh(H.matrix)
+
+
+def dense_pair_trajectory(H, psi0, times):
+    """Pair trajectory (T, 4, 4) of a statevector, from ``dense_eig``."""
+    w, v = dense_eig(H)
+    c = v.conj().T @ psi0
+    psi_t = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
+    amps = psi_t[pair_slice_indices(H.dims)]
+    return np.einsum("art,brt->tab", amps, amps.conj())
+
+
+def dense_density_trajectory(H, rho0, times):
+    """Pair trajectory (T, 4, 4) of a density matrix, from ``dense_eig``:
+    rho_ab(t) = sum_jl R_jl Q_jl exp(-i (w_j - w_l) t), with R = v^dag rho0 v the initial
+    state in the eigenbasis and Q_jl = sum_n <a n|j> <l|b n>."""
+    w, v = dense_eig(H)
+    idx = pair_slice_indices(H.dims)
+    R = v.conj().T @ rho0 @ v
+    phases = np.exp(-1j * np.outer(w, times))
+    out = np.empty((len(times), 4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(a, 4):
+            M = R * (v[idx[a]].T @ v[idx[b]].conj())
+            out[:, a, b] = np.einsum("jt,jt->t", phases, M @ phases.conj())
+            out[:, b, a] = out[:, a, b].conj()
+    return out
 
 
 PAULI = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}

@@ -57,11 +57,11 @@ def run_oracle(circuit: Circuit, rho0, noise) -> np.ndarray:
     for g in circuit.gates:
         applied = apply_unitary_to_density(rho, _gate_matrix(g), g.sites, n)
         rho = applied if g.prob is None else (1.0 - g.prob) * rho + g.prob * applied
-        dt = 0.0 if noise is None else noise.duration_of(g)
-        if dt <= 0.0:
+        dt = g.duration
+        if noise is None or dt <= 0.0:
             continue
         for s in g.sites:
-            params = RelaxationParams(float(dt), noise.site_T1(s), noise.site_T2(s))
+            params = RelaxationParams(float(dt), noise.T1, noise.T2)
             chan = infinite_temperature_thermal_channel(params, f"q{s}")
             rho = apply_channel(DensityMatrix(rho, (2,) * n, labels), chan).matrix
             if g.kind == "DELAY":
@@ -100,9 +100,7 @@ def template(rng, duration: float) -> Circuit:
 
 NOISES = {
     "none": None,
-    "finite T1, drift, gate durations": SyntheticQubitNoise(
-        T1=(9.0, 30.0, 20.0), T2=(9.0, 5.0, 30.0), gate_durations={"X": 0.5, "CNOT": 1.0},
-        drift_phase_rate=(0.01, 0.2, -0.03)),
+    "finite T1, drift": SyntheticQubitNoise(T1=9.0, T2=5.0, drift_phase_rate=(0.01, 0.2, -0.03)),
     "T1 = inf": SyntheticQubitNoise(T1=math.inf, T2=7.0, drift_phase_rate=(0.0, -0.05, 0.1)),
     "T1 = T2 = inf": SyntheticQubitNoise(T1=math.inf, T2=math.inf),
 }

@@ -32,6 +32,7 @@ from qbeats.hamiltonians import (
     build_partitioned,
     build_reduced_one_group,
     build_two_group_block,
+    distinct_spins,
     full_nuclear_sector_vector,
     one_group_reduced_index,
 )
@@ -41,25 +42,12 @@ from qbeats.pipeline import (
     two_group_sector_spectrum,
 )
 from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
-from support import cation_matrix, cation_register, cg_block_matrix, coupled_hfc_eigenvalues
+from support import (cation_matrix, cation_register, cg_block_matrix, coupled_hfc_eigenvalues,
+                     dense_eig, dense_pair_trajectory)
 
 REGIMES = ("zero", "high")
 GRID = (0.0, 100.0, 1.0)
 TIMES = np.arange(101) * 1.0
-
-
-@functools.lru_cache(maxsize=4)
-def dense_eig(H):
-    return np.linalg.eigh(H.matrix)
-
-
-def dense_pair_trajectory(H, psi0, times):
-    """Pair trajectory (T, 4, 4) from a dense eigendecomposition of the whole matrix."""
-    w, v = dense_eig(H)
-    c = v.conj().T @ psi0
-    psi_t = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
-    amps = psi_t[pair_slice_indices(H.dims)]
-    return np.einsum("art,brt->tab", amps, amps.conj())
 
 
 def dense_pair_spectrum(H, states, weights):
@@ -163,24 +151,16 @@ def test_block_sizes():
     assert largest["reduced"] <= 2
     assert largest["dmb"] <= 6
     assert largest["full-oracle"] <= 126
-    for name in BUILDERS:
+    # populated nuclear slots of each padded register: the 25 distinct |I, m> of octalin,
+    # 4 (2 I2 + 1) of a dmb I2 sector; the slots after them are padding
+    populated = {f"reduced-{r}": sum(multiplicity(I) for I in distinct_spins(8)) for r in REGIMES}
+    populated |= {f"dmb-I2={I2}-{r}": 4 * multiplicity(I2)
+                  for r in REGIMES for I2 in spin_addition_counts(12)}
+    for name, real in populated.items():
         H = hamiltonian(name)
-        if H.basis_labels is None:
-            continue
-        slots = [r for r, lab in enumerate(H.basis_labels) if lab is None]
-        padding = pair_slice_indices(H.dims)[:, slots].ravel()
-        assert len(padding) == H.padded_rows, name
-        touched = H.blocks(touching=np.isin(np.arange(H.dim), padding))
-        assert [len(b) for b in touched] == [1] * len(padding), name
-
-
-def test_touching_selects_the_blocks_of_the_support():
-    H = build_reduced_one_group(spec("octalin", "zero"))
-    psi = sector_statevector(one_group_reduced_index(8, HalfInt(8), HalfInt(8)), H.dims[1])
-    touched = H.blocks(touching=psi)
-    support = set(np.flatnonzero(psi))
-    assert all(support & set(b) for b in touched)
-    assert support <= set(np.concatenate(touched))
+        padding = pair_slice_indices(H.dims)[:, real:].ravel()
+        touched = np.unique(H.block_of[padding])  # each padding row is a block of its own
+        assert [len(H.blocks()[k]) for k in touched] == [1] * len(padding), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -188,7 +168,7 @@ def test_non_finite_matrix_rejected(bad):
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        BlockHamiltonian(m, (2, 1, 2), ("e2", "nuc", "e1"))
+        BlockHamiltonian(m, (2, 1, 2))
 
 
 

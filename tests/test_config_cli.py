@@ -229,6 +229,13 @@ BAD_CONFIGS = {
         "octalin", "system", "relaxation", "high", "T_2", 9.0)),
     "unknown key in time_grid": ("time_grid.stop",
                                  preset_with("octalin", "time_grid", "stop", 20.0)),
+    # the reason of a refused FluorescenceParams names its key
+    "postprocess theta 1.5": ("postprocess.theta",
+                              preset_with("octalin", "postprocess", "theta", 1.5)),
+    "postprocess tau_f 0": ("postprocess.tau_f", preset_with("octalin", "postprocess", "tau_f", 0)),
+    "postprocess t0 -1": ("postprocess.t0", preset_with("octalin", "postprocess", "t0", -1)),
+    "postprocess t_g inf": ("postprocess.t_g",
+                            preset_with("octalin", "postprocess", "t_g", math.inf)),
     "unknown key in postprocess": ("postprocess.tauf",
                                    preset_with("octalin", "postprocess", "tauf", 1.2)),
     "unknown key in hardware": ("hardware.T1us",
@@ -379,15 +386,27 @@ class TestCli:
                             r"line 2, column 1: .+", err[0]), err
         assert not out.exists()
 
-    def test_yaml_reader_error_names_the_config_file(self, tmp_path):
+    def test_yaml_reader_error_names_the_config_file(self, tmp_path, monkeypatch):
+        # libyaml counts the reader's position in UTF-8 bytes, PyYAML in characters
         cfgfile, out = tmp_path / "bell.yaml", tmp_path / "x.csv"
-        cfgfile.write_text("system: \a\n")
-        code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
-        assert code == 1 and len(err) == 1, err
-        path = re.escape(str(cfgfile))
-        assert re.fullmatch(f"configuration error: {path}: unacceptable character #x0007: "
-                            f'[a-z]+ characters are not allowed in "{path}", position 8',
-                            err[0]), err
+        for loader in {yaml.SafeLoader, YAML_LOADER}:
+            monkeypatch.setattr("qbeats.config.YAML_LOADER", loader)
+            for text, where in (("system: \a\n", "line 1, column 9"),
+                                ("name: é\nsystem: ü\a\n", "line 2, column 10")):
+                cfgfile.write_text(text, encoding="utf-8")
+                code, err, _ = run_main("simulate", "--config", str(cfgfile), "--out", str(out))
+                assert code == 1 and len(err) == 1, err
+                assert re.fullmatch(f"configuration error: {re.escape(str(cfgfile))}: {where}: "
+                                    "[a-z]+ characters are not allowed", err[0]), (loader, err)
+                assert not out.exists()
+
+    def test_trmfe_without_postprocess_names_the_block(self, tmp_path):
+        cfgfile, out = tmp_path / "plain.yaml", tmp_path / "x.csv"
+        doc = preset_with("octalin", "noise_method", "none")
+        del doc["postprocess"]
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (1, [
+            f"configuration error: {cfgfile}.postprocess: trmfe requires a postprocess block"])
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))

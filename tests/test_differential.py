@@ -9,10 +9,10 @@ field for one group (where the average over the |I, m=I> representatives is
 exact) and at the drawn field for two groups (whose every nuclear state is
 weighted).  ``simulate`` runs with ``none`` and with ``kraus``, and a mixed
 one-group example also reads ``relaxed_singlet`` of ``one_group_spectrum`` and
-relaxes ``one_group_pair_trace`` at (T1, T2); the oracle
-is one ``eigh`` of the whole 2^(N+2)-square matrix (``dense_pair_trajectory``,
-or its mixed-state sum below) followed by the closed-form both-site channel
-``relax_pair_trajectory`` at the same (T1, T2).
+relaxes ``one_group_pair_trace`` at (T1, T2); the oracle is one ``eigh`` of
+the whole 2^(N+2)-square matrix (``support.dense_pair_trajectory``, or
+``support.dense_density_trajectory`` of the mixed state) followed by the
+closed-form both-site channel ``relax_pair_trajectory`` at the same (T1, T2).
 
 A mixed one-group example draws n <= 6: the mixed-state oracle costs
 D^2 T per pair element, which at n = 8 (D = 1024) alone would take seconds.
@@ -33,35 +33,18 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats.config import parse_config
-from qbeats.dynamics import pair_slice_indices, singlet_values, singlet_vector, time_grid
+from qbeats.dynamics import (maximally_mixed_nuclear_state, singlet_values, singlet_vector,
+                             time_grid)
 from qbeats.hamiltonians import (build_full_one_group, build_full_two_group,
                                  full_nuclear_sector_vector)
 from qbeats.pipeline import one_group_pair_trace, one_group_spectrum, simulate
 from qbeats.relaxation import relax_pair_trajectory, relaxed_singlet
 from qbeats.spinalg import HalfInt
-from test_blocks import dense_eig, dense_pair_trajectory
+from support import dense_density_trajectory, dense_pair_trajectory
 
 GRID = (0.0, 100.0, 2.0)
 TIMES = time_grid(*GRID)
 EPS = np.finfo(float).eps
-
-
-def dense_mixed_pair_trajectory(H, times):
-    """Pair trajectory of |S><S| x 1/K over the K nuclear basis states, from one dense
-    eigendecomposition: rho_ab(t) = sum_jl R_jl Q_jl exp(-i (w_j - w_l) t), with R the
-    initial state in the eigenbasis and Q_jl = sum_n <a n|j> <l|b n>."""
-    w, v = dense_eig(H)
-    idx = pair_slice_indices(H.dims)
-    c = singlet_vector(np.eye(idx.shape[1]), H.dims) @ v.conj()  # c[k, j] = <j|psi_k>
-    R = c.T @ c.conj() / len(c)
-    phases = np.exp(-1j * np.outer(w, times))
-    out = np.empty((len(times), 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(a, 4):
-            M = R * (v[idx[a]].T @ v[idx[b]].conj())
-            out[:, a, b] = np.einsum("jt,jt->t", phases, M @ phases.conj())
-            out[:, b, a] = out[:, a, b].conj()
-    return out
 
 
 @st.composite
@@ -92,11 +75,10 @@ def systems(draw):
 def dense_singlet_trajectory(config, regime):
     """The pair trajectory of the configuration's initial state, from the dense oracle."""
     spec = config.spin_spec(regime)
-    if len(spec.groups) == 2:
-        return dense_mixed_pair_trajectory(build_full_two_group(spec), TIMES)
-    H = build_full_one_group(spec)
-    if config.initial_state == "mixed":
-        return dense_mixed_pair_trajectory(H, TIMES)
+    H = (build_full_one_group if len(spec.groups) == 1 else build_full_two_group)(spec)
+    if config.initial_state == "mixed":  # |S><S| x 1/K, the nuclear factors flattened into one
+        mixed = maximally_mixed_nuclear_state(H.dim // 4).matrix
+        return dense_density_trajectory(H, mixed, TIMES)
     I, m = (HalfInt.from_float(float(x)) for x in config.initial_state.split(","))
     nuclear = full_nuclear_sector_vector(spec.groups[0].count, I, m)
     return dense_pair_trajectory(H, singlet_vector(nuclear, H.dims), TIMES)

@@ -47,14 +47,12 @@ def bare_pair_hamiltonian(b1=0.0, b2=0.0):
     z = np.array([1.0, -1.0])
     diag = (-b1 * np.kron(np.ones(2), z) - b2 * np.kron(z, np.ones(2)))
     # (e2, nuc=1, e1) register with a trivial one-dimensional nuclear factor
-    return BlockHamiltonian(np.diag(diag.astype(complex)),
-                            (2, 1, 2), ("e2", "nuc", "e1"))
+    return BlockHamiltonian(np.diag(diag.astype(complex)), (2, 1, 2))
 
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
-        H = BlockHamiltonian(np.zeros((8, 8), dtype=complex), (2, 2, 2),
-                             ("e2", "nuc", "e1"))
+        H = BlockHamiltonian(np.zeros((8, 8), dtype=complex), (2, 2, 2))
         rho0 = sector_state(0, 2)
         traj = density_trajectory(H, rho0.matrix, np.array([0.0, 3.0, 11.0]))
         for pair in traj:
@@ -99,7 +97,7 @@ class TestEvolve:
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
-            BlockHamiltonian(bad, (2, 1, 2), ("e2", "nuc", "e1"))
+            BlockHamiltonian(bad, (2, 1, 2))
 
 
 class TestSingletProbability:
@@ -118,11 +116,6 @@ class TestSingletProbability:
         psi[1] = psi[2] = 1 / np.sqrt(2)
         rho = DensityMatrix(np.outer(psi, psi.conj()), (2, 1, 2), ("e2", "nuc", "e1"))
         assert singlet_probability(rho) == pytest.approx(0.0, abs=1e-14)
-
-    def test_invalid_sites_rejected(self):
-        rho = sector_state(0, 2)
-        with pytest.raises(ValueError, match="electron sites"):
-            singlet_probability(rho, electron_sites=("e1", "nuc"))
 
 
 class TestInitialStates:

@@ -17,12 +17,13 @@ from qbeats.hamiltonians import (
     build_partitioned,
     build_reduced_one_group,
     build_two_group_block,
+    distinct_spins,
     full_nuclear_sector_vector,
     one_group_reduced_index,
     partitioned_params,
     pauli_decompose_partitioned,
 )
-from qbeats.spinalg import HalfInt
+from qbeats.spinalg import HalfInt, multiplicity
 from support import pauli_matrix
 
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
@@ -101,7 +102,8 @@ class TestReducedOneGroup:
         H = build_reduced_one_group(OCTALIN_ZERO)
         assert H.dim == 128
         assert H.dims == (2, 32, 2)
-        assert H.padded_rows == 28  # 14 zero rows per anion-spin block
+        real = sum(multiplicity(I) for I in distinct_spins(8))  # 25 distinct |I, m>
+        assert 4 * (H.dims[1] - real) == 28  # 14 zero rows per anion-spin block
 
     def test_padded_rows_exactly_zero(self):
         H = build_reduced_one_group(OCTALIN_HIGH).matrix
@@ -109,12 +111,6 @@ class TestReducedOneGroup:
             pad = slice(base + 50, base + 64)
             assert np.abs(H[pad, :]).max() == 0.0
             assert np.abs(H[:, pad]).max() == 0.0
-
-    def test_basis_labels(self):
-        H = build_reduced_one_group(OCTALIN_ZERO)
-        assert H.basis_labels[0] == (HalfInt(8), HalfInt(8))
-        assert H.basis_labels[24] == (HalfInt(0), HalfInt(0))
-        assert H.basis_labels[25] is None
 
     def test_evolution_matches_full_oracle(self):
         times = time_grid(0, 40, 0.5)

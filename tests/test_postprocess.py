@@ -31,7 +31,7 @@ class TestFluorescenceParams:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["tau_f", "t0", "t_g"])
     def test_non_finite_times_rejected(self, name, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be positive and finite"):
             FluorescenceParams(**{"theta": 0.5, "tau_f": 1.0, "t0": 1.0, "t_g": 1.0, name: bad})
 
 

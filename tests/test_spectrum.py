@@ -1,11 +1,12 @@
 """Beat-spectrum propagation against the per-state propagation it replaced.
 
-The oracles below are the former propagation paths, kept here verbatim in
+The pure-state oracle below is the former propagation path, kept here in
 substance: a pure state is propagated block by block through each block's
-eigenpairs over the whole grid, and a density matrix through sixteen
-eigenbasis phase sums.  Both use the same ``BlockHamiltonian.eig`` eigenpairs
-as the spectral path, so they differ from it only by the merging of equal
-frequencies and by evaluation roundoff.  The cation-block spectra of the
+eigenpairs over the whole grid.  It uses the same ``BlockHamiltonian.eig``
+eigenpairs as the spectral path, so it differs from it only by the merging of
+equal frequencies and by evaluation roundoff.  A density matrix is checked
+against the eigenbasis phase sums of one ``eigh`` of the whole matrix
+(``support.dense_density_trajectory``).  The cation-block spectra of the
 pipeline are checked against ``pair_spectrum`` on the full register.
 """
 
@@ -31,7 +32,6 @@ from qbeats.dynamics import (
     maximally_mixed_nuclear_state,
     one_group_weights,
     pair_probabilities,
-    pair_slice_indices,
     pair_spectrum,
     sector_statevector,
     singlet_trace,
@@ -65,8 +65,9 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import (cation_matrix, cation_register, class_average, one_group_blocks,
-                     pair_correlators, reduced_cation_block, werner_trajectory)
+from support import (cation_matrix, cation_register, class_average, dense_density_trajectory,
+                     one_group_blocks, pair_correlators, reduced_cation_block,
+                     werner_trajectory)
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -74,14 +75,14 @@ TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the per-state amplitude propagation and the density phase sum
+# Oracle: the per-state amplitude propagation
 # ---------------------------------------------------------------------------
 
 def oracle_amplitudes(H, psi0, times):
     """Amplitudes (4, R, T) of psi(t) at (pair state p, nuclear slot r)."""
     w, v = H.eig()
     K = H.dims[1]
-    blocks = H.blocks(touching=psi0)
+    blocks = [H.blocks()[k] for k in np.unique(H.block_of[np.flatnonzero(psi0)])]
     states = np.concatenate(blocks)
     slots, slot_of = np.unique((states // 2) % K, return_inverse=True)
     pair_of = 2 * (states % 2) + states // (2 * K)  # p = 2*e1 + e2
@@ -105,20 +106,6 @@ def oracle_pure(H, psi0, times):
 def oracle_singlet_pure(H, psi0, times):
     amps = oracle_amplitudes(H, np.asarray(psi0, dtype=complex), times)
     return np.sum(np.abs(SQRT_HALF * (amps[1] - amps[2])) ** 2, axis=0)
-
-
-def oracle_density(H, rho0, times):
-    """Sixteen phase sums f(t) = sum_jk M_jk exp(-i(w_j - w_k) t)."""
-    w, v = H.eig()
-    R = v.conj().T @ rho0 @ v
-    idx = pair_slice_indices(H.dims)
-    U = np.exp(-1j * np.outer(w, times))
-    out = np.empty((len(times), 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            Q = v[idx[b], :].conj().T @ v[idx[a], :]
-            out[:, a, b] = np.einsum("jt,jt->t", U, (R * Q.T) @ np.conj(U))
-    return out
 
 
 def spec(name, regime):
@@ -191,10 +178,10 @@ def test_density_matrices(regime):
     random = g @ g.conj().T
     for rho0 in (maximally_mixed_nuclear_state(32).matrix, random / np.trace(random)):
         traj = evaluate_spectrum(_density_spectrum(H, rho0), times)
-        assert dev(traj, oracle_density(H, rho0, times)) <= TOL
+        assert dev(traj, dense_density_trajectory(H, rho0, times)) <= TOL
     mixed = maximally_mixed_nuclear_state(32)
     assert dev(singlet_trace(H, mixed, times).values,
-               singlet_values(oracle_density(H, mixed.matrix, times))) <= TOL
+               singlet_values(dense_density_trajectory(H, mixed.matrix, times))) <= TOL
 
 
 @pytest.mark.parametrize("regime", REGIMES)
