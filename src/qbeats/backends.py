@@ -134,7 +134,7 @@ def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
             else:
                 gates.append(g)
         if weight > 0.0:
-            cfg = Circuit(circuit.site_count, gates, circuit.measured_sites)
+            cfg = Circuit(circuit.site_count, gates)
             configs.append((weight, cfg))
     return configs
 

@@ -1,24 +1,14 @@
-"""Gate-level circuit representation and its line-oriented text format.
+"""Gate-level circuit representation.
 
 Circuits are the oracle of the noise methods' closed forms: the tests and
 ``validate`` build them, ``simulate`` and ``trmfe`` never do.  Sites are qubit
 indices; site 0 is the leftmost (most significant) tensor factor.
 Probabilistic gates carry an insertion probability and are expanded exactly
 by the backends, never sampled.
-
-Text dump format (one item per line), compared against golden files:
-
-    SITES <n>
-    GATE <kind> <site[,site...]> [<param[,param...]>] [p=<prob>]
-    MEASURE <site[,site...]>
-
-UNITARY gates dump their dimension and a content hash instead of matrix
-elements.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -73,7 +63,6 @@ class Circuit:
 
     site_count: int
     gates: list[Gate] = field(default_factory=list)
-    measured_sites: tuple[int, ...] = ()
 
     def add(self, kind: str, sites, params=(), prob=None, matrix=None) -> "Circuit":
         sites = (sites,) if isinstance(sites, int) else tuple(sites)
@@ -93,21 +82,3 @@ class Circuit:
     @property
     def probabilistic_gates(self) -> list[int]:
         return [i for i, g in enumerate(self.gates) if g.prob is not None]
-
-    def dump(self) -> str:
-        lines = [f"SITES {self.site_count}"]
-        for g in self.gates:
-            parts = ["GATE", g.kind, ",".join(map(str, g.sites))]
-            if g.kind == "UNITARY":
-                digest = hashlib.sha256(
-                    np.ascontiguousarray(np.round(g.matrix, 12)).tobytes()
-                ).hexdigest()[:16]
-                parts.append(f"dim={g.matrix.shape[0]},sha256={digest}")
-            elif g.params:
-                parts.append(",".join(f"{p:.12g}" for p in g.params))
-            if g.prob is not None:
-                parts.append(f"p={g.prob:.12g}")
-            lines.append(" ".join(parts))
-        if self.measured_sites:
-            lines.append("MEASURE " + ",".join(map(str, self.measured_sites)))
-        return "\n".join(lines) + "\n"

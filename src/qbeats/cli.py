@@ -31,7 +31,7 @@ FLOAT_WORDS = ("nan", "inf", "infinity")  # the spellings of float() that start 
 def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
     values = list(columns.values())
     row = ",".join(["%.17g"] * len(values)) + "\n"  # '%.17g' % x == f"{x:.17g}"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# qbeats {__version__}\n")
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")

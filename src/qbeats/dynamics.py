@@ -57,15 +57,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def validate(self) -> "DensityMatrix":
-        if abs(np.trace(self.matrix) - 1) > 1e-12:
-            raise ValueError(f"trace = {np.trace(self.matrix)} is not 1")
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-13:
-            raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.matrix).min() < -1e-10:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        return self
-
 
 @dataclass
 class TimeSeries:
@@ -170,19 +161,6 @@ def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
 # Evolution
 # ---------------------------------------------------------------------------
 
-def singlet_probability(rho: DensityMatrix) -> float:
-    """Tr(rho |S><S| x 1_nuclear) over the (e2, nuclear, e1) register."""
-    idx = pair_slice_indices(rho.dims)
-    m = rho.matrix
-    val = 0.5 * (
-        m[idx[1], idx[1]].sum()
-        + m[idx[2], idx[2]].sum()
-        - m[idx[1], idx[2]].sum()
-        - m[idx[2], idx[1]].sum()
-    )
-    return float(val.real)
-
-
 def singlet_values(traj: np.ndarray) -> np.ndarray:
     """Singlet probability <S|rho(t)|S> of each 4x4 pair state of a trajectory."""
     return np.real(np.einsum("a,tab,b->t", SINGLET.conj(), traj, SINGLET))
@@ -208,7 +186,6 @@ def triu_row(op: np.ndarray) -> np.ndarray:
 
 SINGLET_TRIU = triu_row(np.outer(SINGLET, SINGLET))
 EXP_TABLE_ENTRIES = 1 << 16  # complex entries of an evaluation's exp tables, roughly
-MIN_CHUNK = 16               # time points per chunk, at least
 
 
 @dataclass(frozen=True)
@@ -411,35 +388,38 @@ def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -
     """(R, T) real parts Re sum_f (rows[r] . amplitudes[f]) exp(-i freqs[f] t) of coefficient
     rows over the 10 ``PAIR_TRIU`` elements, each over its own folded terms (``_folded_rows``).
 
-    Two-level exp table: the grid is cut in chunks of K points, t = s + d with s a
-    chunk start.  On a uniform grid (to the roundoff of the times) every chunk shares
-    the offsets d, and both exp(i w d) and exp(-i w s) over a run of J chunks are
-    built by ``_phase_powers`` once for the terms of all rows; a row is one real
-    (J x 2F_r) @ (2F_r x K) product per run of its column slices, viewed as floats.
-    On any other grid each chunk gets its own directly computed table.  The tables
-    hold about ``EXP_TABLE_ENTRIES`` entries, never F x T.
+    Two-level exp table: t = s + d with s one of A chunk starts and d one of K offsets.
+    On a uniform grid (to the roundoff of the times) K = ceil(sqrt(T)) and both
+    exp(-i w s) and exp(i w d) are built by ``_phase_powers``; on any other grid every
+    point is a chunk start (K = 1), computed directly.  The folded terms of all rows
+    are cut in slabs of ``EXP_TABLE_ENTRIES // (K + A)``, whose two tables all rows
+    share; a row's n terms in a slab are one real (A x 2n) @ (2n x K) product of the
+    tables viewed as floats.  The tables hold about ``EXP_TABLE_ENTRIES`` entries.
     """
     times = np.asarray(times, dtype=float)
     f, c, bounds = _folded_rows(spectrum, rows)
     T = len(times)
     out = np.zeros((len(bounds) - 1, T))
-    if T == 0 or len(f) == 0:
+    if T == 0:
         return out
     step = (times[-1] - times[0]) / max(T - 1, 1)
     uniform = T > 1 and (np.abs(times - times[0] - step * np.arange(T)).max()
                          <= 4 * np.spacing(np.abs(times).max()))
-    budget = max(2, EXP_TABLE_ENTRIES // len(f))  # table rows
-    K = max(MIN_CHUNK, min(math.isqrt(T - 1) + 1, budget // 2))
-    J = max(1, min(-(-T // K), budget - K)) if uniform else 1
-    fine = _phase_powers(-f, step, K).view(float) if uniform else None  # the conjugate
-    run = _phase_powers(f, K * step, J)
-    for start in range(0, T, J * K):
-        t = times[start:start + J * K]
-        if not uniform:
-            fine = np.exp(1j * np.multiply.outer(t - t[0], f)).view(float)
-        coarse = (run * (c * np.exp(-1j * f * t[0]))).view(float)
-        for r, (lo, hi) in enumerate(zip(2 * bounds[:-1], 2 * bounds[1:])):
-            out[r, start:start + len(t)] = (coarse[:, lo:hi] @ fine[:, lo:hi].T).ravel()[:len(t)]
+    K = math.isqrt(T - 1) + 1 if uniform else 1
+    A = -(-T // K)
+    size = max(1, EXP_TABLE_ENTRIES // (K + A))  # terms per slab
+    for lo in range(0, len(f), size):
+        fs, cs = f[lo:lo + size], c[lo:lo + size]
+        if uniform:
+            coarse = _phase_powers(fs, K * step, A)
+            coarse *= cs * np.exp(-1j * fs * times[0])
+        else:
+            coarse = np.exp(-1j * np.multiply.outer(times, fs)) * cs
+        coarse, fine = coarse.view(float), _phase_powers(-fs, step, K).view(float)  # conjugate
+        edges = [2 * (min(max(b, lo), lo + size) - lo) for b in bounds.tolist()]
+        for r, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if a < b:
+                out[r] += (coarse[:, a:b] @ fine[:, a:b].T).ravel()[:T]
     return out
 
 

@@ -50,20 +50,13 @@ class MeasurementStats:
 
     def __post_init__(self):
         # corrected statistics are estimators and may carry small model error,
-        # so construction is lenient; measured/channel stats use validate()
-        self._check(1e-6, 0.05, "strongly negative outcome probability")
-
-    def _check(self, tol_sum: float, tol_neg: float, message: str) -> None:
+        # so construction is lenient
         total = np.asarray(self.s + self.t0 + self.tp + self.tm)
-        off = np.abs(total - 1.0) > tol_sum
+        off = np.abs(total - 1.0) > 1e-6
         if np.any(off):
             raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
-        if min(np.min(p) for p in (self.s, self.t0, self.tp, self.tm)) < -tol_neg:
-            raise ValueError(message)
-
-    def validate(self) -> "MeasurementStats":
-        self._check(1e-12, 1e-12, "negative outcome probability")
-        return self
+        if min(np.min(p) for p in (self.s, self.t0, self.tp, self.tm)) < -0.05:
+            raise ValueError("strongly negative outcome probability")
 
     @staticmethod
     def from_array(p) -> "MeasurementStats":

@@ -57,8 +57,6 @@ class PairTrace:
         return TimeSeries(self.times, clip_probabilities(singlet_values(self.trajectory)))
 
     def relaxed(self, T1: float, T2: float) -> "PairTrace":
-        if math.isinf(T1) and math.isinf(T2):
-            return self
         return PairTrace(self.times, relax_pair_trajectory(self.trajectory, self.times, T1, T2))
 
 

@@ -138,7 +138,6 @@ def rz_encode_circuit(s_value: float, noise_block: Circuit | None = None) -> Cir
     if noise_block is not None:
         c.extend(noise_block)
     add_singlet_unprep(c, 0, 1)
-    c.measured_sites = (0, 1)
     return c
 
 

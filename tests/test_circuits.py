@@ -1,6 +1,5 @@
 import itertools
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from qbeats.relaxation import (
 from qbeats.spinalg import HalfInt
 from support import add_singlet_unprep, pauli_matrix, rz_encode_angle, rz_encode_circuit
 
-GOLDEN = pathlib.Path(__file__).parent / "data"
 
 OCTALIN = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3)
 
@@ -329,27 +327,7 @@ class TestTrotter:
         assert errors[100] / errors[200] >= 1.8
 
 
-class TestDumpFormat:
-    def build_reference_circuit(self) -> Circuit:
-        c = Circuit(4)
-        add_singlet_prep(c, 0, 2)
-        c.extend(kraus_circuit(RelaxationParams(3.0, 9.0, 9.0), 2, 3, 4))
-        c.add("DELAY", 1, (35.5,))
-        add_singlet_unprep(c, 0, 2)
-        c.measured_sites = (0, 2)
-        return c
-
-    def test_golden_dump(self):
-        dump = self.build_reference_circuit().dump()
-        golden = (GOLDEN / "kraus_pipeline_circuit.txt").read_text()
-        assert dump == golden
-
-    def test_unitary_dump_is_hashed(self):
-        c = Circuit(2)
-        c.add("UNITARY", (0, 1), matrix=np.eye(4, dtype=complex))
-        dump = c.dump()
-        assert "sha256=" in dump and "dim=4" in dump
-
+class TestGate:
     def test_gate_validation(self):
         with pytest.raises(ValueError):
             Gate("RX", (0,), ())  # missing parameter

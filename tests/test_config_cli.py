@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -141,6 +142,7 @@ BAD_REFERENCES = {
     "nan": ("0,1.0\n1,nan\n2,1.0\n", "line 2: non-finite value in '1,nan'"),
     "nan time": ("0,1.0\nnan,0.5\n2,1.0\n", "line 2: non-finite value in 'nan,0.5'"),
     "inf time": ("0,1.0\n1,0.5\ninf,0.2\n", "line 3: non-finite value in 'inf,0.2'"),
+    "one row": ("time_ns,value\n0,1.0\n", "need at least two (time, value) rows"),
 }
 
 
@@ -584,6 +586,39 @@ class TestCli:
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr == f"configuration error: {missing}: No such file or directory\n"
         assert not out.exists()
+
+    def test_utf8_files_under_a_non_utf8_locale(self, tmp_path):
+        # the config is read and the CSV written as UTF-8 whatever the locale
+        doc = dict(preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.1}),
+                   name="café")
+        cfgfile, out = tmp_path / "cafe.yaml", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(doc, allow_unicode=True), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        r = subprocess.run([sys.executable, "-m", "qbeats.cli", "simulate", "--config",
+                            str(cfgfile), "--out", str(out)], capture_output=True, text=True,
+                           env=env)
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert "# name: café\n" in out.read_text(encoding="utf-8")
+
+    def test_out_naming_a_directory_exits_1(self, tmp_path):
+        assert run_main("simulate", "--preset", "octalin", "--out", str(tmp_path))[:2] == (1, [
+            f"configuration error: {tmp_path}: is a directory"])
+        assert not any(tmp_path.iterdir())
+
+    def test_compare_file_outside_the_grid_exits_1(self, tmp_path):
+        doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.1})
+        cfgfile, ref, out = tmp_path / "c.yaml", tmp_path / "ref.csv", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        ref.write_text("100,0.5\n101,0.4\n")
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out), "--compare",
+                        str(ref))[:2] == (1, [
+            f"configuration error: {ref}: no overlap with the simulated grid"])
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_on_a_full_device_exits_1(self):
+        assert run_main("simulate", "--preset", "octalin", "--out", "/dev/full")[:2] == (1, [
+            "configuration error: /dev/full: No space left on device"])
 
     @pytest.mark.parametrize("command", ["simulate", "trmfe"])
     def test_out_in_missing_directory_exits_1_before_simulating(self, tmp_path, monkeypatch,

@@ -15,7 +15,6 @@ from qbeats.dynamics import (
     pair_spectrum,
     reassemble_two_group,
     sector_statevector,
-    singlet_probability,
     singlet_trace,
     singlet_trace_pure,
     time_grid,
@@ -36,6 +35,13 @@ def sector_state(index, nuclear_dim):
     """Pure |index><index| on the nuclear register, singlet on the electrons."""
     psi = sector_statevector(index, nuclear_dim)
     return DensityMatrix(np.outer(psi, psi.conj()), (2, nuclear_dim, 2), ("e2", "nuc", "e1"))
+
+
+def singlet_probability(rho):
+    """Tr(rho |S><S| x 1_nuclear): the S outcome of the pair state with the nuclei traced out."""
+    K = rho.dim // 4
+    m = rho.matrix.reshape(2, K, 2, 2, K, 2)  # (e2, nuclear, e1) twice
+    return pair_probabilities(np.einsum("anbcnd->badc", m).reshape(4, 4))[0]
 
 
 def density_trajectory(H, rho0, times):
@@ -137,7 +143,7 @@ class TestInitialStates:
         m = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
         nuclear = np.einsum("aibajb->ij", m)
         assert np.abs(nuclear - np.eye(2) / 2).max() < 1e-15
-        rho.validate()
+        assert singlet_probability(rho) == pytest.approx(1.0, abs=1e-15)
 
     def test_mixed_equals_weighted_average_of_pure(self):
         H = build_reduced_one_group(OCTALIN_ZERO)

@@ -64,7 +64,7 @@ class TestCorrection:
             MeasurementStats(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(ValueError):
             MeasurementStats(0.3, 0.3, 0.3, 0.3)
-        MeasurementStats(0.25, 0.25, 0.25, 0.25).validate()
+        MeasurementStats(0.25, 0.25, 0.25, 0.25)
 
 
 class TestInjection:

@@ -210,9 +210,10 @@ def test_full_oracle_hamiltonian(regime):
 
 @pytest.fixture
 def small_tables(monkeypatch):
-    """Every spectrum is evaluated in chunks of ``MIN_CHUNK`` time points."""
+    """Every folded term is a slab of its own.  Returns K: a uniform grid of K * K + extra
+    points has chunks of K or K + 1 points, the last one full or partial."""
     monkeypatch.setattr(dynamics, "EXP_TABLE_ENTRIES", 1)
-    return dynamics.MIN_CHUNK
+    return 7
 
 
 def sector_case(regime="high"):
@@ -223,7 +224,7 @@ def sector_case(regime="high"):
 @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
 def test_grids_that_are_not_a_multiple_of_the_chunk(small_tables, extra):
     sector, spectrum = sector_case()
-    times = 0.7 * np.arange(3 * small_tables + extra)
+    times = 0.7 * np.arange(small_tables ** 2 + extra)
     assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
 
 
@@ -390,7 +391,7 @@ def test_sector_columns_match_the_full_register(monkeypatch, name, regime):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
 def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
-    times = 0.7 * np.arange(3 * small_tables + extra)
+    times = 0.7 * np.arange(small_tables ** 2 + extra)
     sector = dmb_sector("high", HalfInt(6))
     oracle = full_register_sector_spectrum(sector)
     assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), times),
@@ -536,6 +537,24 @@ def test_row_kernel_on_a_long_grid_allocates_no_frequency_by_time_table():
     assert peak < F * T * 16 / 10, "an (F x T) table was allocated"
     sample = np.arange(0, T, 997)
     assert dev(rows[:, sample], direct_rows(spectrum, times[sample], CORRELATOR_TRIU).real) <= TOL
+
+
+def test_row_kernel_tables_stay_within_budget_on_a_wide_spectrum():
+    rng = np.random.default_rng(17)
+    F = 20_000
+    spectrum = PairSpectrum(np.sort(rng.uniform(-3.0, 3.0, F)),
+                            rng.normal(size=(F, 10)) + 1j * rng.normal(size=(F, 10)))
+    rows = CORRELATOR_TRIU[:3]
+    tracemalloc.start()
+    try:
+        got = evaluate_rows(spectrum, TIMES, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 16 * F, f"peak {peak / (16 * F):.1f} complex entries per frequency"
+    sample = np.arange(0, len(TIMES), 97)
+    expected = direct_rows(spectrum, TIMES[sample], rows).real
+    assert np.abs(got[:, sample] - expected).max() <= TOL * np.abs(expected).max()
 
 
 def folding_case():
