@@ -1,22 +1,20 @@
 """Statevector and density-matrix circuit backends: the gate-level oracle.
 
-Probabilistic gates are expanded exactly: the statevector backend evolves a
-weighted ensemble over the 2^k present/absent configurations, the density
-backend applies the equivalent mixture map gate by gate (identical result by
-linearity).  The density backend optionally attaches a synthetic thermal
-noise model: during every delay each of its sites relaxes at one (T1, T2)
-shared by all sites and accumulates its own deterministic drift phase.  That
-one mechanism is the gate-level oracle of the noisy-identity-gate method and
-of the echo-delay runs of the delay-based inherent-noise method, whose closed
-forms the pipeline reads instead; ``simulate`` and ``trmfe`` never load this
-module.
+The statevector backend runs deterministic circuits.  The density backend
+also runs probabilistic gates, each as the exact mixture (1 - p) rho +
+p U rho U^dagger, never a sample, and optionally attaches a synthetic
+thermal noise model: during every delay each of its sites relaxes at one
+(T1, T2) shared by all sites and accumulates its own deterministic drift
+phase.  That one mechanism is the gate-level oracle of the noisy-identity-gate
+method and of the echo-delay runs of the delay-based inherent-noise method,
+whose closed forms the pipeline reads instead; ``simulate`` and ``trmfe``
+never load this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -116,36 +114,13 @@ def _relax_sites(rho: np.ndarray, gate: Gate, noise: SyntheticQubitNoise,
     return work.reshape(rho.shape)
 
 
-def expand_probabilistic(circuit: Circuit) -> list[tuple[float, Circuit]]:
-    """Weighted mixture over all present/absent configurations of probabilistic gates."""
-    slots = circuit.probabilistic_gates
-    if not slots:
-        return [(1.0, circuit)]
-    configs = []
-    for choice in iter_product((True, False), repeat=len(slots)):
-        weight = 1.0
-        gates = []
-        picks = dict(zip(slots, choice))
-        for i, g in enumerate(circuit.gates):
-            if i in picks:
-                weight *= g.prob if picks[i] else (1.0 - g.prob)
-                if picks[i]:
-                    gates.append(Gate(g.kind, g.sites, g.params, None, g.matrix))
-            else:
-                gates.append(g)
-        if weight > 0.0:
-            cfg = Circuit(circuit.site_count, gates)
-            configs.append((weight, cfg))
-    return configs
-
-
 def run_statevector(circuit: Circuit, psi0: np.ndarray | None = None) -> np.ndarray:
     """Deterministic statevector simulation (no probabilistic gates, no noise)."""
     n = circuit.site_count
     if n > STATEVECTOR_MAX_SITES:
         raise ValueError(f"statevector backend capped at {STATEVECTOR_MAX_SITES} sites")
     if circuit.probabilistic_gates:
-        raise ValueError("probabilistic gates require expand_probabilistic or run_density")
+        raise ValueError("probabilistic gates require run_density")
     if psi0 is None:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
@@ -154,12 +129,6 @@ def run_statevector(circuit: Circuit, psi0: np.ndarray | None = None) -> np.ndar
     for g in circuit.gates:
         psi = apply_unitary_to_state(psi, _gate_matrix(g), g.sites, n)
     return psi
-
-
-def run_statevector_ensemble(circuit: Circuit,
-                             psi0: np.ndarray | None = None) -> list[tuple[float, np.ndarray]]:
-    """Exact probabilistic-gate expansion as a weighted statevector ensemble."""
-    return [(w, run_statevector(cfg, psi0)) for w, cfg in expand_probabilistic(circuit)]
 
 
 def run_density(circuit: Circuit, rho0: np.ndarray | None = None,

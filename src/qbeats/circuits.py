@@ -3,8 +3,8 @@
 Circuits are the oracle of the noise methods' closed forms: the tests and
 ``validate`` build them, ``simulate`` and ``trmfe`` never do.  Sites are qubit
 indices; site 0 is the leftmost (most significant) tensor factor.
-Probabilistic gates carry an insertion probability and are expanded exactly
-by the backends, never sampled.
+Probabilistic gates carry an insertion probability; the density backend
+applies each one as an exact mixture, never a sample.
 """
 
 from __future__ import annotations

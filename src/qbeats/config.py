@@ -328,9 +328,10 @@ def _check_echo_hardware(config: ExperimentConfig, where: str) -> None:
 
 
 def read_text(path: str) -> str:
-    """The text of an input file; one that cannot be read as text is a ConfigError naming it."""
+    """The text of an input file, a leading UTF-8 byte-order mark dropped; one that cannot be
+    read as text is a ConfigError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None

@@ -445,9 +445,6 @@ def singlet_trace(H: BlockHamiltonian, initial, times: np.ndarray) -> TimeSeries
     return TimeSeries(times, clip_probabilities(evaluate_spectrum(spectrum, times, singlet=True)))
 
 
-singlet_trace_pure = singlet_trace  # the name of its pure-state callers
-
-
 # ---------------------------------------------------------------------------
 # Classical averaging / sector reassembly
 # ---------------------------------------------------------------------------

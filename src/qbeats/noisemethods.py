@@ -1,6 +1,7 @@
-"""Gate-level oracles of the three relaxation methods: closed-form Kraus, per-gate
-noisy identity, and the synthetic-hardware echo-delay procedure with statistics
-correction.
+"""Gate-level oracles of two relaxation methods: the per-gate noisy identity and the
+synthetic-hardware echo-delay procedure with statistics correction.  The Kraus
+method has its oracles elsewhere: the operator sum ``relaxation.apply_channel`` and
+the ancilla circuit ``library.kraus_circuit``.
 
 Every method is one both-site channel (elapsed, T1, T2) that ``pipeline.simulate``
 reads S(t) through, so neither ``simulate`` nor ``trmfe`` loads this module; the
@@ -34,13 +35,6 @@ import numpy as np
 from .backends import SyntheticQubitNoise, run_density
 from .circuits import Circuit
 from .dynamics import singlet_values
-from .relaxation import relax_pair_trajectory
-
-
-def kraus_singlet_values(traj: np.ndarray, times: np.ndarray,
-                         T1: float, T2: float) -> np.ndarray:
-    """Closed-form channel on both electron sites at each measurement time."""
-    return singlet_values(relax_pair_trajectory(traj, times, T1, T2, "both"))
 
 
 def per_gate_singlet_values(traj: np.ndarray, times: np.ndarray,

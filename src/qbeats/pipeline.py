@@ -31,33 +31,17 @@ from .dynamics import (
     evaluate_spectrum,
     one_group_weights,
     singlet_only,
-    singlet_values,
     time_grid,
 )
 from .hamiltonians import (
     SpinSystemSpec,
-    TwoGroupSector,
     build_cation_blocks,
     build_two_group_block,
     distinct_spins,
     nuclear_states,
 )
-from .relaxation import relax_pair_trajectory, relaxed_singlet
+from .relaxation import relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
-
-
-@dataclass
-class PairTrace:
-    """Electron-pair trajectory (T,4,4) on a grid."""
-
-    times: np.ndarray
-    trajectory: np.ndarray
-
-    def singlet(self) -> TimeSeries:
-        return TimeSeries(self.times, clip_probabilities(singlet_values(self.trajectory)))
-
-    def relaxed(self, T1: float, T2: float) -> "PairTrace":
-        return PairTrace(self.times, relax_pair_trajectory(self.trajectory, self.times, T1, T2))
 
 
 @dataclass
@@ -82,13 +66,6 @@ def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt,
             for I, m in states}
 
 
-def one_group_sector_trajectories(spec: SpinSystemSpec,
-                                  times: np.ndarray) -> dict[HalfInt, PairTrace]:
-    """Pair trajectories of |I, m=I> x |S> for every distinct I (reduced basis)."""
-    return {I: PairTrace(times, evaluate_spectrum(s, times))
-            for I, s in one_group_sector_spectra(spec).items()}
-
-
 def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
     """Beat spectrum of the mixed nuclear state of a one-group system: one ensemble in
     which every |I, m=I> representative carries the weight of its class.  At zero field
@@ -103,22 +80,6 @@ def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
     return spectrum
 
 
-def one_group_pair_trace(spec: SpinSystemSpec, field_regime: str,
-                         times: np.ndarray) -> PairTrace:
-    """Mixed-state pair trajectory of a one-group system (``one_group_spectrum``)."""
-    return PairTrace(times, evaluate_spectrum(one_group_spectrum(spec, field_regime), times))
-
-
-def two_group_sector_spectrum(sector: TwoGroupSector) -> PairSpectrum:
-    """Beat spectrum of one I2 sector's mixed register (real slots only).
-
-    Subnormalized by design: each real register slot carries weight
-    1/register_size, exactly what a padded purification run leaves behind
-    once the frozen padding-state contribution is subtracted.
-    """
-    return cation_spectrum(sector.blocks, sector.b2)
-
-
 def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
     """Beat spectrum of the fully mixed nuclear state of a two-group system: the cation
     blocks of every I2 sector at once, each slot weighted by its I2 degeneracy / 2^N."""
@@ -129,11 +90,6 @@ def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
         weight[I2.twice_value] = count / 2 ** (n1 + n2)
     two_I, two_m = nuclear_states(spec, [I2.twice_value for I2 in counts])
     return _ensemble_spectrum(spec, two_I, two_m, weight[two_I[1]])
-
-
-def two_group_pair_trace(spec: SpinSystemSpec, times: np.ndarray) -> PairTrace:
-    """Fully mixed nuclear-state pair trajectory via I2 sector decomposition."""
-    return PairTrace(times, evaluate_spectrum(two_group_spectrum(spec), times))
 
 
 def _sector_label(I: HalfInt) -> str:
@@ -179,7 +135,8 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
             # the coherent padded-register run, in which the frozen padding slots count as 1
             sector, label = build_two_group_block(I2, spec), f"I2={I2}"
-            padded = evaluate_spectrum(two_group_sector_spectrum(sector), times, singlet=True)
+            padded = evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), times,
+                                       singlet=True)
             columns[label] = clip_probabilities(
                 padded + sector.pad_register / sector.register_size, label)
     elif pure:

@@ -111,7 +111,7 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Electron-pair trajectory relaxation (closed form)
+# The channel in closed form
 # ---------------------------------------------------------------------------
 
 def thermal_map(site: np.ndarray, g, f) -> None:
@@ -126,27 +126,6 @@ def thermal_map(site: np.ndarray, g, f) -> None:
     site[1, 1] += delta
     site[0, 1] *= f
     site[1, 0] *= np.conj(f)
-
-
-def relax_pair_trajectory(traj: np.ndarray, times: np.ndarray,
-                          T1: float, T2: float,
-                          sites: str = "both") -> np.ndarray:
-    """Apply the time-t thermal channel to each 4x4 pair state of a trajectory.
-
-    ``sites`` selects 'both', 'e1' or 'e2'.  Matches the operator-sum channel
-    exactly (closed-form population/coherence factors).
-    """
-    axes = {"both": ((1, 3), (2, 4)), "e1": ((1, 3),), "e2": ((2, 4),)}
-    if sites not in axes:
-        raise ValueError(f"unknown site selector {sites!r}")
-    t = np.asarray(times, dtype=float)
-    check_relaxation_times(T1, T2)
-    g = np.exp(-t / T1) if math.isfinite(T1) else np.ones_like(t)
-    f = np.exp(-t / T2) if math.isfinite(T2) else np.ones_like(t)
-    work = traj.reshape(len(t), 2, 2, 2, 2).copy()  # (t, e1, e2, e1', e2')
-    for pair in axes[sites]:  # the site's view is (ket, bra, t, other ket, other bra)
-        thermal_map(np.moveaxis(work, pair, (0, 1)), g[:, None, None], f[:, None, None])
-    return work.reshape(len(t), 4, 4)
 
 
 # the trace, <ZZ>, <XX + YY> = 4 Re rho_12 and <Z1 + Z2> (e1 the first factor) as rows over
@@ -176,8 +155,8 @@ def relaxed_bell_probabilities(correlators, t, T1: float, T2: float) -> np.ndarr
 def relaxed_singlet(spectrum: PairSpectrum, times: np.ndarray, elapsed, T1: float,
                     T2: float) -> np.ndarray:
     """S(t) of a beat spectrum at ``times`` after the both-site channel of duration
-    ``elapsed`` (``times`` itself for the Kraus channel), read from its correlators;
-    equal to the S(t) of ``relax_pair_trajectory`` of the evaluated trajectory.  S does not
-    read <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
+    ``elapsed`` (``times`` itself for the Kraus channel), read from its correlators, as
+    ``apply_channel`` on both sites of the evaluated trajectory gives it.  S does not read
+    <Z1 + Z2>, whose row costs as much as the <ZZ> one, so that row is left out."""
     w, zz, xy = evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU[:3])
     return relaxed_bell_probabilities((w, zz, xy, 0.0), elapsed, T1, T2)[..., 0]

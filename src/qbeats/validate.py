@@ -14,6 +14,7 @@ from .backends import partial_trace, run_density
 from .circuits import Circuit
 from .dynamics import (
     TimeSeries,
+    cation_spectrum,
     evaluate_spectrum,
     pair_probabilities,
     pair_spectrum,
@@ -38,8 +39,9 @@ from .hamiltonians import (
 from .kak import kak_decompose
 from .library import add_singlet_prep, echo_pulse_circuit
 from .noisecal import MeasurementStats, correct_stats, damp_stats
-from .pipeline import one_group_pair_trace, two_group_sector_spectrum
-from .relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
+from .pipeline import one_group_spectrum
+from .relaxation import (RelaxationParams, apply_channel, infinite_temperature_thermal_channel,
+                         relaxed_singlet)
 from .spinalg import HalfInt, multiplicity, spin_addition_counts
 
 OCTALIN = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3)
@@ -153,7 +155,7 @@ def suite_oracle() -> list[CheckResult]:
     traces, padding, degs = {}, {}, {}
     for I2 in spin_addition_counts(2):
         sec = build_two_group_block(I2, toy)
-        padded = evaluate_spectrum(two_group_sector_spectrum(sec), times, singlet=True)
+        padded = evaluate_spectrum(cation_spectrum(sec.blocks, sec.b2), times, singlet=True)
         traces[I2] = TimeSeries(times, np.clip(padded + sec.pad_register / sec.register_size,
                                                0.0, 1.0))
         padding[I2] = (sec.pad_register, sec.register_size)
@@ -166,7 +168,7 @@ def suite_oracle() -> list[CheckResult]:
 
 def suite_channel_circuit() -> list[CheckResult]:
     from .library import kraus_circuit
-    from .noisemethods import kraus_singlet_values, per_gate_singlet_values
+    from .noisemethods import per_gate_singlet_values
 
     results = []
     rng = np.random.default_rng(2024)
@@ -188,9 +190,9 @@ def suite_channel_circuit() -> list[CheckResult]:
 
     spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0, T1=9.0, T2=9.0)
     times = time_grid(0.0, 50.0, 1.0)
-    avg = one_group_pair_trace(spec, "zero", times).trajectory
-    kraus = kraus_singlet_values(avg, times, 9.0, 9.0)
-    pergate = per_gate_singlet_values(avg, times, 9.0, 9.0)
+    mixed = one_group_spectrum(spec, "zero")
+    kraus = relaxed_singlet(mixed, times, times, 9.0, 9.0)
+    pergate = per_gate_singlet_values(evaluate_spectrum(mixed, times), times, 9.0, 9.0)
     results.append(_check("per-gate noisy identity vs Kraus channel, mixed-state run",
                           np.abs(kraus - pergate).max(), 1e-9))
     return results

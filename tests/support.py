@@ -7,16 +7,17 @@ from math import sqrt
 import numpy as np
 
 from qbeats.circuits import Circuit
-from qbeats.dynamics import (SINGLET, PairSpectrum, evaluate_rows, evaluate_spectrum,
-                             one_group_weights, pair_probabilities, pair_slice_indices,
-                             singlet_values)
+from qbeats.dynamics import (PAIR_TRIU, SINGLET, DensityMatrix, cation_spectrum,
+                             evaluate_spectrum, one_group_weights, pair_probabilities,
+                             pair_slice_indices, singlet_values)
 from qbeats.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, BlockHamiltonian, SpinSystemSpec,
                                  build_two_group_block, build_cation_blocks, distinct_spins,
                                  nuclear_states)
 from qbeats.library import add_singlet_prep
 from qbeats.noisecal import MeasurementStats
-from qbeats.pipeline import one_group_sector_trajectories, two_group_sector_spectrum
-from qbeats.relaxation import CORRELATOR_TRIU, RelaxationParams, relax_pair_trajectory
+from qbeats.pipeline import one_group_sector_spectra
+from qbeats.relaxation import (CORRELATOR_TRIU, RelaxationParams, apply_channel,
+                               infinite_temperature_thermal_channel, relaxed_singlet)
 from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
 
 
@@ -24,19 +25,39 @@ def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
                                 tol: float = 1e-10) -> bool:
     """Both-site channel at (T1,T2) vs single-site at (T1/2,T2/2), spec-level.
 
-    Runs the system's standard coherent pipeline and compares the relaxed
-    singlet traces pointwise.
+    Reads the both-site channel in closed form (``relaxed_singlet``) from the beat spectrum
+    of the even mixture of the |I, m=I> of one group, or of the largest I2 sector of two, and
+    applies the single-site one to its evaluated pair trajectory as an operator sum; compares
+    the relaxed singlet traces pointwise.
     """
     if len(spec.groups) == 1:
-        trajs = one_group_sector_trajectories(spec, times)
-        traj = sum(t.trajectory for t in trajs.values()) / len(trajs)
+        spectra = list(one_group_sector_spectra(spec).values())
+        spectrum = functools.reduce(operator.add, [(1 / len(spectra)) * s for s in spectra])
     else:
-        I2_max = max(spin_addition_counts(spec.groups[1].count))
-        traj = evaluate_spectrum(two_group_sector_spectrum(build_two_group_block(I2_max, spec)),
-                                 times)
-    both = singlet_values(relax_pair_trajectory(traj, times, spec.T1, spec.T2, "both"))
-    single = singlet_values(relax_pair_trajectory(traj, times, spec.T1 / 2, spec.T2 / 2, "e1"))
+        sector = build_two_group_block(max(spin_addition_counts(spec.groups[1].count)), spec)
+        spectrum = cation_spectrum(sector.blocks, sector.b2)
+    both = relaxed_singlet(spectrum, times, times, spec.T1, spec.T2)
+    single = singlet_values(np.array([
+        operator_sum_pair(rho, t, spec.T1 / 2, spec.T2 / 2, ("e1",))
+        for rho, t in zip(evaluate_spectrum(spectrum, times), times)]))
     return bool(np.abs(both - single).max() <= tol)
+
+
+def operator_sum_pair(rho: np.ndarray, t: float, T1: float, T2: float,
+                      sites=("e1", "e2")) -> np.ndarray:
+    """A (4, 4) pair state, e1 its first factor, after the thermal channel of duration t on
+    ``sites``, applied as the operator sum ``apply_channel``."""
+    state = DensityMatrix(rho, (2, 2), ("e1", "e2"))
+    for site in sites:
+        channel = infinite_temperature_thermal_channel(RelaxationParams(float(t), T1, T2), site)
+        state = apply_channel(state, channel)
+    return state.matrix
+
+
+def trajectory_correlators(traj: np.ndarray) -> np.ndarray:
+    """(4, T) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>) of a (T, 4, 4) pair trajectory;
+    w is the trace."""
+    return CORRELATOR_TRIU @ traj[:, PAIR_TRIU[0], PAIR_TRIU[1]].real.T
 
 
 def cation_register(h: np.ndarray, b2: float) -> BlockHamiltonian:
@@ -98,11 +119,10 @@ def class_average(n: int, field_regime: str, per_sector: dict):
     return functools.reduce(operator.add, terms)
 
 
-def channel_target_stats(params: RelaxationParams, sites: str = "both") -> MeasurementStats:
-    """Bell statistics of the thermal channel applied to a fresh singlet pair."""
-    rho = np.outer(SINGLET, SINGLET.conj())[None, :, :]
-    relaxed = relax_pair_trajectory(rho, np.array([params.t]), params.T1, params.T2, sites)
-    return MeasurementStats.from_array(pair_probabilities(relaxed)[0])
+def channel_target_stats(params: RelaxationParams) -> MeasurementStats:
+    """Bell statistics of the both-site thermal channel applied to a fresh singlet pair."""
+    relaxed = operator_sum_pair(np.outer(SINGLET, SINGLET), params.t, params.T1, params.T2)
+    return MeasurementStats.from_array(pair_probabilities(relaxed))
 
 
 def inject_singlet(undamped: MeasurementStats, target: MeasurementStats) -> float:
@@ -147,11 +167,6 @@ def werner_trajectory(singlet):
     s = np.asarray(singlet)[:, None, None]
     projector = np.outer(SINGLET, SINGLET)
     return s * projector + (1 - s) / 3 * (np.eye(4) - projector)
-
-
-def pair_correlators(spectrum: PairSpectrum, times: np.ndarray) -> np.ndarray:
-    """(4, T) correlators (w, <ZZ>, <XX + YY>, <Z1 + Z2>) of a beat spectrum; w is the trace."""
-    return evaluate_rows(spectrum, np.asarray(times, dtype=float), CORRELATOR_TRIU)
 
 
 # ---------------------------------------------------------------------------

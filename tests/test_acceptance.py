@@ -20,13 +20,14 @@ from qbeats.config import load_preset
 from qbeats.dynamics import (
     DensityMatrix,
     TimeSeries,
+    clip_probabilities,
+    evaluate_spectrum,
     maximally_mixed_nuclear_state,
     one_group_weights,
     pair_probabilities,
     reassemble_two_group,
     sector_statevector,
     singlet_trace,
-    singlet_trace_pure,
     singlet_vector,
     time_grid,
 )
@@ -54,16 +55,17 @@ from qbeats.library import (
     trotterized_pauli_evolution,
 )
 from qbeats.noisecal import MeasurementStats, correct_stats, damp_stats
-from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
-from qbeats.pipeline import (
-    one_group_pair_trace,
-    one_group_sector_trajectories,
-    two_group_pair_trace,
-)
+from qbeats.noisemethods import per_gate_singlet_values
+from qbeats.pipeline import one_group_sector_spectra, one_group_spectrum, two_group_spectrum
 from qbeats.postprocess import FluorescenceParams, boxcar_kernel, observed_ratio
-from qbeats.relaxation import RelaxationParams, apply_channel, infinite_temperature_thermal_channel
+from qbeats.relaxation import (
+    RelaxationParams,
+    apply_channel,
+    infinite_temperature_thermal_channel,
+    relaxed_singlet,
+)
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import half_rate_equivalence_check
+from support import class_average, half_rate_equivalence_check
 
 OCTALIN = {B: SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=B)
            for B in (0.0, 0.3)}
@@ -130,12 +132,12 @@ def test_criterion_02_oracle_equivalence():
             for tm in range(-I.twice_value, I.twice_value + 2, 2):
                 m = HalfInt(tm)
                 nuc = full_nuclear_sector_vector(8, I, m)
-                full = singlet_trace_pure(Hfull, singlet_vector(nuc, Hfull.dims), times)
-                red = singlet_trace_pure(
+                full = singlet_trace(Hfull, singlet_vector(nuc, Hfull.dims), times)
+                red = singlet_trace(
                     Hred, sector_statevector(one_group_reduced_index(8, I, m), 32), times)
                 worst_red = max(worst_red, np.abs(full.values - red.values).max())
                 if m == I:
-                    part = singlet_trace_pure(
+                    part = singlet_trace(
                         build_partitioned(I, spec), sector_statevector(0, 2), times)
                     worst_part = max(worst_part, np.abs(full.values - part.values).max())
     elapsed = time.time() - start
@@ -153,7 +155,7 @@ def test_criterion_03_degeneracy_structure():
     for I in distinct_spins(8):
         base = None
         for tm in range(-I.twice_value, I.twice_value + 2, 2):
-            tr = singlet_trace_pure(
+            tr = singlet_trace(
                 Hred0, sector_statevector(
                     one_group_reduced_index(8, I, HalfInt(tm)), 32), times).values
             base = tr if base is None else base
@@ -164,16 +166,16 @@ def test_criterion_03_degeneracy_structure():
     by_m: dict[int, list[np.ndarray]] = {}
     for I in distinct_spins(8):
         for tm in range(-I.twice_value, I.twice_value + 2, 2):
-            tr = singlet_trace_pure(
+            tr = singlet_trace(
                 Hsec, sector_statevector(
                     one_group_reduced_index(8, I, HalfInt(tm)), 32), times).values
             by_m.setdefault(abs(tm), []).append(tr)
     worst_high = max(np.abs(tr - lst[0]).max() for lst in by_m.values() for tr in lst)
     # informational: finite-field deviation of the full Hamiltonian at 0.3 T
     HredB = build_reduced_one_group(OCTALIN[0.3])
-    t11 = singlet_trace_pure(HredB, sector_statevector(
+    t11 = singlet_trace(HredB, sector_statevector(
         one_group_reduced_index(8, HalfInt(2), HalfInt(2)), 32), times).values
-    t41 = singlet_trace_pure(HredB, sector_statevector(
+    t41 = singlet_trace(HredB, sector_statevector(
         one_group_reduced_index(8, HalfInt(8), HalfInt(2)), 32), times).values
     finite_field = np.abs(t11 - t41).max()
     ok = worst_zero <= 1e-10 and worst_high <= 1e-10
@@ -185,24 +187,22 @@ def test_criterion_03_degeneracy_structure():
 def test_criterion_04_relaxation_asymptotes():
     spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0, T1=9.0, T2=9.0)
     t_end = 10 * max(spec.T1, spec.T2)
-    s = one_group_pair_trace(spec, "zero", time_grid(0.0, t_end, 0.5))
-    s = s.relaxed(spec.T1, spec.T2).singlet()
-    dev_oct = abs(s.values[-1] - 0.25)
+    grid = time_grid(0.0, t_end, 0.5)
+    s = relaxed_singlet(one_group_spectrum(spec, "zero"), grid, grid, spec.T1, spec.T2)
+    dev_oct = abs(s[-1] - 0.25)
 
     dmb_high = SpinSystemSpec(groups=(NuclearGroup(2, 0.65), NuclearGroup(12, 1.66)),
                               field_B=0.1, T1=math.inf, T2=20.0)
     t_end_dmb = 10 * 20.0  # largest finite time constant (T1 = inf approximation)
-    sd = two_group_pair_trace(dmb_high, time_grid(0.0, t_end_dmb, 1.0))
-    sd = sd.relaxed(dmb_high.T1, dmb_high.T2).singlet()
-    dev_dmb = abs(sd.values[-1] - 0.5)
+    grid = time_grid(0.0, t_end_dmb, 1.0)
+    sd = relaxed_singlet(two_group_spectrum(dmb_high), grid, grid, dmb_high.T1, dmb_high.T2)
+    dev_dmb = abs(sd[-1] - 0.5)
     ok = dev_oct <= 0.01 and dev_dmb <= 0.01
     report(4, ok, f"octalin zero-field S({t_end:.0f} ns) -> 0.25 (dev {dev_oct:.1e}), "
                   f"DMB high-field S({t_end_dmb:.0f} ns) -> 0.5 (dev {dev_dmb:.1e}), tol 0.01")
 
 
 def test_criterion_05_channel_circuit_equivalence():
-    from qbeats.backends import run_statevector_ensemble
-
     rng = np.random.default_rng(99)
     params = RelaxationParams(t=4.5, T1=9.0, T2=9.0)
     chan = infinite_temperature_thermal_channel(params, "q0")
@@ -210,24 +210,18 @@ def test_criterion_05_channel_circuit_equivalence():
     for _ in range(50):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        # exact expansion over probabilistic-gate configurations, ancilla traced
-        psi0 = np.kron(v, np.array([1.0, 0.0]))
-        mixture = sum(w * np.outer(psi, psi.conj())
-                      for w, psi in run_statevector_ensemble(
-                          kraus_circuit(params, 0, 1, 2), psi0))
-        got = partial_trace(mixture, (0,), 2)
+        # exact mixture over the probabilistic gates, ancilla traced
+        rho0 = np.kron(np.outer(v, v.conj()), np.diag([1.0, 0.0]))
+        got = partial_trace(run_density(kraus_circuit(params, 0, 1, 2), rho0).matrix, (0,), 2)
         want = apply_channel(
             DensityMatrix(np.outer(v, v.conj()), (2,), ("q0",)), chan).matrix
         worst_circ = max(worst_circ, np.abs(got - want).max())
 
     spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0, T1=9.0, T2=9.0)
     times = time_grid(0.0, 60.0, 0.5)
-    trajs = one_group_sector_trajectories(spec, times)
-    weights = one_group_weights(8, "zero")
-    total = sum(weights.values())
-    avg = sum((w / total) * trajs[k].trajectory for k, w in weights.items())
-    kraus = kraus_singlet_values(avg, times, 9.0, 9.0)
-    pergate = per_gate_singlet_values(avg, times, 9.0, 9.0)
+    mixed = class_average(8, "zero", one_group_sector_spectra(spec))
+    kraus = relaxed_singlet(mixed, times, times, 9.0, 9.0)
+    pergate = per_gate_singlet_values(evaluate_spectrum(mixed, times), times, 9.0, 9.0)
     worst_pg = np.abs(kraus - pergate).max()
     ok = worst_circ <= 1e-12 and worst_pg <= 1e-9
     report(5, ok, f"ancilla circuit vs channel on 50 states: {worst_circ:.2e} (tol 1e-12); "
@@ -320,7 +314,7 @@ def test_criterion_08_two_group_structure():
         sec = build_two_group_block(I2, DMB_ZERO)
         acc = np.zeros_like(times)
         for r in range(sec.real_register):
-            acc = acc + singlet_trace_pure(
+            acc = acc + singlet_trace(
                 sec.hamiltonian, sector_statevector(r, sec.register_size), times).values
         traces[I2] = TimeSeries(times, np.clip(
             (acc + sec.pad_register) / sec.register_size, 0.0, 1.0))
@@ -349,7 +343,7 @@ def test_criterion_08_two_group_structure():
     for r in range(16):
         nuc = np.zeros(16, dtype=complex)
         nuc[r] = 1.0
-        oracle = oracle + singlet_trace_pure(
+        oracle = oracle + singlet_trace(
             Hfull, singlet_vector(nuc, Hfull.dims), times).values
     oracle /= 16
     t_traces, t_pad, t_deg = {}, {}, {}
@@ -357,7 +351,7 @@ def test_criterion_08_two_group_structure():
         sec = build_two_group_block(I2, toy)
         acc = np.zeros_like(times)
         for r in range(sec.real_register):
-            acc = acc + singlet_trace_pure(
+            acc = acc + singlet_trace(
                 sec.hamiltonian, sector_statevector(r, sec.register_size), times).values
         t_traces[I2] = TimeSeries(times, np.clip(
             (acc + sec.pad_register) / sec.register_size, 0.0, 1.0))
@@ -416,11 +410,13 @@ def test_criterion_10_postprocessing():
 
     def ratio_peak(step):
         grid = time_grid(0.0, 100.0, step)
-        spec_z = cfg.spin_spec("zero")
-        spec_h = cfg.spin_spec("high")
-        s0 = one_group_pair_trace(spec_z, "zero", grid).relaxed(spec_z.T1, spec_z.T2).singlet()
-        sb = one_group_pair_trace(spec_h, "high", grid).relaxed(spec_h.T1, spec_h.T2).singlet()
-        r = observed_ratio(sb, s0, cfg.postprocess)
+
+        def relaxed(regime):
+            spec = cfg.spin_spec(regime)
+            s = relaxed_singlet(one_group_spectrum(spec, regime), grid, grid, spec.T1, spec.T2)
+            return TimeSeries(grid, clip_probabilities(s))
+
+        r = observed_ratio(relaxed("high"), relaxed("zero"), cfg.postprocess)
         v, t = r.values, r.times
         peaks = [i for i in range(1, len(v) - 1) if v[i] >= v[i - 1] and v[i] > v[i + 1]]
         t_global = t[np.argmax(v)]
@@ -457,7 +453,7 @@ def test_criterion_12_trotter_convergence():
     terms = pauli_decompose_partitioned(I, spec)
     H = build_partitioned(I, spec)
     t = 10.0
-    exact = singlet_trace_pure(H, sector_statevector(0, 2), np.array([t])).values[0]
+    exact = singlet_trace(H, sector_statevector(0, 2), np.array([t])).values[0]
 
     def trotter_error(steps):
         circ = trotterized_pauli_evolution(terms, t, steps=steps)

@@ -30,7 +30,7 @@ from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_partitioned,
 from qbeats.library import add_singlet_prep, echo_pulse_circuit
 from qbeats.noisecal import MeasurementStats, correct_stats
 from qbeats.noisemethods import per_gate_singlet_values
-from qbeats.pipeline import one_group_sector_trajectories
+from qbeats.pipeline import one_group_sector_spectra
 from qbeats.relaxation import (
     SINGLET_CORRELATORS,
     RelaxationParams,
@@ -167,7 +167,7 @@ def bell_stats(rho, e1, e2, n) -> MeasurementStats:
 
 def target_at(t: float, T1: float, T2: float, hw: HardwareModel) -> MeasurementStats:
     if math.isinf(T1):
-        return channel_target_stats(RelaxationParams(t, T1, T2), sites="both")
+        return channel_target_stats(RelaxationParams(t, T1, T2))
     N = round(float(hw.echo_channel(t, T1, T2)[0]) / hw.identity_ns)
     c = Circuit(2)
     add_singlet_prep(c, 0, 1)
@@ -204,7 +204,7 @@ class TestNoiseRoutes:
     def test_per_gate_matches_per_point_runs(self, T1, T2):
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3, T1=T1, T2=T2)
         times = time_grid(-1.0, 15.0, 2.0)  # a negative time idles for no time
-        traj = one_group_sector_trajectories(spec, times)[HalfInt(4)].trajectory
+        traj = evaluate_spectrum(one_group_sector_spectra(spec)[HalfInt(4)], times)
         noise = SyntheticQubitNoise(T1=T1, T2=T2)
         want = []
         for i, t in enumerate(times):

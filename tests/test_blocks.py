@@ -18,6 +18,7 @@ from qbeats.config import load_preset
 from qbeats.dynamics import (
     PAIR_TRIU,
     PairSpectrum,
+    cation_spectrum,
     evaluate_spectrum,
     pair_slice_indices,
     sector_statevector,
@@ -36,11 +37,7 @@ from qbeats.hamiltonians import (
     full_nuclear_sector_vector,
     one_group_reduced_index,
 )
-from qbeats.pipeline import (
-    one_group_sector_trajectories,
-    simulate,
-    two_group_sector_spectrum,
-)
+from qbeats.pipeline import one_group_sector_spectra, simulate
 from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
 from support import (cation_matrix, cation_register, cg_block_matrix, coupled_hfc_eigenvalues,
                      dense_eig, dense_pair_trajectory)
@@ -77,9 +74,10 @@ def spec(name, regime):
 def test_octalin_sector_trajectories_match_dense(regime):
     s = spec("octalin", regime)
     H = build_reduced_one_group(s)
-    for I, trace in one_group_sector_trajectories(s, TIMES).items():
+    for I, spectrum in one_group_sector_spectra(s).items():
         psi = sector_statevector(one_group_reduced_index(8, I, I), H.dims[1])
-        assert np.abs(trace.trajectory - dense_pair_trajectory(H, psi, TIMES)).max() <= 1e-12
+        assert np.abs(evaluate_spectrum(spectrum, TIMES)
+                      - dense_pair_trajectory(H, psi, TIMES)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -90,7 +88,7 @@ def test_dmb_sector_trajectories_match_dense(regime):
         dense = sum(dense_pair_trajectory(sector.hamiltonian,
                                           sector_statevector(r, sector.register_size), TIMES)
                     for r in range(sector.real_register)) / sector.register_size
-        blocked = evaluate_spectrum(two_group_sector_spectrum(sector), TIMES)
+        blocked = evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), TIMES)
         assert np.abs(blocked - dense).max() <= 1e-12
 
 

@@ -6,15 +6,13 @@ import pytest
 
 from qbeats.backends import (
     SyntheticQubitNoise,
-    expand_probabilistic,
     partial_trace,
     run_density,
     run_statevector,
-    run_statevector_ensemble,
 )
 from qbeats.circuits import Circuit, Gate
 from qbeats.config import HardwareModel
-from qbeats.dynamics import DensityMatrix, sector_statevector, singlet_trace_pure
+from qbeats.dynamics import DensityMatrix, sector_statevector, singlet_trace
 from qbeats.hamiltonians import (
     NuclearGroup,
     SpinSystemSpec,
@@ -90,7 +88,7 @@ class TestBackends:
         c = Circuit(n_sites)
         c.add("UNITARY", tuple(range(n_sites)), matrix=U)
         out = run_statevector(c, psi0)
-        ref = singlet_trace_pure(H, psi0, np.array([t])).values[0]
+        ref = singlet_trace(H, psi0, np.array([t])).values[0]
         from qbeats.dynamics import pair_slice_indices
 
         idx = pair_slice_indices(H.dims)
@@ -107,7 +105,7 @@ class TestBackends:
         from qbeats.spinalg import HalfInt
 
         nuc_index = one_group_reduced_index(8, HalfInt(8), HalfInt(4))  # slot 2
-        ref = singlet_trace_pure(
+        ref = singlet_trace(
             H, sector_statevector(nuc_index, 32), np.array([7.0, 31.0])).values
         w, v = H.eig()
         idx = pair_slice_indices(H.dims)
@@ -145,34 +143,35 @@ class TestBackends:
         assert np.abs(both - np.kron(b, a)).max() < 1e-15
 
 
+def singlet_then(x: bool, z: bool) -> Circuit:
+    """The singlet preparation, then X on site 1 and Z on site 0 where asked."""
+    c = Circuit(2)
+    add_singlet_prep(c, 0, 1)
+    if x:
+        c.add("X", 1)
+    if z:
+        c.add("Z", 0)
+    return c
+
+
 class TestProbabilisticExpansion:
     def test_configuration_weights(self):
-        c = Circuit(1)
-        c.add("X", 0, prob=0.25)
-        c.add("Z", 0, prob=0.5)
-        configs = expand_probabilistic(c)
-        weights = sorted(w for w, _ in configs)
-        assert weights == pytest.approx([0.125, 0.125, 0.375, 0.375])
-        assert sum(w for w, _ in configs) == pytest.approx(1.0)
+        # each present/absent configuration of the probabilistic gates, weighted by its
+        # probability
+        c = singlet_then(False, False).add("X", 1, prob=0.25).add("Z", 0, prob=0.5)
+        mixture = np.zeros((4, 4), dtype=complex)
+        for x, z in itertools.product((False, True), repeat=2):
+            psi = run_statevector(singlet_then(x, z))
+            mixture += (0.25 if x else 0.75) * 0.5 * np.outer(psi, psi.conj())
+        assert np.abs(run_density(c).matrix - mixture).max() <= 1e-14
 
     def test_exact_expansion_matches_monte_carlo(self):
         # sanity: 1e5 sampled shots agree with the exact mixture within 3 sigma
         rng = np.random.default_rng(42)
-        c = Circuit(2)
-        add_singlet_prep(c, 0, 1)
-        c.add("X", 1, prob=0.3)
-        c.add("Z", 0, prob=0.6)
-        ensemble = run_statevector_ensemble(c)
-        p_exact = sum(w * np.abs(psi[3]) ** 2 for w, psi in ensemble)
-        p_hit = {}  # outcome probability of each sampled (X, Z) configuration
-        for x, z in itertools.product((False, True), repeat=2):
-            cfg = Circuit(2)
-            add_singlet_prep(cfg, 0, 1)
-            if x:
-                cfg.add("X", 1)
-            if z:
-                cfg.add("Z", 0)
-            p_hit[x, z] = np.abs(run_statevector(cfg)[3]) ** 2
+        c = singlet_then(False, False).add("X", 1, prob=0.3).add("Z", 0, prob=0.6)
+        p_exact = run_density(c).matrix[3, 3].real
+        p_hit = {(x, z): np.abs(run_statevector(singlet_then(x, z))[3]) ** 2
+                 for x, z in itertools.product((False, True), repeat=2)}
         shots = 100_000
         hits = 0
         for _ in range(shots):
@@ -183,13 +182,11 @@ class TestProbabilisticExpansion:
         assert abs(p_mc - p_exact) <= 3 * sigma
 
     def test_density_backend_equals_expansion(self):
-        c = Circuit(2)
-        add_singlet_prep(c, 0, 1)
-        c.add("X", 1, prob=0.37)
+        c = singlet_then(False, False).add("X", 1, prob=0.37)
         rho_mix = sum(w * np.outer(psi, psi.conj())
-                      for w, psi in run_statevector_ensemble(c))
-        rho = run_density(c).matrix
-        assert np.abs(rho - rho_mix).max() <= 1e-14
+                      for w, psi in ((0.63, run_statevector(singlet_then(False, False))),
+                                     (0.37, run_statevector(singlet_then(True, False)))))
+        assert np.abs(run_density(c).matrix - rho_mix).max() <= 1e-14
 
 
 class TestKrausCircuit:
@@ -307,7 +304,7 @@ class TestTrotter:
         terms = pauli_decompose_partitioned(I, spec)
         H = build_partitioned(I, spec)
         t = 10.0
-        exact = singlet_trace_pure(H, sector_statevector(0, 2), np.array([t])).values[0]
+        exact = singlet_trace(H, sector_statevector(0, 2), np.array([t])).values[0]
 
         def trotter_error(steps):
             circ = trotterized_pauli_evolution(terms, t, steps=steps)

@@ -24,11 +24,10 @@ from qbeats.config import (
     load_preset,
     parse_config,
 )
-from qbeats.dynamics import singlet_values, time_grid
-from qbeats.pipeline import one_group_pair_trace, simulate
+from qbeats.dynamics import time_grid
+from qbeats.pipeline import one_group_spectrum, simulate
 from qbeats.postprocess import observed_intensity, observed_ratio
-from qbeats.relaxation import relax_pair_trajectory
-from support import werner_trajectory
+from qbeats.relaxation import relaxed_singlet
 
 
 MINIMAL = {
@@ -450,10 +449,8 @@ class TestCli:
             if math.isfinite(spec.T1):  # the echo-delay runs on the hardware qubit
                 rate = (hw.T1_ns + hw.T2_ns) / 2 / ((T1 + T2) / 2 * hw.identity_ns)
                 elapsed, T1, T2 = rate * times // 8 * 8 * hw.identity_ns, hw.T1_ns, hw.T2_ns
-            traj = one_group_pair_trace(spec, regime, times).trajectory
-            if regime == "zero":  # the mixed state's pair state is rotation invariant
-                traj = werner_trajectory(singlet_values(traj))
-            want[regime] = singlet_values(relax_pair_trajectory(traj, elapsed, T1, T2))
+            want[regime] = relaxed_singlet(one_group_spectrum(spec, regime), times, elapsed,
+                                           T1, T2)
         for path, column, regime in ((sim, "singlet_probability", "zero"),
                                      (ratio, "S_0", "zero"), (ratio, "S_B", "high")):
             header, values = csv_columns(path)
@@ -577,6 +574,18 @@ class TestCli:
         rms_line = [l for l in out.read_text().splitlines()
                     if l.startswith("# rms_vs_reference")][0]
         assert float(rms_line.split(":")[1].split("(")[0]) < 1e-9
+
+    def test_compare_file_with_a_byte_order_mark(self, tmp_path):
+        # as spreadsheet "CSV UTF-8" exports write it: the mark before the header line
+        rms = {}
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            ref, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-out.csv"
+            ref.write_text(f"{mark}time_ns,value\n0,0.9\n1,0.8\n2,0.7\n", encoding="utf-8")
+            code, err, stdout = run_main("simulate", "--preset", "octalin", "--out", str(out),
+                                         "--compare", str(ref))
+            assert code == 0 and err == [], err
+            rms[name] = stdout.split(f"RMS deviation vs {ref}: ")[1].split()[0]
+        assert rms["bom"] == rms["plain"]
 
     def test_missing_config_file_exits_1(self, tmp_path):
         # the one run of exit 1 through the real process and its -m entry point

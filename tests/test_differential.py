@@ -8,11 +8,11 @@ drawn with T2 <= 2 T1, either possibly infinite.  The initial state is a pure
 field for one group (where the average over the |I, m=I> representatives is
 exact) and at the drawn field for two groups (whose every nuclear state is
 weighted).  ``simulate`` runs with ``none`` and with ``kraus``, and a mixed
-one-group example also reads ``relaxed_singlet`` of ``one_group_spectrum`` and
-relaxes ``one_group_pair_trace`` at (T1, T2); the oracle is one ``eigh`` of
-the whole 2^(N+2)-square matrix (``support.dense_pair_trajectory``, or
-``support.dense_density_trajectory`` of the mixed state) followed by the
-closed-form both-site channel ``relax_pair_trajectory`` at the same (T1, T2).
+one-group example also reads ``relaxed_singlet`` of ``one_group_spectrum`` at
+(T1, T2); the oracle is one ``eigh`` of the whole 2^(N+2)-square matrix
+(``support.dense_pair_trajectory``, or ``support.dense_density_trajectory`` of
+the mixed state) followed by the closed-form both-site channel at the same
+(T1, T2), ``relaxed_bell_probabilities`` of the trajectory's correlators.
 
 A mixed one-group example draws n <= 6: the mixed-state oracle costs
 D^2 T per pair element, which at n = 8 (D = 1024) alone would take seconds.
@@ -33,14 +33,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats.config import parse_config
-from qbeats.dynamics import (maximally_mixed_nuclear_state, singlet_values, singlet_vector,
-                             time_grid)
+from qbeats.dynamics import maximally_mixed_nuclear_state, singlet_vector, time_grid
 from qbeats.hamiltonians import (build_full_one_group, build_full_two_group,
                                  full_nuclear_sector_vector)
-from qbeats.pipeline import one_group_pair_trace, one_group_spectrum, simulate
-from qbeats.relaxation import relax_pair_trajectory, relaxed_singlet
+from qbeats.pipeline import one_group_spectrum, simulate
+from qbeats.relaxation import relaxed_bell_probabilities, relaxed_singlet
 from qbeats.spinalg import HalfInt
-from support import dense_density_trajectory, dense_pair_trajectory
+from support import dense_density_trajectory, dense_pair_trajectory, trajectory_correlators
 
 GRID = (0.0, 100.0, 2.0)
 TIMES = time_grid(*GRID)
@@ -95,14 +94,12 @@ def frequency_tolerance(spec):
 def test_simulate_matches_the_dense_register_and_the_closed_form_channel(drawn):
     config, regime = drawn
     spec = config.spin_spec(regime)
-    traj = dense_singlet_trajectory(config, regime)
+    correlators = trajectory_correlators(dense_singlet_trajectory(config, regime))
     tol = frequency_tolerance(spec)
     for method, (T1, T2) in (("none", (np.inf, np.inf)), ("kraus", (spec.T1, spec.T2))):
         values = simulate(dataclasses.replace(config, noise_method=method), regime).trace.values
-        oracle = singlet_values(relax_pair_trajectory(traj, TIMES, T1, T2))
+        oracle = relaxed_bell_probabilities(correlators, TIMES, T1, T2)[:, 0]
         assert np.abs(values - oracle).max() <= tol, (method, config.canonical())
     if config.initial_state == "mixed" and len(spec.groups) == 1:  # oracle: the kraus one
         values = relaxed_singlet(one_group_spectrum(spec, regime), TIMES, TIMES, spec.T1, spec.T2)
         assert np.abs(values - oracle).max() <= tol, config.canonical()
-        relaxed = one_group_pair_trace(spec, regime, TIMES).relaxed(spec.T1, spec.T2)
-        assert np.abs(singlet_values(relaxed.trajectory) - oracle).max() <= tol, config.canonical()

@@ -16,7 +16,6 @@ from qbeats.dynamics import (
     reassemble_two_group,
     sector_statevector,
     singlet_trace,
-    singlet_trace_pure,
     time_grid,
 )
 from qbeats.hamiltonians import (
@@ -73,7 +72,7 @@ class TestEvolve:
     def test_octalin_zero_spin_sector_is_flat(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         psi = sector_statevector(one_group_reduced_index(8, HalfInt(0), HalfInt(0)), 32)
-        ts = singlet_trace_pure(H, psi, time_grid(0, 100, 1.0))
+        ts = singlet_trace(H, psi, time_grid(0, 100, 1.0))
         assert np.abs(ts.values - 1.0).max() <= 1e-12
 
     def test_trace_and_hermiticity_preserved(self):
@@ -151,7 +150,7 @@ class TestInitialStates:
         mixed = singlet_trace(H, maximally_mixed_nuclear_state(32), times)
         acc = np.zeros_like(times)
         for r in range(32):
-            acc = acc + singlet_trace_pure(H, sector_statevector(r, 32), times).values
+            acc = acc + singlet_trace(H, sector_statevector(r, 32), times).values
         assert np.abs(mixed.values - acc / 32).max() <= 1e-12
 
 

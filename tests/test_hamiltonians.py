@@ -5,7 +5,7 @@ import pytest
 
 from qbeats.dynamics import (
     sector_statevector,
-    singlet_trace_pure,
+    singlet_trace,
     singlet_vector,
     time_grid,
 )
@@ -119,8 +119,8 @@ class TestReducedOneGroup:
         for (tI, tm) in [(8, 4), (4, -2), (0, 0)]:
             I, m = HalfInt(tI), HalfInt(tm)
             nuc = full_nuclear_sector_vector(8, I, m)
-            ref = singlet_trace_pure(Hfull, singlet_vector(nuc, Hfull.dims), times)
-            red = singlet_trace_pure(
+            ref = singlet_trace(Hfull, singlet_vector(nuc, Hfull.dims), times)
+            red = singlet_trace(
                 Hred, sector_statevector(one_group_reduced_index(8, I, m), 32), times)
             assert np.abs(ref.values - red.values).max() <= 1e-9
 
@@ -163,9 +163,9 @@ class TestPartitioned:
             Hred = build_reduced_one_group(spec)
             for tI in (8, 2):
                 I = HalfInt(tI)
-                part = singlet_trace_pure(
+                part = singlet_trace(
                     build_partitioned(I, spec), sector_statevector(0, 2), times)
-                red = singlet_trace_pure(
+                red = singlet_trace(
                     Hred, sector_statevector(one_group_reduced_index(8, I, I), 32), times)
                 assert np.abs(part.values - red.values).max() <= 1e-10
 

@@ -15,12 +15,11 @@ from qbeats.noisecal import (
     correct_stats,
     damp_stats,
 )
-from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
-from qbeats.pipeline import (one_group_sector_spectra, one_group_sector_trajectories,
-                             two_group_spectrum)
+from qbeats.noisemethods import per_gate_singlet_values
+from qbeats.pipeline import one_group_sector_spectra, two_group_spectrum
 from qbeats.relaxation import RelaxationParams, relaxed_singlet
 from qbeats.spinalg import HalfInt
-from support import channel_target_stats, inject_singlet
+from support import channel_target_stats, class_average, inject_singlet
 
 REF_CLEAN = MeasurementStats(1.0, 0.0, 0.0, 0.0)
 
@@ -81,17 +80,11 @@ class TestInjection:
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                               T1=9.0, T2=9.0)
         times = time_grid(0, 50, 1.0)
-        trajs = one_group_sector_trajectories(spec, times)
-        from qbeats.dynamics import one_group_weights
-
-        weights = one_group_weights(8, "zero")
-        total = sum(weights.values())
-        avg = sum((w / total) * trajs[k].trajectory for k, w in weights.items())
-        kraus = kraus_singlet_values(avg, times, 9.0, 9.0)
-        probs = pair_probabilities(avg)
+        mixed = class_average(8, "zero", one_group_sector_spectra(spec))
+        kraus = relaxed_singlet(mixed, times, times, 9.0, 9.0)
+        probs = pair_probabilities(evaluate_spectrum(mixed, times))
         injected = np.array([
-            float(probs[i] @ channel_target_stats(
-                RelaxationParams(t, 9.0, 9.0), "both").as_array())
+            float(probs[i] @ channel_target_stats(RelaxationParams(t, 9.0, 9.0)).as_array())
             for i, t in enumerate(times)
         ])
         assert np.abs(injected - kraus).max() <= 1e-9
@@ -103,11 +96,11 @@ class TestChannelTargets:
         assert stats.s == pytest.approx(1.0)
 
     def test_long_time_is_mixed(self):
-        stats = channel_target_stats(RelaxationParams(1e5, 9.0, 9.0), "both")
+        stats = channel_target_stats(RelaxationParams(1e5, 9.0, 9.0))
         assert np.abs(stats.as_array() - 0.25).max() <= 1e-12
 
     def test_dephasing_only_splits_s_t0(self):
-        stats = channel_target_stats(RelaxationParams(1e5, math.inf, 9.0), "both")
+        stats = channel_target_stats(RelaxationParams(1e5, math.inf, 9.0))
         assert stats.s == pytest.approx(0.5)
         assert stats.t0 == pytest.approx(0.5)
         assert stats.tp == pytest.approx(0.0, abs=1e-15)
@@ -133,10 +126,9 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel()
         I = HalfInt(8)
-        echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
-                               *hw.echo_channel(times, 9.0, 9.0))
-        trajs = one_group_sector_trajectories(spec, times)
-        kraus = kraus_singlet_values(trajs[I].trajectory, times, 9.0, 9.0)
+        spectrum = one_group_sector_spectra(spec)[I]
+        echo = relaxed_singlet(spectrum, times, *hw.echo_channel(times, 9.0, 9.0))
+        kraus = relaxed_singlet(spectrum, times, times, 9.0, 9.0)
         # procedure carries its own (documented) model error at the few-1e-3 level
         assert np.abs(echo - kraus).max() <= 5e-3
 
@@ -146,10 +138,9 @@ class TestEchoSyntheticPipelines:
         times = time_grid(0, 40, 4.0)
         hw = HardwareModel(T1_ns=1e9, T2_ns=1e9)  # negligible circuit noise
         I = HalfInt(4)
-        echo = relaxed_singlet(one_group_sector_spectra(spec)[I], times,
-                               *hw.echo_channel(times, math.inf, 9.0))
-        trajs = one_group_sector_trajectories(spec, times)
-        kraus = kraus_singlet_values(trajs[I].trajectory, times, math.inf, 9.0)
+        spectrum = one_group_sector_spectra(spec)[I]
+        echo = relaxed_singlet(spectrum, times, *hw.echo_channel(times, math.inf, 9.0))
+        kraus = relaxed_singlet(spectrum, times, times, math.inf, 9.0)
         assert np.abs(echo - kraus).max() <= 1e-9
 
     def test_encoded_route_matches_on_high_field(self):
@@ -162,8 +153,8 @@ class TestEchoSyntheticPipelines:
         # with clean hardware the encoded route reduces to injection on the
         # encoded statistics (S, 1-S, 0, 0)
         expected = np.array([
-            float(np.array([s, 1 - s, 0, 0]) @ channel_target_stats(
-                RelaxationParams(t, math.inf, 20.0), "both").as_array())
+            float(np.array([s, 1 - s, 0, 0])
+                  @ channel_target_stats(RelaxationParams(t, math.inf, 20.0)).as_array())
             for t, s in zip(times, coherent)
         ])
         assert np.abs(got - expected).max() <= 1e-9
@@ -190,10 +181,10 @@ class TestEchoSyntheticPipelines:
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                               T1=9.0, T2=9.0)
         times = time_grid(0, 30, 2.0)
-        trajs = one_group_sector_trajectories(spec, times)
-        traj = trajs[HalfInt(4)].trajectory
+        spectrum = one_group_sector_spectra(spec)[HalfInt(4)]
+        traj = evaluate_spectrum(spectrum, times)
         assert np.abs(per_gate_singlet_values(traj, times, 9.0, 9.0)
-                      - kraus_singlet_values(traj, times, 9.0, 9.0)).max() <= 1e-9
+                      - relaxed_singlet(spectrum, times, times, 9.0, 9.0)).max() <= 1e-9
 
     def test_pipeline_via_ancilla_circuits_equals_channel(self):
         # end-to-end: coherent partitioned evolution, then relaxation realized
@@ -206,8 +197,9 @@ class TestEchoSyntheticPipelines:
         spec = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                               T1=9.0, T2=9.0)
         times = time_grid(0.0, 30.0, 3.0)
-        traj = one_group_sector_trajectories(spec, times)[HalfInt(8)].trajectory
-        want = kraus_singlet_values(traj, times, 9.0, 9.0)
+        spectrum = one_group_sector_spectra(spec)[HalfInt(8)]
+        traj = evaluate_spectrum(spectrum, times)
+        want = relaxed_singlet(spectrum, times, times, 9.0, 9.0)
         for i, t in enumerate(times):
             params = RelaxationParams(float(t), 9.0, 9.0)
             # sites: 0 = e1, 1 = e2 (pair basis order), 2/3 = fresh ancillas

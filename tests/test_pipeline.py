@@ -8,21 +8,19 @@ import pytest
 from qbeats.config import load_preset
 from qbeats.dynamics import (
     TimeSeries,
+    evaluate_spectrum,
     one_group_weights,
     reassemble_two_group,
     singlet_values,
     time_grid,
 )
 from qbeats.hamiltonians import build_two_group_block
-from qbeats.noisemethods import kraus_singlet_values, per_gate_singlet_values
-from qbeats.pipeline import (
-    one_group_pair_trace,
-    one_group_sector_trajectories,
-    simulate,
-    two_group_pair_trace,
-)
+from qbeats.noisemethods import per_gate_singlet_values
+from qbeats.pipeline import (one_group_sector_spectra, one_group_spectrum, simulate,
+                             two_group_spectrum)
+from qbeats.relaxation import relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import werner_trajectory
+from support import class_average, werner_trajectory
 
 GRID = (0.0, 20.0, 0.5)
 
@@ -76,7 +74,7 @@ def test_two_group_per_gate_matches_the_gate_level_circuit(regime):
     evaluated pair trajectory."""
     config = preset("dmb", "per-gate")
     spec, times = config.spin_spec(regime), time_grid(*GRID)
-    oracle = per_gate_singlet_values(two_group_pair_trace(spec, times).trajectory, times,
+    oracle = per_gate_singlet_values(evaluate_spectrum(two_group_spectrum(spec), times), times,
                                      spec.T1, spec.T2)
     assert np.abs(simulate(config, regime).trace.values - oracle).max() <= 1e-12
 
@@ -85,12 +83,14 @@ def test_without_sectors_no_columns_are_returned():
     assert simulate(preset("octalin", "kraus"), "zero").sectors == {}
 
 
-def noisy_singlet(method, traj, times, spec):
-    """S(t) of a pair trajectory under a noise method, through the noise layer's own entry points."""
+def noisy_singlet(method, spectrum, times, spec):
+    """S(t) of a beat spectrum under a noise method: coherent, through the closed-form channel,
+    or through the gate-level delay circuit run on its evaluated trajectory."""
     if method == "none":
-        return singlet_values(traj)
-    noisy = kraus_singlet_values if method == "kraus" else per_gate_singlet_values
-    return noisy(traj, times, spec.T1, spec.T2)
+        return evaluate_spectrum(spectrum, times, singlet=True)
+    if method == "kraus":
+        return relaxed_singlet(spectrum, times, times, spec.T1, spec.T2)
+    return per_gate_singlet_values(evaluate_spectrum(spectrum, times), times, spec.T1, spec.T2)
 
 
 @pytest.mark.parametrize("regime", ["zero", "high"])
@@ -100,13 +100,12 @@ def test_summed_spectrum_matches_the_average_of_sector_trajectories(regime):
     against the rotation-invariant pair state of that average's S(t)."""
     spec = load_preset("octalin").spin_spec(regime)
     times = time_grid(0.0, 100.0, 0.1)
-    trajs = one_group_sector_trajectories(spec, times)
-    weights = one_group_weights(8, regime)
-    total = sum(weights.values())
-    oracle = sum((w / total) * trajs[abs(k)].trajectory for k, w in weights.items())
+    trajs = {I: evaluate_spectrum(s, times) for I, s in one_group_sector_spectra(spec).items()}
+    oracle = class_average(8, regime, trajs)
     if regime == "zero":
         oracle = werner_trajectory(singlet_values(oracle))
-    assert np.abs(one_group_pair_trace(spec, regime, times).trajectory - oracle).max() <= 1e-12
+    mixed = evaluate_spectrum(one_group_spectrum(spec, regime), times)
+    assert np.abs(mixed - oracle).max() <= 1e-12
 
 
 @pytest.mark.parametrize("regime", ["zero", "high"])
@@ -116,8 +115,8 @@ def test_simulate_matches_per_sector_trajectories(method, regime):
     trace is their count-weighted average and each sector column is one of them."""
     config = preset("octalin", method)
     spec, times = config.spin_spec(regime), time_grid(*GRID)
-    per_sector = {f"I={I}": noisy_singlet(method, tr.trajectory, times, spec)
-                  for I, tr in one_group_sector_trajectories(spec, times).items()}
+    per_sector = {f"I={I}": noisy_singlet(method, s, times, spec)
+                  for I, s in one_group_sector_spectra(spec).items()}
     plain, with_sectors = simulate(config, regime), simulate(config, regime, sectors=True)
     assert np.array_equal(plain.trace.values, with_sectors.trace.values)
     assert np.abs(plain.trace.values - sector_average(per_sector, regime)).max() <= 1e-12
@@ -129,9 +128,9 @@ def test_simulate_matches_per_sector_trajectories(method, regime):
 def test_pure_sector_state_matches_its_sector_trajectory():
     config = dataclasses.replace(preset("octalin", "kraus"), initial_state="3,3")
     spec, times = config.spin_spec("zero"), time_grid(*GRID)
-    traj = one_group_sector_trajectories(spec, times)[HalfInt.from_float(3)].trajectory
+    spectrum = one_group_sector_spectra(spec)[HalfInt.from_float(3)]
     assert np.abs(simulate(config, "zero").trace.values
-                  - noisy_singlet("kraus", traj, times, spec)).max() <= 1e-12
+                  - noisy_singlet("kraus", spectrum, times, spec)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("grid, count", [

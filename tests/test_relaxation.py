@@ -6,18 +6,18 @@ from hypothesis import given, strategies as st
 
 from qbeats.backends import SyntheticQubitNoise, run_density
 from qbeats.circuits import Circuit
-from qbeats.dynamics import DensityMatrix, time_grid
+from qbeats.dynamics import DensityMatrix, evaluate_spectrum, pair_probabilities, time_grid
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec
-from qbeats.pipeline import one_group_pair_trace, one_group_spectrum
+from qbeats.pipeline import one_group_spectrum
 from qbeats.relaxation import (
     KrausChannel,
     RelaxationParams,
     apply_channel,
     infinite_temperature_thermal_channel,
-    relax_pair_trajectory,
+    relaxed_bell_probabilities,
     relaxed_singlet,
 )
-from support import half_rate_equivalence_check
+from support import half_rate_equivalence_check, operator_sum_pair, trajectory_correlators
 
 OCTALIN_RELAXED = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                                  T1=9.0, T2=9.0)
@@ -123,21 +123,25 @@ class TestApplyChannel:
     @pytest.mark.parametrize("T1,T2", [(9.0, 13.0), (math.inf, 5.0)])
     @pytest.mark.parametrize("sites", ["both", "e1", "e2"])
     def test_closed_form_matches_kraus_on_pairs(self, sites, T1, T2):
-        """Each site selector on a grid of times, one random pair state per time, against
-        the operator sum on the same site or sites."""
+        """The closed form on random pair states on a grid of times, read from their
+        correlators, against the operator sum: all four outcomes of the both-site channel
+        at (T1, T2), or S and T0 of the channel on one site at (T1/2, T2/2), which act on
+        S and T0 as the both-site one does."""
         rng = np.random.default_rng(4)
-        times = np.repeat([0.0, 0.5, 3.0, 9.0, 40.0], 2)
+        times = np.repeat([0.0, 0.5, 3.0, 9.0, 40.0], 4)
         v = rng.normal(size=(len(times), 4)) + 1j * rng.normal(size=(len(times), 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         traj = np.einsum("ta,tb->tab", v, v.conj())
-        via_closed = relax_pair_trajectory(traj, times, T1, T2, sites)
-        perm = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])  # pair basis p = 2 e1 + e2 <-> (e2, e1)
-        for rho, t, closed in zip(traj, times, via_closed):
-            dm = DensityMatrix(rho[perm], (2, 1, 2), ("e2", "nuc", "e1"))
-            for site in ("e1", "e2") if sites == "both" else (sites,):
-                dm = apply_channel(
-                    dm, infinite_temperature_thermal_channel(RelaxationParams(t, T1, T2), site))
-            assert np.abs(closed - dm.matrix[perm]).max() <= 1e-13
+        got = relaxed_bell_probabilities(trajectory_correlators(traj), times, T1, T2)
+        if sites == "both":
+            want = pair_probabilities(np.array(
+                [operator_sum_pair(rho, t, T1, T2) for rho, t in zip(traj, times)]))
+        else:
+            want = pair_probabilities(np.array(
+                [operator_sum_pair(rho, t, T1 / 2, T2 / 2, (sites,))
+                 for rho, t in zip(traj, times)]))
+            got, want = got[:, :2], want[:, :2]
+        assert np.abs(got - want).max() <= 1e-13
 
     def test_missing_site_rejected(self):
         chan = infinite_temperature_thermal_channel(RelaxationParams(1.0, 9.0, 9.0), "nope")
@@ -160,10 +164,8 @@ class TestCommutation:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
-            ev_first = relax_pair_trajectory((U @ rho @ U.conj().T)[None],
-                                             np.array([t]), 9.0, 9.0)[0]
-            relax_first = relax_pair_trajectory(rho[None], np.array([t]), 9.0, 9.0)[0]
-            relax_first = U @ relax_first @ U.conj().T
+            ev_first = operator_sum_pair(U @ rho @ U.conj().T, t, 9.0, 9.0)
+            relax_first = U @ operator_sum_pair(rho, t, 9.0, 9.0) @ U.conj().T
             assert np.abs(ev_first - relax_first).max() <= 1e-11
 
 
@@ -185,9 +187,9 @@ class TestDecayEnvelope:
         # noisy/coherent ratio at the coherent envelope's peak samples (the
         # raw peak heights carry beat ripples of coherent origin)
         times = time_grid(0, 90, 0.1)
-        coherent_trace = one_group_pair_trace(OCTALIN_RELAXED, "zero", times)
-        noisy = coherent_trace.relaxed(OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2).singlet().values
-        coherent = coherent_trace.singlet().values
+        spectrum = one_group_spectrum(OCTALIN_RELAXED, "zero")
+        noisy = relaxed_singlet(spectrum, times, times, OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2)
+        coherent = evaluate_spectrum(spectrum, times, singlet=True)
         dn, dc = np.abs(noisy - 0.25), np.abs(coherent - 0.25)
         idx = np.array([i for i in range(1, len(dc) - 1)
                         if dc[i] >= dc[i - 1] and dc[i] >= dc[i + 1] and dc[i] > 1e-3])
@@ -197,6 +199,6 @@ class TestDecayEnvelope:
 
     def test_asymptote(self):
         times = time_grid(0, 90, 0.5)
-        s = one_group_pair_trace(OCTALIN_RELAXED, "zero", times)
-        s = s.relaxed(OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2).singlet()
-        assert abs(s.values[-1] - 0.25) <= 0.01
+        s = relaxed_singlet(one_group_spectrum(OCTALIN_RELAXED, "zero"), times, times,
+                            OCTALIN_RELAXED.T1, OCTALIN_RELAXED.T2)
+        assert abs(s[-1] - 0.25) <= 0.01

@@ -35,7 +35,6 @@ from qbeats.dynamics import (
     pair_spectrum,
     sector_statevector,
     singlet_trace,
-    singlet_trace_pure,
     singlet_values,
     singlet_vector,
     time_grid,
@@ -49,24 +48,12 @@ from qbeats.hamiltonians import (
     full_nuclear_sector_vector,
     one_group_reduced_index,
 )
-from qbeats.pipeline import (
-    one_group_pair_trace,
-    one_group_sector_spectra,
-    one_group_spectrum,
-    simulate,
-    two_group_pair_trace,
-    two_group_sector_spectrum,
-    two_group_spectrum,
-)
-from qbeats.relaxation import (
-    CORRELATOR_TRIU,
-    relax_pair_trajectory,
-    relaxed_bell_probabilities,
-    relaxed_singlet,
-)
+from qbeats.pipeline import (one_group_sector_spectra, one_group_spectrum, simulate,
+                             two_group_spectrum)
+from qbeats.relaxation import CORRELATOR_TRIU, relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
 from support import (cation_matrix, cation_register, class_average, dense_density_trajectory,
-                     one_group_blocks, pair_correlators, reduced_cation_block,
+                     one_group_blocks, operator_sum_pair, reduced_cation_block,
                      werner_trajectory)
 
 REGIMES = ("zero", "high")
@@ -127,6 +114,13 @@ def dmb_sector(regime, I2):
     return build_two_group_block(I2, spec("dmb", regime))
 
 
+def sector_share(regime, I2):
+    """The spectrum of one I2 sector's slots in the dmb mixed state, weighted by its share."""
+    sector = dmb_sector(regime, I2)
+    share = spin_addition_counts(12)[I2] * sector.register_size / 2**14
+    return share * cation_spectrum(sector.blocks, sector.b2)
+
+
 def oracle_sector(sector, times):
     reg = sector.register_size
     return sum(oracle_pure(sector.hamiltonian, sector_statevector(r, reg), times)
@@ -149,7 +143,7 @@ def test_pure_states_of_the_reduced_basis(regime):
             psi = sector_statevector(one_group_reduced_index(8, I, HalfInt(tm)), H.dims[1])
             assert dev(evaluate_spectrum(pair_spectrum(H, psi, [1.0]), TIMES),
                        oracle_pure(H, psi, TIMES)) <= TOL
-            assert dev(singlet_trace_pure(H, psi, TIMES).values,
+            assert dev(singlet_trace(H, psi, TIMES).values,
                        oracle_singlet_pure(H, psi, TIMES)) <= TOL
 
 
@@ -157,7 +151,7 @@ def test_pure_states_of_the_reduced_basis(regime):
 def test_dmb_mixed_registers(regime):
     for I2 in spin_addition_counts(12):
         sector = dmb_sector(regime, I2)
-        assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), TIMES),
+        assert dev(evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), TIMES),
                    oracle_sector(sector, TIMES)) <= TOL
 
 
@@ -166,7 +160,7 @@ def test_dmb_mixed_state_trajectory(regime):
     counts = spin_addition_counts(12)
     oracle = sum(counts[I2] * dmb_sector(regime, I2).register_size / 2**14
                  * oracle_sector(dmb_sector(regime, I2), TIMES) for I2 in counts)
-    assert dev(two_group_pair_trace(spec("dmb", regime), TIMES).trajectory, oracle) <= TOL
+    assert dev(evaluate_spectrum(two_group_spectrum(spec("dmb", regime)), TIMES), oracle) <= TOL
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -191,7 +185,7 @@ def test_full_oracle_hamiltonian(regime):
     states = [singlet_vector(full_nuclear_sector_vector(8, HalfInt(tI), HalfInt(tm)), H.dims)
               for tI, tm in ((8, 8), (8, 0), (4, 2), (2, -2), (0, 0))]
     for psi in states:
-        assert dev(singlet_trace_pure(H, psi, TIMES).values,
+        assert dev(singlet_trace(H, psi, TIMES).values,
                    oracle_singlet_pure(H, psi, TIMES)) <= TOL
         assert dev(evaluate_spectrum(pair_spectrum(H, psi, [1.0]), TIMES[::10]),
                    oracle_pure(H, psi, TIMES[::10])) <= TOL
@@ -218,7 +212,7 @@ def small_tables(monkeypatch):
 
 def sector_case(regime="high"):
     sector = dmb_sector(regime, HalfInt(4))
-    return sector, two_group_sector_spectrum(sector)
+    return sector, cation_spectrum(sector.blocks, sector.b2)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
@@ -262,15 +256,13 @@ def test_long_zero_field_grid_merges_degenerate_frequencies():
     total = 0
     for I2 in spin_addition_counts(12):
         sector = dmb_sector("zero", I2)
-        spectrum = two_group_sector_spectrum(sector)
+        spectrum = cation_spectrum(sector.blocks, sector.b2)
         total += len(spectrum.freqs)
         blocks = sector.hamiltonian.blocks()
         pairs = sum(len(b) ** 2 for b in blocks if len(b) > 1)
         assert len(spectrum.freqs) < pairs
         assert dev(evaluate_spectrum(spectrum, times), oracle_sector(sector, times)) <= TOL
-    counts = spin_addition_counts(12)
-    parts = [(counts[I2] / 2**14 * dmb_sector("zero", I2).register_size)
-             * two_group_sector_spectrum(dmb_sector("zero", I2)) for I2 in counts]
+    parts = [sector_share("zero", I2) for I2 in spin_addition_counts(12)]
     assert len(sum(parts[1:], parts[0]).freqs) < total
 
 
@@ -279,7 +271,8 @@ def test_long_zero_field_grid_merges_degenerate_frequencies():
 # ---------------------------------------------------------------------------
 
 def test_scaled_sum_evaluates_to_the_scaled_sum_of_trajectories():
-    (_, a), b = sector_case("zero"), two_group_sector_spectrum(dmb_sector("zero", HalfInt(2)))
+    (_, a), sector = sector_case("zero"), dmb_sector("zero", HalfInt(2))
+    b = cation_spectrum(sector.blocks, sector.b2)
     combined = 0.3 * a + b
     expected = 0.3 * evaluate_spectrum(a, TIMES) + evaluate_spectrum(b, TIMES)
     assert dev(evaluate_spectrum(combined, TIMES), expected) <= TOL
@@ -345,7 +338,7 @@ def class_weights(regime):
 def test_cation_spectra_of_every_dmb_sector(regime):
     for I2 in spin_addition_counts(12):
         sector = dmb_sector(regime, I2)
-        assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), TIMES),
+        assert dev(evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), TIMES),
                    evaluate_spectrum(full_register_sector_spectrum(sector), TIMES)) <= TOL
 
 
@@ -362,7 +355,7 @@ def test_cation_spectrum_of_the_mixed_octalin_ensemble(regime):
                oracle) <= TOL
     if regime == "zero":  # the mixed state's pair state is rotation invariant
         oracle = werner_trajectory(singlet_values(oracle))
-    assert dev(one_group_pair_trace(s, regime, TIMES).trajectory, oracle) <= TOL
+    assert dev(evaluate_spectrum(one_group_spectrum(s, regime), TIMES), oracle) <= TOL
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -394,7 +387,7 @@ def test_cation_spectra_across_chunk_boundaries(small_tables, extra):
     times = 0.7 * np.arange(small_tables ** 2 + extra)
     sector = dmb_sector("high", HalfInt(6))
     oracle = full_register_sector_spectrum(sector)
-    assert dev(evaluate_spectrum(two_group_sector_spectrum(sector), times),
+    assert dev(evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), times),
                evaluate_spectrum(oracle, times)) <= TOL
     s = spec("octalin", "high")
     H, weights = reduced("high"), class_weights("high")
@@ -446,13 +439,16 @@ def regime_spectrum(name, regime):
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("name", ["octalin", "dmb"])
 def test_correlator_readout_matches_the_relaxed_trajectory(name, regime, relaxation):
+    """The closed-form read-out on the grid against the evaluated trajectory relaxed by the
+    operator sum on both sites, at a seeded draw of 100 of the grid's 1001 points."""
     s, spectrum = regime_spectrum(name, regime)
     T1 = s.T1 if relaxation == "preset" else math.inf
     T2 = math.inf if relaxation == "T1=T2=inf" else s.T2
-    relaxed = relax_pair_trajectory(evaluate_spectrum(spectrum, TIMES), TIMES, T1, T2)
-    assert dev(relaxed_singlet(spectrum, TIMES, TIMES, T1, T2), singlet_values(relaxed)) <= TOL
-    bell = relaxed_bell_probabilities(pair_correlators(spectrum, TIMES), TIMES, T1, T2)
-    assert dev(bell, pair_probabilities(relaxed)) <= TOL
+    drawn = np.sort(np.random.default_rng(25).choice(len(TIMES), 100, replace=False))
+    relaxed = [operator_sum_pair(rho, t, T1, T2)
+               for rho, t in zip(evaluate_spectrum(spectrum, TIMES)[drawn], TIMES[drawn])]
+    assert dev(relaxed_singlet(spectrum, TIMES, TIMES, T1, T2)[drawn],
+               singlet_values(np.array(relaxed))) <= TOL
 
 
 def test_relaxed_singlet_takes_a_list_of_elapsed_times():
@@ -475,9 +471,7 @@ def test_the_trace_is_one_constant_term(name, regime):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_all_dmb_sectors_at_once_equal_the_per_sector_sum(regime):
-    counts, total = spin_addition_counts(12), 2 ** 14
-    parts = [(counts[I2] * dmb_sector(regime, I2).register_size / total)
-             * two_group_sector_spectrum(dmb_sector(regime, I2)) for I2 in counts]
+    parts = [sector_share(regime, I2) for I2 in spin_addition_counts(12)]
     oracle = functools.reduce(operator.add, parts)
     spectrum = two_group_spectrum(spec("dmb", regime))
     assert dev(evaluate_spectrum(spectrum, TIMES), evaluate_spectrum(oracle, TIMES)) <= TOL
