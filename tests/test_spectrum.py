@@ -31,7 +31,6 @@ from qbeats.dynamics import (
     evaluate_spectrum,
     maximally_mixed_nuclear_state,
     one_group_weights,
-    pair_probabilities,
     pair_spectrum,
     sector_statevector,
     singlet_trace,
