@@ -22,7 +22,7 @@ from .config import (FIELD_REGIMES, PRESETS, ConfigError, ExperimentConfig, load
                      load_preset, read_text)
 from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
-from .postprocess import intensity_ratio, kernel_step, observed_intensity
+from .postprocess import kernel_step, observed_ratio
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 FLOAT_WORDS = ("nan", "inf", "infinity")  # the spellings of float() that start with a letter
@@ -128,6 +128,8 @@ def cmd_simulate(args) -> int:
 def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid ConfigError
     try:
         return step(*args)
+    except NumericalError:  # a ValueError too, but no fault of the grid: exit 2
+        raise
     except ValueError as exc:
         raise ConfigError(f"{source}.time_grid: {exc}") from None
 
@@ -140,36 +142,26 @@ def cmd_trmfe(args) -> int:
         raise ConfigError(f"{source}.postprocess: trmfe requires a postprocess block")
     _grid_checked(source, kernel_step, time_grid(*config.time_grid), pp)  # before simulating
     s_zero, s_high = (simulate(config, regime).trace for regime in FIELD_REGIMES)
-    i_b, i_0 = observed_intensity(s_high, pp), observed_intensity(s_zero, pp)
-    ratio = _grid_checked(source, intensity_ratio, i_b, i_0)
-    mask = np.isin(s_high.times, ratio.times)
-    columns = {
-        "time_ns": ratio.times,
-        "ratio": ratio.values,
-        "I_B": i_b.values[mask],
-        "I_0": i_0.values[mask],
-        "S_B": s_high.values[mask],
-        "S_0": s_zero.values[mask],
-    }
+    columns = _grid_checked(source, observed_ratio, s_high, s_zero, pp)
     meta = {
         "command": "trmfe",
         "name": config.name,
         "config_sha256": config.digest(),
         "noise_method": config.noise_method,
         "postprocess": f"theta={pp.theta}, tau_f={pp.tau_f}, t0={pp.t0}, t_g={pp.t_g}",
-        "edge_unreliable_before_ns": ratio.meta.get("edge_unreliable_before_ns"),
+        "edge_unreliable_before_ns": float(s_zero.times[0] + (pp.t_g + 3 * pp.tau_f)),
         "units": "time_ns, dimensionless",
     }
-    return _finish(args, reference, ratio.times, ratio.values, columns, meta)
+    return _finish(args, reference, columns["time_ns"], columns["ratio"], columns, meta)
 
 
 def cmd_validate(args) -> int:
-    from .validate import run_suite  # the gate-level oracle loads only for this command
-    try:
-        results = run_suite(args.suite)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from .validate import SUITES, run_suite  # the gate-level oracle loads only for this command
+    if args.suite not in (*SUITES, "all"):  # a suite's own ValueError is no usage error
+        print(f"error: unknown suite {args.suite!r}; available: {', '.join([*SUITES, 'all'])}",
+              file=sys.stderr)
         return 1
+    results = run_suite(args.suite)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.ok]

@@ -25,7 +25,7 @@ from .relaxation import SINGLET_CORRELATORS, relaxed_bell_probabilities
 from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
-MAX_TIME_POINTS = 1_000_000  # a trmfe CSV of about 106 MB; no route builds a (T, 4, 4) trajectory
+MAX_TIME_POINTS = 1_000_000  # octalin trmfe CSV: 121 MB (dmb 86 MB); no (T, 4, 4) trajectory
 # nuclei in the last group, by number of groups: default-grid trmfe at the cap takes up to
 # 1.8 s and 0.39 GB (one group, mostly the exact spin multiplicities) and 1.9 s and 0.13 GB
 # (two groups) on a busy 2-core host with one BLAS thread

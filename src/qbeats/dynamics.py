@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +60,11 @@ class DensityMatrix:
 
 @dataclass
 class TimeSeries:
-    """Gridded scalar trace with unit metadata (times in ns)."""
+    """Gridded scalar trace (times in ns)."""
 
     times: np.ndarray
     values: np.ndarray
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -139,22 +138,6 @@ def sector_statevector(index: int, nuclear_dim: int) -> np.ndarray:
     nuc = np.zeros(nuclear_dim, dtype=complex)
     nuc[index] = 1.0
     return singlet_vector(nuc, (2, nuclear_dim, 2))
-
-
-def maximally_mixed_nuclear_state(n_nuclear_dims: int) -> DensityMatrix:
-    """(1/n) identity on the nuclear block, singlet on the electron pair."""
-    if n_nuclear_dims < 1:
-        raise ValueError("nuclear dimension must be >= 1")
-    dims = (2, n_nuclear_dims, 2)
-    idx = pair_slice_indices(dims)
-    dim = int(np.prod(dims))
-    rho = np.zeros((dim, dim), dtype=complex)
-    weight = 1.0 / n_nuclear_dims
-    for p in (1, 2):
-        for q in (1, 2):
-            sign = 1.0 if p == q else -1.0
-            rho[idx[p], idx[q]] = 0.5 * sign * weight
-    return DensityMatrix(rho, dims, ("e2", "nuc", "e1"))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +332,6 @@ def singlet_only(spectrum: PairSpectrum, rest: np.ndarray) -> PairSpectrum:
                                 np.outer(trace, rest[PAIR_TRIU])], spectrum.tol)
 
 
-def _density_spectrum(H: BlockHamiltonian, rho0: np.ndarray) -> PairSpectrum:
-    """Beat spectrum of a density matrix, as the eigen-ensemble of its own blocks."""
-    lam, u = BlockHamiltonian(rho0, H.dims).eig()
-    return pair_spectrum(H, u.T[lam != 0], lam[lam != 0])
-
-
 def _phase_powers(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
     """(n, F) table exp(-i freqs k step), k < n, by doubling: each entry is a product of
     at most log2(n) + 1 directly computed exponentials."""
@@ -438,10 +415,9 @@ def evaluate_spectrum(spectrum: PairSpectrum, times: np.ndarray,
     return traj.transpose(2, 0, 1)
 
 
-def singlet_trace(H: BlockHamiltonian, initial, times: np.ndarray) -> TimeSeries:
-    """S(t) for a pure statevector or a DensityMatrix initial condition."""
-    spectrum = (_density_spectrum(H, initial.matrix) if isinstance(initial, DensityMatrix)
-                else pair_spectrum(H, initial, [1.0]))
+def singlet_trace(H: BlockHamiltonian, psi: np.ndarray, times: np.ndarray) -> TimeSeries:
+    """S(t) of a pure statevector (a mixed state is a ``pair_spectrum`` ensemble)."""
+    spectrum = pair_spectrum(H, psi, [1.0])
     return TimeSeries(times, clip_probabilities(evaluate_spectrum(spectrum, times, singlet=True)))
 
 

@@ -7,9 +7,9 @@ Several representations of the same physics:
 * real cation blocks (nuclei and e1) of conserved (I..., M), written from
   spin ladder operators, I.S1 = Iz S1z + (I+ S1- + I- S1+)/2, for the
   states an ensemble reaches (``build_cation_blocks``),
-* the degeneracy-reduced total-spin register of one group, exact or secular,
-  and the fixed-I2 sector registers of two groups, both zero-padded to a
-  power of 2 and assembled from those blocks,
+* the degeneracy-reduced total-spin register of one group and the fixed-I2
+  sector registers of two groups, both zero-padded to a power of 2 and
+  assembled from those blocks,
 * the 8-dimensional partitioned form for initial states |I, m=I>,
 * its Pauli-string decomposition.
 
@@ -200,8 +200,8 @@ def distinct_spins(n: int) -> list[HalfInt]:
 
 def one_group_reduced_index(n: int, I: HalfInt, m: HalfInt) -> int:
     """Slot of |I,m> in the degeneracy-free nuclear ordering (Table-VII style)."""
-    if abs(m.twice_value) > I.twice_value:
-        raise ValueError(f"|m|={m} exceeds I={I}")
+    if abs(m.twice_value) > I.twice_value or (I.twice_value - m.twice_value) % 2:
+        raise ValueError(f"no state |I={I}, m={m}>: m must be one of I, I-1, ..., -I")
     idx = 0
     for J in distinct_spins(n):
         if J == I:
@@ -393,26 +393,16 @@ def build_cation_blocks(spec: SpinSystemSpec, two_I, two_m, weights) -> CationBl
     return CationBlocks(h, live, slot_weights, fam, row_m, pairs)
 
 
-def _padded_register(blocks: CationBlocks, b2: float, secular: bool = False) -> BlockHamiltonian:
+def _padded_register(blocks: CationBlocks, b2: float) -> BlockHamiltonian:
     """The (e2, nuc, e1) register 1_e2 x h - b2 Z_e2 x 1 of the blocks' matrix h
-    (``CationBlocks.dense``; with ``secular`` its diagonal alone), the nuclear slots
-    zero-padded to a power of 2.  Padding slots stay exactly zero, the Zeeman terms
-    included."""
+    (``CationBlocks.dense``), the nuclear slots zero-padded to a power of 2.  Padding
+    slots stay exactly zero, the Zeeman terms included."""
     h = blocks.dense()[0]
-    if secular:
-        h = np.diag(np.diag(h))
     n, reg = len(h), _next_pow2(len(h) // 2)
     H = np.zeros((4 * reg, 4 * reg), dtype=complex)
     for start, z2 in ((0, -b2), (2 * reg, b2)):
         H[start:start + n, start:start + n] = h + z2 * np.eye(n)
     return BlockHamiltonian(H, (2, reg, 2))
-
-
-def _one_group_blocks(spec: SpinSystemSpec) -> CationBlocks:
-    """The cation blocks of every |I, m> of a one-group system."""
-    spins = [I.twice_value for I in distinct_spins(spec.groups[0].count)]
-    two_I, two_m = nuclear_states(spec, spins)
-    return build_cation_blocks(spec, two_I, two_m, np.ones(two_I.shape[1]))
 
 
 def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
@@ -422,18 +412,10 @@ def build_reduced_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
     with the anion Zeeman term.  Padded slots stay exactly zero, including the
     Zeeman terms.
     """
-    return _padded_register(_one_group_blocks(spec), spec.b2)
-
-
-def build_secular_one_group(spec: SpinSystemSpec) -> BlockHamiltonian:
-    """High-field-limit (secular) Hamiltonian in the reduced |I,m> basis.
-
-    Keeps only the z-component of the hyperfine coupling, a Iz S1z, plus the
-    Zeeman terms; diagonal in the reduced basis.  In this limit the singlet
-    dynamics of |I,m> depends on |m| alone (the statement behind the
-    high-field 25-to-5 state reduction).
-    """
-    return _padded_register(_one_group_blocks(spec), spec.b2, secular=True)
+    spins = [I.twice_value for I in distinct_spins(spec.groups[0].count)]
+    two_I, two_m = nuclear_states(spec, spins)
+    blocks = build_cation_blocks(spec, two_I, two_m, np.ones(two_I.shape[1]))
+    return _padded_register(blocks, spec.b2)
 
 
 # ---------------------------------------------------------------------------

@@ -105,25 +105,18 @@ def observed_intensity(S: TimeSeries, params: FluorescenceParams) -> TimeSeries:
         vals = np.convolve(vals, g)[k: k + len(S.times)]
     if not np.isfinite(vals).all():
         raise NumericalError(f"observed intensity {ideal.label!r} overflows")
-    out = TimeSeries(S.times, vals, ideal.label, dict(S.meta))
-    out.meta["edge_unreliable_before_ns"] = float(S.times[0] + (params.t_g + 3 * params.tau_f))
-    return out
+    return TimeSeries(S.times, vals, ideal.label)
 
 
 def observed_ratio(S_B: TimeSeries, S_0: TimeSeries,
-                   params: FluorescenceParams) -> TimeSeries:
-    """R(t) = [E * I_B * G] / [E * I_0 * G], restricted to a safe denominator."""
-    return intensity_ratio(observed_intensity(S_B, params), observed_intensity(S_0, params))
-
-
-def intensity_ratio(I_B: TimeSeries, I_0: TimeSeries) -> TimeSeries:
-    """I_B / I_0 of two observed intensities, where |I_0| exceeds a relative floor."""
-    if I_B.times.shape != I_0.times.shape or not np.allclose(I_B.times, I_0.times):
+                   params: FluorescenceParams) -> dict[str, np.ndarray]:
+    """The TR-MFE columns: R(t) = [E * I_B * G] / [E * I_0 * G], both observed intensities
+    and both traces, on the points where |I_0| exceeds a relative floor."""
+    if S_B.times.shape != S_0.times.shape or not np.allclose(S_B.times, S_0.times):
         raise ValueError("field-on and field-off traces must share a grid")
-    floor = DENOMINATOR_RELATIVE_FLOOR * np.abs(I_0.values).max()
-    mask = np.abs(I_0.values) > floor
+    I_B, I_0 = observed_intensity(S_B, params).values, observed_intensity(S_0, params).values
+    mask = np.abs(I_0) > DENOMINATOR_RELATIVE_FLOOR * np.abs(I_0).max()
     if not mask.any():
         raise ValueError("denominator underflow across the whole grid")
-    out = TimeSeries(I_B.times[mask], I_B.values[mask] / I_0.values[mask], "I_B/I_0")
-    out.meta["edge_unreliable_before_ns"] = I_0.meta.get("edge_unreliable_before_ns")
-    return out
+    return {"time_ns": S_B.times[mask], "ratio": I_B[mask] / I_0[mask], "I_B": I_B[mask],
+            "I_0": I_0[mask], "S_B": S_B.values[mask], "S_0": S_0.values[mask]}

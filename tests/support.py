@@ -9,7 +9,7 @@ import numpy as np
 from qbeats.circuits import Circuit
 from qbeats.dynamics import (PAIR_TRIU, SINGLET, DensityMatrix, cation_spectrum,
                              evaluate_spectrum, one_group_weights, pair_probabilities,
-                             pair_slice_indices, singlet_values)
+                             pair_slice_indices, singlet_values, singlet_vector)
 from qbeats.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, BlockHamiltonian, SpinSystemSpec,
                                  build_two_group_block, build_cation_blocks, distinct_spins,
                                  nuclear_states)
@@ -71,6 +71,13 @@ def cation_register(h: np.ndarray, b2: float) -> BlockHamiltonian:
 def dense_eig(H):
     """One ``np.linalg.eigh`` of the whole matrix, blocks ignored."""
     return np.linalg.eigh(H.matrix)
+
+
+def mixed_singlet_density(K: int) -> DensityMatrix:
+    """|S><S| x 1/K on the (e2, nuclear, e1) register: the equal-weight ensemble of the K
+    singlet-born nuclear basis states, which ``pair_spectrum`` takes, as one matrix."""
+    psi = singlet_vector(np.eye(K), (2, K, 2))
+    return DensityMatrix(psi.T @ psi.conj() / K, (2, K, 2), ("e2", "nuc", "e1"))
 
 
 def dense_pair_trajectory(H, psi0, times):

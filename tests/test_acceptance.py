@@ -22,9 +22,9 @@ from qbeats.dynamics import (
     TimeSeries,
     clip_probabilities,
     evaluate_spectrum,
-    maximally_mixed_nuclear_state,
     one_group_weights,
     pair_probabilities,
+    pair_spectrum,
     reassemble_two_group,
     sector_statevector,
     singlet_trace,
@@ -32,13 +32,13 @@ from qbeats.dynamics import (
     time_grid,
 )
 from qbeats.hamiltonians import (
+    BlockHamiltonian,
     NuclearGroup,
     SpinSystemSpec,
     build_full_one_group,
     build_full_two_group,
     build_partitioned,
     build_reduced_one_group,
-    build_secular_one_group,
     build_two_group_block,
     distinct_spins,
     full_nuclear_sector_vector,
@@ -162,7 +162,8 @@ def test_criterion_03_degeneracy_structure():
             worst_zero = max(worst_zero, np.abs(tr - base).max())
     # high field: equal-|m| traces coincide in the high-field (secular) limit,
     # which is the mathematical content of the 25 -> 5 reduction
-    Hsec = build_secular_one_group(OCTALIN[0.3])
+    Hsec = BlockHamiltonian(np.diag(np.diag(build_reduced_one_group(OCTALIN[0.3]).matrix)),
+                            (2, 32, 2))
     by_m: dict[int, list[np.ndarray]] = {}
     for I in distinct_spins(8):
         for tm in range(-I.twice_value, I.twice_value + 2, 2):
@@ -284,7 +285,8 @@ def test_criterion_07_purification():
     spec = SpinSystemSpec(groups=(NuclearGroup(3, 2.49),), field_B=0.3)
     H = build_full_one_group(spec)  # (2, 8, 2): 5 system qubits
     times = time_grid(0.0, 30.0, 0.5)
-    mixed = singlet_trace(H, maximally_mixed_nuclear_state(8), times)
+    mixed = evaluate_spectrum(pair_spectrum(H, singlet_vector(np.eye(8), H.dims),
+                                            np.full(8, 1 / 8)), times, singlet=True)
     w, v = H.eig()
     worst_pipe = 0.0
     for i, t in enumerate(times):
@@ -298,7 +300,7 @@ def test_criterion_07_purification():
         c.add("UNITARY", (3, 4, 5, 6, 7), matrix=U)
         psi = run_statevector(c)
         pair = partial_trace(np.outer(psi, psi.conj()), (7, 3), 8)
-        worst_pipe = max(worst_pipe, abs(pair_probabilities(pair)[0] - mixed.values[i]))
+        worst_pipe = max(worst_pipe, abs(pair_probabilities(pair)[0] - mixed[i]))
     ok = worst_red <= 1e-14 and worst_pipe <= 1e-10
     report(7, ok, f"purified reduced state vs identity/2^n (n<=4): {worst_red:.2e} "
                   f"(tol 1e-14); purified pipeline vs mixed-state pipeline: "
@@ -403,7 +405,7 @@ def test_criterion_10_postprocessing():
     times = time_grid(0.0, 100.0, 0.1)
     s = TimeSeries(times, 0.6 + 0.35 * np.cos(0.45 * times))
     params = FluorescenceParams(0.35, 1.2, 1.0, 1.0)
-    unity_dev = np.abs(observed_ratio(s, s, params).values - 1.0).max()
+    unity_dev = np.abs(observed_ratio(s, s, params)["ratio"] - 1.0).max()
     mass_ok = all(boxcar_kernel(1.0, h).sum() == 1.0 for h in (0.1, 0.05, 0.025))
 
     cfg = load_preset("octalin")
@@ -417,7 +419,7 @@ def test_criterion_10_postprocessing():
             return TimeSeries(grid, clip_probabilities(s))
 
         r = observed_ratio(relaxed("high"), relaxed("zero"), cfg.postprocess)
-        v, t = r.values, r.times
+        v, t = r["ratio"], r["time_ns"]
         peaks = [i for i in range(1, len(v) - 1) if v[i] >= v[i - 1] and v[i] > v[i + 1]]
         t_global = t[np.argmax(v)]
         second_peak = t[peaks[1]] if len(peaks) > 1 else np.nan

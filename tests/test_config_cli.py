@@ -26,7 +26,7 @@ from qbeats.config import (
 )
 from qbeats.dynamics import time_grid
 from qbeats.pipeline import one_group_spectrum, simulate
-from qbeats.postprocess import observed_intensity, observed_ratio
+from qbeats.postprocess import observed_ratio
 from qbeats.relaxation import relaxed_singlet
 
 
@@ -171,6 +171,7 @@ BAD_CONFIGS = {
     "small group of 3": ("system.groups[0].count",
                          preset_with("dmb", "system", "groups", 0, "count", 3)),
     "no such I": ("initial_state", preset_with("octalin", "initial_state", "5,5")),
+    "m of the wrong parity": ("initial_state", preset_with("octalin", "initial_state", "1,0.5")),
     "not a state": ("initial_state", preset_with("octalin", "initial_state", "up")),
     "two-group pure state": ("initial_state", preset_with("dmb", "initial_state", "1,1")),
     "echo with m != I": ("initial_state", dict(preset_with("octalin", "initial_state", "2,1"),
@@ -497,7 +498,7 @@ class TestCli:
         assert r.stderr.startswith("numerical error: ") and r.stderr.count("\n") == 1, r.stderr
         assert not out.exists()
 
-    def test_trmfe_columns_are_the_separate_postprocess_calls(self, tmp_path):
+    def test_trmfe_columns_are_observed_ratio(self, tmp_path):
         doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 30.0, "step": 0.05})
         cfgfile, out = tmp_path / "r.yaml", tmp_path / "r.csv"
         cfgfile.write_text(yaml.safe_dump(doc))
@@ -506,15 +507,32 @@ class TestCli:
         got = dict(zip(header, values.T))
         config = load_config_file(str(cfgfile))
         s_b, s_0 = simulate(config, "high").trace, simulate(config, "zero").trace
-        ratio = observed_ratio(s_b, s_0, config.postprocess)
-        mask = np.isin(s_b.times, ratio.times)
-        want = {"time_ns": ratio.times, "ratio": ratio.values,
-                "I_B": observed_intensity(s_b, config.postprocess).values[mask],
-                "I_0": observed_intensity(s_0, config.postprocess).values[mask],
-                "S_B": s_b.values[mask], "S_0": s_0.values[mask]}
+        want = observed_ratio(s_b, s_0, config.postprocess)
         assert header == list(want)
         for name, column in want.items():
             assert np.array_equal(got[name], column), name  # '%.17g' round-trips exactly
+
+    def trmfe_edge(self, tmp_path, start, end):
+        """The edge header and the (time_ns, ratio) columns of an octalin ``trmfe`` run."""
+        doc = preset_with("octalin", "time_grid", {"start": start, "end": end, "step": 0.1})
+        cfgfile, out = tmp_path / f"{start}.yaml", tmp_path / f"{start}.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
+        edge = [l for l in out.read_text().splitlines() if l.startswith("# edge_unreliable")]
+        header, values = csv_columns(out)
+        return float(edge[0].split(": ")[1]), values[:, 0], values[:, 1]
+
+    def test_edge_metadata(self, tmp_path):
+        assert self.trmfe_edge(tmp_path, 0.0, 60.0)[0] == pytest.approx(1.0 + 3 * 1.2)
+
+    def test_edge_metadata_counts_from_the_first_grid_point(self, tmp_path):
+        # the zero extension starts at the grid's first point, not at t = 0
+        edge, t, ratio = self.trmfe_edge(tmp_path, 5.0, 20.0)
+        assert edge == pytest.approx(5.0 + 1.0 + 3 * 1.2)
+        # against the same run from t = 0, the cut run differs most at its first point
+        whole = self.trmfe_edge(tmp_path, 0.0, 20.0)[2][-len(t):]
+        gap = np.abs(ratio - whole)
+        assert gap[0] == gap.max() and gap[t > 18.0].max() < 1e-3 * gap[0]
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5])
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, bad):
@@ -549,6 +567,17 @@ class TestCli:
     def test_validate_unknown_suite(self):
         code, err, _ = run_main("validate", "--suite", "nonsense")
         assert code == 1 and len(err) == 1 and "available" in err[0], err
+
+    def test_validate_numerical_failure_exits_2(self, monkeypatch):
+        from qbeats import validate
+        from qbeats.dynamics import NumericalError
+
+        def broken():
+            raise NumericalError("probability trace 'S' has non-finite values")
+
+        monkeypatch.setitem(validate.SUITES, "tables", broken)
+        assert run_main("validate", "--suite", "tables")[:2] == (2, [
+            "numerical error: probability trace 'S' has non-finite values"])
 
     def test_validate_tables_suite(self):
         code, err, out = run_main("validate", "--suite", "tables")

@@ -33,13 +33,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats.config import parse_config
-from qbeats.dynamics import maximally_mixed_nuclear_state, singlet_vector, time_grid
+from qbeats.dynamics import singlet_vector, time_grid
 from qbeats.hamiltonians import (build_full_one_group, build_full_two_group,
                                  full_nuclear_sector_vector)
 from qbeats.pipeline import one_group_spectrum, simulate
 from qbeats.relaxation import relaxed_bell_probabilities, relaxed_singlet
 from qbeats.spinalg import HalfInt
-from support import dense_density_trajectory, dense_pair_trajectory, trajectory_correlators
+from support import (dense_density_trajectory, dense_pair_trajectory, mixed_singlet_density,
+                     trajectory_correlators)
 
 GRID = (0.0, 100.0, 2.0)
 TIMES = time_grid(*GRID)
@@ -76,7 +77,7 @@ def dense_singlet_trajectory(config, regime):
     spec = config.spin_spec(regime)
     H = (build_full_one_group if len(spec.groups) == 1 else build_full_two_group)(spec)
     if config.initial_state == "mixed":  # |S><S| x 1/K, the nuclear factors flattened into one
-        mixed = maximally_mixed_nuclear_state(H.dim // 4).matrix
+        mixed = mixed_singlet_density(H.dim // 4).matrix
         return dense_density_trajectory(H, mixed, TIMES)
     I, m = (HalfInt.from_float(float(x)) for x in config.initial_state.split(","))
     nuclear = full_nuclear_sector_vector(spec.groups[0].count, I, m)

@@ -6,16 +6,15 @@ from qbeats.dynamics import (
     DensityMatrix,
     NumericalError,
     TimeSeries,
-    _density_spectrum,
     clip_probabilities,
     evaluate_spectrum,
-    maximally_mixed_nuclear_state,
     one_group_weights,
     pair_probabilities,
     pair_spectrum,
     reassemble_two_group,
     sector_statevector,
     singlet_trace,
+    singlet_vector,
     time_grid,
 )
 from qbeats.hamiltonians import (
@@ -26,6 +25,7 @@ from qbeats.hamiltonians import (
     one_group_reduced_index,
 )
 from qbeats.spinalg import HalfInt
+from support import dense_density_trajectory, mixed_singlet_density
 
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
 
@@ -43,9 +43,9 @@ def singlet_probability(rho):
     return pair_probabilities(np.einsum("anbcnd->badc", m).reshape(4, 4))[0]
 
 
-def density_trajectory(H, rho0, times):
-    """Reduced electron-pair trajectory (T, 4, 4) of a density-matrix evolution."""
-    return evaluate_spectrum(_density_spectrum(H, rho0), times)
+def pair_trajectory(H, states, weights, times):
+    """Electron-pair trajectory (T, 4, 4) of the ensemble sum_r weights[r] |states[r]><...|."""
+    return evaluate_spectrum(pair_spectrum(H, states, weights), times)
 
 
 def bare_pair_hamiltonian(b1=0.0, b2=0.0):
@@ -58,15 +58,14 @@ def bare_pair_hamiltonian(b1=0.0, b2=0.0):
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
         H = BlockHamiltonian(np.zeros((8, 8), dtype=complex), (2, 2, 2))
-        rho0 = sector_state(0, 2)
-        traj = density_trajectory(H, rho0.matrix, np.array([0.0, 3.0, 11.0]))
+        traj = pair_trajectory(H, sector_statevector(0, 2), [1.0], np.array([0.0, 3.0, 11.0]))
         for pair in traj:
             assert np.abs(pair - np.outer(SINGLET, SINGLET)).max() < 1e-14
 
     def test_equal_g_singlet_is_stationary(self):
         H = bare_pair_hamiltonian(b1=7.3, b2=7.3)
-        rho0 = sector_state(0, 1)
-        for value in singlet_trace(H, rho0, time_grid(0, 5, 1.0)).values:
+        psi = sector_statevector(0, 1)
+        for value in singlet_trace(H, psi, time_grid(0, 5, 1.0)).values:
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_octalin_zero_spin_sector_is_flat(self):
@@ -77,26 +76,24 @@ class TestEvolve:
 
     def test_trace_and_hermiticity_preserved(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
-        rho0 = sector_state(3, 32)
-        for pair in density_trajectory(H, rho0.matrix, np.array([0.0, 17.0, 83.0])):
+        psi = sector_statevector(3, 32)
+        for pair in pair_trajectory(H, psi, [1.0], np.array([0.0, 17.0, 83.0])):
             assert abs(np.trace(pair) - 1) <= 1e-12
             assert np.abs(pair - pair.conj().T).max() <= 1e-12
 
     def test_linearity(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = np.array([0.0, 9.0, 31.0])
-        rho_a = sector_state(0, 32)
-        rho_b = sector_state(5, 32)
-        mix = 0.3 * rho_a.matrix + 0.7 * rho_b.matrix
-        ev_mix = density_trajectory(H, mix, times)
-        ev_a = density_trajectory(H, rho_a.matrix, times)
-        ev_b = density_trajectory(H, rho_b.matrix, times)
+        psi_a, psi_b = sector_statevector(0, 32), sector_statevector(5, 32)
+        ev_mix = pair_trajectory(H, [psi_a, psi_b], [0.3, 0.7], times)
+        ev_a = pair_trajectory(H, psi_a, [1.0], times)
+        ev_b = pair_trajectory(H, psi_b, [1.0], times)
         assert np.abs(ev_mix - 0.3 * ev_a - 0.7 * ev_b).max() <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         with pytest.raises(ValueError):
-            singlet_trace(H, sector_state(0, 2), np.array([0.0]))
+            singlet_trace(H, sector_statevector(0, 2), np.array([0.0]))
 
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
@@ -138,7 +135,7 @@ class TestInitialStates:
             sector_state(32, 32)
 
     def test_maximally_mixed_partial_trace(self):
-        rho = maximally_mixed_nuclear_state(2)
+        rho = mixed_singlet_density(2)
         m = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
         nuclear = np.einsum("aibajb->ij", m)
         assert np.abs(nuclear - np.eye(2) / 2).max() < 1e-15
@@ -147,11 +144,12 @@ class TestInitialStates:
     def test_mixed_equals_weighted_average_of_pure(self):
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = time_grid(0, 20, 2.0)
-        mixed = singlet_trace(H, maximally_mixed_nuclear_state(32), times)
+        mixed = evaluate_spectrum(pair_spectrum(H, singlet_vector(np.eye(32), H.dims),
+                                                np.full(32, 1 / 32)), times, singlet=True)
         acc = np.zeros_like(times)
         for r in range(32):
             acc = acc + singlet_trace(H, sector_statevector(r, 32), times).values
-        assert np.abs(mixed.values - acc / 32).max() <= 1e-12
+        assert np.abs(mixed - acc / 32).max() <= 1e-12
 
 
 class TestPairTrajectories:
@@ -159,8 +157,8 @@ class TestPairTrajectories:
         H = build_reduced_one_group(OCTALIN_ZERO)
         times = time_grid(0, 30, 3.0)
         psi = sector_statevector(4, 32)
-        t_pure = evaluate_spectrum(pair_spectrum(H, psi, [1.0]), times)
-        t_dens = density_trajectory(H, np.outer(psi, psi.conj()), times)
+        t_pure = pair_trajectory(H, psi, [1.0], times)
+        t_dens = dense_density_trajectory(H, np.outer(psi, psi.conj()), times)
         assert np.abs(t_pure - t_dens).max() <= 1e-11
 
     def test_probabilities_sum_to_one(self):

@@ -137,6 +137,8 @@ class TestIndexTables:
             one_group_reduced_index(8, HalfInt(8), HalfInt(10))
         with pytest.raises(ValueError):
             one_group_reduced_index(8, HalfInt(9), HalfInt(1))
+        with pytest.raises(ValueError):  # |1, 1/2>: m and I differ by half an integer
+            one_group_reduced_index(8, HalfInt(2), HalfInt(1))
 
 
 class TestPartitioned:

@@ -17,7 +17,8 @@ from qbeats.relaxation import (
     relaxed_bell_probabilities,
     relaxed_singlet,
 )
-from support import half_rate_equivalence_check, operator_sum_pair, trajectory_correlators
+from support import (half_rate_equivalence_check, mixed_singlet_density, operator_sum_pair,
+                     trajectory_correlators)
 
 OCTALIN_RELAXED = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0,
                                  T1=9.0, T2=9.0)
@@ -113,9 +114,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(3)
         chan = infinite_temperature_thermal_channel(RelaxationParams(2.0, 9.0, 9.0), "e1")
         # singlet on (e1, e2), nuclear spectator of dimension 3
-        from qbeats.dynamics import maximally_mixed_nuclear_state
-
-        rho = maximally_mixed_nuclear_state(3)
+        rho = mixed_singlet_density(3)
         out = apply_channel(rho, chan)
         assert abs(np.trace(out.matrix) - 1) < 1e-12
         assert np.linalg.eigvalsh(out.matrix).min() > -1e-12
@@ -145,10 +144,8 @@ class TestApplyChannel:
 
     def test_missing_site_rejected(self):
         chan = infinite_temperature_thermal_channel(RelaxationParams(1.0, 9.0, 9.0), "nope")
-        from qbeats.dynamics import maximally_mixed_nuclear_state
-
         with pytest.raises(ValueError):
-            apply_channel(maximally_mixed_nuclear_state(2), chan)
+            apply_channel(mixed_singlet_density(2), chan)
 
 
 class TestCommutation:

@@ -25,11 +25,9 @@ from qbeats.dynamics import (
     SINGLET_TRIU,
     SQRT_HALF,
     PairSpectrum,
-    _density_spectrum,
     cation_spectrum,
     evaluate_rows,
     evaluate_spectrum,
-    maximally_mixed_nuclear_state,
     one_group_weights,
     pair_spectrum,
     sector_statevector,
@@ -52,8 +50,8 @@ from qbeats.pipeline import (one_group_sector_spectra, one_group_spectrum, simul
 from qbeats.relaxation import CORRELATOR_TRIU, relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
 from support import (cation_matrix, cation_register, class_average, dense_density_trajectory,
-                     one_group_blocks, operator_sum_pair, reduced_cation_block,
-                     werner_trajectory)
+                     mixed_singlet_density, one_group_blocks, operator_sum_pair,
+                     reduced_cation_block, werner_trajectory)
 
 REGIMES = ("zero", "high")
 TIMES = time_grid(0.0, 100.0, 0.1)
@@ -164,17 +162,13 @@ def test_dmb_mixed_state_trajectory(regime):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_density_matrices(regime):
+    """The mixed state as the equal-weight ensemble against its density matrix."""
     H = reduced(regime)
     times = TIMES[::10]
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(H.dim, 3)) + 1j * rng.normal(size=(H.dim, 3))
-    random = g @ g.conj().T
-    for rho0 in (maximally_mixed_nuclear_state(32).matrix, random / np.trace(random)):
-        traj = evaluate_spectrum(_density_spectrum(H, rho0), times)
-        assert dev(traj, dense_density_trajectory(H, rho0, times)) <= TOL
-    mixed = maximally_mixed_nuclear_state(32)
-    assert dev(singlet_trace(H, mixed, times).values,
-               singlet_values(dense_density_trajectory(H, mixed.matrix, times))) <= TOL
+    spectrum = pair_spectrum(H, singlet_vector(np.eye(32), H.dims), np.full(32, 1 / 32))
+    oracle = dense_density_trajectory(H, mixed_singlet_density(32).matrix, times)
+    assert dev(evaluate_spectrum(spectrum, times), oracle) <= TOL
+    assert dev(evaluate_spectrum(spectrum, times, singlet=True), singlet_values(oracle)) <= TOL
 
 
 @pytest.mark.parametrize("regime", REGIMES)
