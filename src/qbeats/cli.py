@@ -5,8 +5,8 @@
     qbeats validate --suite tables
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical-validation failure.
-Output is deterministic for a given configuration; CSV files carry a
-'#'-prefixed metadata header including the resolved-config hash.
+Output is deterministic for a given configuration at a fixed BLAS thread count (see README);
+CSV files carry a '#'-prefixed metadata header including the resolved-config hash.
 """
 
 from __future__ import annotations

@@ -395,8 +395,9 @@ def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -
         coarse, fine = coarse.view(float), _phase_powers(-fs, step, K).view(float)  # conjugate
         edges = [2 * (min(max(b, lo), lo + size) - lo) for b in bounds.tolist()]
         for r, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            if a < b:
-                out[r] += (coarse[:, a:b] @ fine[:, a:b].T).ravel()[:T]
+            if a < b:  # the row's first slab writes 0.0 + product (no -0.0), the others add
+                np.add(out[r] if lo > bounds[r] else 0.0,
+                       (coarse[:, a:b] @ fine[:, a:b].T).ravel()[:T], out=out[r])
     return out
 
 

@@ -296,3 +296,11 @@ def reduced_cation_block(spec: SpinSystemSpec) -> tuple[np.ndarray, np.ndarray]:
     basis (index 2 * ``one_group_reduced_index`` + e1), with 2M per index."""
     n_slots = sum(multiplicity(I) for I in distinct_spins(spec.groups[0].count))
     return cation_matrix(one_group_blocks(spec, np.ones(n_slots)))
+
+
+def exponential_kernel(tau_f: float, step: float, n: int) -> np.ndarray:
+    """Causal exp(-t/tau_f) sampled with trapezoidal weights on n points, uncut: convolved
+    with x and cut to its grid, the oracle of ``postprocess.exponential_scan``."""
+    w = step * np.exp(-np.arange(n) * step / tau_f)
+    w[0] *= 0.5
+    return w

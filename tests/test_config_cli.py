@@ -498,6 +498,15 @@ class TestCli:
         assert r.stderr.startswith("numerical error: ") and r.stderr.count("\n") == 1, r.stderr
         assert not out.exists()
 
+    def test_trmfe_decay_slower_than_the_grid_exits_0(self, tmp_path):
+        # tau_f/step = 1e308 is finite; 20 tau_f/step, the scan's block length, is not
+        doc = dict(preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.1}),
+                   postprocess={"theta": 0.35, "tau_f": 1e307, "t0": 1.0, "t_g": 1.0})
+        cfgfile, out = tmp_path / "tau.yaml", tmp_path / "r.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        assert run_main("trmfe", "--config", str(cfgfile), "--out", str(out))[:2] == (0, [])
+        assert np.isfinite(csv_columns(out)[1]).all()
+
     def test_trmfe_columns_are_observed_ratio(self, tmp_path):
         doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 30.0, "step": 0.05})
         cfgfile, out = tmp_path / "r.yaml", tmp_path / "r.csv"

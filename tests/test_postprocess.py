@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qbeats.dynamics import TimeSeries, time_grid
+from qbeats.dynamics import NumericalError, TimeSeries, time_grid
 from qbeats.postprocess import (
+    SCAN_SPAN,
     FluorescenceParams,
     boxcar_kernel,
-    exponential_kernel,
+    exponential_scan,
     ideal_intensity,
     observed_intensity,
     observed_ratio,
 )
+from support import exponential_kernel
 
 FIG9 = FluorescenceParams(theta=0.35, tau_f=1.2, t0=1.0, t_g=1.0)
 
@@ -79,6 +81,48 @@ class TestKernels:
     def test_boxcar_symmetric(self):
         g = boxcar_kernel(1.0, 0.1)
         assert np.abs(g - g[::-1]).max() == 0.0
+
+
+def convolved(x, tau_f, step):
+    return np.convolve(x, exponential_kernel(tau_f, step, len(x)))[:len(x)]
+
+
+class TestExponentialScan:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tau_f=st.floats(0.05, 5.0), steps_per_tau=st.floats(4.0, 40.0),
+           blocks=st.floats(0.0, 4.0), decade=st.integers(-300, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(tau_f=5.0, steps_per_tau=4.0, blocks=2.5, decade=300, seed=0)  # h x r^-j > 1e308
+    def test_matches_the_uncut_convolution(self, tau_f, steps_per_tau, blocks, decade, seed):
+        # from 2 points to four blocks, signed values of any size up to 1e300
+        step = tau_f / steps_per_tau
+        n = max(2, int(blocks * SCAN_SPAN * steps_per_tau))
+        x = np.random.default_rng(seed).normal(size=n) * 10.0 ** decade
+        got, want = exponential_scan(x, tau_f, step), convolved(x, tau_f, step)
+        assert np.isfinite(want).all() and np.isfinite(got).all()
+        assert (np.abs(got - want) <= 1e-13 * convolved(np.abs(x), tau_f, step)).all()
+
+    def test_steeply_decaying_intensity(self):
+        # t0 = 1e-6: I~ falls from about 5e8 to 5e-4; compared point by point
+        t = time_grid(0, 100, 0.02)  # 5,001 points, four blocks and a part
+        x = ideal_intensity(wiggle(t), FluorescenceParams(0.35, 1.2, 1e-6, 1.0)).values
+        want = convolved(x, 1.2, 0.02)
+        assert np.abs(exponential_scan(x, 1.2, 0.02) / want - 1).max() <= 1e-13
+
+    def test_decay_slower_than_any_block(self):
+        # tau_f/h = 1e308: SCAN_SPAN tau_f/h overflows to inf, the grid sets the block length
+        x = wiggle(time_grid(0, 10, 0.1)).values
+        got, want = exponential_scan(x, 1e307, 0.1), convolved(x, 1e307, 0.1)
+        assert np.abs(got / want - 1).max() <= 1e-13
+
+    def test_huge_finite_ideal_intensity_raises_numerical_error(self):
+        # I~ peaks at the largest double; its fold with a slow decay exceeds it
+        t = time_grid(0, 20, 0.1)
+        s = TimeSeries(t, np.full(len(t), np.finfo(float).max))
+        params = FluorescenceParams(1.0, 100.0, 1.0, 1.0)
+        assert np.isfinite(ideal_intensity(s, params).values).all()
+        with pytest.raises(NumericalError, match="overflows"):
+            observed_intensity(s, params)
 
 
 class TestObservedRatio:
