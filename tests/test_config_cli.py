@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import decimal
 import io
 import json
 import logging
@@ -15,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats import __version__
-from qbeats.cli import CSV_BLOCK_ROWS, write_csv
+from qbeats.cli import CSV_BLOCK_ROWS, format_rows, write_csv
 from qbeats.config import (
     MAX_COUNT,
     YAML_LOADER,
@@ -880,3 +882,107 @@ def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rows, n_co
     write_csv(str(tmp_path / "block.csv"), columns, meta)
     per_cell_csv(tmp_path / "cell.csv", columns, meta)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def per_cell_rows(block):
+    """``'%.17g' % x`` of every cell, a comma between cells and a newline after each row."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+# 18 significant digits ending in 5: '%' rounds these exact ties half-even
+TIES = [x for x in (math.ldexp(m, e) for m in range(1, 40, 2) for e in range(-64, -20))
+        if len(decimal.Decimal(x).as_tuple().digits) == 18]
+EDGES = [1e-4, np.nextafter(1e-4, 0), 1e-5, np.nextafter(1e-5, 0), 1e16, 1e17,
+         9.999999999999998e16, 1e-280, np.nextafter(1e-280, 0), np.nextafter(1e-280, 1),
+         1e280, np.nextafter(1e281, 0), 1e281, np.nextafter(1e281, np.inf), 0.1, 1.0, 100.0]
+
+
+def test_format_rows_at_exact_ties_and_layout_edges():
+    assert math.ldexp(1, -25) in TIES and len(TIES) > 20
+    cells = np.array(TIES + EDGES)
+    block = np.concatenate([cells, -cells]).reshape(-1, 2)
+    assert format_rows(block).split(b"\n") == per_cell_rows(block).split(b"\n")
+    assert format_rows(np.array([[math.ldexp(1, -25), 1e-4, np.nextafter(1e-4, 0)]])) == \
+        b"2.9802322387695312e-08,0.0001,9.9999999999999991e-05\n"
+    assert format_rows(np.array([[1e16, 1e17, 9.999999999999998e16, -1e-5]])) == \
+        b"10000000000000000,1e+17,99999999999999984,-1.0000000000000001e-05\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.floats(width=64), min_size=cols, max_size=cols), min_size=1, max_size=30)))
+def test_format_rows_is_percent_17g_of_every_double(rows):
+    # st.floats draws nan, ±inf, ±0 and subnormals as well as normal doubles
+    block = np.array(rows, dtype=np.float64)
+    assert format_rows(block) == per_cell_rows(block)
+
+
+def rerendered(path):
+    """A qbeats CSV with each number re-rendered as ``'%.17g'``, header lines as written."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    body = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
+    values = [[float(v) for v in line.split(b",")] for line in lines[body:]]
+    return b"".join(lines[:body]) + b"".join(
+        b",".join(b"%.17g" % v for v in row) + b"\n" for row in values)
+
+
+def leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, (*path, i))
+    else:
+        yield path
+
+
+BAD_VALUES = [0, 1, -1.0, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan, "", "x",
+              [], {}, True, None, 2 ** 70, MAX_COUNT[0] + 1, MAX_COUNT[1] + 1]
+SANE_HARDWARE = {"T1_us": 100.0, "T2_us": 50.0, "identity_ns": 35.0, "u_circuit_ns": 680.0,
+                 "drift_phase_rate": 0.001}
+SHORT_PRESETS = {name: preset_with(name, "time_grid", {"start": 0.0, "end": 10.0, "step": 0.5})
+                 for name in ("octalin", "dmb")}
+
+
+@st.composite
+def bad_inputs(draw):
+    """A preset on a 21-point grid, sometimes with a hardware block, and one or two of
+    its leaves set to a value from ``BAD_VALUES``.
+
+    No example runs long: a count set to a bad value is at most 1 or above its cap, a
+    grid end or step gives at most 21 points or more than the grid cap (refused before
+    anything runs), and a bad tau_f or t_g makes at most a 21-point kernel.
+    """
+    doc = copy.deepcopy(SHORT_PRESETS[draw(st.sampled_from(sorted(SHORT_PRESETS)))])
+    doc["noise_method"] = draw(st.sampled_from(["none", "kraus", "per-gate", "echo-synthetic"]))
+    if draw(st.booleans()):
+        doc["hardware"] = dict(SANE_HARDWARE)
+    for path in draw(st.lists(st.sampled_from(list(leaves(doc))), min_size=1, max_size=2,
+                              unique=True)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=bad_inputs(), command=st.sampled_from(["simulate", "trmfe"]))
+def test_bad_input_ends_in_exit_1_or_a_finite_csv(tmp_path, doc, command):
+    """Exit 0, 1 or 2 and no traceback; exit 1 is one 'configuration error: ' line and
+    no CSV; exit 0 writes finite values, each the '%.17g' of its double."""
+    cfgfile, out = tmp_path / "c.yaml", tmp_path / "out.csv"
+    out.unlink(missing_ok=True)  # tmp_path is shared by the examples
+    cfgfile.write_text(yaml.safe_dump(doc))
+    code, err, _ = run_main(command, "--config", str(cfgfile), "--out", str(out))
+    assert code in (0, 1, 2), (code, err)
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("configuration error: "), err
+        assert not out.exists()
+    elif code == 2:
+        assert len(err) == 1 and err[0].startswith("numerical error: "), err
+    else:
+        assert np.isfinite(csv_columns(out)[1]).all()
+        assert out.read_bytes() == rerendered(out)
