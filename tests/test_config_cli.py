@@ -872,7 +872,10 @@ SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 
 
 
 @pytest.mark.parametrize("n_columns", [1, 6])
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+# one block, its edges, and the edges of the fourth block
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS,
+                                  4 * CSV_BLOCK_ROWS + 1])
 def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rows, n_columns):
     rng = np.random.default_rng(1000 * n_columns + rows)
     pool = np.concatenate([SPECIAL_FLOATS, rng.normal(size=200),
