@@ -25,7 +25,7 @@ from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
 from .postprocess import kernel_step, observed_ratio
 
-CSV_BLOCK_ROWS = 1024  # rows formatted per write: bounds the memory of one block
+CSV_BLOCK_CELLS = 6 * 1024  # cells formatted per write: bounds the memory of one block
 FLOAT_WORDS = ("nan", "inf", "infinity")  # the spellings of float() that start with a letter
 SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 CELL = 32  # bytes of a cell's layout: sign 0, digits 1-22, exponent 24-28, separator 31
@@ -177,8 +177,9 @@ def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([v[start:start + CSV_BLOCK_ROWS] for v in values])
+        rows = max(1, CSV_BLOCK_CELLS // len(values))
+        for start in range(0, len(values[0]), rows):
+            block = np.column_stack([v[start:start + rows] for v in values])
             fh.write(format_rows(block).decode("ascii"))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hyperfine_angular_frequency, zeeman_half_angular_frequency
-from .spinalg import HalfInt, multiplicity, spin_addition_counts
+from .spinalg import HalfInt, check_total_spin, multiplicity, spin_addition_counts
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -190,8 +190,8 @@ def _collective_spin(n: int, axis: np.ndarray) -> np.ndarray:
 
 
 def distinct_spins(n: int) -> list[HalfInt]:
-    """Distinct total spins of n coupled spin-1/2s, descending."""
-    return list(spin_addition_counts(n))
+    """Distinct total spins of n coupled spin-1/2s, descending: n/2, n/2 - 1, ..., 1/2 or 0."""
+    return [HalfInt(n - 2 * k) for k in range(n // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +199,13 @@ def distinct_spins(n: int) -> list[HalfInt]:
 # ---------------------------------------------------------------------------
 
 def one_group_reduced_index(n: int, I: HalfInt, m: HalfInt) -> int:
-    """Slot of |I,m> in the degeneracy-free nuclear ordering (Table-VII style)."""
+    """Slot of |I,m> in the degeneracy-free nuclear ordering (Table-VII style): the k = n/2 - I
+    spins above I hold sum_{j<k} (n + 1 - 2j) = k (n + 2 - k) slots before it."""
     if abs(m.twice_value) > I.twice_value or (I.twice_value - m.twice_value) % 2:
         raise ValueError(f"no state |I={I}, m={m}>: m must be one of I, I-1, ..., -I")
-    idx = 0
-    for J in distinct_spins(n):
-        if J == I:
-            return idx + (I.twice_value - m.twice_value) // 2
-        idx += multiplicity(J)
-    raise ValueError(f"I={I} is not a valid total spin for {n} nuclei")
+    check_total_spin(n, I)
+    k = (n - I.twice_value) // 2
+    return k * (n + 2 - k) + (I.twice_value - m.twice_value) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +425,7 @@ def partitioned_params(n: int, I: HalfInt) -> tuple[float, float, float, float]:
 
     x = sqrt(1/(2I+1)), y = sqrt(2I/(2I+1)), lam1 = I/2, lam2 = -(I+1)/2.
     """
-    if I not in distinct_spins(n):
-        raise ValueError(f"I={I} is not a valid total spin for {n} nuclei")
+    check_total_spin(n, I)
     two_I = I.twice_value
     if two_I == 0:
         return 0.0, 0.0, 0.0, 0.0
@@ -530,8 +527,7 @@ def build_two_group_block(I2: HalfInt, spec: SpinSystemSpec) -> TwoGroupSector:
     n1, n2 = spec.groups[0].count, spec.groups[1].count
     if n1 != 2:
         raise ValueError("the small group must contain exactly 2 nuclei")
-    if not (n2 >= 1 and 0 <= I2.twice_value <= n2 and (n2 - I2.twice_value) % 2 == 0):
-        raise ValueError(f"I2={I2} is not a valid total spin for {n2} nuclei")
+    check_total_spin(n2, I2, "I2")
     real_reg = 4 * multiplicity(I2)
     reg = _next_pow2(real_reg)
     two_I, two_m = nuclear_states(spec, [I2.twice_value])

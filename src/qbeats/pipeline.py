@@ -92,10 +92,6 @@ def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
     return _ensemble_spectrum(spec, two_I, two_m, weight[two_I[1]])
 
 
-def _sector_label(I: HalfInt) -> str:
-    return f"I={I}" if I.is_integer else f"I={I.twice_value}/2"
-
-
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
@@ -132,7 +128,7 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         spectrum = two_group_spectrum(spec)
         if method == "echo-synthetic":
             spectrum = singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0))
-        for I2 in spin_addition_counts(spec.groups[1].count) if sectors else ():
+        for I2 in distinct_spins(spec.groups[1].count) if sectors else ():
             # the coherent padded-register run, in which the frozen padding slots count as 1
             sector, label = build_two_group_block(I2, spec), f"I2={I2}"
             padded = evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), times,
@@ -144,7 +140,7 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     else:
         spectrum = one_group_spectrum(spec, regime)
         for I, s in one_group_sector_spectra(spec).items() if sectors else ():
-            label = _sector_label(I)
+            label = f"I={I}"
             columns[label] = clip_probabilities(relaxed_singlet(s, times, *channel), label)
 
     label = f"S_{regime}"

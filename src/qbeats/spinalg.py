@@ -1,9 +1,9 @@
 """Exact half-integer spin bookkeeping.
 
 Quantum numbers stored as doubled integers, so sector arithmetic stays
-exact, and the multiplicity of each total spin among n coupled spin-1/2
-particles.  The cation blocks themselves are written from ladder operators
-in ``hamiltonians.build_cation_blocks``.
+exact; the one rule for which total spins n coupled spin-1/2 particles have,
+and the multiplicity of each.  The cation blocks themselves are written from
+ladder operators in ``hamiltonians.build_cation_blocks``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class HalfInt:
     def as_float(self) -> float:
         return self.twice_value / 2
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice_value + other.twice_value)
 
@@ -56,6 +52,14 @@ HALF = HalfInt(1)
 def multiplicity(I: HalfInt) -> int:
     """Number of magnetic sublevels 2I+1."""
     return I.twice_value + 1
+
+
+def check_total_spin(n: int, I: HalfInt, name: str = "I") -> None:
+    """Refuse all but a total spin I of n >= 1 coupled spin-1/2s: 0 <= 2I <= n, n - 2I even."""
+    if n <= 0:
+        raise ValueError(f"particle count must be >= 1, got {n}")
+    if not (0 <= I.twice_value <= n and (n - I.twice_value) % 2 == 0):
+        raise ValueError(f"{name}={I} is not a valid total spin for {n} nuclei")
 
 
 @lru_cache(maxsize=None)

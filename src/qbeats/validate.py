@@ -153,7 +153,7 @@ def suite_oracle() -> list[CheckResult]:
     mixed = pair_spectrum(Hfull, singlet_vector(np.eye(16), Hfull.dims), np.full(16, 1 / 16))
     oracle = evaluate_spectrum(mixed, times, singlet=True)
     traces, padding, degs = {}, {}, {}
-    for I2 in spin_addition_counts(2):
+    for I2 in distinct_spins(2):
         sec = build_two_group_block(I2, toy)
         padded = evaluate_spectrum(cation_spectrum(sec.blocks, sec.b2), times, singlet=True)
         traces[I2] = TimeSeries(times, np.clip(padded + sec.pad_register / sec.register_size,

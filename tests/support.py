@@ -177,8 +177,9 @@ def werner_trajectory(singlet):
 
 
 # ---------------------------------------------------------------------------
-# Spin-addition recurrence and Clebsch-Gordan tables: independent oracles of
-# the closed-form counts and of the ladder-operator cation blocks
+# Spin-addition recurrence, the spins and slots read off the exact row, and
+# Clebsch-Gordan tables: independent oracles of the closed-form counts, spins
+# and slots and of the ladder-operator cation blocks
 # ---------------------------------------------------------------------------
 
 def spin_addition_counts_by_recurrence(n: int) -> dict[HalfInt, int]:
@@ -195,6 +196,31 @@ def spin_addition_counts_by_recurrence(n: int) -> dict[HalfInt, int]:
                 nxt[down] = nxt.get(down, 0) + count
         row = nxt
     return row
+
+
+def distinct_spins_by_row(n: int) -> list[HalfInt]:
+    """Distinct total spins of n coupled spin-1/2s, descending, read off the keys of the
+    exact spin-addition row: the oracle of ``distinct_spins`` and ``check_total_spin``."""
+    return list(spin_addition_counts(n))
+
+
+def check_total_spin_by_row(n: int, I: HalfInt, name: str = "I") -> None:
+    """Refuse an I that is not a key of the exact row of n spin-1/2s."""
+    if I not in distinct_spins_by_row(n):
+        raise ValueError(f"{name}={I} is not a valid total spin for {n} nuclei")
+
+
+def one_group_reduced_index_by_loop(n: int, I: HalfInt, m: HalfInt) -> int:
+    """Slot of |I,m> in the degeneracy-free ordering, summing the multiplicity of every
+    spin above I: the oracle of ``one_group_reduced_index``."""
+    if abs(m.twice_value) > I.twice_value or (I.twice_value - m.twice_value) % 2:
+        raise ValueError(f"no state |I={I}, m={m}>: m must be one of I, I-1, ..., -I")
+    idx = 0
+    for J in distinct_spins_by_row(n):
+        if J == I:
+            return idx + (I.twice_value - m.twice_value) // 2
+        idx += multiplicity(J)
+    raise ValueError(f"I={I} is not a valid total spin for {n} nuclei")
 
 
 def product_basis_labels(I: HalfInt) -> list[tuple[HalfInt, int]]:

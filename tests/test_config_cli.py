@@ -17,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats import __version__
-from qbeats.cli import CSV_BLOCK_ROWS, format_rows, write_csv
+from qbeats.cli import CSV_BLOCK_CELLS, format_rows, write_csv
 from qbeats.config import (
     MAX_COUNT,
     YAML_LOADER,
@@ -341,6 +341,18 @@ class TestCli:
             f"configuration error: {cfgfile}.initial_state: --sectors splits the mixed "
             "nuclear state; '2, 1' is one pure state"])
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, group, count, spins", [
+        ("octalin", 0, 7, "I=7/2,I=5/2,I=3/2,I=1/2"),
+        ("dmb", 1, 12, "I2=6,I2=5,I2=4,I2=3,I2=2,I2=1,I2=0")])
+    def test_sectors_header_names_each_spin(self, tmp_path, preset, group, count, spins):
+        cfgfile, out = tmp_path / "sectors.yaml", tmp_path / "s.csv"
+        cfgfile.write_text(yaml.safe_dump(preset_with(preset, "system", "groups", group,
+                                                      "count", count)))
+        assert run_main("simulate", "--sectors", "--config", str(cfgfile),
+                        "--out", str(out))[0] == 0
+        header = next(line for line in out.read_text().splitlines() if line[0] != "#")
+        assert header == f"time_ns,singlet_probability,{spins}"
 
     @pytest.mark.parametrize("preset, group, system", [("octalin", 0, "one"), ("dmb", 1, "two")])
     def test_count_above_the_cap_exits_1_on_one_line(self, tmp_path, preset, group, system):
@@ -871,11 +883,18 @@ SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 
                            -42.0, 2.0 ** 53, 1e16, 1e22, 0.1, 1 / 3, np.nextafter(1.0, 2.0)])
 
 
-@pytest.mark.parametrize("n_columns", [1, 6])
-# one block, its edges, and the edges of the fourth block
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                  4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS,
-                                  4 * CSV_BLOCK_ROWS + 1])
+SIX_COLUMN_BLOCK = CSV_BLOCK_CELLS // 6  # rows of a block of the 6-column trmfe CSV
+
+
+# one block of 6 columns, its edges and the edges of the fourth, for 1 and 6 columns; the
+# edges of a 1-column block; and a 3,003-column CSV over two 2-row blocks and one of 1 row
+@pytest.mark.parametrize("rows, n_columns", [
+    *((rows, n_columns) for rows in (0, 1, SIX_COLUMN_BLOCK - 1, SIX_COLUMN_BLOCK,
+                                     SIX_COLUMN_BLOCK + 1, 4 * SIX_COLUMN_BLOCK - 1,
+                                     4 * SIX_COLUMN_BLOCK, 4 * SIX_COLUMN_BLOCK + 1)
+      for n_columns in (1, 6)),
+    (CSV_BLOCK_CELLS - 1, 1), (CSV_BLOCK_CELLS, 1), (CSV_BLOCK_CELLS + 1, 1),
+    (2 * (CSV_BLOCK_CELLS // 3003) + 1, 3003)])
 def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rows, n_columns):
     rng = np.random.default_rng(1000 * n_columns + rows)
     pool = np.concatenate([SPECIAL_FLOATS, rng.normal(size=200),

@@ -24,7 +24,8 @@ from qbeats.hamiltonians import (
     pauli_decompose_partitioned,
 )
 from qbeats.spinalg import HalfInt, multiplicity
-from support import pauli_matrix
+from support import (check_total_spin_by_row, distinct_spins_by_row,
+                     one_group_reduced_index_by_loop, pauli_matrix)
 
 OCTALIN_ZERO = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.0)
 OCTALIN_HIGH = SpinSystemSpec(groups=(NuclearGroup(8, 2.49),), field_B=0.3)
@@ -139,6 +140,60 @@ class TestIndexTables:
             one_group_reduced_index(8, HalfInt(9), HalfInt(1))
         with pytest.raises(ValueError):  # |1, 1/2>: m and I differ by half an integer
             one_group_reduced_index(8, HalfInt(2), HalfInt(1))
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# (n, 2I, 2m): no nuclei, I above n/2, I of the wrong parity, I - m half-odd, |m| above I
+INVALID_SPINS = [(0, 0, 0), (-1, 1, 1), (0, 2, -2), (8, 10, 10), (8, 10, 0), (7, 9, 1),
+                 (8, 7, 7), (7, 4, 0), (1, 0, 0), (8, -2, 0), (8, 2, 1), (7, 3, 0),
+                 (8, 2, 4), (8, 2, -4), (7, 1, 3), (64, 66, 0), (64, 63, 1)]
+
+
+class TestOneRule:
+    """The closed-form spins, checks and slots against the exact spin-addition row."""
+
+    def test_distinct_spins_are_the_keys_of_the_row(self):
+        for n in range(1, 65):
+            assert distinct_spins(n) == distinct_spins_by_row(n)
+
+    def test_every_valid_slot_matches_the_loop(self):
+        for n in range(1, 65):
+            states = [(I, HalfInt(tm)) for I in distinct_spins_by_row(n)
+                      for tm in range(I.twice_value, -I.twice_value - 2, -2)]
+            slots = [one_group_reduced_index(n, I, m) for I, m in states]
+            assert slots == [one_group_reduced_index_by_loop(n, I, m) for I, m in states]
+            assert slots == list(range(len(states)))
+
+    def test_every_valid_spin_is_accepted(self):
+        for n in range(1, 65):
+            for I in distinct_spins_by_row(n):
+                partitioned_params(n, I)
+        for n2 in range(1, 9):
+            for I2 in distinct_spins_by_row(n2):
+                spec = SpinSystemSpec(groups=(NuclearGroup(2, 0.65), NuclearGroup(n2, 1.66)))
+                assert build_two_group_block(I2, spec).I2 == I2
+
+    @pytest.mark.parametrize("n,tI,tm", INVALID_SPINS)
+    def test_invalid_input_raises_as_the_row_does(self, n, tI, tm):
+        I, m = HalfInt(tI), HalfInt(tm)
+        got = outcome(one_group_reduced_index, n, I, m)
+        assert isinstance(got, tuple) and got == outcome(one_group_reduced_index_by_loop, n, I, m)
+        if n > 0 and I in distinct_spins_by_row(n):
+            return  # a valid spin with an invalid m: only the slot has one
+        got = outcome(partitioned_params, n, I)
+        assert isinstance(got, tuple) and got == outcome(check_total_spin_by_row, n, I)
+        if n >= 0:  # NuclearGroup refuses a negative count itself
+            spec = SpinSystemSpec(groups=(NuclearGroup(2, 0.65), NuclearGroup(n, 1.66)))
+            got = outcome(build_two_group_block, I, spec)
+            assert isinstance(got, tuple)
+            assert got == outcome(check_total_spin_by_row, n, I, "I2")
 
 
 class TestPartitioned:
