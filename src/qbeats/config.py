@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
+from .dynamics import time_grid
 from .hamiltonians import NuclearGroup, SpinSystemSpec, one_group_reduced_index
 from .noisecal import MeasurementStats, UnrecoverableNoiseError, correction_denominators
 from .postprocess import FluorescenceParams
@@ -242,6 +243,9 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     intervals = (grid[1] - grid[0]) / grid[2]
     _require(intervals < MAX_TIME_POINTS, f"{name}.time_grid.step",
              f"the grid has {intervals:.3g} intervals; at most {MAX_TIME_POINTS - 1} allowed")
+    _require(bool((np.diff(time_grid(*grid)) > 0).all()), f"{name}.time_grid.step",
+             "the grid points are not strictly increasing: step is below the float spacing "
+             "of the times")
 
     post = None
     if data.get("postprocess") is not None:

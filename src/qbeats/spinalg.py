@@ -31,12 +31,6 @@ class HalfInt:
     def as_float(self) -> float:
         return self.twice_value / 2
 
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice_value + other.twice_value)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice_value - other.twice_value)
-
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice_value))
 
@@ -44,9 +38,6 @@ class HalfInt:
         if self.twice_value % 2 == 0:
             return str(self.twice_value // 2)
         return f"{self.twice_value}/2"
-
-
-HALF = HalfInt(1)
 
 
 def multiplicity(I: HalfInt) -> int:

@@ -18,7 +18,7 @@ from qbeats.noisecal import MeasurementStats
 from qbeats.pipeline import one_group_sector_spectra
 from qbeats.relaxation import (CORRELATOR_TRIU, RelaxationParams, apply_channel,
                                infinite_temperature_thermal_channel, relaxed_singlet)
-from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
+from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
 
 
 def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
@@ -185,14 +185,14 @@ def werner_trajectory(singlet):
 def spin_addition_counts_by_recurrence(n: int) -> dict[HalfInt, int]:
     """Row n of the spin-addition table by the Pascal-like recurrence: adding one
     spin-1/2 to a total spin I yields I+1/2 and (for I > 0) I-1/2."""
-    row: dict[HalfInt, int] = {HALF: 1}
+    row: dict[HalfInt, int] = {HalfInt(1): 1}
     for _ in range(n - 1):
         nxt: dict[HalfInt, int] = {}
         for I, count in row.items():
-            up = I + HALF
+            up = HalfInt(I.twice_value + 1)
             nxt[up] = nxt.get(up, 0) + count
             if I.twice_value > 0:
-                down = I - HALF
+                down = HalfInt(I.twice_value - 1)
                 nxt[down] = nxt.get(down, 0) + count
         row = nxt
     return row
@@ -242,8 +242,8 @@ def coupled_basis_labels(I: HalfInt) -> list[tuple[HalfInt, HalfInt]]:
     M runs from I+1/2 down to -(I+1/2); within each M the J = I+1/2 state
     comes before J = I-1/2 (when the latter exists).
     """
-    up = I + HALF
-    down = I - HALF
+    up = HalfInt(I.twice_value + 1)
+    down = HalfInt(I.twice_value - 1)
     out = []
     for tM in range(up.twice_value, -up.twice_value - 2, -2):
         M = HalfInt(tM)
@@ -278,8 +278,8 @@ def cg_block_matrix(I: HalfInt) -> np.ndarray:
         # alpha = sqrt((I+M+1/2)/(2I+1)), beta = sqrt((I-M+1/2)/(2I+1))
         alpha = sqrt((two_I + M.twice_value + 1) / (2 * (two_I + 1)))
         beta = sqrt((two_I - M.twice_value + 1) / (2 * (two_I + 1)))
-        m_up = M - HALF
-        m_dn = M + HALF
+        m_up = HalfInt(M.twice_value - 1)
+        m_dn = HalfInt(M.twice_value + 1)
         plus = J.twice_value == two_I + 1
         if abs(m_up.twice_value) <= two_I:
             mat[row_index[(m_up, 0)], j] = alpha if plus else -beta

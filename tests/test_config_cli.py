@@ -185,6 +185,9 @@ BAD_CONFIGS = {
                 preset_with("octalin", "system", "groups", 0, "hfc_G", math.nan)),
     "grid end inf": ("time_grid.end", preset_with("octalin", "time_grid", "end", math.inf)),
     "grid step 1e-300": ("time_grid.step", preset_with("octalin", "time_grid", "step", 1e-300)),
+    # the step is below the float spacing at 1e15 ns, so grid points repeat
+    "grid step below the spacing of its times": ("time_grid.step", preset_with(
+        "octalin", "time_grid", {"start": 1e15, "end": 1e15 + 100, "step": 0.1})),
     "field_B 1e300": ("system", preset_with("octalin", "system", "field_B", 1e300)),
     "g1 1e300": ("system", preset_with("octalin", "system", "g1", 1e300)),
     # the unconfigured regime is validated too: --field high runs it
@@ -261,6 +264,9 @@ TRMFE_BAD_GRIDS = {
     "step above the kernel limit": preset_with(
         "octalin", "time_grid", {"start": 0.0, "end": 10.0, "step": 0.5}),
     "one point": preset_with("octalin", "time_grid", {"start": 0.0, "end": 0.0, "step": 0.1}),
+    # increasing points, but the float spacing at 1e15 ns makes their steps differ
+    "non-uniform at 1e15 ns": preset_with(
+        "octalin", "time_grid", {"start": 1e15, "end": 1e15 + 100, "step": 0.3}),
     "t + t0 <= 0": dict(preset_with("octalin", "noise_method", "none"),
                         time_grid={"start": -5.0, "end": 5.0, "step": 0.1}),
 }
@@ -804,7 +810,7 @@ def configs(draw):
                       draw(st.sampled_from(["none", "kraus", "per-gate", "echo-synthetic"])))
     wild = st.sampled_from([False, False, True])
     if draw(wild):
-        start = draw(st.one_of(st.sampled_from([-2.0, 1e250, math.nan, math.inf]),
+        start = draw(st.one_of(st.sampled_from([-2.0, 1e15, 1e250, math.nan, math.inf]),
                                st.floats(0.0, 1e3)))
         step = draw(st.one_of(st.sampled_from(NASTY + [1e246]), st.floats(1e-3, 2.0)))
     else:

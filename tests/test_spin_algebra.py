@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbeats.hamiltonians import NuclearGroup, SpinSystemSpec, build_cation_blocks, spin_states
-from qbeats.spinalg import HALF, HalfInt, multiplicity, spin_addition_counts
+from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
 from support import (cation_matrix, cg_block_matrix, coupled_hfc_eigenvalues,
                      product_basis_labels, spin_addition_counts_by_recurrence)
 
@@ -46,7 +46,7 @@ class TestSpinAdditionCounts:
         row8 = spin_addition_counts(8)
         derived = {}
         for I, c in row8.items():
-            for J in (I + HALF, I - HALF):
+            for J in (HalfInt(I.twice_value + 1), HalfInt(I.twice_value - 1)):
                 if J.twice_value >= 0:
                     derived[J] = derived.get(J, 0) + c
         assert derived == spin_addition_counts(9)
@@ -148,8 +148,6 @@ class TestCoupledEigenvalues:
 
 class TestHalfInt:
     def test_arithmetic(self):
-        assert (HalfInt(3) + HALF).twice_value == 4
-        assert (HalfInt(3) - HALF).twice_value == 2
         assert abs(HalfInt(-5)).twice_value == 5
 
     def test_repr(self):
