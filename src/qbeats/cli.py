@@ -30,14 +30,15 @@ FLOAT_WORDS = ("nan", "inf", "infinity")  # the spellings of float() that start 
 SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 CELL = 32  # bytes of a cell's layout: sign 0, digits 1-22, exponent 24-28, separator 31
 EXP_MAX = 281  # |E| of the cells formatted in numpy (1e-280 <= |x| < 1e281), and 1 spare
+CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160))}
 
 
-def _pow10(k: int) -> tuple[float, float]:
-    """10**k as hi + lo: hi is 10**k correctly rounded and lo the rest, correctly rounded."""
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10**k as (hi, lo, *_split(hi)): hi is 10**k and lo the rest, each correctly rounded."""
     num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
     hi = num / den  # the true division of two ints rounds correctly
     p, q = hi.as_integer_ratio()
-    return hi, (num * q - p * den) / (den * q)
+    return hi, (num * q - p * den) / (den * q), *_split(hi)
 
 
 def _split(v):
@@ -49,17 +50,16 @@ def _split(v):
 
 @functools.cache
 def _layout() -> tuple[np.ndarray, ...]:
-    """Tables of the '%.17g' layout, built on first use.
+    """Tables of the '%.17g' layout, built once per process on first use.
 
-    ``words`` holds the four ASCII digits of each chunk 0000-9999 as one native word,
-    then the words '\\0\\0\\0d' (index 10000 + d), and ``trailing`` the trailing
-    zeros of each chunk.  By row X + EXP_MAX, for a cell of exponent X: ``exponent``
-    holds its bytes 'e±XXX' and ``kind`` its layout, one of 23: X + 4 in fixed
-    notation (-4 <= X <= 16), else 21 or 22 for two or three exponent digits.  By
-    layout, for the digits d0..d16: ``template`` holds a cell's fixed bytes (sign,
-    '0.' and zeros, point, separator), and ``masks`` the bytes that take a digit
-    from 6, 5 or 1 bytes to the right.  ``keep``, by row kind * 17 + z, holds the
-    bytes kept when the digits end in z zeros.
+    ``words`` holds the four ASCII digits of each chunk 0000-9999 as one native word, then the
+    words '\\0\\0\\0d' (index 10000 + d), and ``trailing`` the trailing zeros of each chunk.  By
+    row X + EXP_MAX, for a cell of exponent X: ``powers`` holds ``_pow10(16 - X)``, ``kind`` its
+    layout, one of 23: X + 4 in fixed notation (-4 <= X <= 16), else 21 or 22 for two or three
+    exponent digits, and ``template`` its fixed bytes (sign, '0.' and zeros, point, exponent
+    'e±XXX', separator).  By layout, for the digits d0..d16, ``masks`` holds the bytes that take
+    a digit from 6, 5 or 1 bytes to the right.  ``keep``, by row kind * 17 + z, holds the bytes
+    kept when the digits end in z zeros.
     """
     two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
     words = np.zeros((10010, 4), np.uint8)
@@ -70,9 +70,11 @@ def _layout() -> tuple[np.ndarray, ...]:
     trailing = sum((chunk % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
     X = np.arange(-EXP_MAX, EXP_MAX + 1)
     e = np.abs(X)
-    exponent = np.column_stack([np.full_like(X, ord("e")), np.where(X < 0, ord("-"), ord("+")),
-                                48 + e // 100, 48 + e // 10 % 10, 48 + e % 10]).astype(np.uint8)
+    # from an iterator: a list of 563 tuples would raise the process's peak RSS
+    powers = np.fromiter((v for x in X for v in _pow10(16 - int(x))), float).reshape(-1, 4).T
     kind = np.where((X >= -4) & (X <= 16), X + 4, np.where(e < 100, 21, 22))
+    exponent = np.column_stack([np.full_like(X, ord("e")), np.where(X < 0, ord("-"), ord("+")),
+                                48 + e // 100, 48 + e // 10 % 10, 48 + e % 10])
     X = np.array([*range(-4, 17), 17, 100])[:, None]  # an exponent of each layout
     fixed = X <= 16  # '%g' at precision 17: else d0.d1...d16e+XX
     small = X < 0  # '0.' and -X - 1 zeros before d0
@@ -83,6 +85,8 @@ def _layout() -> tuple[np.ndarray, ...]:
     template[:, 1:6] = np.where(small, ord("0"), 0)
     template[c == np.where(small, 6 + X, P + 2)] = ord(".")
     template[:, 31] = ord(",")
+    template = template[kind]
+    template[:, 24:29] = exponent  # kept in scientific notation only
     masks = np.stack([~small & (c >= 1) & (c <= P + 1),  # d0..dP before the point
                       ~small & (c >= P + 3) & (c <= 18),  # the digits after it
                       small & (c >= 6) & (c <= 22)])  # d0..d16 after '0.' and zeros
@@ -92,32 +96,30 @@ def _layout() -> tuple[np.ndarray, ...]:
     keep = (c >= start) & (c < end)
     keep[21:, :, 24:29] = True
     keep[21, :, 26] = False  # the hundreds digit of an exponent below 100
-    keep[:, :, 31] = True
-    return (words.view(np.uint32).ravel(), trailing, exponent, kind, template,
+    keep[:, :, [0, 31]] = True  # the sign, cleared for x >= 0 in format_rows, and separator
+    return (words.view(np.uint32).ravel(), trailing, powers, kind, template,
             masks * np.uint8(255), keep.reshape(-1, CELL))
 
 
-def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
     """(N, E + EXP_MAX, certain): the 17 digits N = round(|x| 10^(16-E)) of each cell,
     with E = floor(log10 |x|), and where N is certain to be those of '%.17g'.
 
-    N comes from one double-double product: 10^(16-E) is hi + lo, |x| hi is exact by
-    Dekker's split, and N is off by less than 1e-13 of a unit.  N is certain where x
-    is finite and 1e-280 <= |x| < 1e281, 10^16 < N < 10^17 - 1 before rounding (E
-    was right and rounding adds no digit) and the fraction of N is more than 1e-6
-    from 1/2 (rounding it half up then agrees with '%', which rounds an exact tie to
-    even).  Elsewhere N is 10^16, which keeps a log10 off by one inside the tables.
+    N comes from one double-double product: 10^(16-E) is hi + lo, read from ``powers``
+    with the halves of hi, |x| hi is exact by Dekker's split, and N is off by less
+    than 1e-13 of a unit.  N is certain where x is finite and 1e-280 <= |x| < 1e281,
+    10^16 < N < 10^17 - 1 before rounding (E was right and rounding adds no digit)
+    and the fraction of N is more than 1e-6 from 1/2 (rounding it half up then agrees
+    with '%', which rounds an exact tie to even).  Elsewhere N is 10^16, which keeps
+    a log10 off by one inside the tables.
     """
     a = np.abs(x)
     certain = (a >= 1e-280) & (a < 1e281)
     a[~certain] = 1.0
     row = np.floor(np.log10(a)).astype(np.intp) + EXP_MAX
-    powers = np.zeros((2, 2 * EXP_MAX + 1))
-    for r in np.flatnonzero(np.bincount(row, minlength=2 * EXP_MAX + 1)):
-        powers[:, r] = _pow10(16 + EXP_MAX - int(r))
-    hi, lo = powers[:, row]
+    hi, lo, bh, bl = (np.take(p, row) for p in powers)
     p = a * hi
-    (ah, al), (bh, bl) = _split(a), _split(hi)
+    ah, al = _split(a)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e = a hi exactly
     e += a * lo
     ph = p + e
@@ -137,50 +139,48 @@ def format_rows(block: np.ndarray) -> bytes:
     A cell whose 17 digits ``_significands`` certifies is laid out in numpy.  Every
     other cell, with ±0, subnormals, nan and ±inf, is ``'%.17g' % x`` itself.
     """
-    words, trailing, exponent, kind, template, masks, keep = _layout()
+    words, trailing, powers, kind, template, masks, keep = _layout()
     x = block.ravel()
     n = len(x)
-    N, row, certain = _significands(x)
+    N, row, certain = _significands(x, powers)
     # N = d0 c1 c2 c3 c4 in 4-digit chunks, laid out as 8 words (CELL bytes) a cell
-    high, low = np.divmod(N, 10 ** 8)
-    d0, high = np.divmod(high, 10 ** 8)
-    chunks = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
+    heads = [N // 10 ** k for k in (16, 12, 8, 4)] + [N]  # d0, d0 c1, ..., N
+    chunks = [b - a * 10 ** 4 for a, b in zip(heads, heads[1:])]
     digits = np.zeros((n + 1, 8), np.uint32)  # a spare row for the shifted reads below
-    digits[:n, 1] = words[10000 + d0]
-    for j, chunk in enumerate(chunks):
-        digits[:n, 2 + j] = words[chunk]
+    for j, chunk in enumerate([10000 + heads[0], *chunks]):
+        digits[:n, 1 + j] = words[chunk]
     digits = digits.view(np.uint8).ravel()  # d0..d16 at bytes 7-23 of a cell
     z = trailing[chunks[0]]  # the trailing zeros of N
     for chunk in chunks[1:]:
         t = trailing[chunk]
         z = t + (t == 4) * z
     layout = np.take(kind, row)
-    cells = np.take(template, layout, axis=0)
-    cells[:, 24:29] = np.take(exponent, row, axis=0)  # kept in scientific notation only
+    cells = np.take(template, row, axis=0)
     for k, shift in enumerate((6, 5, 1)):
         mask = np.take(masks[k], layout, axis=0)
         cells |= np.bitwise_and(digits[shift:shift + n * CELL].reshape(n, CELL), mask, out=mask)
     cells.reshape(-1, block.shape[1], CELL)[:, -1, -1] = ord("\n")
-    kept = np.take(keep, layout * 17 + z, axis=0)
-    kept[:, 0] = x < 0
+    cells *= np.take(keep, layout * 17 + z, axis=0)
+    cells[:, 0] *= x < 0
     for i in np.flatnonzero(~certain):
         text = ("%.17g" % x[i]).encode()
+        cells[i, :-1] = 0
         cells[i, :len(text)] = np.frombuffer(text, np.uint8)
-        kept[i, :-1] = np.arange(CELL - 1) < len(text)
-    return cells[kept].tobytes()
+    return cells.tobytes().translate(None, b"\0")  # no kept byte is NUL
 
 
 def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
+    """The CSV as UTF-8 bytes and LF line ends: '#' header lines, in which a control
+    character is escaped as by ``repr`` and a lone surrogate (a path's undecodable
+    byte) as '\\udcXX', the column names, and the ``format_rows`` blocks."""
     values = list(columns.values())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# qbeats {__version__}\n")
-        for k, v in meta.items():
-            fh.write(f"# {k}: {v}\n")
-        fh.write(",".join(columns) + "\n")
+    lines = [f"qbeats {__version__}", *(f"{k}: {v}" for k, v in meta.items())]
+    header = "".join(f"# {line.translate(CONTROL_ESCAPES)}\n" for line in lines) + ",".join(columns)
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode(errors="backslashreplace"))
         rows = max(1, CSV_BLOCK_CELLS // len(values))
         for start in range(0, len(values[0]), rows):
-            block = np.column_stack([v[start:start + rows] for v in values])
-            fh.write(format_rows(block).decode("ascii"))
+            fh.write(format_rows(np.column_stack([v[start:start + rows] for v in values])))
 
 
 def read_reference(path: str) -> np.ndarray:

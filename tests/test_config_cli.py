@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbeats import __version__
-from qbeats.cli import CSV_BLOCK_CELLS, format_rows, write_csv
+from qbeats.cli import (CSV_BLOCK_CELLS, EXP_MAX, _layout, _pow10, _significands,
+                        format_rows, write_csv)
 from qbeats.config import (
     MAX_COUNT,
     YAML_LOADER,
@@ -270,6 +272,9 @@ TRMFE_BAD_GRIDS = {
     "t + t0 <= 0": dict(preset_with("octalin", "noise_method", "none"),
                         time_grid={"start": -5.0, "end": 5.0, "step": 0.1}),
 }
+
+
+BREAKS = "two\nlines\r\x0b\x0c\x1c\x1d\x1e\x85"  # each ends a line for str.splitlines
 
 
 class TestCli:
@@ -667,6 +672,26 @@ class TestCli:
         assert r.returncode == 0 and r.stderr == "", r.stderr
         assert "# name: café\n" in out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("where, value", [
+        ("name", BREAKS), ("config path", BREAKS), ("compare", BREAKS), ("config path", "c\udcff")])
+    def test_header_values_stay_on_their_comment_line(self, tmp_path, where, value):
+        # a control character in a header value is escaped, as is a path's undecodable byte
+        doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.5})
+        doc["name"] = value
+        if where != "name":
+            del doc["name"]  # the header names the config path instead
+        cfgfile = tmp_path / (f"{value}.yaml" if where == "config path" else "c.yaml")
+        ref, out = tmp_path / f"{value}.csv", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        ref.write_text("0,0.5\n2,0.4\n")
+        compare = ["--compare", str(ref)] if where == "compare" else []
+        assert run_main("simulate", "--config", str(cfgfile), "--out", str(out), *compare)[:2] \
+            == (0, [])
+        lines = out.read_text(encoding="utf-8").splitlines()
+        body = lines.index("time_ns,singlet_probability")
+        assert body == 8 + bool(compare) and all(line.startswith("# ") for line in lines[:body])
+        assert repr(value)[1:-1] in "\n".join(lines[:body])
+
     def test_out_naming_a_directory_exits_1(self, tmp_path):
         assert run_main("simulate", "--preset", "octalin", "--out", str(tmp_path))[:2] == (1, [
             f"configuration error: {tmp_path}: is a directory"])
@@ -943,6 +968,31 @@ def test_format_rows_is_percent_17g_of_every_double(rows):
     # st.floats draws nan, ±inf, ±0 and subnormals as well as normal doubles
     block = np.array(rows, dtype=np.float64)
     assert format_rows(block) == per_cell_rows(block)
+
+
+def test_format_rows_in_every_exponent_row():
+    # the hypothesis test draws random doubles and reaches few of the 563 table rows
+    tens = np.array([float(f"1e{e}") for e in range(-280, 281)])  # 10^E correctly rounded
+    cells = np.concatenate([np.outer(tens, [1.0, 1.5, 2 / 3, np.pi, 7.25, 9.87654321]).ravel(),
+                            tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    N, row, certain = _significands(cells, _layout()[2])
+    assert set(row[certain]) == set(range(1, 2 * EXP_MAX))  # E = -280..280, all certified
+    block = np.concatenate([cells, -cells]).reshape(-1, 6)
+    assert format_rows(block) == per_cell_rows(block)
+
+
+def test_pow10_of_every_row_is_exact_in_halves():
+    def nearest(value, exact):  # no double is closer to the exact number
+        return all(abs(exact - Fraction(value)) <= abs(exact - Fraction(np.nextafter(value, d)))
+                   for d in (-math.inf, math.inf))
+
+    for k in range(16 - EXP_MAX, 17 + EXP_MAX):  # 10^(16 - E) of every row
+        hi, lo, bh, bl = _pow10(k)
+        exact = Fraction(10) ** k
+        assert nearest(hi, exact) and nearest(lo, exact - Fraction(hi)), k
+        assert Fraction(bh) + Fraction(bl) == Fraction(hi), k
+        assert all(math.frexp(h)[0] * 2 ** 26 % 1 == 0 for h in (bh, bl)), k  # 26 bits
+        assert abs(bl) <= 2.0 ** -26 * abs(bh), k
 
 
 def rerendered(path):
