@@ -92,10 +92,19 @@ def test_repeated_trmfe_is_bit_identical(tmp_path, preset, method):
 
 
 def test_sector_columns(tmp_path):
+    # the I2 columns of a relaxed dmb run, weighted as the header gives, sum to the main one
     cli("simulate", "--preset", "octalin", "--sectors", "--out", tmp_path / "s.csv")
-    cli("simulate", "--preset", "dmb", "--sectors", "--field", "high",
-        "--out", tmp_path / "d.csv")
-    assert_cells_are_percent_17g(tmp_path / "d.csv")
+    out = tmp_path / "d.csv"
+    cli("simulate", *source(tmp_path, "dmb", {"noise_method": "kraus"}), "--sectors",
+        "--field", "high", "--out", out)
+    assert_cells_are_percent_17g(out)
+    header = [line for line in out.read_text().splitlines() if line.startswith("# sector_")]
+    weights = np.array(header[0].split(": ", 1)[1].split(","), dtype=float)
+    got = columns(out)
+    sectors = np.column_stack([got[f"I2={k}"] for k in range(6, -1, -1)])
+    gap = np.abs(sectors @ weights - got["singlet_probability"]).max()
+    print(f"\nmax |sum of weighted I2 columns - main column| = {gap:.3g}")
+    assert len(got) == 9 and gap <= 1e-12
 
 
 def test_long_kraus_trmfe_matches_the_uncut_convolution(tmp_path):

@@ -169,18 +169,22 @@ def format_rows(block: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")  # no kept byte is NUL
 
 
-def write_csv(path: str, columns: dict[str, np.ndarray], meta: dict) -> None:
-    """The CSV as UTF-8 bytes and LF line ends: '#' header lines, in which a control
-    character is escaped as by ``repr`` and a lone surrogate (a path's undecodable
-    byte) as '\\udcXX', the column names, and the ``format_rows`` blocks."""
-    values = list(columns.values())
+def _escaped(text: str) -> str:
+    """``text`` on one line: C0, DEL and C1 escaped as by ``repr``, lone surrogates '\\udcXX'."""
+    return text.translate(CONTROL_ESCAPES).encode(errors="backslashreplace").decode()
+
+
+def write_csv(path: str, names: list[str], columns: list[np.ndarray], meta: dict) -> None:
+    """The CSV as UTF-8 bytes and LF line ends: '#' header lines, each value ``_escaped``,
+    the column ``names``, and the ``format_rows`` blocks of ``columns``, a list of (T,)
+    columns and (T, k) tables whose columns run in the order of ``names``."""
     lines = [f"qbeats {__version__}", *(f"{k}: {v}" for k, v in meta.items())]
-    header = "".join(f"# {line.translate(CONTROL_ESCAPES)}\n" for line in lines) + ",".join(columns)
+    header = "".join(f"# {_escaped(line)}\n" for line in lines) + ",".join(names) + "\n"
     with open(path, "wb") as fh:
-        fh.write((header + "\n").encode(errors="backslashreplace"))
-        rows = max(1, CSV_BLOCK_CELLS // len(values))
-        for start in range(0, len(values[0]), rows):
-            fh.write(format_rows(np.column_stack([v[start:start + rows] for v in values])))
+        fh.write(header.encode())
+        rows = max(1, CSV_BLOCK_CELLS // len(names))
+        for start in range(0, len(columns[0]), rows):
+            fh.write(format_rows(np.column_stack([c[start:start + rows] for c in columns])))
 
 
 def read_reference(path: str) -> np.ndarray:
@@ -223,13 +227,11 @@ def _inputs(args) -> tuple[ExperimentConfig, np.ndarray | None]:
     return config, read_reference(args.compare) if args.compare else None
 
 
-def _finish(args, reference, times, values, columns: dict[str, np.ndarray], meta: dict) -> int:
-    """Write the CSV, after the RMS deviation from the ``--compare`` reference, if any.
-
-    The reference curve is linearly interpolated onto the simulated grid,
-    restricted to the overlapping time window.  Purely informational: nothing
-    is asserted about external data.
-    """
+def _finish(args, reference, names, columns, meta: dict) -> int:
+    """Write the CSV, after the RMS deviation of its second column from the ``--compare``
+    reference, if any, interpolated linearly onto the grid where they overlap.  Purely
+    informational: nothing is asserted about external data."""
+    times, values = columns[:2]
     if reference is not None:
         ref_t, ref_v = reference.T
         mask = (times >= ref_t[0]) & (times <= ref_t[-1])
@@ -237,12 +239,12 @@ def _finish(args, reference, times, values, columns: dict[str, np.ndarray], meta
             raise ConfigError(f"{args.compare}: no overlap with the simulated grid")
         rms = np.sqrt(np.mean((values[mask] - np.interp(times[mask], ref_t, ref_v)) ** 2))
         meta["rms_vs_reference"] = f"{rms:.6g} ({args.compare})"
-        print(f"RMS deviation vs {args.compare}: {rms:.6g}")
+        print(f"RMS deviation vs {_escaped(args.compare)}: {rms:.6g}")
     try:
-        write_csv(args.out, columns, meta)
+        write_csv(args.out, names, columns, meta)
     except OSError as exc:
         raise ConfigError(f"{args.out}: {exc.strerror}") from None
-    print(f"wrote {args.out} ({len(times)} rows)")
+    print(f"wrote {_escaped(args.out)} ({len(times)} rows)")
     return 0
 
 
@@ -253,8 +255,6 @@ def cmd_simulate(args) -> int:
                           f"mixed nuclear state; {config.initial_state!r} is one pure state")
     regime = args.field or config.field_regime
     result = simulate(config, regime, sectors=args.sectors)
-    trace = result.trace
-    columns = {"time_ns": trace.times, "singlet_probability": trace.values, **result.sectors}
     meta = {
         "command": "simulate",
         "name": config.name,
@@ -264,7 +264,10 @@ def cmd_simulate(args) -> int:
         "initial_state": config.initial_state,
         "units": "time_ns, probability",
     }
-    return _finish(args, reference, trace.times, trace.values, columns, meta)
+    if args.sectors:  # each column's share of the main trace's ensemble
+        meta["sector_weights"] = ",".join(map(repr, result.weights))
+    return _finish(args, reference, ["time_ns", "singlet_probability", *result.labels],
+                   [result.trace.times, result.trace.values, result.sectors], meta)
 
 
 def _grid_checked(source: str, step, *args):  # a ValueError becomes a time_grid ConfigError
@@ -294,7 +297,7 @@ def cmd_trmfe(args) -> int:
         "edge_unreliable_before_ns": float(s_zero.times[0] + (pp.t_g + 3 * pp.tau_f)),
         "units": "time_ns, dimensionless",
     }
-    return _finish(args, reference, columns["time_ns"], columns["ratio"], columns, meta)
+    return _finish(args, reference, list(columns), list(columns.values()), meta)
 
 
 def cmd_validate(args) -> int:
@@ -360,7 +363,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {_escaped(str(exc))}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

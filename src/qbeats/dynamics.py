@@ -285,7 +285,7 @@ def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
     P = live.shape[1] // 2
     lam, X = np.zeros(live.shape), np.zeros(blocks.h.shape)  # X[b, :, j]: eigenvector j
     sizes = live.sum(axis=1)
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         sel = np.flatnonzero(sizes == size)
         rows = np.nonzero(live[sel])[1].reshape(-1, size)  # each block's live rows, ascending
         lam[sel, :size], X[sel[:, None, None], rows[:, :, None], np.arange(size)] = (

@@ -387,7 +387,8 @@ def build_cation_blocks(spec: SpinSystemSpec, two_I, two_m, weights) -> CationBl
     slot_weights = np.zeros(live.shape)
     slot_weights[block[:R], q] = weights
     slot_weights[block[R:], P + q] = weights
-    pairs = np.array(np.divmod(np.unique(block[:R] * len(fam) + block[R:]), len(fam)))
+    code = np.sort(block[:R] * len(fam) + block[R:])  # np.unique would import numpy.ma
+    pairs = np.array(np.divmod(code[np.diff(code, prepend=-1) != 0], len(fam)))
     return CationBlocks(h, live, slot_weights, fam, row_m, pairs)
 
 

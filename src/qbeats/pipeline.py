@@ -5,8 +5,8 @@ reaches (``build_cation_blocks``).  In a one-group system every |I, m=I>
 representative carries the count of its class (zero field weights over I,
 high field weights over |m|); in a two-group system every nuclear state of
 every I2 sector is weighted by its I2 degeneracy, which keeps the classical
-reassembly exact also in the presence of relaxation.  Per-sector spectra are built only for sector
-columns.
+reassembly exact also in the presence of relaxation.  A sector column reads
+one part of that ensemble through the same channel.
 
 ``simulate`` is the one entry point from a resolved configuration to S(t):
 it picks the state preparation and owns the noise-method dispatch, which is
@@ -21,35 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .dynamics import (
-    SINGLET,
-    TRIPLET_0,
-    PairSpectrum,
-    TimeSeries,
-    cation_spectrum,
-    clip_probabilities,
-    evaluate_spectrum,
-    one_group_weights,
-    singlet_only,
-    time_grid,
-)
-from .hamiltonians import (
-    SpinSystemSpec,
-    build_cation_blocks,
-    build_two_group_block,
-    distinct_spins,
-    nuclear_states,
-)
+from .dynamics import (SINGLET, TRIPLET_0, PairSpectrum, TimeSeries, cation_spectrum,
+                       clip_probabilities, one_group_weights, singlet_only, time_grid)
+from .hamiltonians import SpinSystemSpec, build_cation_blocks, distinct_spins, nuclear_states
 from .relaxation import relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
 
 @dataclass
 class SimulationResult:
-    """Main S(t) trace plus per-sector columns (empty unless requested)."""
+    """Main S(t) trace plus, on request, sector columns: column k of ``sectors`` is the S(t)
+    of sector ``labels[k]``, whose share of the main trace's ensemble is ``weights[k]``."""
 
     trace: TimeSeries
-    sectors: dict[str, np.ndarray]
+    labels: list[str]
+    sectors: np.ndarray  # (T, len(labels))
+    weights: list[float]
 
 
 def _ensemble_spectrum(spec: SpinSystemSpec, two_I, two_m, weights) -> PairSpectrum:
@@ -92,6 +79,26 @@ def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
     return _ensemble_spectrum(spec, two_I, two_m, weight[two_I[1]])
 
 
+def sector_spectra(spec: SpinSystemSpec, regime: str) -> list[tuple[str, float, PairSpectrum]]:
+    """(label, weight, spectrum) of every sector column, largest spin first: of one group,
+    each class's |I, m=I> representative, of weight count / 2^n; of two, the I2 part of
+    ``two_group_spectrum``, its R = 4 (2 I2 + 1) states at 1 / R each, of weight R count / 2^N.
+    The weighted spectra sum to the main one (at zero field, one group: before ``singlet_only``)."""
+    n, total = spec.groups[-1].count, 2 ** sum(g.count for g in spec.groups)  # 2^N, once:
+    # recomputed per column, it took 4 s of the 30,001 weights at n = 60,000
+    if len(spec.groups) == 1:
+        counts = one_group_weights(n, regime)
+        return [(f"I={I}", counts[I] / total, s)
+                for I, s in one_group_sector_spectra(spec).items()]
+    out = []
+    for I2, count in spin_addition_counts(n).items():
+        two_I, two_m = nuclear_states(spec, [I2.twice_value])
+        R = two_I.shape[1]
+        out.append((f"I2={I2}", R * count / total,
+                    _ensemble_spectrum(spec, two_I, two_m, np.full(R, 1 / R))))
+    return out
+
+
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
@@ -106,11 +113,8 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     S |S><S| + (1 - S) |T0><T0| (``singlet_only``).  No route builds a (T, 4, 4)
     pair trajectory, runs a circuit or loads the gate-level modules (``circuits``,
     ``backends``, ``library``, ``noisemethods``): they are the oracle of the
-    tests and of ``validate``.  With ``sectors`` the result also carries one
-    column per sector: the noisy traces of the |I, m=I> representatives of a mixed
-    one-group run, which average to S(t) by their class counts at high field but at
-    zero field only when T1 = T2, or the coherent padded-register trace of each I2
-    sector of a two-group run.
+    tests and of ``validate``.  With ``sectors`` a mixed run also reads one
+    column per sector (``sector_spectra``) as it reads the main trace.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -122,27 +126,18 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
     else:
         channel = (times, spec.T1, spec.T2)
     pure = config.initial_sector()
-    columns: dict[str, np.ndarray] = {}
-
     if len(spec.groups) == 2:
         spectrum = two_group_spectrum(spec)
-        if method == "echo-synthetic":
-            spectrum = singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0))
-        for I2 in distinct_spins(spec.groups[1].count) if sectors else ():
-            # the coherent padded-register run, in which the frozen padding slots count as 1
-            sector, label = build_two_group_block(I2, spec), f"I2={I2}"
-            padded = evaluate_spectrum(cation_spectrum(sector.blocks, sector.b2), times,
-                                       singlet=True)
-            columns[label] = clip_probabilities(
-                padded + sector.pad_register / sector.register_size, label)
     elif pure:
         spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
     else:
         spectrum = one_group_spectrum(spec, regime)
-        for I, s in one_group_sector_spectra(spec).items() if sectors else ():
-            label = f"I={I}"
-            columns[label] = clip_probabilities(relaxed_singlet(s, times, *channel), label)
-
-    label = f"S_{regime}"
-    values = relaxed_singlet(spectrum, times, *channel)
-    return SimulationResult(TimeSeries(times, clip_probabilities(values, label), label), columns)
+    parts = [(f"S_{regime}", 1.0, spectrum)] + (sector_spectra(spec, regime)
+                                                if sectors and not pure else [])
+    table = np.empty((len(times), len(parts)))  # the main trace, then the sector columns
+    for k, (label, _, spectrum) in enumerate(parts):
+        if method == "echo-synthetic" and len(spec.groups) == 2:
+            spectrum = singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0))
+        table[:, k] = clip_probabilities(relaxed_singlet(spectrum, times, *channel), label)
+    return SimulationResult(TimeSeries(times, table[:, 0], parts[0][0]),
+                            [p[0] for p in parts[1:]], table[:, 1:], [p[1] for p in parts[1:]])

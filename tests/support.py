@@ -43,6 +43,11 @@ def half_rate_equivalence_check(spec: SpinSystemSpec, times: np.ndarray,
     return bool(np.abs(both - single).max() <= tol)
 
 
+def sector_columns(result) -> dict:
+    """Label -> sector column of a ``pipeline.SimulationResult``."""
+    return dict(zip(result.labels, result.sectors.T))
+
+
 def operator_sum_pair(rho: np.ndarray, t: float, T1: float, T2: float,
                       sites=("e1", "e2")) -> np.ndarray:
     """A (4, 4) pair state, e1 its first factor, after the thermal channel of duration t on

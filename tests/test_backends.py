@@ -40,7 +40,7 @@ from qbeats.relaxation import (
     relaxed_singlet,
 )
 from qbeats.spinalg import HalfInt
-from support import channel_target_stats, inject_singlet, rz_encode_angle
+from support import channel_target_stats, inject_singlet, rz_encode_angle, sector_columns
 
 TOL = 1e-12
 
@@ -234,7 +234,7 @@ class TestNoiseRoutes:
                                      time_grid=(0.0, 20.0, 4.0), hardware=HARDWARE[hw])
         spec = config.spin_spec(regime)
         targets = [target_at(float(t), spec.T1, spec.T2, HARDWARE[hw]) for t in TIMES]
-        columns = pipeline.simulate(config, regime, sectors=True).sectors
+        columns = sector_columns(pipeline.simulate(config, regime, sectors=True))
         got = {HalfInt.from_float(float(label[len("I="):])): v for label, v in columns.items()}
         assert list(got) == distinct_spins(8)
         got["pure"] = pipeline.simulate(dataclasses.replace(config, initial_state="2, 2"),

@@ -692,6 +692,35 @@ class TestCli:
         assert body == 8 + bool(compare) and all(line.startswith("# ") for line in lines[:body])
         assert repr(value)[1:-1] in "\n".join(lines[:body])
 
+    @pytest.mark.parametrize("where", ["config", "out", "compare"])
+    def test_a_path_with_a_line_break_stays_on_its_line(self, tmp_path, where):
+        # the configuration error, the RMS line and the wrote line each print the path escaped
+        broken = tmp_path / "a\nb"
+        cfgfile, ref, out = tmp_path / "c.yaml", tmp_path / "ref.csv", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(
+            preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 0.5})))
+        ref.write_text("0,0.5\n2,0.4\n")
+        if where == "config":
+            code, err, stdout = run_main("simulate", "--config", f"{broken}.yaml", "--out",
+                                         str(out))
+            want = [f"configuration error: {tmp_path}/a\\nb.yaml: No such file or directory"]
+        elif where == "out":
+            code, err, stdout = run_main("simulate", "--config", str(cfgfile), "--out",
+                                         f"{broken}/x.csv")
+            want = [f"configuration error: {tmp_path}/a\\nb/x.csv: directory "
+                    f"{str(broken)!r} does not exist"]
+        else:
+            ref = ref.rename(f"{broken}.csv")
+            out = tmp_path / "x\ny.csv"
+            code, err, stdout = run_main("simulate", "--config", str(cfgfile), "--out",
+                                         str(out), "--compare", str(ref))
+            assert (code, err) == (0, [])
+            assert stdout.splitlines() == [
+                f"RMS deviation vs {tmp_path}/a\\nb.csv: {stdout.split(': ')[1].split()[0]}",
+                f"wrote {tmp_path}/x\\ny.csv (5 rows)"]
+            return
+        assert (code, err, stdout) == (1, want, "")
+
     def test_out_naming_a_directory_exits_1(self, tmp_path):
         assert run_main("simulate", "--preset", "octalin", "--out", str(tmp_path))[:2] == (1, [
             f"configuration error: {tmp_path}: is a directory"])
@@ -781,6 +810,34 @@ def test_simulate_and_trmfe_never_load_the_gate_level_oracle(tmp_path):
     assert r.returncode == 0, r.stderr
     loaded = {k.split(".", 1)[1] for k in json.loads(r.stdout) if k.startswith("qbeats.")}
     assert "pipeline" in loaded and not loaded & ORACLE_MODULES, sorted(loaded)
+
+
+def test_simulate_and_trmfe_never_load_numpy_ma(tmp_path):
+    # np.unique without an inverse imports numpy.ma, which costs a fresh run 9-15 ms
+    out = str(tmp_path / "out.csv")
+    commands = [[*command, "--preset", name, "--out", out] for name in ("octalin", "dmb")
+                for command in (["trmfe"], ["simulate", "--sectors"])]
+    r = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(commands)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout))
+    assert "numpy" in loaded and not loaded & {"numpy.ma"}
+
+
+def test_sector_weights_reassemble_the_main_column_from_the_file(tmp_path):
+    doc = preset_with("dmb", "noise_method", "kraus")
+    doc["time_grid"] = {"start": 0.0, "end": 10.0, "step": 0.25}
+    cfgfile, out = tmp_path / "c.yaml", tmp_path / "x.csv"
+    cfgfile.write_text(yaml.safe_dump(doc))
+    assert run_main("simulate", "--sectors", "--field", "high", "--config", str(cfgfile),
+                    "--out", str(out))[:2] == (0, [])
+    weights = [line for line in out.read_text().splitlines() if line.startswith("# sector_")]
+    assert len(weights) == 1 and weights[0].startswith("# sector_weights: ")
+    weights = np.array(weights[0].split(": ")[1].split(","), dtype=float)
+    header, values = csv_columns(out)
+    assert header[2:] == [f"I2={k}" for k in range(6, -1, -1)] and len(weights) == 7
+    assert weights.sum() == 1.0
+    assert np.abs(values[:, 2:] @ weights - values[:, 1]).max() <= 1e-12
 
 
 def run_main(*argv):
@@ -932,9 +989,12 @@ def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rows, n_co
                            rng.normal(size=200) * 10.0 ** rng.integers(-320, 300, 200)])
     columns = {f"c{i}": rng.choice(pool, rows) for i in range(n_columns)}
     meta = {"command": "test", "rows": rows}
-    write_csv(str(tmp_path / "block.csv"), columns, meta)
     per_cell_csv(tmp_path / "cell.csv", columns, meta)
-    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+    names, values = list(columns), list(columns.values())
+    # one array per column, and the columns after the first as one (rows, n - 1) table
+    for parts in (values, [values[0], np.column_stack([np.empty(rows), *values[1:]])[:, 1:]]):
+        write_csv(str(tmp_path / "block.csv"), names, parts, meta)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
 def per_cell_rows(block):

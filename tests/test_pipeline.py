@@ -1,26 +1,20 @@
 """pipeline.simulate against independent recombinations of its own parts."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from qbeats import dynamics, hamiltonians
 from qbeats.config import load_preset
-from qbeats.dynamics import (
-    TimeSeries,
-    evaluate_spectrum,
-    one_group_weights,
-    reassemble_two_group,
-    singlet_values,
-    time_grid,
-)
-from qbeats.hamiltonians import build_two_group_block
+from qbeats.dynamics import evaluate_spectrum, one_group_weights, singlet_values, time_grid
 from qbeats.noisemethods import per_gate_singlet_values
 from qbeats.pipeline import (one_group_sector_spectra, one_group_spectrum, simulate,
                              two_group_spectrum)
 from qbeats.relaxation import relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
-from support import class_average, werner_trajectory
+from support import class_average, sector_columns, werner_trajectory
 
 GRID = (0.0, 20.0, 0.5)
 
@@ -40,24 +34,40 @@ def sector_average(columns, regime):
 @pytest.mark.parametrize("method", ["kraus", "per-gate", "echo-synthetic"])
 def test_one_group_sector_columns_average_to_the_main_trace(method, regime):
     result = simulate(preset("octalin", method), regime, sectors=True)
-    assert list(result.sectors) == ["I=4", "I=3", "I=2", "I=1", "I=0"]
-    dev = np.abs(sector_average(result.sectors, regime) - result.trace.values).max()
+    assert result.labels == ["I=4", "I=3", "I=2", "I=1", "I=0"]
+    dev = np.abs(sector_average(sector_columns(result), regime) - result.trace.values).max()
     assert dev <= 1e-12
+    weights = one_group_weights(8, regime)
+    assert result.weights == [weights[HalfInt(2 * k)] / 2 ** 8 for k in (4, 3, 2, 1, 0)]
 
 
 @pytest.mark.parametrize("regime", ["zero", "high"])
 def test_two_group_sector_columns_reassemble_to_the_main_trace(regime):
-    config = preset("dmb", "none")
-    result = simulate(config, regime, sectors=True)
-    spec = config.spin_spec(regime)
-    traces, padding, degeneracy = {}, {}, {}
-    for I2 in spin_addition_counts(12):
-        sector = build_two_group_block(I2, spec)
-        traces[I2] = TimeSeries(result.trace.times, result.sectors[f"I2={I2}"])
-        padding[I2] = (sector.pad_register, sector.register_size)
-        degeneracy[I2] = sector.degeneracy
-    rebuilt = reassemble_two_group(traces, padding, degeneracy, 14)
-    assert np.abs(rebuilt.values - result.trace.values).max() <= 1e-12
+    """Under every noise method, the I2 columns weighted by their share of the ensemble,
+    4 (2 I2 + 1) count(I2) / 2^14, sum to the main trace."""
+    counts = spin_addition_counts(12)
+    for method in ("none", "kraus", "per-gate", "echo-synthetic"):
+        result = simulate(preset("dmb", method), regime, sectors=True)
+        assert result.labels == [f"I2={I2}" for I2 in counts]
+        assert result.weights == [4 * (I2.twice_value + 1) * c / 2 ** 14
+                                  for I2, c in counts.items()]
+        rebuilt = result.sectors @ np.array(result.weights)
+        assert np.abs(rebuilt - result.trace.values).max() <= 1e-12, method
+
+
+def test_two_group_sectors_take_no_padded_register(monkeypatch):
+    # the padded sector register and the evaluated trajectory are oracles of the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("the padded-register route was taken")
+
+    padded = (hamiltonians.build_two_group_block, dynamics.evaluate_spectrum)
+    for module in [m for k, m in sys.modules.items() if k.startswith("qbeats")]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in padded):
+                monkeypatch.setattr(module, name, refuse)
+    for regime in ("zero", "high"):
+        for method in ("none", "kraus", "per-gate", "echo-synthetic"):
+            assert len(simulate(preset("dmb", method), regime, sectors=True).labels) == 7
 
 
 @pytest.mark.parametrize("regime", ["zero", "high"])
@@ -80,7 +90,8 @@ def test_two_group_per_gate_matches_the_gate_level_circuit(regime):
 
 
 def test_without_sectors_no_columns_are_returned():
-    assert simulate(preset("octalin", "kraus"), "zero").sectors == {}
+    result = simulate(preset("octalin", "kraus"), "zero")
+    assert result.labels == result.weights == [] and result.sectors.shape == (41, 0)
 
 
 def noisy_singlet(method, spectrum, times, spec):
@@ -120,9 +131,9 @@ def test_simulate_matches_per_sector_trajectories(method, regime):
     plain, with_sectors = simulate(config, regime), simulate(config, regime, sectors=True)
     assert np.array_equal(plain.trace.values, with_sectors.trace.values)
     assert np.abs(plain.trace.values - sector_average(per_sector, regime)).max() <= 1e-12
-    assert list(with_sectors.sectors) == list(per_sector)
+    assert with_sectors.labels == list(per_sector)
     for label, values in per_sector.items():
-        assert np.abs(with_sectors.sectors[label] - values).max() <= 1e-12
+        assert np.abs(sector_columns(with_sectors)[label] - values).max() <= 1e-12
 
 
 def test_pure_sector_state_matches_its_sector_trajectory():
