@@ -107,6 +107,24 @@ def test_sector_columns(tmp_path):
     assert len(got) == 9 and gap <= 1e-12
 
 
+def direct_convolution(x, kernel, block=512):
+    """The first T terms y[n] = sum_j kernel[j] x[n - j] of the direct, uncut convolution of
+    each row of the (S, T) array x, as blocked matrix products: output block p gathers
+    input block p - d times the Toeplitz block E_d[r, s] = kernel[d block + r - s]."""
+    S, T = x.shape
+    count = -(-T // block)
+    X = np.zeros((S, count * block))
+    X[:, :T] = x
+    X = X.reshape(S, count, block)
+    Y = np.zeros_like(X)
+    r = np.arange(block)
+    for d in range(min(count, -(-(len(kernel) + block - 1) // block))):
+        lag = d * block + r[:, None] - r
+        E = np.where((lag >= 0) & (lag < len(kernel)), kernel[np.clip(lag, 0, len(kernel) - 1)], 0)
+        Y[:, d:] += X[:, :count - d] @ E.T
+    return Y.reshape(S, -1)[:, :T]
+
+
 def test_long_kraus_trmfe_matches_the_uncut_convolution(tmp_path):
     # step 0.01 ns with tau_f = 1.2 ns: 84 scan blocks of 2,400 points
     args = source(tmp_path, "octalin", {"noise_method": "kraus", "time_grid": LONG_GRID})
@@ -119,10 +137,9 @@ def test_long_kraus_trmfe_matches_the_uncut_convolution(tmp_path):
     e, g = exponential_kernel(pp.tau_f, h, len(t)), boxcar_kernel(pp.t_g, h, len(t))
     e = e[:np.flatnonzero(e)[-1] + 1]  # its taps past exp(-t/tau_f) underflow are exactly 0
     k = len(g) // 2
-    want = {}
-    for name, s in (("I_B", "S_B"), ("I_0", "S_0")):
-        ideal = ideal_intensity(TimeSeries(t, got[s]), pp).values
-        want[name] = np.convolve(np.convolve(ideal, e)[:len(t)], g)[k: k + len(t)]
+    ideal = np.stack([ideal_intensity(TimeSeries(t, got[s]), pp).values for s in ("S_B", "S_0")])
+    decayed = np.pad(direct_convolution(ideal, e), ((0, 0), (0, k)))  # the boxcar is centred
+    want = dict(zip(("I_B", "I_0"), direct_convolution(decayed, g)[:, k:]))
     want["ratio"] = want["I_B"] / want["I_0"]
     gap = max(np.abs(got[c] / want[c] - 1).max() for c in want)
     print(f"\nmax relative gap to the uncut convolution: {gap:.3g}")
@@ -180,6 +197,19 @@ def test_count_above_the_cap_exits_1_on_one_line(tmp_path):
     assert len(err) == 1 and not any("Traceback" in line for line in err), err
     assert err[0].startswith("configuration error: ") and "groups[0].count: " in err[0], err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_sectors_above_the_cell_cap_exit_1_at_once(tmp_path):
+    # the one-group count cap on the 999,501-point grid: its 30,003 columns would hold about
+    # 240 GB, so the run ends before anything is built
+    big = {"system.groups.0.count": 60000, "time_grid": {"start": 0.0, "end": 9995.0,
+                                                          "step": 0.01}}
+    err, peak_mb = cli("simulate", "--sectors", *source(tmp_path, "octalin", big),
+                       "--out", tmp_path / "s.csv", code=1)
+    assert len(err) == 1 and err[0].startswith("configuration error: "), err
+    assert "--sectors would write 29988028503 CSV cells" in err[0], err
+    print(f"\npeak RSS {peak_mb:.1f} MB")
+    assert peak_mb < 75 and not (tmp_path / "s.csv").exists()
 
 
 def test_validation_suites():

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (FIELD_REGIMES, PRESETS, ConfigError, ExperimentConfig, load_config_file,
-                     load_preset, read_text)
+from .config import (FIELD_REGIMES, MAX_SECTOR_CELLS, PRESETS, ConfigError, ExperimentConfig,
+                     load_config_file, load_preset, read_text)
 from .dynamics import NumericalError, time_grid
 from .pipeline import simulate
 from .postprocess import kernel_step, observed_ratio
@@ -250,9 +250,15 @@ def _finish(args, reference, names, columns, meta: dict) -> int:
 
 def cmd_simulate(args) -> int:
     config, reference = _inputs(args)
-    if args.sectors and config.initial_sector():
-        raise ConfigError(f"{args.config or config.name}.initial_state: --sectors splits the "
-                          f"mixed nuclear state; {config.initial_state!r} is one pure state")
+    source = args.config or config.name
+    if args.sectors:
+        if config.initial_sector():
+            raise ConfigError(f"{source}.initial_state: --sectors splits the mixed nuclear "
+                              f"state; {config.initial_state!r} is one pure state")
+        cells = (3 + config.groups[-1].count // 2) * len(time_grid(*config.time_grid))
+        if cells > MAX_SECTOR_CELLS:  # time, main trace and one column per last-group spin
+            raise ConfigError(f"{source}: --sectors would write {cells} CSV cells; at most "
+                              f"{MAX_SECTOR_CELLS} allowed")
     regime = args.field or config.field_regime
     result = simulate(config, regime, sectors=args.sectors)
     meta = {

@@ -27,6 +27,9 @@ from .spinalg import HalfInt
 
 PRESETS = ("octalin", "dmb")
 MAX_TIME_POINTS = 1_000_000  # octalin trmfe CSV: 121 MB (dmb 86 MB); no (T, 4, 4) trajectory
+# simulate --sectors holds every CSV cell (columns x rows) until it is written; 60,000 nuclei
+# on 1,001 points and 6,000 on 10,001 are 30,033,003 cells each
+MAX_SECTOR_CELLS = 32_000_000
 # nuclei in the last group, by number of groups: default-grid trmfe at the cap takes up to
 # 1.8 s and 0.39 GB (one group, mostly the exact spin multiplicities) and 1.9 s and 0.13 GB
 # (two groups) on a busy 2-core host with one BLAS thread

@@ -1,16 +1,12 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
-Each regime is one beat spectrum, read from the cation blocks its ensemble
-reaches (``build_cation_blocks``).  In a one-group system every |I, m=I>
-representative carries the count of its class (zero field weights over I,
-high field weights over |m|); in a two-group system every nuclear state of
-every I2 sector is weighted by its I2 degeneracy, which keeps the classical
-reassembly exact also in the presence of relaxation.  A sector column reads
-one part of that ensemble through the same channel.
-
-``simulate`` is the one entry point from a resolved configuration to S(t):
-it picks the state preparation and owns the noise-method dispatch, which is
-the choice of one both-site channel per regime.
+Every run is one ensemble table of nuclear states and weights (``ensemble``), read from
+the cation blocks its states reach and, where the prepared pair state is not the
+ensemble's own, through ``singlet_only``.  Weighting every state of every I2 sector by
+its I2 degeneracy keeps the classical reassembly exact also under relaxation.  A sector
+column is the table's states of one last-group spin, read the same way.  ``simulate`` is
+the one entry point from a resolved configuration to S(t): it picks the prepared pair
+state and the noise method's both-site channel once per regime.
 """
 
 from __future__ import annotations
@@ -27,6 +23,9 @@ from .hamiltonians import SpinSystemSpec, build_cation_blocks, distinct_spins, n
 from .relaxation import relaxed_singlet
 from .spinalg import HalfInt, spin_addition_counts
 
+ROTATION_INVARIANT = (np.eye(4) - np.outer(SINGLET, SINGLET)) / 3  # rest of a mixed one group
+ENCODED = np.outer(TRIPLET_0, TRIPLET_0)  # rest of an S(t) encoded in an Rz rotation
+
 
 @dataclass
 class SimulationResult:
@@ -39,82 +38,72 @@ class SimulationResult:
     weights: list[float]
 
 
-def _ensemble_spectrum(spec: SpinSystemSpec, two_I, two_m, weights) -> PairSpectrum:
-    """Beat spectrum of sum_r weights[r] |r><r| x |S><S| over the nuclear states r of (group,
-    state) arrays ``two_I``, ``two_m`` of 2 I and 2 m, on the cation blocks it reaches."""
-    return cation_spectrum(build_cation_blocks(spec, two_I, two_m, weights), spec.b2)
+def ensemble(spec: SpinSystemSpec, regime: str | None = None, pure=None) -> tuple:
+    """(two_I, two_m, weights, counts, total) of the pure state (I, m) ``pure``, or of the
+    mixed nuclear state in field ``regime``: (G, R) arrays of 2I and 2m per group of its
+    states, in runs of one last-group spin, largest first, and each state's weight, the
+    integer ``counts[2 I]`` of its last group's spin over the integer ``total``."""
+    n, total = spec.groups[-1].count, 2 ** sum(g.count for g in spec.groups)
+    if pure:
+        counts, total = {pure[0].twice_value: 1}, 1
+        two_I, two_m = (np.array([[x.twice_value]]) for x in pure)
+    elif len(spec.groups) == 1:
+        classes = sorted(one_group_weights(n, regime).items(), reverse=True)
+        counts = {k.twice_value: c for k, c in classes}
+        two_I = two_m = np.array([list(counts)])
+    else:
+        counts = {I2.twice_value: c for I2, c in spin_addition_counts(n).items()}
+        two_I, two_m = nuclear_states(spec, list(counts))
+    share = np.zeros(max(counts) + 1)  # one exact division per spin, not per state
+    share[list(counts)] = [c / total for c in counts.values()]
+    return two_I, two_m, share[two_I[-1]], counts, total
+
+
+def prepared_spectrum(spec: SpinSystemSpec, two_I, two_m, weights, rest=None) -> PairSpectrum:
+    """Beat spectrum of sum_r weights[r] |r><r| x |S><S| over the nuclear states r of (G, R)
+    arrays ``two_I``, ``two_m``, on the cation blocks it reaches; with a ``rest``, that of
+    the pair state S(t) |S><S| + (w - S(t)) rest prepared from its S(t) (``singlet_only``)."""
+    spectrum = cation_spectrum(build_cation_blocks(spec, two_I, two_m, weights), spec.b2)
+    return spectrum if rest is None else singlet_only(spectrum, rest)
 
 
 def one_group_sector_spectra(spec: SpinSystemSpec, states=None) -> dict[HalfInt, PairSpectrum]:
     """Beat spectra of |I, m> x |S> by I, for each (I, m) of ``states`` (default: |I, m=I>
     for every distinct I)."""
     states = states or [(I, I) for I in distinct_spins(spec.groups[0].count)]
-    return {I: _ensemble_spectrum(spec, [[I.twice_value]], [[m.twice_value]], [1.0])
-            for I, m in states}
+    return {I: prepared_spectrum(spec, *ensemble(spec, pure=(I, m))[:3]) for I, m in states}
 
 
 def one_group_spectrum(spec: SpinSystemSpec, field_regime: str) -> PairSpectrum:
-    """Beat spectrum of the mixed nuclear state of a one-group system: one ensemble in
-    which every |I, m=I> representative carries the weight of its class.  At zero field
-    the mixed pair state is rotation invariant, but no representative is: they carry its
+    """Beat spectrum of the mixed nuclear state of a one-group system.  At zero field the
+    mixed pair state is rotation invariant, but no class representative is: they carry its
     S(t) alone, so the spectrum is that of S |S><S| + (1 - S) / 3 (1 - |S><S|)."""
-    counts = one_group_weights(spec.groups[0].count, field_regime)
-    total = sum(counts.values())
-    two_k = [[k.twice_value for k in counts]]
-    spectrum = _ensemble_spectrum(spec, two_k, two_k, [c / total for c in counts.values()])
-    if field_regime == "zero":
-        spectrum = singlet_only(spectrum, (np.eye(4) - np.outer(SINGLET, SINGLET)) / 3)
-    return spectrum
+    return prepared_spectrum(spec, *ensemble(spec, field_regime)[:3],
+                             ROTATION_INVARIANT if field_regime == "zero" else None)
 
 
 def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
     """Beat spectrum of the fully mixed nuclear state of a two-group system: the cation
     blocks of every I2 sector at once, each slot weighted by its I2 degeneracy / 2^N."""
-    n1, n2 = spec.groups[0].count, spec.groups[1].count
-    counts = spin_addition_counts(n2)
-    weight = np.zeros(n2 + 1)  # by 2 I2
-    for I2, count in counts.items():
-        weight[I2.twice_value] = count / 2 ** (n1 + n2)
-    two_I, two_m = nuclear_states(spec, [I2.twice_value for I2 in counts])
-    return _ensemble_spectrum(spec, two_I, two_m, weight[two_I[1]])
-
-
-def sector_spectra(spec: SpinSystemSpec, regime: str) -> list[tuple[str, float, PairSpectrum]]:
-    """(label, weight, spectrum) of every sector column, largest spin first: of one group,
-    each class's |I, m=I> representative, of weight count / 2^n; of two, the I2 part of
-    ``two_group_spectrum``, its R = 4 (2 I2 + 1) states at 1 / R each, of weight R count / 2^N.
-    The weighted spectra sum to the main one (at zero field, one group: before ``singlet_only``)."""
-    n, total = spec.groups[-1].count, 2 ** sum(g.count for g in spec.groups)  # 2^N, once:
-    # recomputed per column, it took 4 s of the 30,001 weights at n = 60,000
-    if len(spec.groups) == 1:
-        counts = one_group_weights(n, regime)
-        return [(f"I={I}", counts[I] / total, s)
-                for I, s in one_group_sector_spectra(spec).items()]
-    out = []
-    for I2, count in spin_addition_counts(n).items():
-        two_I, two_m = nuclear_states(spec, [I2.twice_value])
-        R = two_I.shape[1]
-        out.append((f"I2={I2}", R * count / total,
-                    _ensemble_spectrum(spec, two_I, two_m, np.full(R, 1 / R))))
-    return out
+    return prepared_spectrum(spec, *ensemble(spec)[:3])  # the same in either field
 
 
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
-    Every noise method is one both-site channel (elapsed, T1, T2), picked once
-    per regime: of duration t at T1 = T2 = inf for ``none``, at the regime's
-    (T1, T2) for ``kraus`` and ``per-gate`` (the noisy identity delay of
-    duration t is that channel), and ``config.hardware.echo_channel`` for
-    ``echo-synthetic`` (the correction undoes the hardware damping, so the
-    procedure leaves its target channel).  ``relaxed_singlet`` reads S(t) from
-    the prepared pair state's spectrum after the channel; a two-group
-    ``echo-synthetic`` run prepares its coherent S(t) encoded in an Rz rotation,
-    S |S><S| + (1 - S) |T0><T0| (``singlet_only``).  No route builds a (T, 4, 4)
-    pair trajectory, runs a circuit or loads the gate-level modules (``circuits``,
-    ``backends``, ``library``, ``noisemethods``): they are the oracle of the
-    tests and of ``validate``.  With ``sectors`` a mixed run also reads one
-    column per sector (``sector_spectra``) as it reads the main trace.
+    Every noise method is one both-site channel (elapsed, T1, T2): of duration t
+    at T1 = T2 = inf for ``none``, at the regime's (T1, T2) for ``kraus`` and
+    ``per-gate`` (the noisy identity delay of duration t is that channel), and
+    ``config.hardware.echo_channel`` for ``echo-synthetic`` (the correction undoes
+    the hardware damping, so the procedure leaves its target channel).  Next to it
+    one ``rest`` picks the prepared pair state: the rotation-invariant one of a mixed
+    one-group ensemble at zero field, the coherent S(t) encoded in an Rz rotation,
+    S |S><S| + (1 - S) |T0><T0|, for two-group ``echo-synthetic``, else the
+    ensemble's own.  ``relaxed_singlet`` reads S(t) from its spectrum after the
+    channel.  No route builds a (T, 4, 4) pair trajectory, runs a circuit or loads
+    the gate-level modules, the oracle of the tests and of ``validate``.  With
+    ``sectors`` the same loop reads a column per last-group spin of the ensemble:
+    its states at equal weight, of weight their share of the ensemble.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -125,19 +114,20 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
         channel = (times, math.inf, math.inf)
     else:
         channel = (times, spec.T1, spec.T2)
-    pure = config.initial_sector()
-    if len(spec.groups) == 2:
-        spectrum = two_group_spectrum(spec)
-    elif pure:
-        spectrum = one_group_sector_spectra(spec, [pure])[pure[0]]
-    else:
-        spectrum = one_group_spectrum(spec, regime)
-    parts = [(f"S_{regime}", 1.0, spectrum)] + (sector_spectra(spec, regime)
-                                                if sectors and not pure else [])
+    pure, one_group = config.initial_sector(), len(spec.groups) == 1
+    rest = (ROTATION_INVARIANT if one_group and not pure and regime == "zero" else
+            ENCODED if not one_group and method == "echo-synthetic" else None)
+    two_I, two_m, weights, counts, total = ensemble(spec, regime, pure)
+    parts = [(f"S_{regime}", 1.0, slice(None), weights)]
+    if sectors:  # one column per run of one last-group spin
+        last = two_I[-1]
+        for states in np.split(np.arange(len(last)), np.flatnonzero(np.diff(last)) + 1):
+            k, R = int(last[states[0]]), len(states)
+            parts.append((f"I{'' if one_group else 2}={HalfInt(k)}", R * counts[k] / total,
+                          states, np.full(R, 1 / R)))
     table = np.empty((len(times), len(parts)))  # the main trace, then the sector columns
-    for k, (label, _, spectrum) in enumerate(parts):
-        if method == "echo-synthetic" and len(spec.groups) == 2:
-            spectrum = singlet_only(spectrum, np.outer(TRIPLET_0, TRIPLET_0))
-        table[:, k] = clip_probabilities(relaxed_singlet(spectrum, times, *channel), label)
+    for j, (label, _, states, w) in enumerate(parts):
+        spectrum = prepared_spectrum(spec, two_I[:, states], two_m[:, states], w, rest)
+        table[:, j] = clip_probabilities(relaxed_singlet(spectrum, times, *channel), label)
     return SimulationResult(TimeSeries(times, table[:, 0], parts[0][0]),
                             [p[0] for p in parts[1:]], table[:, 1:], [p[1] for p in parts[1:]])

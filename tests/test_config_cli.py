@@ -353,6 +353,22 @@ class TestCli:
             "nuclear state; '2, 1' is one pure state"])
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap, code", [(21, 0), (20, 1)])
+    def test_sectors_above_the_cell_cap_exit_1(self, tmp_path, monkeypatch, cap, code):
+        # time, main and 5 sector columns on 3 points are 21 cells
+        from qbeats import cli
+
+        doc = preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0})
+        cfgfile, out = tmp_path / "c.yaml", tmp_path / "x.csv"
+        cfgfile.write_text(yaml.safe_dump(doc))
+        monkeypatch.setattr(cli, "MAX_SECTOR_CELLS", cap)
+        got, err, _ = run_main("simulate", "--sectors", "--config", str(cfgfile),
+                               "--out", str(out))
+        assert (got, err) == (code, [] if code == 0 else [
+            f"configuration error: {cfgfile}: --sectors would write 21 CSV cells; "
+            "at most 20 allowed"])
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("preset, group, count, spins", [
         ("octalin", 0, 7, "I=7/2,I=5/2,I=3/2,I=1/2"),
         ("dmb", 1, 12, "I2=6,I2=5,I2=4,I2=3,I2=2,I2=1,I2=0")])

@@ -30,29 +30,47 @@ def sector_average(columns, regime):
     return sum((w / total) * columns[f"I={abs(k)}"] for k, w in weights.items())
 
 
-@pytest.mark.parametrize("regime", ["zero", "high"])
-@pytest.mark.parametrize("method", ["kraus", "per-gate", "echo-synthetic"])
-def test_one_group_sector_columns_average_to_the_main_trace(method, regime):
-    result = simulate(preset("octalin", method), regime, sectors=True)
-    assert result.labels == ["I=4", "I=3", "I=2", "I=1", "I=0"]
-    dev = np.abs(sector_average(sector_columns(result), regime) - result.trace.values).max()
-    assert dev <= 1e-12
-    weights = one_group_weights(8, regime)
-    assert result.weights == [weights[HalfInt(2 * k)] / 2 ** 8 for k in (4, 3, 2, 1, 0)]
+METHODS = ["none", "kraus", "per-gate", "echo-synthetic"]
+SECTOR_CASES = [
+    *(pytest.param(name, method, regime, {}, id=f"{name}-{regime}-{method}")
+      for name in ("octalin", "dmb") for regime in ("zero", "high") for method in METHODS),
+    # T1 != T2: the rotation-invariant zero-field state has correlators of its own
+    *(pytest.param(name, "kraus", "zero", {"relaxation": {"zero": (40.0, 20.0)}},
+                   id=f"{name}-zero-kraus-T1=40,T2=20") for name in ("octalin", "dmb")),
+    # cation_spectrum drops every beat term below 8 eps of the ensemble's total weight; over
+    # the 40,804 states of 2 + 200 nuclei the main column loses 6.1e-12 of S(0) = 1 to it
+    pytest.param("dmb", "kraus", "high", {"groups": 200, "time_grid": (0.0, 2.0, 0.25)},
+                 id="dmb-n2=200-high-kraus",
+                 marks=pytest.mark.xfail(strict=True, reason="main column's drop floor")),
+]
 
 
-@pytest.mark.parametrize("regime", ["zero", "high"])
-def test_two_group_sector_columns_reassemble_to_the_main_trace(regime):
-    """Under every noise method, the I2 columns weighted by their share of the ensemble,
-    4 (2 I2 + 1) count(I2) / 2^14, sum to the main trace."""
-    counts = spin_addition_counts(12)
-    for method in ("none", "kraus", "per-gate", "echo-synthetic"):
-        result = simulate(preset("dmb", method), regime, sectors=True)
+@pytest.mark.parametrize("name, method, regime, changes", SECTOR_CASES)
+def test_sector_columns_are_parts_of_the_main_trace(name, method, regime, changes):
+    """Each sector column is one part of the main trace's ensemble, of weight its share: one
+    group's I part holds count(I) (2I + 1) states at zero field and class |m| = I at high
+    field (``one_group_weights``) of 2^n, two groups' I2 part its R = 4 (2 I2 + 1) states
+    of count(I2) each, of 2^N.  So the weighted columns sum to the main trace."""
+    config = preset(name, method)
+    if "relaxation" in changes:
+        config.relaxation = {**config.relaxation, **changes["relaxation"]}
+    if "groups" in changes:
+        config.groups = (config.groups[0], dataclasses.replace(config.groups[1],
+                                                               count=changes["groups"]))
+        config.time_grid = changes["time_grid"]
+    result = simulate(config, regime, sectors=True)
+    n, N = config.groups[-1].count, sum(g.count for g in config.groups)
+    counts = spin_addition_counts(n)
+    if len(config.groups) == 1:
+        assert result.labels == [f"I={I}" for I in counts] == ["I=4", "I=3", "I=2", "I=1", "I=0"]
+        weights = one_group_weights(n, regime)
+        assert result.weights == [weights[I] / 2 ** n for I in counts]
+    else:
         assert result.labels == [f"I2={I2}" for I2 in counts]
-        assert result.weights == [4 * (I2.twice_value + 1) * c / 2 ** 14
+        assert result.weights == [4 * (I2.twice_value + 1) * c / 2 ** N
                                   for I2, c in counts.items()]
-        rebuilt = result.sectors @ np.array(result.weights)
-        assert np.abs(rebuilt - result.trace.values).max() <= 1e-12, method
+    rebuilt = result.sectors @ np.array(result.weights)
+    assert np.abs(rebuilt - result.trace.values).max() <= 1e-12
 
 
 def test_two_group_sectors_take_no_padded_register(monkeypatch):
