@@ -265,21 +265,18 @@ def pair_spectrum(H: BlockHamiltonian, states, weights) -> PairSpectrum:
     return _merged(freqs, amps, tol)
 
 
-def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
-    """Beat spectrum of |S><S| x sum_r weights[r] |r><r| under 1_e2 x h - b2 Z_e2 x 1, from
-    the blocks of h that the ensemble reaches (``hamiltonians.build_cation_blocks``).
+def _cation_beats(blocks: CationBlocks, b2: float):
+    """(w, p_up, p_down, their freqs, c, its freqs, merge width) of |S><S| x sum_r weights[r]
+    |r><r| under 1_e2 x h - b2 Z_e2 x 1, from the blocks of h it reaches (``build_cation_blocks``).
 
-    h is the real cation Hamiltonian (nuclei and e1) and conserves M; the anion
-    electron only adds the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r],
+    h, the real cation Hamiltonian (nuclei and e1), conserves M; the anion electron only
+    adds the Larmor phase exp(-+i b2 t).  With w = sum_r weights[r], the beats of
     p_s(t) = sum_r weights[r] sum_n |<n s|exp(-iht)|r s>|^2 and
-    c(t) = sum_r weights[r] sum_n <n up|exp(-iht)|r up> <n down|exp(-iht)|r down>^*,
-    the five live pair elements are rho_11 = p_up / 2, rho_22 = p_down / 2,
-    rho_00 = (w - p_down) / 2, rho_33 = (w - p_up) / 2 and
-    rho_12 = -c(t) exp(-2i b2 t) / 2.  The blocks are diagonalized by one stacked
-    ``eigh`` per block size; p_s beats within a block, c between the up rows of
-    block M and the down rows of block M - 1, which hold the same slots in the
-    same rows, so no product is wider than a block.  Terms at the roundoff level
-    of the largest amplitude are dropped, and all are merged once.
+    c(t) = sum_r weights[r] sum_n <n up|exp(-iht)|r up> <n down|exp(-iht)|r down>^*.
+    The blocks are diagonalized by one stacked ``eigh`` per block size; p_s beats within a
+    block, c between the up rows of block M and the down rows of block M - 1, which hold the
+    same slots in the same rows, so no product is wider than a block.  Terms at the roundoff
+    level of the largest amplitude are dropped.
     """
     live, weights, (above, below) = blocks.live, blocks.weights, blocks.pairs
     P = live.shape[1] // 2
@@ -304,16 +301,34 @@ def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
         total, np.abs(p_up).max(), np.abs(p_down).max(), np.abs(c).max(initial=0.0))
     p_keep = np.maximum(np.abs(p_up), np.abs(p_down)) > floor
     c_keep = np.abs(c) > floor
-    amps = np.zeros((1 + p_keep.sum() + c_keep.sum(), 10))
+    lam_max = np.abs(blocks.h).sum(axis=2).max(initial=0.0)  # bounds every eigenvalue
+    return (total, p_up[p_keep], p_down[p_keep], (lam[:, :, None] - lam[:, None, :])[p_keep],
+            c[c_keep], (lam[above, :, None] - lam[below, None, :] + 2 * b2)[c_keep],
+            64 * np.finfo(float).eps * (lam_max + abs(b2)))
+
+
+def cation_spectrum(blocks: CationBlocks, b2: float) -> PairSpectrum:
+    """Beat spectrum of the pair state of ``_cation_beats``, merged once: rho_11 = p_up / 2,
+    rho_22 = p_down / 2, rho_00 = (w - p_down) / 2, rho_33 = (w - p_up) / 2 and
+    rho_12 = -c(t) exp(-2i b2 t) / 2 are its five live elements."""
+    total, p_up, p_down, f_in, c, f_across, tol = _cation_beats(blocks, b2)
+    amps = np.zeros((1 + len(p_up) + len(c), 10))
     amps[0, [PAIR_SLOT[0, 0], PAIR_SLOT[3, 3]]] = total / 2  # the constant parts of rho_00, rho_33
-    p_up, p_down = p_up[p_keep], p_down[p_keep]
     beating = [PAIR_SLOT[a, a] for a in (1, 3, 2, 0)]  # rho_11, rho_33, rho_22, rho_00
     amps[1:1 + len(p_up), beating] = 0.5 * np.stack([p_up, -p_up, p_down, -p_down], axis=-1)
-    amps[1 + len(p_up):, PAIR_SLOT[1, 2]] = -0.5 * c[c_keep]
-    freqs = np.concatenate([[0.0], (lam[:, :, None] - lam[:, None, :])[p_keep],
-                            (lam[above, :, None] - lam[below, None, :] + 2 * b2)[c_keep]])
-    lam_max = np.abs(blocks.h).sum(axis=2).max(initial=0.0)  # bounds every eigenvalue
-    return _merged([freqs], [amps], 64 * np.finfo(float).eps * (lam_max + abs(b2)))
+    amps[1 + len(p_up):, PAIR_SLOT[1, 2]] = -0.5 * c
+    return _merged([np.concatenate([[0.0], f_in, f_across])], [amps], tol)
+
+
+def cation_correlators(blocks: CationBlocks, b2: float, times: np.ndarray) -> tuple:
+    """(w, <ZZ>, <XX + YY>) on ``times`` of the pair state of ``cation_spectrum``, with no
+    pair table: w is constant, <ZZ> = w - p_up - p_down and <XX + YY> = -2 Re c(t)
+    exp(-2i b2 t), each row's terms folded once and evaluated as in ``evaluate_rows``."""
+    total, p_up, p_down, f_in, c, f_across, tol = _cation_beats(blocks, b2)
+    terms = (np.repeat([0, 0, 1], [1, len(f_in), len(c)]), np.concatenate([[0.0], f_in, f_across]),
+             np.concatenate([[total], -(p_up + p_down), -2 * c]))  # row, frequency, coefficient
+    zz, xy = _evaluate_folded(times, *_fold(*terms, tol, 2))
+    return total, zz, xy
 
 
 def singlet_only(spectrum: PairSpectrum, rest: np.ndarray) -> PairSpectrum:
@@ -339,31 +354,40 @@ def _phase_powers(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
     table[0] = 1.0
     m = 1
     while m < n:
-        table[m:2 * m] = table[:min(m, n - m)] * np.exp(-1j * freqs * (m * step))
+        k = min(m, n - m)
+        np.multiply(table[:k], np.exp(-1j * freqs * (m * step)), out=table[m:m + k])
         m *= 2
     return table
 
 
-def _folded_rows(spectrum: PairSpectrum, rows: np.ndarray):
-    """Terms (freqs, coefs) of every row r, laid end to end in slices bounds[r]:bounds[r + 1],
-    with Re sum coefs exp(-i freqs t) the row's real read-out: a term c at f < 0 moves to
-    |f| as conj(c), since Re c exp(-i f t) = Re conj(c) exp(i f t); runs within ``tol`` merge."""
-    coef = np.asarray(rows) @ spectrum.amplitudes.T
-    r, k = np.nonzero(coef)
-    f, c = spectrum.freqs[k], coef[r, k]
-    c, f = np.where(f < 0, c.conj(), c), np.abs(f)
-    order = np.lexsort((f, r))
-    r, f, c = r[order], f[order], c[order]
-    starts = np.flatnonzero((np.diff(f, prepend=-np.inf) > spectrum.tol)
-                            | (np.diff(r, prepend=-1) != 0))
-    bounds = np.searchsorted(r[starts], np.arange(len(coef) + 1))
+def _fold(row: np.ndarray, f: np.ndarray, c: np.ndarray, tol: float, n: int):
+    """Folded terms (freqs, coefs, bounds) of terms c at f of rows ``row`` < n, row r's at
+    bounds[r]:bounds[r + 1]: c at f < 0 moves to |f| as conj(c); runs within ``tol`` merge."""
+    c, f = np.where(f < 0, np.conj(c), c), np.abs(f)
+    order = np.lexsort((f, row))
+    row, f, c = row[order], f[order], c[order]
+    starts = np.flatnonzero((np.diff(f, prepend=-np.inf) > tol)
+                            | (np.diff(row, prepend=-1) != 0))
+    bounds = np.searchsorted(row[starts], np.arange(n + 1))
     return (np.add.reduceat(f, starts) / np.diff(starts, append=len(f)),
             np.add.reduceat(c, starts), bounds)
 
 
+def _folded_rows(spectrum: PairSpectrum, rows: np.ndarray):
+    """``_fold`` of the nonzero terms of coefficient rows over the ``PAIR_TRIU`` elements."""
+    coef = np.asarray(rows) @ spectrum.amplitudes.T
+    r, k = np.nonzero(coef)
+    return _fold(r, spectrum.freqs[k], coef[r, k], spectrum.tol, len(coef))
+
+
 def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(R, T) real parts Re sum_f (rows[r] . amplitudes[f]) exp(-i freqs[f] t) of coefficient
-    rows over the 10 ``PAIR_TRIU`` elements, each over its own folded terms (``_folded_rows``).
+    rows over the 10 ``PAIR_TRIU`` elements, each over its own folded terms (``_folded_rows``)."""
+    return _evaluate_folded(times, *_folded_rows(spectrum, rows))
+
+
+def _evaluate_folded(times, f: np.ndarray, c: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(R, T) real parts Re sum c exp(-i f t) of the R rows of folded terms (``_fold``).
 
     Two-level exp table: t = s + d with s one of A chunk starts and d one of K offsets.
     On a uniform grid (to the roundoff of the times) K = ceil(sqrt(T)) and both
@@ -374,7 +398,6 @@ def evaluate_rows(spectrum: PairSpectrum, times: np.ndarray, rows: np.ndarray) -
     tables viewed as floats.  The tables hold about ``EXP_TABLE_ENTRIES`` entries.
     """
     times = np.asarray(times, dtype=float)
-    f, c, bounds = _folded_rows(spectrum, rows)
     T = len(times)
     out = np.zeros((len(bounds) - 1, T))
     if T == 0:

@@ -1,10 +1,10 @@
 """End-to-end simulation pipelines: build -> evolve -> relax -> combine.
 
 Every run is one ensemble table of nuclear states and weights (``ensemble``), read from
-the cation blocks its states reach and, where the prepared pair state is not the
-ensemble's own, through ``singlet_only``.  Weighting every state of every I2 sector by
-its I2 degeneracy keeps the classical reassembly exact also under relaxation.  A sector
-column is the table's states of one last-group spin, read the same way.  ``simulate`` is
+the correlators of the cation blocks its states reach (or of S |S><S| + (w - S) rest).
+Weighting every state of every I2 sector by its I2 degeneracy keeps the classical
+reassembly exact also under relaxation.  A sector column is the table's states of one
+last-group spin, read the same way.  ``simulate`` is
 the one entry point from a resolved configuration to S(t): it picks the prepared pair
 state and the noise method's both-site channel once per regime.
 """
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .dynamics import (SINGLET, TRIPLET_0, PairSpectrum, TimeSeries, cation_spectrum,
-                       clip_probabilities, one_group_weights, singlet_only, time_grid)
+from .dynamics import (PAIR_TRIU, SINGLET, TRIPLET_0, PairSpectrum, TimeSeries,
+                       cation_correlators, cation_spectrum, clip_probabilities,
+                       one_group_weights, singlet_only, time_grid)
 from .hamiltonians import SpinSystemSpec, build_cation_blocks, distinct_spins, nuclear_states
-from .relaxation import relaxed_singlet
+from .relaxation import CORRELATOR_TRIU, relaxed_bell_probabilities
 from .spinalg import HalfInt, spin_addition_counts
 
 ROTATION_INVARIANT = (np.eye(4) - np.outer(SINGLET, SINGLET)) / 3  # rest of a mixed one group
@@ -91,19 +92,19 @@ def two_group_spectrum(spec: SpinSystemSpec) -> PairSpectrum:
 def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> SimulationResult:
     """S(t) of a validated configuration in one field regime ('zero' or 'high').
 
-    Every noise method is one both-site channel (elapsed, T1, T2): of duration t
-    at T1 = T2 = inf for ``none``, at the regime's (T1, T2) for ``kraus`` and
-    ``per-gate`` (the noisy identity delay of duration t is that channel), and
-    ``config.hardware.echo_channel`` for ``echo-synthetic`` (the correction undoes
-    the hardware damping, so the procedure leaves its target channel).  Next to it
-    one ``rest`` picks the prepared pair state: the rotation-invariant one of a mixed
-    one-group ensemble at zero field, the coherent S(t) encoded in an Rz rotation,
-    S |S><S| + (1 - S) |T0><T0|, for two-group ``echo-synthetic``, else the
-    ensemble's own.  ``relaxed_singlet`` reads S(t) from its spectrum after the
-    channel.  No route builds a (T, 4, 4) pair trajectory, runs a circuit or loads
-    the gate-level modules, the oracle of the tests and of ``validate``.  With
-    ``sectors`` the same loop reads a column per last-group spin of the ensemble:
-    its states at equal weight, of weight their share of the ensemble.
+    Every noise method is one both-site channel (elapsed, T1, T2): of duration t at
+    T1 = T2 = inf for ``none``, at the regime's (T1, T2) for ``kraus`` and ``per-gate`` (the
+    noisy identity delay of duration t is that channel), and ``config.hardware.echo_channel``
+    for ``echo-synthetic`` (the correction undoes the hardware damping, so the procedure
+    leaves its target channel).  Next to it one ``rest`` picks the prepared pair state: the
+    rotation-invariant one of a mixed one-group ensemble at zero field, the coherent S(t)
+    encoded in an Rz rotation, S |S><S| + (1 - S) |T0><T0|, for two-group ``echo-synthetic``,
+    else the ensemble's own.  S(t) after the channel is read from the correlators
+    (w, <ZZ>, <XX + YY>) of ``cation_correlators``, with a ``rest`` from those of
+    S |S><S| + (w - S) rest, S = (w - <ZZ> - <XX + YY>) / 4.  No route builds a pair table,
+    runs a circuit or loads the gate-level modules, the oracles of the tests and of
+    ``validate``.  With ``sectors`` the same loop reads a column per last-group spin of the
+    ensemble: its states at equal weight, of weight their share of the ensemble.
     """
     spec = config.spin_spec(regime)
     times = time_grid(*config.time_grid)
@@ -127,7 +128,12 @@ def simulate(config: ExperimentConfig, regime: str, sectors: bool = False) -> Si
                           states, np.full(R, 1 / R)))
     table = np.empty((len(times), len(parts)))  # the main trace, then the sector columns
     for j, (label, _, states, w) in enumerate(parts):
-        spectrum = prepared_spectrum(spec, two_I[:, states], two_m[:, states], w, rest)
-        table[:, j] = clip_probabilities(relaxed_singlet(spectrum, times, *channel), label)
+        blocks = build_cation_blocks(spec, two_I[:, states], two_m[:, states], w)
+        w, zz, xy = cation_correlators(blocks, spec.b2, times)
+        if rest is not None:  # <ZZ> and <XX + YY> of S |S><S| + (w - S) rest
+            s, (zz_rest, xy_rest) = (w - zz - xy) / 4, CORRELATOR_TRIU[1:3] @ rest[PAIR_TRIU]
+            zz, xy = -s + (w - s) * zz_rest, -2 * s + (w - s) * xy_rest
+        singlet = relaxed_bell_probabilities((w, zz, xy, 0.0), *channel)[..., 0]
+        table[:, j] = clip_probabilities(singlet, label)
     return SimulationResult(TimeSeries(times, table[:, 0], parts[0][0]),
                             [p[0] for p in parts[1:]], table[:, 1:], [p[1] for p in parts[1:]])

@@ -19,6 +19,7 @@ from qbeats.dynamics import (
     PAIR_TRIU,
     PairSpectrum,
     cation_spectrum,
+    evaluate_rows,
     evaluate_spectrum,
     pair_slice_indices,
     sector_statevector,
@@ -38,6 +39,7 @@ from qbeats.hamiltonians import (
     one_group_reduced_index,
 )
 from qbeats.pipeline import one_group_sector_spectra, simulate
+from qbeats.relaxation import CORRELATOR_TRIU
 from qbeats.spinalg import HalfInt, multiplicity, spin_addition_counts
 from support import (cation_matrix, cation_register, cg_block_matrix, coupled_hfc_eigenvalues,
                      dense_eig, dense_pair_trajectory)
@@ -97,7 +99,8 @@ def test_dmb_sector_trajectories_match_dense(regime):
 def test_simulate_matches_dense(monkeypatch, name, regime):
     config = dataclasses.replace(load_preset(name), time_grid=GRID)
     blocked = simulate(config, regime).trace.values
-    monkeypatch.setattr(pipeline, "cation_spectrum", dense_cation_spectrum)
+    monkeypatch.setattr(pipeline, "cation_correlators", lambda blocks, b2, times: evaluate_rows(
+        dense_cation_spectrum(blocks, b2), times, CORRELATOR_TRIU[:3]))
     dense = simulate(config, regime).trace.values
     assert np.abs(blocked - dense).max() <= 1e-12
 

@@ -588,8 +588,9 @@ class TestCli:
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, bad):
         from qbeats import pipeline
 
-        monkeypatch.setattr(pipeline, "relaxed_singlet",
-                            lambda spectrum, times, *channel: np.full(len(times), bad))
+        # correlators (w, <ZZ>, <XX + YY>) = (4 bad, 0, 0) read S = bad under no channel
+        monkeypatch.setattr(pipeline, "cation_correlators",
+                            lambda blocks, b2, times: (np.full(len(times), 4 * bad), 0.0, 0.0))
         cfgfile = tmp_path / "tiny.yaml"
         cfgfile.write_text(yaml.safe_dump(dict(
             preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),
@@ -603,8 +604,8 @@ class TestCli:
         # roundoff above 1 + 1e-12 is clipped with a logged warning, which the command prints
         from qbeats import pipeline
 
-        monkeypatch.setattr(pipeline, "relaxed_singlet",
-                            lambda spectrum, times, *channel: np.full(len(times), 1 + 1e-10))
+        monkeypatch.setattr(pipeline, "cation_correlators",
+                            lambda blocks, b2, times: (np.full(len(times), 4 + 4e-10), 0.0, 0.0))
         cfgfile, out = tmp_path / "tiny.yaml", tmp_path / "x.csv"
         cfgfile.write_text(yaml.safe_dump(dict(
             preset_with("octalin", "time_grid", {"start": 0.0, "end": 2.0, "step": 1.0}),

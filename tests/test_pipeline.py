@@ -1,17 +1,19 @@
 """pipeline.simulate against independent recombinations of its own parts."""
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from qbeats import dynamics, hamiltonians
-from qbeats.config import load_preset
-from qbeats.dynamics import evaluate_spectrum, one_group_weights, singlet_values, time_grid
+from qbeats.config import HardwareModel, load_preset
+from qbeats.dynamics import (clip_probabilities, evaluate_spectrum, one_group_weights,
+                             singlet_values, time_grid)
 from qbeats.noisemethods import per_gate_singlet_values
-from qbeats.pipeline import (one_group_sector_spectra, one_group_spectrum, simulate,
-                             two_group_spectrum)
+from qbeats.pipeline import (ENCODED, ROTATION_INVARIANT, ensemble, one_group_sector_spectra,
+                             one_group_spectrum, prepared_spectrum, simulate, two_group_spectrum)
 from qbeats.relaxation import relaxed_singlet
 from qbeats.spinalg import HalfInt, spin_addition_counts
 from support import class_average, sector_columns, werner_trajectory
@@ -71,6 +73,47 @@ def test_sector_columns_are_parts_of_the_main_trace(name, method, regime, change
                                   for I2, c in counts.items()]
     rebuilt = result.sectors @ np.array(result.weights)
     assert np.abs(rebuilt - result.trace.values).max() <= 1e-12
+
+
+ROUTE_CASES = [
+    *(pytest.param(name, method, regime, {}, id=f"{name}-{regime}-{method}")
+      for name in ("octalin", "dmb") for regime in ("zero", "high") for method in METHODS),
+    # a rest moves S(t) only under a channel with T1 != T2
+    *(pytest.param(name, "kraus", "zero",
+                   {"relaxation": {**load_preset(name).relaxation, "zero": (40.0, 20.0)}},
+                   id=f"{name}-zero-kraus-T1=40,T2=20") for name in ("octalin", "dmb")),
+    *(pytest.param("dmb", "echo-synthetic", regime,
+                   {"hardware": HardwareModel(T1_ns=200_000.0, T2_ns=100_000.0)},
+                   id=f"dmb-{regime}-echo-synthetic-hardware-T1=2T2")
+      for regime in ("zero", "high")),
+]
+
+
+@pytest.mark.parametrize("name, method, regime, changes", ROUTE_CASES)
+def test_simulate_matches_the_pair_table_route(name, method, regime, changes):
+    """Every column of simulate, read from the cation correlators with the rest in closed
+    form, against the pair-table route: ``relaxed_singlet`` of ``prepared_spectrum`` (the
+    merged ``cation_spectrum``, through ``singlet_only`` with a rest) on the same ensemble
+    part, rest and channel."""
+    config = dataclasses.replace(load_preset(name), noise_method=method, **changes)
+    spec, times = config.spin_spec(regime), time_grid(*config.time_grid)
+    channel = {"none": (times, math.inf, math.inf),
+               "echo-synthetic": config.hardware.echo_channel(times, spec.T1, spec.T2),
+               }.get(method, (times, spec.T1, spec.T2))
+    rest = (ROTATION_INVARIANT if name == "octalin" and regime == "zero" else
+            ENCODED if name == "dmb" and method == "echo-synthetic" else None)
+    two_I, two_m, weights, _, _ = ensemble(spec, regime)
+    last = two_I[-1]
+    parts = [(slice(None), weights)] + [
+        (states, np.full(len(states), 1 / len(states)))
+        for states in np.split(np.arange(len(last)), np.flatnonzero(np.diff(last)) + 1)]
+    oracle = np.column_stack([clip_probabilities(relaxed_singlet(
+        prepared_spectrum(spec, two_I[:, states], two_m[:, states], w, rest), times, *channel))
+        for states, w in parts])
+    result = simulate(config, regime, sectors=True)
+    assert len(result.labels) == len(parts) - 1 == (5 if name == "octalin" else 7)
+    got = np.column_stack([result.trace.values, result.sectors])
+    assert np.abs(got - oracle).max() <= 1e-12
 
 
 def test_two_group_sectors_take_no_padded_register(monkeypatch):

@@ -367,7 +367,8 @@ def test_cation_spectra_of_all_25_pure_states(regime):
 def test_sector_columns_match_the_full_register(monkeypatch, name, regime):
     config = dataclasses.replace(load_preset(name), noise_method="none")
     result = simulate(config, regime, sectors=True)
-    monkeypatch.setattr(pipeline, "cation_spectrum", full_register_spectrum)
+    monkeypatch.setattr(pipeline, "cation_correlators", lambda blocks, b2, times: evaluate_rows(
+        full_register_spectrum(blocks, b2), times, CORRELATOR_TRIU[:3]))
     oracle = simulate(config, regime, sectors=True)
     assert result.labels == oracle.labels and len(result.labels) in (5, 7)
     assert dev(result.sectors, oracle.sectors) <= TOL
